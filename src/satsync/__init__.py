@@ -3,7 +3,6 @@
 from .model import (
     AgentModel,
     AssumptionReport,
-    ExosystemState,
     check_assumption,
     saturate,
     triple_integrator,
@@ -37,7 +36,6 @@ from .protocols import (
     ProtocolKind,
     StateLayout,
     additional_exchange,
-    closed_loop_field,
     coupling_signal,
     global_full,
     global_partial,

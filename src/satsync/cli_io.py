@@ -311,7 +311,7 @@ def run_protocol(
     tol: float = REPRODUCE_TOL,
 ):
     """Simulate one protocol on a scenario; returns (Trajectory, RunReport)."""
-    field_fn = protocols.closed_loop_field(scenario, kind)
+    field_fn = protocols.ClosedLoopField(scenario.model, scenario.net, kind)
     z0 = scenario.initial_state(kind)
     start = time.perf_counter()
     traj = sim.integrate(

@@ -8,7 +8,7 @@ is detectable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,30 +75,6 @@ class AgentModel:
     @property
     def q(self) -> int:
         return self.C.shape[0]
-
-
-@dataclass(frozen=True)
-class ExosystemState:
-    """Reference generator state; evolves as ẋ_r = A x_r with no input."""
-
-    model: AgentModel
-    x_r: np.ndarray
-
-    def __post_init__(self):
-        x_r = np.asarray(self.x_r, dtype=float).reshape(-1)
-        if x_r.shape[0] != self.model.n:
-            raise ModelError(
-                f"x_r must have length {self.model.n}, got {x_r.shape[0]}", "x_r"
-            )
-        x_r.setflags(write=False)
-        object.__setattr__(self, "x_r", x_r)
-
-    @property
-    def y_r(self) -> np.ndarray:
-        return self.model.C @ self.x_r
-
-    def derivative(self) -> np.ndarray:
-        return self.model.A @ self.x_r
 
 
 @dataclass(frozen=True)

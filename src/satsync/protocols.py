@@ -235,11 +235,3 @@ class ClosedLoopField:
         )
         return self.layout.pack(dx, dx_r, dchi)
 
-
-def build_field(model: AgentModel, net: Network, kind: ProtocolKind) -> ClosedLoopField:
-    return ClosedLoopField(model, net, kind)
-
-
-def closed_loop_field(scenario, kind: ProtocolKind) -> ClosedLoopField:
-    """Field for a loaded scenario (model + network)."""
-    return ClosedLoopField(scenario.model, scenario.net, kind)

@@ -6,10 +6,10 @@ Two continuous AREs are used downstream:
   lowgain:    AᵀP + PA - PBBᵀP + εI = 0,   ε ∈ (0,1]
 
 The scheduled equation reduces exactly to a zero-state-weight standard ARE
-for the shifted matrix A + (ρ/2)I.  Both are solved by the Hamiltonian
-stable-invariant-subspace (Schur) method followed by Newton (Kleinman)
-refinement; a continuation fallback from a larger parameter covers the rare
-cases where the subspace extraction degrades.
+for the shifted matrix A + (ρ/2)I.  Each equation is solved once, cold, by
+the Hamiltonian stable-invariant-subspace (Schur) method, and the result is
+returned only with its residual, PSD and Hurwitz certificates.  The observer
+gain comes from the unit-weight low-gain ARE of the dual pair (Aᵀ, Cᵀ).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .model import AgentModel, check_assumption
 
 HURWITZ_TOL = 1e-9
 PSD_TOL = 1e-8
-NEWTON_MAX_ITER = 20
 
 
 class RiccatiError(RuntimeError):
@@ -63,10 +62,6 @@ class ObserverGain:
     K: np.ndarray
 
 
-def _sym(P):
-    return (P + P.T) / 2
-
-
 def _care_schur(A, G, Q):
     """Stabilizing solution of AᵀP + PA - PGP + Q = 0 via Hamiltonian Schur."""
     n = A.shape[0]
@@ -81,79 +76,30 @@ def _care_schur(A, G, Q):
     cond = np.linalg.cond(U1)
     if not np.isfinite(cond) or cond > 1e13:
         raise RiccatiError(f"subspace extraction ill-conditioned (cond={cond:.2e})")
-    return _sym(np.linalg.solve(U1.T, U2.T).T)
+    P = np.linalg.solve(U1.T, U2.T).T
+    return (P + P.T) / 2
 
 
-def _newton_refine(A, G, Q, P):
-    """Kleinman iteration from a stabilizing iterate.
-
-    The residual is not monotone from a far initializer, so iteration stops
-    on convergence or step stagnation, and the best-residual iterate wins.
-    """
-    current = P
-    best = P
-    best_res = np.linalg.norm(A.T @ P + P @ A - P @ G @ P + Q, 2)
-    for _ in range(NEWTON_MAX_ITER):
-        Acl = A - G @ current
-        if np.linalg.eigvals(Acl).real.max() >= 0:
-            break
-        try:
-            P_next = _sym(
-                sla.solve_continuous_lyapunov(Acl.T, -(Q + current @ G @ current))
-            )
-        except Exception:
-            break
-        res = np.linalg.norm(A.T @ P_next + P_next @ A - P_next @ G @ P_next + Q, 2)
-        step = np.linalg.norm(P_next - current, 2)
-        if res < best_res:
-            best, best_res = P_next, res
-        if best_res <= residual_tolerance(best):
-            break
-        if step <= 1e-14 * (1.0 + np.linalg.norm(current, 2)):
-            break
-        current = P_next
-    return best, best_res
-
-
-def _solve_care(A, B, Q, initial=None):
-    """Stabilizing ARE solve with Newton refinement and optional warm start."""
-    G = B @ B.T
-    if initial is None:
-        P = _care_schur(A, G, Q)
-    else:
-        P = _sym(np.asarray(initial, dtype=float))
-        if np.linalg.eigvals(A - G @ P).real.max() >= 0:
-            P = _care_schur(A, G, Q)
-    P, res = _newton_refine(A, G, Q, P)
-    if initial is not None and res > residual_tolerance(P):
-        # warm start did not converge; fall back to a fresh subspace solve
-        P, res = _newton_refine(A, G, Q, _care_schur(A, G, Q))
-    return P, res
-
-
-def _certify(model, P, kind, parameter, residual):
+def _certify(A, G, Q, P, kind, parameter):
+    """Wrap P as a RiccatiSolution once AᵀP + PA - PGP + Q = 0 is met to
+    tolerance, P is PSD and A - GP is Hurwitz; raise RiccatiError otherwise."""
     eig_P = np.linalg.eigvalsh(P)
     if eig_P.min() < -PSD_TOL:
         raise RiccatiError(
             f"{kind} ARE solution not positive semidefinite "
             f"(min eig {eig_P.min():.2e})"
         )
+    residual = np.linalg.norm(A.T @ P + P @ A - P @ G @ P + Q, 2)
     if residual > residual_tolerance(P):
         raise RiccatiError(
             f"{kind} ARE residual {residual:.2e} exceeds tolerance"
         )
-    G = model.B @ model.B.T
-    if kind == "scheduled":
-        Acl = model.A + (parameter / 2) * np.eye(model.n) - G @ P
-    else:
-        Acl = model.A - G @ P
-    stable = is_hurwitz(Acl)
+    stable = is_hurwitz(A - G @ P)
     if not stable:
         raise RiccatiError(f"{kind} ARE closed loop not Hurwitz")
-    Pv = P.copy()
-    Pv.setflags(write=False)
+    P.setflags(write=False)
     return RiccatiSolution(
-        P=Pv,
+        P=P,
         kind=kind,
         parameter=parameter,
         residual_norm=residual,
@@ -171,72 +117,49 @@ def _check_model(model):
         )
 
 
+def _solve(model, kind, name, parameter, shift, weight, validate_model):
+    """Certified solution of (A + sI)ᵀP + P(A + sI) - PBBᵀP + wI = 0."""
+    if not (0.0 < parameter <= 1.0):
+        raise ParameterError(f"{name} must be in (0, 1], got {parameter}")
+    if validate_model:
+        _check_model(model)
+    I = np.eye(model.n)
+    A = model.A + shift * I
+    G = model.B @ model.B.T
+    Q = weight * I
+    return _certify(A, G, Q, _care_schur(A, G, Q), kind, parameter)
+
+
 def solve_scheduled_are(
-    model: AgentModel, rho: float, *, initial=None, validate_model: bool = True
+    model: AgentModel, rho: float, *, validate_model: bool = True
 ) -> RiccatiSolution:
     """Stabilizing psd solution of AᵀP + PA - PBBᵀP + ρP = 0.
 
-    Solved via the exact shift A → A + (ρ/2)I reducing to a standard
-    zero-state-weight ARE.  An `initial` stabilizing guess (typically the
-    solution at a nearby ρ) enables warm-started Newton continuation.
+    Solved via the exact shift A → A + (ρ/2)I, which reduces it to a
+    standard zero-state-weight ARE.  The result depends on (model, ρ) only.
+    Raises RiccatiError when no certified stabilizing solution exists, for
+    instance when A has an eigenvalue at exactly -ρ/2.
     """
-    if not (0.0 < rho <= 1.0):
-        raise ParameterError(f"rho must be in (0, 1], got {rho}")
-    if validate_model:
-        _check_model(model)
-    n = model.n
-    A_shift = model.A + (rho / 2) * np.eye(n)
-    Q = np.zeros((n, n))
-    try:
-        P, _ = _solve_care(A_shift, model.B, Q, initial=initial)
-    except RiccatiError:
-        if 2 * rho <= 1.0:
-            # continuation: the solution at 2ρ remains stabilizing here
-            warm = solve_scheduled_are(model, 2 * rho, validate_model=False)
-            P, _ = _solve_care(A_shift, model.B, Q, initial=warm.P)
-        else:
-            raise
-    residual = np.linalg.norm(
-        model.A.T @ P + P @ model.A - P @ (model.B @ model.B.T) @ P + rho * P, 2
-    )
-    return _certify(model, P, "scheduled", rho, residual)
+    return _solve(model, "scheduled", "rho", rho, rho / 2, 0.0, validate_model)
 
 
 def solve_lowgain_are(
-    model: AgentModel, eps: float, *, initial=None, validate_model: bool = True
+    model: AgentModel, eps: float, *, validate_model: bool = True
 ) -> RiccatiSolution:
     """Stabilizing solution of AᵀP + PA - PBBᵀP + εI = 0."""
-    if not (0.0 < eps <= 1.0):
-        raise ParameterError(f"eps must be in (0, 1], got {eps}")
-    if validate_model:
-        _check_model(model)
-    n = model.n
-    Q = eps * np.eye(n)
-    try:
-        P, _ = _solve_care(model.A, model.B, Q, initial=initial)
-    except RiccatiError:
-        if 2 * eps <= 1.0:
-            warm = solve_lowgain_are(model, 2 * eps, validate_model=False)
-            P, _ = _solve_care(model.A, model.B, Q, initial=warm.P)
-        else:
-            raise
-    residual = np.linalg.norm(
-        model.A.T @ P + P @ model.A - P @ (model.B @ model.B.T) @ P + Q, 2
-    )
-    return _certify(model, P, "lowgain", eps, residual)
+    return _solve(model, "lowgain", "eps", eps, 0.0, eps, validate_model)
 
 
 def design_observer_gain(model: AgentModel) -> ObserverGain:
-    """Gain K = P_o Cᵀ from the dual ARE AP_o + P_oAᵀ - P_oCᵀCP_o + I = 0."""
+    """Gain K = P_o Cᵀ from the dual ARE AP_o + P_oAᵀ - P_oCᵀCP_o + I = 0.
+
+    This is the unit-weight low-gain ARE of the dual model (Aᵀ, Cᵀ, Bᵀ);
+    its Hurwitz certificate for Aᵀ - CᵀKᵀ is one for A - KC.
+    """
     report = check_assumption(model)
     if not report.detectable:
         raise RiccatiError("(A, C) not detectable; cannot design observer gain")
-    n = model.n
-    P_o, residual = _solve_care(model.A.T, model.C.T, np.eye(n))
-    if residual > residual_tolerance(P_o):
-        raise RiccatiError(f"observer dual ARE residual {residual:.2e} too large")
-    K = P_o @ model.C.T
-    if not is_hurwitz(model.A - K @ model.C):
-        raise RiccatiError("designed observer gain fails the Hurwitz certificate")
+    dual = AgentModel(model.A.T, model.C.T, model.B.T)
+    K = solve_lowgain_are(dual, 1.0, validate_model=False).P @ model.C.T
     K.setflags(write=False)
     return ObserverGain(K=K)

@@ -59,10 +59,12 @@ class SelectionError(RuntimeError):
 
 
 class PCache:
-    """Cache of scheduled-ARE solutions over the dyadic ρ grid.
+    """Memo of scheduled-ARE solutions, keyed by ρ.
 
-    Grid solutions are built eagerly by downward Newton continuation;
-    bisection probes between grid points are solved on demand and memoized.
+    The dyadic grid is solved eagerly; bisection probes between grid points
+    are solved on demand and memoized.  Every entry is a cold solve, so
+    `solution(ρ).P` is exactly `solve_scheduled_are(model, ρ).P` whatever
+    was cached before.
     """
 
     def __init__(self, model: AgentModel):
@@ -70,14 +72,9 @@ class PCache:
         self.grid = GRID
         self._solutions: dict[float, RiccatiSolution] = {}
         self._trace: dict[float, float] = {}
-        prev = None
         for rho in self.grid:
-            sol = solve_scheduled_are(
-                model, rho, initial=None if prev is None else prev.P,
-                validate_model=(prev is None),
-            )
+            sol = solve_scheduled_are(model, rho, validate_model=(rho == 1.0))
             self._store(rho, sol)
-            prev = sol
 
     def _store(self, rho, sol):
         self._solutions[rho] = sol
@@ -87,12 +84,7 @@ class PCache:
     def solution(self, rho: float) -> RiccatiSolution:
         sol = self._solutions.get(rho)
         if sol is None:
-            # warm start from the nearest smaller cached grid point
-            below = max((r for r in self._solutions if r <= rho), default=None)
-            init = self._solutions[below].P if below is not None else None
-            sol = solve_scheduled_are(
-                self.model, rho, initial=init, validate_model=False
-            )
+            sol = solve_scheduled_are(self.model, rho, validate_model=False)
             self._store(rho, sol)
         return sol
 
@@ -303,7 +295,7 @@ def _validate_epsilon(model, net, kind, samples, horizon, margin, tolerance,
     """
     from . import protocols, sim
 
-    field_fn = protocols.build_field(model, net, kind)
+    field_fn = protocols.ClosedLoopField(model, net, kind)
     max_u = 0.0
     worst_err = 0.0
     for z0 in samples:

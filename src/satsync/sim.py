@@ -171,15 +171,20 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol, dt_min):
         h = min(h, tf - t)
         K[0] = k1
         for s in range(1, 7):
-            zs = z + h * sum(a * K[j] for j, a in enumerate(_DP_A[s]))
-            K[s] = field_fn(t + _DP_C[s] * h, zs)
-        stats.n_field_evals += 6
-        z5 = z + h * (_DP_B5 @ K)
-        err_vec = h * ((_DP_B5 - _DP_B4) @ K)
-        err = np.linalg.norm(err_vec)
-        tol = atol + rtol * np.linalg.norm(z5)
+            dz = _DP_A[s][0] * K[0]
+            for j in range(1, s):
+                dz += _DP_A[s][j] * K[j]
+            K[s] = field_fn(t + _DP_C[s] * h, z + h * dz)
+            stats.n_field_evals += 1
+            if not np.isfinite(K[s]).all():
+                err = np.inf
+                break
+        else:
+            z5 = z + h * (_DP_B5 @ K)
+            err = np.linalg.norm(h * ((_DP_B5 - _DP_B4) @ K))
+            tol = atol + rtol * np.linalg.norm(z5)
         if not np.isfinite(err):
-            # overflow in a trial step: reject hard and shrink
+            # non-finite stage or overflow in a trial step: reject hard and shrink
             stats.n_rejected += 1
             h *= 0.2
             if h < dt_min:

@@ -39,7 +39,7 @@ from satsync import (
     write_trajectory_csv,
 )
 from satsync.cli_io import Scenario
-from satsync.protocols import build_field
+from satsync.protocols import ClosedLoopField
 from satsync.riccati import residual_tolerance
 from satsync.scheduling import RHO_MIN, SelectionError
 
@@ -247,7 +247,7 @@ def test_criterion_7_semiglobal_selection():
         from satsync import sync_metrics
 
         kind = semiglobal_full(model, eps_star)
-        field = build_field(model, net, kind)
+        field = ClosedLoopField(model, net, kind)
         halfwidths = _expand_halfwidths(sets, model.n, net.N, partial=False)
         for z0 in sample_box_vertices(halfwidths):
             traj = integrate(

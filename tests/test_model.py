@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from satsync import AgentModel, check_assumption, saturate
-from satsync.model import ExosystemState, ModelError
+from satsync.model import ModelError
 
 
 class TestSaturate:
@@ -74,14 +74,3 @@ class TestAgentModel:
 
     def test_dimensions(self, triple):
         assert (triple.n, triple.m, triple.q) == (3, 1, 1)
-
-
-class TestExosystem:
-    def test_derivative_is_linear_drift(self, triple):
-        state = ExosystemState(triple, [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(state.derivative(), [2.0, 3.0, 0.0])
-        np.testing.assert_allclose(state.y_r, [1.0])
-
-    def test_dimension_checked(self, triple):
-        with pytest.raises(ModelError):
-            ExosystemState(triple, [1.0, 2.0])

@@ -18,7 +18,7 @@ from satsync import (
     semiglobal_partial,
     solve_lowgain_are,
 )
-from satsync.protocols import ProtocolError, build_field
+from satsync.protocols import ClosedLoopField, ProtocolError
 
 
 def chain_net(N):
@@ -129,7 +129,7 @@ class TestClosedLoopField:
         states stay at zero; only the shared drift remains."""
         net = chain_net(3)
         kind = global_full(double, double_cache)
-        field = build_field(double, net, kind)
+        field = ClosedLoopField(double, net, kind)
         x_r = rng.standard_normal(2)
         z = field.layout.pack(np.tile(x_r, (3, 1)), x_r, np.zeros((3, 2)))
         U, eps = field.control_info(0.0, z)
@@ -142,7 +142,7 @@ class TestClosedLoopField:
     def test_single_agent_full_hand_oracle(self, double, double_cache):
         net = Network(adjacency=np.zeros((1, 1)), root_set=frozenset([0]))
         kind = global_full(double, double_cache)
-        field = build_field(double, net, kind)
+        field = ClosedLoopField(double, net, kind)
         x = np.array([0.3, -0.2])
         x_r = np.array([0.1, 0.4])
         chi = np.array([0.05, -0.1])
@@ -166,7 +166,7 @@ class TestClosedLoopField:
         gain = design_observer_gain(model)
         net = chain_net(4)
         kind = global_partial(model, cache, gain)
-        field = build_field(model, net, kind)
+        field = ClosedLoopField(model, net, kind)
         z = 0.5 * rng.standard_normal(field.layout.dim)
         x, x_r, chi, xhat = field.layout.split(z)
         U, _ = field.controls(chi)
@@ -207,7 +207,7 @@ class TestClosedLoopField:
     def test_semiglobal_controls_are_fixed_gain(self, double, rng):
         net = chain_net(3)
         kind = semiglobal_full(double, 0.25)
-        field = build_field(double, net, kind)
+        field = ClosedLoopField(double, net, kind)
         P = solve_lowgain_are(double, 0.25).P
         chi = rng.standard_normal((3, 2))
         U, eps = field.controls(chi)
@@ -227,8 +227,8 @@ class TestClosedLoopField:
                                for r in net.root_set),
         )
         kind = semiglobal_full(double, 0.5)
-        f = build_field(double, net, kind)
-        f_p = build_field(double, net_p, kind)
+        f = ClosedLoopField(double, net, kind)
+        f_p = ClosedLoopField(double, net_p, kind)
         x = rng.standard_normal((N, 2))
         x_r = rng.standard_normal(2)
         chi = rng.standard_normal((N, 2))

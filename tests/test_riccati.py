@@ -10,7 +10,7 @@ from satsync import (
     solve_lowgain_are,
     solve_scheduled_are,
 )
-from satsync.riccati import ParameterError, residual_tolerance
+from satsync.riccati import ParameterError, RiccatiError, residual_tolerance
 
 
 def scheduled_residual(model, P, rho):
@@ -93,6 +93,15 @@ class TestScheduledAre:
             P1 = solve_scheduled_are(model, 1.0).P
             P_small = solve_scheduled_are(model, 2.0**-20).P
             assert np.linalg.norm(P_small, 2) < 1e-3 * np.linalg.norm(P1, 2)
+
+    def test_eigenvalue_at_minus_half_rho_has_no_solution(self):
+        # A + (ρ/2)I = diag(1/4, 0) is singular at ρ = 1/2: the Hamiltonian
+        # has a double eigenvalue at 0, so no stabilizing solution exists
+        model = AgentModel([[0.0, 0.0], [0.0, -0.25]], [[1.0], [1.0]],
+                           [[1.0, 0.0]])
+        with pytest.raises(RiccatiError, match="dimension 1, expected 2"):
+            solve_scheduled_are(model, 0.5)
+        assert solve_scheduled_are(model, 1.0).closed_loop_stable
 
     def test_random_models_certified(self, rng):
         for _ in range(15):

@@ -8,6 +8,8 @@ from satsync import (
     PCache,
     epsilon_of_state,
     select_semiglobal_epsilon,
+    solve_scheduled_are,
+    triple_integrator,
 )
 from satsync.scheduling import (
     RHO_MIN,
@@ -48,6 +50,19 @@ class TestPCache:
         first = scalar_cache.solution(rho)
         assert scalar_cache.solution(rho) is first
         assert first.P[0, 0] == pytest.approx(0.3, rel=1e-9)
+
+    def test_solution_independent_of_cache_history(self):
+        # every entry is a cold solve: the same bits as a direct solve,
+        # whatever order the off-grid probes were requested in
+        model = triple_integrator()
+        probes = [0.3, 0.7, 0.31, 1.3 * 2.0**-15, 0.5, 2.0**-20]
+        forward, backward = PCache(model), PCache(model)
+        for rho in reversed(probes):
+            backward.solution(rho)
+        for rho in probes:
+            P = solve_scheduled_are(model, rho).P
+            np.testing.assert_array_equal(forward.solution(rho).P, P)
+            np.testing.assert_array_equal(backward.solution(rho).P, P)
 
 
 class TestEpsilonOfState:

@@ -73,6 +73,7 @@ class TestAdaptiveRk45:
 
         assert final_err(1e-10) < final_err(1e-5)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_field_aborts(self):
         from satsync.sim import IntegrationError
 
