@@ -95,7 +95,8 @@ class AssumptionReport:
 
 def saturate(v):
     """Componentwise standard saturation sgn(v)·min(1, |v|)."""
-    return np.clip(np.asarray(v, dtype=float), -1.0, 1.0)
+    # same values as np.clip, at about half its cost on the field's small arrays
+    return np.minimum(np.maximum(np.asarray(v, dtype=float), -1.0), 1.0)
 
 
 def _pbh_rank_ok(A, M, eigs, stacked_vertically):

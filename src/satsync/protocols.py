@@ -110,15 +110,24 @@ class StateLayout:
         blocks = 2 * self.N + 1 + (self.N if self.partial else 0)
         return blocks * self.n
 
-    def split(self, z: np.ndarray):
-        """Return (x (N,n), x_r (n,), chi (N,n), xhat (N,n) or None)."""
+    def slices(self):
+        """Index ranges of the x, x_r, χ and x̂ blocks (x̂ empty when full)."""
         N, n = self.N, self.n
-        x = z[: N * n].reshape(N, n)
-        x_r = z[N * n : (N + 1) * n]
-        chi = z[(N + 1) * n : (2 * N + 1) * n].reshape(N, n)
-        xhat = None
-        if self.partial:
-            xhat = z[(2 * N + 1) * n :].reshape(N, n)
+        return (slice(0, N * n), slice(N * n, (N + 1) * n),
+                slice((N + 1) * n, (2 * N + 1) * n),
+                slice((2 * N + 1) * n, self.dim))
+
+    def split(self, z: np.ndarray):
+        """Return (x (…,N,n), x_r (…,n), chi (…,N,n), xhat (…,N,n) or None).
+
+        z is one stacked state (dim,) or a stack of them (…, dim).
+        """
+        sx, sr, sc, sh = self.slices()
+        agents = z.shape[:-1] + (self.N, self.n)
+        x = z[..., sx].reshape(agents)
+        x_r = z[..., sr]
+        chi = z[..., sc].reshape(agents)
+        xhat = z[..., sh].reshape(agents) if self.partial else None
         return x, x_r, chi, xhat
 
     def pack(self, x, x_r, chi, xhat=None) -> np.ndarray:
@@ -160,11 +169,60 @@ def additional_exchange(xi, net: Network) -> np.ndarray:
     return (laplacian(net) @ Xi).reshape(-1)
 
 
+def _closed_loop_operator(model: AgentModel, net: Network, kind: ProtocolKind,
+                          layout: StateLayout) -> np.ndarray:
+    """W = [M | G_u | G_sat] with f(z) = W · (z, vec U, vec sat(U)).
+
+    Kronecker form of the per-agent protocol equations, with L̃ = L + diag ι:
+
+        ẋ   = (I⊗A) x + (I⊗B) sat(U)
+        ẋ_r = A x_r
+        χ̇   = (I⊗A − L̃⊗I) χ + (I⊗B) U + ζ̄                (full)
+        χ̇   = (I⊗A − L̃⊗I) χ + (I⊗B) U + x̂                (partial)
+        x̂̇   = (I⊗(A − KC)) x̂ + (L̃⊗B) U + (I⊗K) ζ̄        (partial)
+
+    where ζ̄ = (L̃⊗C) x − (ι⊗C) x_r, with C = I for full-state coupling.
+    """
+    N, n, m = net.N, model.n, model.m
+    A, B = model.A, model.B
+    iota = net.indicator[:, None]
+    Ltilde = laplacian(net) + np.diag(net.indicator)
+    I_N = np.eye(N)
+    x, r, c, h = layout.slices()
+    dim = layout.dim
+    u = slice(dim, dim + N * m)
+    s = slice(dim + N * m, dim + 2 * N * m)
+    W = np.zeros((dim, dim + 2 * N * m))
+    W[x, x] = np.kron(I_N, A)
+    W[x, s] = np.kron(I_N, B)
+    W[r, r] = A
+    W[c, c] = np.kron(I_N, A) - np.kron(Ltilde, np.eye(n))
+    W[c, u] = np.kron(I_N, B)
+    if kind.is_partial:
+        KC = kind.observer_gain.K @ model.C
+        W[c, h] = np.eye(N * n)
+        W[h, x] = np.kron(Ltilde, KC)
+        W[h, r] = -np.kron(iota, KC)
+        W[h, h] = np.kron(I_N, A - KC)
+        W[h, u] = np.kron(Ltilde, B)
+    else:
+        W[c, x] = np.kron(Ltilde, np.eye(n))
+        W[c, r] = -np.kron(iota, np.eye(n))
+    return W
+
+
 class ClosedLoopField:
     """Vector field f(t, z) of one protocol kind on one network.
 
-    Callable for integration; `control_info` exposes the pre-saturation
-    controls and (for global kinds) the realized schedule values at a state.
+    Every protocol is linear in (z, u, sat(u)); only the saturation and the
+    global kinds' schedule are not.  The constructor therefore assembles the
+    whole closed loop once as one operator W, and a call evaluates the
+    controls U at z and returns W · (z, vec U, vec sat(U)).
+
+    `control_info` exposes the pre-saturation controls and (for global kinds)
+    the realized schedule values at a state.  Given the very array passed to
+    the last call it returns that call's values, so a state handed to the
+    field must not be modified in place afterwards.
     """
 
     def __init__(self, model: AgentModel, net: Network, kind: ProtocolKind):
@@ -174,64 +232,35 @@ class ClosedLoopField:
         self.net = net
         self.kind = kind
         self.layout = StateLayout(net.N, model.n, model.m, kind.is_partial)
-        self.L = laplacian(net)
-        self.iota = net.indicator
-        self.Ltilde = self.L + np.diag(self.iota)
-        self.A = model.A
-        self.B = model.B
-        self.C = model.C
-        self.K = kind.observer_gain.K if kind.is_partial else None
+        self.W = _closed_loop_operator(model, net, kind, self.layout)
+        self._chi = self.layout.slices()[2]
+        self._last = (None, None, None)  # (z, U, eps) of the last call
         if not kind.is_global:
             from .riccati import solve_lowgain_are
 
-            self._P_fixed = solve_lowgain_are(model, kind.epsilon).P
-            self._F_fixed = self.B.T @ self._P_fixed  # u = -F χ
+            P = solve_lowgain_are(model, kind.epsilon).P
+            self._gain_T = -(model.B.T @ P).T  # U = χ·gain_T: u_i = −BᵀP χ_i
 
     def controls(self, chi: np.ndarray):
         """Pre-saturation controls (N, m) and realized ε (N,) or None."""
-        N, m = self.net.N, self.model.m
         if self.kind.is_global:
+            N, B = self.net.N, self.model.B
             eps = np.empty(N)
-            U = np.empty((N, m))
+            U = np.empty((N, self.model.m))
             for i in range(N):
                 eps[i] = epsilon_of_state(chi[i], self.kind.cache)
                 P = self.kind.cache.solution(eps[i]).P
-                U[i] = -(self.B.T @ P @ chi[i])
+                U[i] = -(B.T @ P @ chi[i])
             return U, eps
-        return -(chi @ self._F_fixed.T), None
+        return chi @ self._gain_T, None
 
     def control_info(self, t: float, z: np.ndarray):
-        _, _, chi, _ = self.layout.split(z)
-        return self.controls(chi)
+        last_z, U, eps = self._last
+        if z is last_z:
+            return U, eps
+        return self.controls(self.layout.split(z)[2])
 
     def __call__(self, t: float, z: np.ndarray) -> np.ndarray:
-        x, x_r, chi, xhat = self.layout.split(z)
-        U, _ = self.controls(chi)
-        U_sat = saturate(U)
-        dx = x @ self.A.T + U_sat @ self.B.T
-        dx_r = self.A @ x_r
-        zhat1 = self.L @ chi
-        if self.kind.is_partial:
-            Y = x @ self.C.T
-            y_r = self.C @ x_r
-            zbar = self.Ltilde @ Y - np.outer(self.iota, y_r)
-            zhat2 = self.L @ U
-            innov = zbar - xhat @ self.C.T
-            dxhat = (
-                xhat @ self.A.T
-                + zhat2 @ self.B.T
-                + innov @ self.K.T
-                + self.iota[:, None] * (U @ self.B.T)
-            )
-            dchi = (
-                chi @ self.A.T + U @ self.B.T + xhat - zhat1
-                - self.iota[:, None] * chi
-            )
-            return self.layout.pack(dx, dx_r, dchi, dxhat)
-        zbar = self.Ltilde @ x - np.outer(self.iota, x_r)
-        dchi = (
-            chi @ self.A.T + U @ self.B.T + zbar - zhat1
-            - self.iota[:, None] * chi
-        )
-        return self.layout.pack(dx, dx_r, dchi)
-
+        U, eps = self.controls(z[self._chi].reshape(self.net.N, self.model.n))
+        self._last = (z, U, eps)
+        return self.W @ np.concatenate((z, U.ravel(), saturate(U).ravel()))

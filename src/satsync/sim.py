@@ -17,21 +17,24 @@ DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-10
 DEFAULT_DT_MIN = 1e-10
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau (Dormand & Prince 1980), A zero-padded to 7×7.
+# Its last row equals B5 (first same as last), so stage 7 is evaluated at the
+# fifth-order solution itself and becomes stage 1 of the next step.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
+])
+_DP_B5 = _DP_A[6]
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+_DP_E = _DP_B5 - _DP_B4  # embedded error weights
 
 
 class IntegrationError(RuntimeError):
@@ -158,10 +161,10 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol, dt_min):
         raise ValueError("tolerances must be positive")
     stats = IntegratorStats()
     times, states, controls, eps_values = [t0], [z0], [], []
-    _record(field_fn, t0, z0, controls, eps_values)
     t, z = t0, z0
     k1 = field_fn(t, z)
     stats.n_field_evals += 1
+    _record(field_fn, t0, z0, controls, eps_values)  # reuses k1's controls
     # initial step from the field magnitude
     scale = atol + rtol * np.linalg.norm(z)
     h = min(0.1 * scale / max(np.linalg.norm(k1), 1e-10), tf - t0, 1.0)
@@ -170,18 +173,17 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol, dt_min):
     while t < tf:
         h = min(h, tf - t)
         K[0] = k1
+        hA = h * _DP_A
         for s in range(1, 7):
-            dz = _DP_A[s][0] * K[0]
-            for j in range(1, s):
-                dz += _DP_A[s][j] * K[j]
-            K[s] = field_fn(t + _DP_C[s] * h, z + h * dz)
+            z_s = z + hA[s, :s] @ K[:s]
+            K[s] = field_fn(t + _DP_C[s] * h, z_s)
             stats.n_field_evals += 1
             if not np.isfinite(K[s]).all():
                 err = np.inf
                 break
         else:
-            z5 = z + h * (_DP_B5 @ K)
-            err = np.linalg.norm(h * ((_DP_B5 - _DP_B4) @ K))
+            z5 = z_s  # the last stage point is the fifth-order solution
+            err = h * np.linalg.norm(_DP_E @ K)
             tol = atol + rtol * np.linalg.norm(z5)
         if not np.isfinite(err):
             # non-finite stage or overflow in a trial step: reject hard and shrink
@@ -197,7 +199,7 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol, dt_min):
             t_new = t + h
             _check_finite(t_new, z5)
             t, z = t_new, z5
-            k1 = K[6]  # FSAL
+            k1 = K[6]  # FSAL: evaluated at z5, whose controls the field keeps
             stats.n_steps += 1
             times.append(t)
             states.append(z)
@@ -242,11 +244,8 @@ class SyncMetrics:
 def sync_error_series(traj: Trajectory) -> np.ndarray:
     if traj.layout is None:
         raise ValueError("trajectory has no stacked-state layout")
-    errors = np.empty(traj.times.size)
-    for k, z in enumerate(traj.states):
-        x, x_r, _, _ = traj.layout.split(z)
-        errors[k] = np.linalg.norm(x - x_r[None, :], axis=1).max()
-    return errors
+    x, x_r, _, _ = traj.layout.split(traj.states)
+    return np.linalg.norm(x - x_r[:, None, :], axis=2).max(axis=1)
 
 
 def sync_metrics(traj: Trajectory, tol: float) -> SyncMetrics:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import satsync
 from satsync import (
     bundled_scenario,
     global_full,
@@ -204,3 +209,15 @@ class TestCommandLine:
         )
         assert code == EXIT_VALIDATION
         assert "epsilon" in capsys.readouterr().err
+
+    def test_python_m_satsync_runs_without_warnings(self):
+        src = str(Path(satsync.__file__).resolve().parents[1])
+        path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "satsync", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "select-eps" in proc.stdout

@@ -159,13 +159,16 @@ class TestClosedLoopField:
         expected_dchi = double.A @ chi + double.B @ u + (x - x_r) - chi
         np.testing.assert_allclose(dchi[0], expected_dchi, atol=1e-12)
 
-    def test_partial_field_termwise_oracle(self, rng):
+    @pytest.mark.parametrize("family", ["global", "semiglobal"])
+    def test_partial_field_termwise_oracle(self, family, rng):
         """Brute-force per-agent assembly of the output-feedback protocol."""
         model = integrator_chain(3)
-        cache = PCache(model)
         gain = design_observer_gain(model)
         net = chain_net(4)
-        kind = global_partial(model, cache, gain)
+        if family == "global":
+            kind = global_partial(model, PCache(model), gain)
+        else:
+            kind = semiglobal_partial(model, 0.5, gain)
         field = ClosedLoopField(model, net, kind)
         z = 0.5 * rng.standard_normal(field.layout.dim)
         x, x_r, chi, xhat = field.layout.split(z)
@@ -203,6 +206,59 @@ class TestClosedLoopField:
                 A @ chi[i] + B @ U[i] + xhat[i] - zhat1_i - iota[i] * chi[i]
             )
             np.testing.assert_allclose(dchi[i], expected_dchi, atol=1e-12)
+
+    @pytest.mark.parametrize("family", ["global", "semiglobal"])
+    def test_full_field_termwise_oracle(self, family, rng):
+        """Brute-force per-agent assembly of the full-state protocol on a
+        weighted digraph with two roots."""
+        model = integrator_chain(3)
+        N = 4
+        adj = rng.uniform(0.2, 2.0, size=(N, N))
+        np.fill_diagonal(adj, 0.0)
+        net = Network(adjacency=adj, root_set=frozenset([0, 2]))
+        if family == "global":
+            kind = global_full(model, PCache(model))
+        else:
+            kind = semiglobal_full(model, 0.5)
+        field = ClosedLoopField(model, net, kind)
+        z = 2.0 * rng.standard_normal(field.layout.dim)
+        x, x_r, chi, _ = field.layout.split(z)
+        U, _ = field.controls(chi)
+        from satsync import saturate
+
+        iota = net.indicator
+        A, B = model.A, model.B
+        dx, dx_r, dchi, _ = field.layout.split(field(0.0, z))
+        np.testing.assert_allclose(dx_r, A @ x_r, atol=1e-12)
+        for i in range(N):
+            np.testing.assert_allclose(
+                dx[i], A @ x[i] + B @ saturate(U[i]), atol=1e-12
+            )
+            zbar_i = sum(
+                adj[i, j] * (x[i] - x[j]) for j in range(N)
+            ) + iota[i] * (x[i] - x_r)
+            zhat1_i = sum(adj[i, j] * (chi[i] - chi[j]) for j in range(N))
+            expected_dchi = (
+                A @ chi[i] + B @ U[i] + zbar_i - zhat1_i - iota[i] * chi[i]
+            )
+            np.testing.assert_allclose(dchi[i], expected_dchi, atol=1e-12)
+
+    def test_recorded_controls_match_recomputed(self, double, double_cache,
+                                                rng):
+        """RK45 records the controls of its FSAL stage; they must equal
+        those recomputed from the recorded state."""
+        from satsync import integrate
+
+        net = chain_net(3)
+        field = ClosedLoopField(double, net, global_full(double, double_cache))
+        z0 = rng.uniform(-2.0, 2.0, size=field.layout.dim)
+        traj = integrate(field, z0, (0.0, 5.0), rtol=1e-6, atol=1e-8)
+        assert traj.stats.n_steps > 10
+        for t, z, U, eps in zip(traj.times, traj.states, traj.controls,
+                                traj.realized_epsilon):
+            U_ref, eps_ref = field.control_info(t, z.copy())
+            np.testing.assert_array_equal(U, U_ref)
+            np.testing.assert_array_equal(eps, eps_ref)
 
     def test_semiglobal_controls_are_fixed_gain(self, double, rng):
         net = chain_net(3)

@@ -146,6 +146,16 @@ class TestSyncMetrics:
             sync_error_series(traj), np.exp(-times), atol=1e-12
         )
 
+    def test_error_series_matches_per_row_loop(self, rng):
+        layout = StateLayout(3, 2, 1, partial=True)
+        states = rng.standard_normal((50, layout.dim))
+        traj = _make_traj(np.arange(50.0), states, layout=layout)
+        expected = []
+        for z in states:
+            x, x_r, _, _ = layout.split(z)
+            expected.append(np.linalg.norm(x - x_r[None, :], axis=1).max())
+        np.testing.assert_array_equal(sync_error_series(traj), expected)
+
     def test_convergence_time_log_ratio(self):
         traj, times = self._decay_traj()
         metrics = sync_metrics(traj, 1e-2)
