@@ -35,8 +35,6 @@ from .protocols import (
     ClosedLoopField,
     ProtocolKind,
     StateLayout,
-    additional_exchange,
-    coupling_signal,
     global_full,
     global_partial,
     semiglobal_full,

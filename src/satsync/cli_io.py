@@ -23,7 +23,7 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -72,12 +72,6 @@ class Scenario:
     def N(self) -> int:
         return self.net.N
 
-    def initial_state(self, kind: protocols.ProtocolKind) -> np.ndarray:
-        layout = protocols.StateLayout(self.N, self.model.n, self.model.m,
-                                       kind.is_partial)
-        return layout.pack(self.x0, self.xr0, self.chi0,
-                           self.xhat0 if kind.is_partial else None)
-
     def fingerprint(self) -> str:
         payload = self.source or _scenario_dict(self)
         blob = json.dumps(payload, sort_keys=True).encode()
@@ -112,6 +106,9 @@ def scenario_from_dict(data: dict, source_name: str = "<dict>") -> Scenario:
         except (TypeError, ValueError):
             problems.append((ptr, "not a numeric array"))
             return None
+        except OverflowError:  # an integer beyond the float range
+            problems.append((ptr, "contains non-finite entries"))
+            return None
         if not np.all(np.isfinite(M)):
             problems.append((ptr, "contains non-finite entries"))
             return None
@@ -139,7 +136,7 @@ def scenario_from_dict(data: dict, source_name: str = "<dict>") -> Scenario:
         adj = matrix("/network/adjacency", nd.get("adjacency"))
         roots = nd.get("root_set", [])
         if not isinstance(roots, list) or not all(
-            isinstance(r, int) for r in roots
+            isinstance(r, int) and not isinstance(r, bool) for r in roots
         ):
             problems.append(("/network/root_set", "must be a list of integers"))
             roots = []
@@ -199,7 +196,11 @@ def scenario_from_dict(data: dict, source_name: str = "<dict>") -> Scenario:
 def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioValidationError([("/", f"cannot read file: {exc}")])
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioValidationError([("/", f"JSON parse error: {exc}")])
     if not isinstance(data, dict):
@@ -274,18 +275,7 @@ class RunReport:
     integrator: dict
 
     def to_dict(self) -> dict:
-        return {
-            "scenario_fingerprint": self.scenario_fingerprint,
-            "protocol": self.protocol,
-            "parameters": self.parameters,
-            "converged": self.converged,
-            "convergence_time": self.convergence_time,
-            "final_sync_error": self.final_sync_error,
-            "max_control_inf_norm": self.max_control_inf_norm,
-            "saturation_events": self.saturation_events,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "integrator": self.integrator,
-        }
+        return asdict(self)
 
 
 def _kind_parameters(kind: protocols.ProtocolKind) -> dict:
@@ -308,23 +298,29 @@ def run_protocol(
     dt: float = 1e-2,
     rtol: float = sim.DEFAULT_RTOL,
     atol: float = sim.DEFAULT_ATOL,
-    tol: float = REPRODUCE_TOL,
 ):
-    """Simulate one protocol on a scenario; returns (Trajectory, RunReport)."""
+    """Simulate one protocol on a scenario; returns (Trajectory, RunReport).
+
+    The run converged if its final sync error is below REPRODUCE_TOL.
+    """
+    for name, value in (("t_final", t_final), ("dt", dt)):
+        if not (np.isfinite(value) and value > 0):
+            raise ParameterError(f"{name} must be positive and finite, got {value}")
     field_fn = protocols.ClosedLoopField(scenario.model, scenario.net, kind)
-    z0 = scenario.initial_state(kind)
+    z0 = field_fn.layout.pack(scenario.x0, scenario.xr0, scenario.chi0,
+                              scenario.xhat0)
     start = time.perf_counter()
     traj = sim.integrate(
         field_fn, z0, (0.0, t_final), method=method, dt=dt, rtol=rtol, atol=atol
     )
     elapsed = time.perf_counter() - start
-    metrics = sim.sync_metrics(traj, tol)
+    metrics = sim.sync_metrics(traj, REPRODUCE_TOL)
     events = sim.saturation_events(traj)
     report = RunReport(
         scenario_fingerprint=scenario.fingerprint(),
         protocol=kind.name,
         parameters=_kind_parameters(kind),
-        converged=bool(metrics.error_series[-1] < tol),
+        converged=bool(metrics.error_series[-1] < REPRODUCE_TOL),
         convergence_time=metrics.convergence_time,
         final_sync_error=float(metrics.error_series[-1]),
         max_control_inf_norm=metrics.max_control_inf_norm,
@@ -342,7 +338,7 @@ def run_protocol(
     return traj, report
 
 
-def reproduce(case: int, out_dir, *, rtol: float = 1e-6, atol: float = 1e-8):
+def reproduce(case: int, out_dir):
     """Run the scheduled output-feedback protocol on a bundled example case.
 
     One fixed protocol configuration serves all three cases; only the graph,
@@ -351,8 +347,7 @@ def reproduce(case: int, out_dir, *, rtol: float = 1e-6, atol: float = 1e-8):
     scenario = bundled_scenario(case)
     kind = protocols.global_partial(scenario.model)
     traj, report = run_protocol(
-        scenario, kind, t_final=REPRODUCE_HORIZON, rtol=rtol, atol=atol,
-        tol=REPRODUCE_TOL,
+        scenario, kind, t_final=REPRODUCE_HORIZON, rtol=1e-6, atol=1e-8
     )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -145,30 +145,6 @@ class StateLayout:
         return z
 
 
-def coupling_signal(outputs, y_r, net: Network) -> np.ndarray:
-    """Network signal ζ̄_i = Σ_j a_ij(y_i - y_j) + ι_i(y_i - y_r), stacked.
-
-    Equals (L̃ ⊗ I)·stack(y) - (ι ⊗ I)·y_r.  With C = I the same formula
-    covers full-state coupling.
-    """
-    Y = np.asarray(outputs, dtype=float)
-    y_r = np.asarray(y_r, dtype=float).reshape(-1)
-    if Y.shape != (net.N, y_r.size):
-        raise ProtocolError(
-            f"outputs must be ({net.N}, {y_r.size}), got {Y.shape}"
-        )
-    Ltilde = laplacian(net) + np.diag(net.indicator)
-    return (Ltilde @ Y - np.outer(net.indicator, y_r)).reshape(-1)
-
-
-def additional_exchange(xi, net: Network) -> np.ndarray:
-    """Exchange signal ζ̂_i = Σ_j a_ij(ξ_i - ξ_j) = (L ⊗ I)·stack(ξ)."""
-    Xi = np.asarray(xi, dtype=float)
-    if Xi.shape[0] != net.N:
-        raise ProtocolError(f"expected {net.N} per-agent vectors")
-    return (laplacian(net) @ Xi).reshape(-1)
-
-
 def _closed_loop_operator(model: AgentModel, net: Network, kind: ProtocolKind,
                           layout: StateLayout) -> np.ndarray:
     """W = [M | G_u | G_sat] with f(z) = W · (z, vec U, vec sat(U)).

@@ -16,14 +16,14 @@ the prescribed compact sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
 
 from .model import AgentModel
-from .riccati import RiccatiSolution, solve_scheduled_are
+from .riccati import ParameterError, RiccatiSolution, solve_scheduled_are
 
 RHO_MIN = 2.0**-20
 GRID = tuple(2.0**-k for k in range(21))  # 1, 1/2, ..., 2^-20
@@ -135,8 +135,10 @@ class CompactSetSpec:
     def __post_init__(self):
         for name in ("agent", "exo", "protocol"):
             h = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            if np.any(h < 0):
-                raise ValueError(f"{name} half-widths must be nonnegative")
+            if not np.all(np.isfinite(h) & (h >= 0)):
+                raise ParameterError(
+                    f"{name} half-widths must be finite and nonnegative"
+                )
             h.setflags(write=False)
             object.__setattr__(self, name, h)
 
@@ -161,32 +163,15 @@ class EpsilonTrial:
 @dataclass
 class SelectionReport:
     epsilon_star: Optional[float]
-    trials: list[EpsilonTrial] = field(default_factory=list)
     n_samples: int = 0
     horizon: float = T_VAL
     margin: float = SAT_MARGIN
     tolerance: float = TOL_VAL
     method: str = "simulation-validated grid search"
+    trials: list[EpsilonTrial] = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "epsilon_star": self.epsilon_star,
-            "n_samples": self.n_samples,
-            "horizon": self.horizon,
-            "margin": self.margin,
-            "tolerance": self.tolerance,
-            "method": self.method,
-            "trials": [
-                {
-                    "epsilon": t.epsilon,
-                    "passed": t.passed,
-                    "max_control": t.max_control,
-                    "final_sync_error": t.final_sync_error,
-                    "violation": t.violation,
-                }
-                for t in self.trials
-            ],
-        }
+        return asdict(self)
 
 
 def _expand_halfwidths(sets: CompactSetSpec, n: int, N: int, partial: bool):
@@ -233,28 +218,21 @@ def select_semiglobal_epsilon(
     model: AgentModel,
     net,
     sets: CompactSetSpec,
-    protocol_kind,
+    coupling: str,
     *,
     horizon: float = T_VAL,
-    margin: float = SAT_MARGIN,
-    tolerance: float = TOL_VAL,
-    rtol: float = 1e-6,
-    atol: float = 1e-8,
 ) -> SelectionReport:
     """Largest grid ε whose closed loop, simulated from every sampled initial
     condition, stays strictly inside the saturation bound and synchronizes.
 
-    Returns a SelectionReport whose epsilon_star is the selected ε*.
+    coupling is "full" or "partial".  Returns a SelectionReport whose
+    epsilon_star is the selected ε*.
     """
     from . import protocols  # late import: protocols depends on this module
 
-    if isinstance(protocol_kind, str):
-        coupling, observer_gain = protocol_kind, None
-    else:
-        coupling = protocol_kind.coupling
-        observer_gain = protocol_kind.observer_gain
     partial = coupling == "partial"
-    if partial and observer_gain is None:
+    observer_gain = None
+    if partial:
         from .riccati import design_observer_gain
 
         observer_gain = design_observer_gain(model)
@@ -267,7 +245,7 @@ def select_semiglobal_epsilon(
             "semiglobal", coupling, epsilon=eps, observer_gain=observer_gain,
         )
         passed, max_u, final_err, violation = _validate_epsilon(
-            model, net, kind, samples, horizon, margin, tolerance, rtol, atol
+            model, net, kind, samples, horizon
         )
         trials.append(
             EpsilonTrial(
@@ -277,15 +255,14 @@ def select_semiglobal_epsilon(
         )
         if passed:
             return SelectionReport(
-                epsilon_star=eps, trials=trials, n_samples=samples.shape[0],
-                horizon=horizon, margin=margin, tolerance=tolerance,
+                epsilon_star=eps, n_samples=samples.shape[0], horizon=horizon,
+                trials=trials,
             )
         eps *= EPS_RATIO
     raise SelectionError(trials)
 
 
-def _validate_epsilon(model, net, kind, samples, horizon, margin, tolerance,
-                      rtol, atol):
+def _validate_epsilon(model, net, kind, samples, horizon):
     """Simulate the closed loop from each sample in order; stop at the first
     that breaks the control margin or is not synchronized at the horizon.
 
@@ -301,19 +278,19 @@ def _validate_epsilon(model, net, kind, samples, horizon, margin, tolerance,
     for z0 in samples:
         traj = sim.integrate(
             field_fn, z0, (0.0, horizon), method="adaptive_rk45",
-            rtol=rtol, atol=atol,
+            rtol=1e-6, atol=1e-8,
         )
         u_inf = float(np.abs(traj.controls).max()) if traj.controls.size else 0.0
         max_u = max(max_u, u_inf)
-        metrics = sim.sync_metrics(traj, tolerance)
+        metrics = sim.sync_metrics(traj, TOL_VAL)
         err = float(metrics.error_series[-1])
         worst_err = max(worst_err, err)
-        if u_inf > 1.0 - margin:
+        if u_inf > 1.0 - SAT_MARGIN:
             return False, max_u, worst_err, (
-                f"control bound violated: ‖u‖∞={u_inf:.4g} > {1.0 - margin}"
+                f"control bound violated: ‖u‖∞={u_inf:.4g} > {1.0 - SAT_MARGIN}"
             )
-        if err >= tolerance:
+        if err >= TOL_VAL:
             return False, max_u, worst_err, (
-                f"sync error {err:.4g} ≥ {tolerance} at t={horizon}"
+                f"sync error {err:.4g} ≥ {TOL_VAL} at t={horizon}"
             )
     return True, max_u, worst_err, None

@@ -15,7 +15,7 @@ import numpy as np
 
 DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-10
-DEFAULT_DT_MIN = 1e-10
+DT_MIN = 1e-10  # adaptive step-size floor
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince 1980), A zero-padded to 7×7.
 # Its last row equals B5 (first same as last), so stage 7 is evaluated at the
@@ -117,7 +117,6 @@ def integrate(
     dt: float = 1e-2,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    dt_min: float = DEFAULT_DT_MIN,
 ) -> Trajectory:
     """Integrate ż = field_fn(t, z) over t_span, recording accepted steps."""
     t0, tf = float(t_span[0]), float(t_span[1])
@@ -127,7 +126,7 @@ def integrate(
     if method == "fixed_rk4":
         return _integrate_rk4(field_fn, z0, t0, tf, dt)
     if method == "adaptive_rk45":
-        return _integrate_rk45(field_fn, z0, t0, tf, rtol, atol, dt_min)
+        return _integrate_rk45(field_fn, z0, t0, tf, rtol, atol)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -156,7 +155,7 @@ def _integrate_rk4(field_fn, z0, t0, tf, dt):
     return _finish(field_fn, times, states, controls, eps_values, stats)
 
 
-def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol, dt_min):
+def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
     if rtol <= 0 or atol <= 0:
         raise ValueError("tolerances must be positive")
     stats = IntegratorStats()
@@ -168,7 +167,7 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol, dt_min):
     # initial step from the field magnitude
     scale = atol + rtol * np.linalg.norm(z)
     h = min(0.1 * scale / max(np.linalg.norm(k1), 1e-10), tf - t0, 1.0)
-    h = max(h, dt_min)
+    h = max(h, DT_MIN)
     K = np.empty((7, z.size))
     while t < tf:
         h = min(h, tf - t)
@@ -189,9 +188,9 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol, dt_min):
             # non-finite stage or overflow in a trial step: reject hard and shrink
             stats.n_rejected += 1
             h *= 0.2
-            if h < dt_min:
+            if h < DT_MIN:
                 raise IntegrationError(
-                    f"step size underflow (h={h:.3g} < {dt_min}) at t={t:.6g}",
+                    f"step size underflow (h={h:.3g} < {DT_MIN}) at t={t:.6g}",
                     t, z,
                 )
             continue
@@ -208,9 +207,9 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol, dt_min):
             stats.n_rejected += 1
         factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
         h *= min(max(factor, 0.2), 5.0)
-        if h < dt_min and t < tf:
+        if h < DT_MIN and t < tf:
             raise IntegrationError(
-                f"step size underflow (h={h:.3g} < {dt_min}) at t={t:.6g}", t, z
+                f"step size underflow (h={h:.3g} < {DT_MIN}) at t={t:.6g}", t, z
             )
     return _finish(field_fn, times, states, controls, eps_values, stats)
 

@@ -1,10 +1,25 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from satsync import AgentModel, check_assumption, triple_integrator
 
 # one line per acceptance criterion, printed after the test run
 ACCEPTANCE_RESULTS = []
+
+
+def pytest_configure(config):
+    # Hypothesis caches constants and unicode data under ./.hypothesis even
+    # with database=None; keep them in a directory removed after the run.
+    config.hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    set_hypothesis_home_dir(config.hypothesis_home.name)
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    config.hypothesis_home.cleanup()
 
 
 def pytest_terminal_summary(terminalreporter):

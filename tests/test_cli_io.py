@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import satsync
 from satsync import (
@@ -72,6 +75,13 @@ class TestScenarioParsing:
         with pytest.warns(UserWarning, match="not rooted"):
             scenario_from_dict(loose)
 
+    def test_boolean_root_set_entry_rejected(self):
+        bad = json.loads(json.dumps(SCALAR_SCENARIO))
+        bad["network"]["root_set"] = [True]  # would load as agent 1
+        with pytest.raises(ScenarioValidationError) as exc:
+            scenario_from_dict(bad)
+        assert any(ptr == "/network/root_set" for ptr, _ in exc.value.problems)
+
     def test_load_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -82,6 +92,42 @@ class TestScenarioParsing:
         a = scenario_from_dict(json.loads(json.dumps(SCALAR_SCENARIO)))
         b = scenario_from_dict(json.loads(json.dumps(SCALAR_SCENARIO)))
         assert a.fingerprint() == b.fingerprint()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+# short lists of small integers and booleans reach valid root sets often
+SMALL_LISTS = st.lists(st.integers(-1, 3) | st.booleans(), max_size=3)
+SCENARIO_FIELDS = (
+    ("model",), ("model", "A"), ("model", "B"), ("model", "C"),
+    ("network",), ("network", "adjacency"), ("network", "root_set"),
+    ("coupling",), ("x0",), ("xr0",), ("chi0",), ("xhat0",),
+)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(path=st.sampled_from(SCENARIO_FIELDS), value=JSON_VALUES | SMALL_LISTS)
+@example(path=("x0",), value=[[10**400], [0.0]])  # int beyond float range
+def test_fuzzed_scenario_field_loads_or_is_rejected(path, value):
+    """Any JSON in any one field either loads or raises the validation error."""
+    data = json.loads(json.dumps(SCALAR_SCENARIO))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # unrooted graph
+        try:
+            sc = scenario_from_dict(data)
+        except ScenarioValidationError:
+            return
+    roots = sc.source["network"].get("root_set", [])
+    assert all(type(r) is int for r in roots)  # bool is an int subclass
+    assert sc.net.root_set == {r - 1 for r in roots}
 
 
 class TestBundledScenarios:
@@ -176,6 +222,40 @@ class TestCommandLine:
              "--param", "2.0"]
         )
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("command", [
+        ["check"],
+        ["riccati", "--kind", "lowgain", "--param", "0.5"],
+        ["select-eps", "--half-width", "0.1"],
+        ["simulate", "--protocol", "semiglobal-full", "--epsilon", "1",
+         "--out", "o"],
+    ], ids=lambda c: c[0])
+    def test_missing_scenario_file_exit_code(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing.json")
+        code = main(command[:1] + ["--scenario", missing] + command[1:])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "/: cannot read file" in err
+
+    @pytest.mark.parametrize("arguments", [
+        ["select-eps", "--half-width", "-1"],
+        ["select-eps", "--half-width", "nan"],
+        ["select-eps", "--half-width", "inf"],
+        ["simulate", "--t-final", "0"],
+        ["simulate", "--t-final", "inf"],
+        ["simulate", "--method", "rk4", "--dt", "0"],
+        ["simulate", "--dt", "nan"],
+    ], ids=" ".join)
+    def test_bad_numeric_argument_exit_code(self, tmp_path, capsys, arguments):
+        path = write_scenario(tmp_path, SCALAR_SCENARIO)
+        extra = []
+        if arguments[0] == "simulate":
+            extra = ["--protocol", "semiglobal-full", "--epsilon", "1",
+                     "--out", str(tmp_path / "o")]
+        code = main(arguments[:1] + ["--scenario", str(path)] + extra
+                    + arguments[1:])
+        assert code == EXIT_VALIDATION
+        assert "error:" in capsys.readouterr().err
 
     def test_riccati_prints_solution(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SCALAR_SCENARIO)

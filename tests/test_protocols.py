@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import integrator_chain
 from satsync import (
@@ -8,8 +10,6 @@ from satsync import (
     PCache,
     ProtocolKind,
     StateLayout,
-    additional_exchange,
-    coupling_signal,
     design_observer_gain,
     global_full,
     global_partial,
@@ -78,49 +78,25 @@ class TestStateLayout:
         np.testing.assert_array_equal(xhat2, xhat)
 
 
-class TestCouplingSignal:
-    def test_two_agents_single_edge(self):
-        net = chain_net(2)
-        # agent 1 is the root: zeta_1 = y_1 - y_r, zeta_2 = y_2 - y_1
-        z = coupling_signal([[1.0], [0.0]], [0.0], net)
-        np.testing.assert_allclose(z, [1.0, -1.0])
-
-    def test_all_equal_to_reference_vanishes(self, rng):
-        net = chain_net(4)
-        y_r = rng.standard_normal(2)
-        z = coupling_signal(np.tile(y_r, (4, 1)), y_r, net)
-        np.testing.assert_allclose(z, 0, atol=1e-14)
-
-    def test_kronecker_oracle(self, rng):
-        from satsync import random_rooted_network
-
-        net = random_rooted_network(rng, 5)
-        Y = rng.standard_normal((5, 3))
-        y_r = rng.standard_normal(3)
-        Ltilde = laplacian(net) + np.diag(net.indicator)
-        expected = np.kron(Ltilde, np.eye(3)) @ Y.reshape(-1) - np.kron(
-            net.indicator, y_r
-        )
-        np.testing.assert_allclose(coupling_signal(Y, y_r, net), expected, atol=1e-12)
-
-    def test_shape_checked(self):
-        with pytest.raises(ProtocolError):
-            coupling_signal([[1.0]], [0.0], chain_net(2))
-
-
-class TestAdditionalExchange:
-    def test_kronecker_oracle(self, rng):
-        from satsync import random_rooted_network
-
-        net = random_rooted_network(rng, 6)
-        Xi = rng.standard_normal((6, 4))
-        expected = np.kron(laplacian(net), np.eye(4)) @ Xi.reshape(-1)
-        np.testing.assert_allclose(additional_exchange(Xi, net), expected, atol=1e-12)
-
-    def test_identical_vectors_vanish(self):
-        net = chain_net(3)
-        Xi = np.tile([2.0, -1.0], (3, 1))
-        np.testing.assert_allclose(additional_exchange(Xi, net), 0, atol=1e-14)
+@settings(database=None, derandomize=True, deadline=None, max_examples=100)
+@given(N=st.integers(1, 6), n=st.integers(1, 4), m=st.integers(1, 3),
+       partial=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_pack_split_round_trip_property(N, n, m, partial, seed):
+    rng = np.random.default_rng(seed)
+    layout = StateLayout(N, n, m, partial)
+    x, chi = rng.standard_normal((N, n)), rng.standard_normal((N, n))
+    x_r = rng.standard_normal(n)
+    xhat = rng.standard_normal((N, n)) if partial else None
+    z = layout.pack(x, x_r, chi, xhat)
+    assert z.shape == (layout.dim,)
+    x2, xr2, chi2, xhat2 = layout.split(z)
+    np.testing.assert_array_equal(x2, x)
+    np.testing.assert_array_equal(xr2, x_r)
+    np.testing.assert_array_equal(chi2, chi)
+    if partial:
+        np.testing.assert_array_equal(xhat2, xhat)
+    else:
+        assert xhat2 is None
 
 
 class TestClosedLoopField:

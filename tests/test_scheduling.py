@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satsync import (
     AgentModel,
@@ -107,6 +109,21 @@ class TestEpsilonOfState:
         assert cache.g(eps, chi) <= 1.0
         # a grid-resolution step up must violate the constraint
         assert cache.g(min(1.0, eps * 2.01), chi) > 1.0
+
+
+@pytest.fixture(scope="module")
+def triple_cache():
+    return PCache(triple_integrator())
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=100)
+@given(chi=st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3))
+def test_scheduled_control_within_saturation_bound(triple_cache, chi):
+    """g(ε(χ), χ) ≤ 1 keeps the scheduled control ‖BᵀP_ε χ‖ within 1."""
+    chi = np.array(chi)
+    eps = epsilon_of_state(chi, triple_cache)
+    u = triple_cache.model.B.T @ triple_cache.solution(eps).P @ chi
+    assert np.linalg.norm(u) <= 1.0 + 1e-12
 
 
 class TestCompactSetSpec:
