@@ -17,7 +17,6 @@ from .graph import (
     target_dynamics_stable,
 )
 from .riccati import (
-    ObserverGain,
     RiccatiSolution,
     design_observer_gain,
     is_hurwitz,

@@ -66,15 +66,15 @@ class Scenario:
     chi0: np.ndarray  # (N, n)
     xhat0: np.ndarray  # (N, n)
     coupling: str  # "full" | "partial"
-    source: Optional[dict] = None
 
     @property
     def N(self) -> int:
         return self.net.N
 
     def fingerprint(self) -> str:
-        payload = self.source or _scenario_dict(self)
-        blob = json.dumps(payload, sort_keys=True).encode()
+        """SHA-256 of the validated scenario: number formatting, key order
+        and omitted defaults in the file do not change it."""
+        blob = json.dumps(_scenario_dict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
 
@@ -189,7 +189,6 @@ def scenario_from_dict(data: dict, source_name: str = "<dict>") -> Scenario:
         chi0=np.zeros((N, n)) if chi0 is None else chi0,
         xhat0=np.zeros((N, n)) if xhat0 is None else xhat0,
         coupling=coupling,
-        source=data,
     )
 
 
@@ -236,18 +235,14 @@ def write_trajectory_csv(traj: sim.Trajectory, path) -> None:
         cols += [f"eps[{i+1}]" for i in range(N)]
     cols += ["sync_error"]
 
-    errors = sim.sync_error_series(traj)
+    blocks = [traj.times, traj.states,
+              traj.controls.reshape(traj.times.size, -1)]
+    if traj.realized_epsilon is not None:
+        blocks.append(traj.realized_epsilon)
+    blocks.append(sim.sync_error_series(traj))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(cols) + "\n")
-        for k in range(traj.times.size):
-            row = [traj.times[k]]
-            row += list(traj.states[k])
-            if traj.has_controls:
-                row += list(traj.controls[k].reshape(-1))
-            if traj.realized_epsilon is not None:
-                row += list(traj.realized_epsilon[k])
-            row.append(errors[k])
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(fh, np.column_stack(blocks), fmt="%.17g", delimiter=",")
 
 
 def read_trajectory_csv(path):
@@ -281,11 +276,11 @@ class RunReport:
 def _kind_parameters(kind: protocols.ProtocolKind) -> dict:
     params = {}
     if kind.is_global:
-        params["rho_grid"] = [kind.cache.grid[0], kind.cache.grid[-1]]
+        params["rho_grid"] = [scheduling.GRID[0], scheduling.RHO_MIN]
     else:
         params["epsilon"] = kind.epsilon
     if kind.is_partial:
-        params["observer_gain"] = kind.observer_gain.K.tolist()
+        params["observer_gain"] = kind.observer_gain.tolist()
     return params
 
 
@@ -326,14 +321,8 @@ def run_protocol(
         max_control_inf_norm=metrics.max_control_inf_norm,
         saturation_events=[list(e) for e in events],
         wall_clock_seconds=elapsed,
-        integrator={
-            "method": method,
-            "n_steps": traj.stats.n_steps,
-            "n_rejected": traj.stats.n_rejected,
-            "n_field_evals": traj.stats.n_field_evals,
-            "rtol": rtol,
-            "atol": atol,
-        },
+        integrator={"method": method, **asdict(traj.stats),
+                    "rtol": rtol, "atol": atol},
     )
     return traj, report
 
@@ -349,13 +338,18 @@ def reproduce(case: int, out_dir):
     traj, report = run_protocol(
         scenario, kind, t_final=REPRODUCE_HORIZON, rtol=1e-6, atol=1e-8
     )
+    _write_run(traj, report, out_dir, f"case{case}_")
+    return report
+
+
+def _write_run(traj, report, out_dir, prefix=""):
+    """Write `{prefix}trajectory.csv` and `{prefix}report.json` to out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(traj, out / f"case{case}_trajectory.csv")
-    (out / f"case{case}_report.json").write_text(
+    write_trajectory_csv(traj, out / f"{prefix}trajectory.csv")
+    (out / f"{prefix}report.json").write_text(
         json.dumps(report.to_dict(), indent=2) + "\n"
     )
-    return report
 
 
 # --- command line -----------------------------------------------------------
@@ -386,10 +380,7 @@ def _cmd_simulate(args) -> int:
     traj, report = run_protocol(
         scenario, kind, t_final=args.t_final, method=method, dt=args.dt
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(traj, out / "trajectory.csv")
-    (out / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    _write_run(traj, report, args.out)
     print(
         f"{kind.name}: final sync error {report.final_sync_error:.3e}, "
         f"max ‖u‖∞ {report.max_control_inf_norm:.3f}, "

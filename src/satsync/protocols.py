@@ -20,7 +20,7 @@ import numpy as np
 
 from .graph import Network, laplacian
 from .model import AgentModel, saturate
-from .riccati import ObserverGain, design_observer_gain
+from .riccati import design_observer_gain
 from .scheduling import PCache, epsilon_of_state
 
 
@@ -36,7 +36,7 @@ class ProtocolKind:
     coupling: str  # "full" | "partial"
     epsilon: Optional[float] = None
     cache: Optional[PCache] = None
-    observer_gain: Optional[ObserverGain] = None
+    observer_gain: Optional[np.ndarray] = None  # K, with A - KC Hurwitz
 
     def __post_init__(self):
         if self.family not in ("global", "semiglobal"):
@@ -72,12 +72,14 @@ def global_full(model: AgentModel, cache: Optional[PCache] = None) -> ProtocolKi
 def global_partial(
     model: AgentModel,
     cache: Optional[PCache] = None,
-    observer_gain: Optional[ObserverGain] = None,
+    observer_gain: Optional[np.ndarray] = None,
 ) -> ProtocolKind:
+    if observer_gain is None:
+        observer_gain = design_observer_gain(model)
     return ProtocolKind(
         "global", "partial",
         cache=cache or PCache(model),
-        observer_gain=observer_gain or design_observer_gain(model),
+        observer_gain=observer_gain,
     )
 
 
@@ -88,11 +90,12 @@ def semiglobal_full(model: AgentModel, epsilon: float) -> ProtocolKind:
 def semiglobal_partial(
     model: AgentModel,
     epsilon: float,
-    observer_gain: Optional[ObserverGain] = None,
+    observer_gain: Optional[np.ndarray] = None,
 ) -> ProtocolKind:
+    if observer_gain is None:
+        observer_gain = design_observer_gain(model)
     return ProtocolKind(
-        "semiglobal", "partial", epsilon=epsilon,
-        observer_gain=observer_gain or design_observer_gain(model),
+        "semiglobal", "partial", epsilon=epsilon, observer_gain=observer_gain,
     )
 
 
@@ -175,7 +178,7 @@ def _closed_loop_operator(model: AgentModel, net: Network, kind: ProtocolKind,
     W[c, c] = np.kron(I_N, A) - np.kron(Ltilde, np.eye(n))
     W[c, u] = np.kron(I_N, B)
     if kind.is_partial:
-        KC = kind.observer_gain.K @ model.C
+        KC = kind.observer_gain @ model.C
         W[c, h] = np.eye(N * n)
         W[h, x] = np.kron(Ltilde, KC)
         W[h, r] = -np.kron(iota, KC)
@@ -202,7 +205,7 @@ class ClosedLoopField:
     """
 
     def __init__(self, model: AgentModel, net: Network, kind: ProtocolKind):
-        if kind.is_partial and model.q != kind.observer_gain.K.shape[1]:
+        if kind.is_partial and model.q != kind.observer_gain.shape[1]:
             raise ProtocolError("observer gain shape inconsistent with C")
         self.model = model
         self.net = net

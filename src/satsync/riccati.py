@@ -55,13 +55,6 @@ class RiccatiSolution:
     closed_loop_stable: bool
 
 
-@dataclass(frozen=True)
-class ObserverGain:
-    """Output-injection gain K with A - KC Hurwitz."""
-
-    K: np.ndarray
-
-
 def _care_schur(A, G, Q):
     """Stabilizing solution of AᵀP + PA - PGP + Q = 0 via Hamiltonian Schur."""
     n = A.shape[0]
@@ -150,8 +143,9 @@ def solve_lowgain_are(
     return _solve(model, "lowgain", "eps", eps, 0.0, eps, validate_model)
 
 
-def design_observer_gain(model: AgentModel) -> ObserverGain:
-    """Gain K = P_o Cᵀ from the dual ARE AP_o + P_oAᵀ - P_oCᵀCP_o + I = 0.
+def design_observer_gain(model: AgentModel) -> np.ndarray:
+    """Read-only gain K = P_o Cᵀ, with A - KC Hurwitz, from the dual ARE
+    AP_o + P_oAᵀ - P_oCᵀCP_o + I = 0.
 
     This is the unit-weight low-gain ARE of the dual model (Aᵀ, Cᵀ, Bᵀ);
     its Hurwitz certificate for Aᵀ - CᵀKᵀ is one for A - KC.
@@ -162,4 +156,4 @@ def design_observer_gain(model: AgentModel) -> ObserverGain:
     dual = AgentModel(model.A.T, model.C.T, model.B.T)
     K = solve_lowgain_are(dual, 1.0, validate_model=False).P @ model.C.T
     K.setflags(write=False)
-    return ObserverGain(K=K)
+    return K

@@ -61,20 +61,17 @@ class SelectionError(RuntimeError):
 class PCache:
     """Memo of scheduled-ARE solutions, keyed by ρ.
 
-    The dyadic grid is solved eagerly; bisection probes between grid points
-    are solved on demand and memoized.  Every entry is a cold solve, so
-    `solution(ρ).P` is exactly `solve_scheduled_are(model, ρ).P` whatever
-    was cached before.
+    Construction solves ρ = 1 only, which validates the model; every other ρ
+    the schedule probes is solved on first request and memoized.  Every
+    entry is a cold solve, so `solution(ρ).P` is exactly
+    `solve_scheduled_are(model, ρ).P` whatever was cached before.
     """
 
     def __init__(self, model: AgentModel):
         self.model = model
-        self.grid = GRID
         self._solutions: dict[float, RiccatiSolution] = {}
         self._trace: dict[float, float] = {}
-        for rho in self.grid:
-            sol = solve_scheduled_are(model, rho, validate_model=(rho == 1.0))
-            self._store(rho, sol)
+        self._store(1.0, solve_scheduled_are(model, 1.0))
 
     def _store(self, rho, sol):
         self._solutions[rho] = sol
@@ -98,16 +95,15 @@ def epsilon_of_state(chi, cache: PCache) -> float:
     chi = np.asarray(chi, dtype=float).reshape(-1)
     if cache.g(1.0, chi) <= 1.0:
         return 1.0
-    grid = cache.grid
     lo = None
-    for k in range(1, len(grid)):
-        if cache.g(grid[k], chi) <= 1.0:
+    for k in range(1, len(GRID)):
+        if cache.g(GRID[k], chi) <= 1.0:
             lo, hi = k, k - 1
             break
     if lo is None:
         raise ScheduleFloorError(float(np.linalg.norm(chi)))
-    # bisect on the fixed dyadic subdivision of [grid[lo], grid[hi]]
-    rho_lo, rho_hi = grid[lo], grid[hi]
+    # bisect on the fixed dyadic subdivision of [GRID[lo], GRID[hi]]
+    rho_lo, rho_hi = GRID[lo], GRID[hi]
     width = rho_hi - rho_lo
     j_lo, j_hi = 0, 2**BISECTION_DEPTH  # j_lo passes, j_hi fails
     for _ in range(BISECTION_DEPTH):
@@ -142,6 +138,23 @@ class CompactSetSpec:
             h.setflags(write=False)
             object.__setattr__(self, name, h)
 
+    def halfwidths(self, layout) -> np.ndarray:
+        """Half-widths of the stacked state, in the order of `layout` (a
+        protocols.StateLayout): agent for x_i, exo for x_r, protocol for χ_i
+        and x̂_i."""
+
+        def block(h, shape):
+            if h.size not in (1, layout.n):
+                raise ValueError(
+                    "half-width length incompatible with state dimension"
+                )
+            return np.broadcast_to(h, shape)
+
+        agents = (layout.N, layout.n)
+        protocol = block(self.protocol, agents)
+        return layout.pack(block(self.agent, agents),
+                           block(self.exo, (layout.n,)), protocol, protocol)
+
 
 @dataclass
 class EpsilonTrial:
@@ -172,22 +185,6 @@ class SelectionReport:
 
     def to_dict(self):
         return asdict(self)
-
-
-def _expand_halfwidths(sets: CompactSetSpec, n: int, N: int, partial: bool):
-    def block(h, dim):
-        h = np.broadcast_to(h, (dim,)) if h.size in (1, dim) else None
-        if h is None:
-            raise ValueError("half-width length incompatible with state dimension")
-        return np.asarray(h, dtype=float)
-
-    agent = block(sets.agent, n)
-    exo = block(sets.exo, n)
-    proto = block(sets.protocol, n)
-    parts = [np.tile(agent, N), exo, np.tile(proto, N)]
-    if partial:
-        parts.append(np.tile(proto, N))
-    return np.concatenate(parts)
 
 
 def sample_box_vertices(halfwidths: np.ndarray) -> np.ndarray:
@@ -236,24 +233,16 @@ def select_semiglobal_epsilon(
         from .riccati import design_observer_gain
 
         observer_gain = design_observer_gain(model)
-    halfwidths = _expand_halfwidths(sets, model.n, net.N, partial)
-    samples = sample_box_vertices(halfwidths)
+    layout = protocols.StateLayout(net.N, model.n, model.m, partial)
+    samples = sample_box_vertices(sets.halfwidths(layout))
     trials = []
     eps = EPS0
     while eps >= EPS_FLOOR:
         kind = protocols.ProtocolKind(
             "semiglobal", coupling, epsilon=eps, observer_gain=observer_gain,
         )
-        passed, max_u, final_err, violation = _validate_epsilon(
-            model, net, kind, samples, horizon
-        )
-        trials.append(
-            EpsilonTrial(
-                epsilon=eps, passed=passed, max_control=max_u,
-                final_sync_error=final_err, violation=violation,
-            )
-        )
-        if passed:
+        trials.append(_validate_epsilon(model, net, kind, samples, horizon))
+        if trials[-1].passed:
             return SelectionReport(
                 epsilon_star=eps, n_samples=samples.shape[0], horizon=horizon,
                 trials=trials,
@@ -262,35 +251,35 @@ def select_semiglobal_epsilon(
     raise SelectionError(trials)
 
 
-def _validate_epsilon(model, net, kind, samples, horizon):
+def _validate_epsilon(model, net, kind, samples, horizon) -> EpsilonTrial:
     """Simulate the closed loop from each sample in order; stop at the first
     that breaks the control margin or is not synchronized at the horizon.
 
-    Returns (passed, max_control, final_sync_error, violation).  The two
-    worst-case values cover only the samples simulated so far: all of them
-    when the trial passes, those up to the first failure when it does not.
+    The trial's two worst-case values cover only the samples simulated so
+    far: all of them when it passes, those up to the first failure when it
+    does not.
     """
     from . import protocols, sim
 
     field_fn = protocols.ClosedLoopField(model, net, kind)
-    max_u = 0.0
-    worst_err = 0.0
+    max_u = worst_err = 0.0
     for z0 in samples:
         traj = sim.integrate(
             field_fn, z0, (0.0, horizon), method="adaptive_rk45",
             rtol=1e-6, atol=1e-8,
         )
-        u_inf = float(np.abs(traj.controls).max()) if traj.controls.size else 0.0
-        max_u = max(max_u, u_inf)
         metrics = sim.sync_metrics(traj, TOL_VAL)
+        u_inf = metrics.max_control_inf_norm
         err = float(metrics.error_series[-1])
+        max_u = max(max_u, u_inf)
         worst_err = max(worst_err, err)
+        violation = None
         if u_inf > 1.0 - SAT_MARGIN:
-            return False, max_u, worst_err, (
+            violation = (
                 f"control bound violated: ‖u‖∞={u_inf:.4g} > {1.0 - SAT_MARGIN}"
             )
-        if err >= TOL_VAL:
-            return False, max_u, worst_err, (
-                f"sync error {err:.4g} ≥ {TOL_VAL} at t={horizon}"
-            )
-    return True, max_u, worst_err, None
+        elif err >= TOL_VAL:
+            violation = f"sync error {err:.4g} ≥ {TOL_VAL} at t={horizon}"
+        if violation is not None:
+            return EpsilonTrial(kind.epsilon, False, max_u, worst_err, violation)
+    return EpsilonTrial(kind.epsilon, True, max_u, worst_err)

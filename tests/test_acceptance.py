@@ -182,7 +182,7 @@ def test_criterion_5_transformed_dynamics_oracle(rng):
             traj, _ = run_protocol(
                 scenario_p, kind, t_final=10.0, rtol=1e-10, atol=1e-12
             )
-            Mbar = np.kron(np.eye(N), model.A - gain.K @ model.C)
+            Mbar = np.kron(np.eye(N), model.A - gain @ model.C)
             ebar_series = []
             for z in traj.states:
                 x, x_r, _, xhat = traj.layout.split(z)
@@ -243,13 +243,12 @@ def test_criterion_7_semiglobal_selection():
         assert eps_star == 2.0**-28
 
         # re-simulate at twice the validation horizon from every vertex
-        from satsync.scheduling import _expand_halfwidths, sample_box_vertices
+        from satsync.scheduling import sample_box_vertices
         from satsync import sync_metrics
 
         kind = semiglobal_full(model, eps_star)
         field = ClosedLoopField(model, net, kind)
-        halfwidths = _expand_halfwidths(sets, model.n, net.N, partial=False)
-        for z0 in sample_box_vertices(halfwidths):
+        for z0 in sample_box_vertices(sets.halfwidths(field.layout)):
             traj = integrate(
                 field, z0, (0.0, 2 * report.horizon), rtol=1e-6, atol=1e-8
             )

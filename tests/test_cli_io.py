@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 
 import satsync
 from satsync import (
+    AgentModel,
+    Network,
+    Scenario,
     bundled_scenario,
     global_full,
     run_protocol,
@@ -93,6 +96,36 @@ class TestScenarioParsing:
         b = scenario_from_dict(json.loads(json.dumps(SCALAR_SCENARIO)))
         assert a.fingerprint() == b.fingerprint()
 
+    def test_fingerprint_hashes_the_validated_scenario(self, tmp_path):
+        # integer literals, the same file with float literals, reordered
+        # keys and a written-out default, and the Scenario built in code
+        ints = {
+            "model": {"A": [[0]], "B": [[1]], "C": [[1]]},
+            "network": {"adjacency": [[0, 0], [1, 0]], "root_set": [1]},
+            "coupling": "full",
+            "x0": [[1], [-2]],
+            "xr0": [0],
+        }
+        floats = {
+            "xr0": [0.0],
+            "x0": [[1.0], [-2.0]],
+            "chi0": [[0.0], [0.0]],
+            "coupling": "full",
+            "network": {"root_set": [1],
+                        "adjacency": [[0.0, 0.0], [1.0, 0.0]]},
+            "model": {"C": [[1.0]], "B": [[1.0]], "A": [[0.0]]},
+        }
+        built = Scenario(
+            model=AgentModel([[0.0]], [[1.0]], [[1.0]]),
+            net=Network(adjacency=np.array([[0.0, 0.0], [1.0, 0.0]]),
+                        root_set=frozenset([0])),
+            x0=np.array([[1.0], [-2.0]]), xr0=np.array([0.0]),
+            chi0=np.zeros((2, 1)), xhat0=np.zeros((2, 1)), coupling="full",
+        )
+        loaded = [load_scenario(write_scenario(tmp_path, d, f"{i}.json"))
+                  for i, d in enumerate((ints, floats))]
+        assert len({sc.fingerprint() for sc in loaded + [built]}) == 1
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
@@ -125,7 +158,7 @@ def test_fuzzed_scenario_field_loads_or_is_rejected(path, value):
             sc = scenario_from_dict(data)
         except ScenarioValidationError:
             return
-    roots = sc.source["network"].get("root_set", [])
+    roots = data["network"].get("root_set", [])
     assert all(type(r) is int for r in roots)  # bool is an int subclass
     assert sc.net.root_set == {r - 1 for r in roots}
 

@@ -153,7 +153,7 @@ class TestClosedLoopField:
 
         L = laplacian(net)
         iota = net.indicator
-        A, B, C, K = model.A, model.B, model.C, gain.K
+        A, B, C, K = model.A, model.B, model.C, gain
         y_r = C @ x_r
         dz = field(0.0, z)
         dx, dx_r, dchi, dxhat = field.layout.split(dz)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import integrator_chain, random_admissible_model
 from satsync import (
@@ -10,7 +12,12 @@ from satsync import (
     solve_lowgain_are,
     solve_scheduled_are,
 )
-from satsync.riccati import ParameterError, RiccatiError, residual_tolerance
+from satsync.riccati import (
+    PSD_TOL,
+    ParameterError,
+    RiccatiError,
+    residual_tolerance,
+)
 
 
 def scheduled_residual(model, P, rho):
@@ -152,18 +159,19 @@ class TestLowgainAre:
 class TestObserverGain:
     def test_scalar_closed_form(self):
         model = AgentModel([[0.0]], [[1.0]], [[1.0]])
-        gain = design_observer_gain(model)
-        assert gain.K[0, 0] == pytest.approx(1.0, abs=1e-10)
+        K = design_observer_gain(model)
+        assert K[0, 0] == pytest.approx(1.0, abs=1e-10)
+        assert not K.flags.writeable
 
     def test_stable_scalar(self):
         model = AgentModel([[-1.0]], [[1.0]], [[1.0]])
-        gain = design_observer_gain(model)
-        assert gain.K[0, 0] >= 0
-        assert is_hurwitz(model.A - gain.K @ model.C)
+        K = design_observer_gain(model)
+        assert K[0, 0] >= 0
+        assert is_hurwitz(model.A - K @ model.C)
 
     def test_triple_integrator(self, triple):
-        gain = design_observer_gain(triple)
-        eigs = np.linalg.eigvals(triple.A - gain.K @ triple.C)
+        K = design_observer_gain(triple)
+        eigs = np.linalg.eigvals(triple.A - K @ triple.C)
         assert eigs.real.max() < -1e-3
 
     def test_duality_with_state_feedback(self, triple):
@@ -171,5 +179,27 @@ class TestObserverGain:
         # of the transposed pair, so the gains must agree
         dual = AgentModel(triple.A.T, triple.C.T, triple.B.T)
         P_dual = solve_lowgain_are(dual, 1.0).P
-        gain = design_observer_gain(triple)
-        np.testing.assert_allclose(gain.K, P_dual @ triple.C.T, atol=1e-9)
+        K = design_observer_gain(triple)
+        np.testing.assert_allclose(K, P_dual @ triple.C.T, atol=1e-9)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=400)
+@given(seed=st.integers(0, 2**32 - 1), log2_rho=st.floats(-20.0, 0.0),
+       log2_eps=st.floats(-20.0, 0.0))
+@example(seed=0, log2_rho=-20.0, log2_eps=-20.0)
+def test_are_certificates_on_random_admissible_models(seed, log2_rho, log2_eps):
+    """On an admissible model with n ≤ 6 and ρ, ε in [2⁻²⁰, 1], both AREs
+    return a P within the residual tolerance, PSD to PSD_TOL, with a Hurwitz
+    closed loop; each certificate is recomputed here, not read back."""
+    model = random_admissible_model(np.random.default_rng(seed), n_max=6)
+    rho, eps = 2.0**log2_rho, 2.0**log2_eps
+    G = model.B @ model.B.T
+    P = solve_scheduled_are(model, rho).P
+    assert scheduled_residual(model, P, rho) <= residual_tolerance(P)
+    assert np.linalg.eigvalsh(P).min() >= -PSD_TOL
+    # the scheduled closed loop is Hurwitz with margin ρ/2
+    assert is_hurwitz(model.A + (rho / 2) * np.eye(model.n) - G @ P)
+    P = solve_lowgain_are(model, eps).P
+    assert lowgain_residual(model, P, eps) <= residual_tolerance(P)
+    assert np.linalg.eigvalsh(P).min() >= -PSD_TOL
+    assert is_hurwitz(model.A - G @ P)

@@ -13,7 +13,9 @@ from satsync import (
     solve_scheduled_are,
     triple_integrator,
 )
+from satsync import scheduling
 from satsync.scheduling import (
+    GRID,
     RHO_MIN,
     ScheduleFloorError,
     sample_box_vertices,
@@ -30,7 +32,7 @@ class TestPCache:
     def test_grid_solutions_match_closed_form(self, scalar_cache):
         # the residual certificate |P(rho - P)| <= tol only pins P down to
         # about tol/rho, so the check loosens as rho shrinks
-        for rho in scalar_cache.grid:
+        for rho in GRID:
             P = scalar_cache.solution(rho).P[0, 0]
             assert abs(P - rho) <= 2e-9 / rho
 
@@ -44,7 +46,7 @@ class TestPCache:
             AgentModel([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]])
         )
         chi = np.array([1.0, -0.5])
-        values = [cache.g(rho, chi) for rho in reversed(cache.grid)]
+        values = [cache.g(rho, chi) for rho in reversed(GRID)]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_off_grid_solution_memoized(self, scalar_cache):
@@ -52,6 +54,20 @@ class TestPCache:
         first = scalar_cache.solution(rho)
         assert scalar_cache.solution(rho) is first
         assert first.P[0, 0] == pytest.approx(0.3, rel=1e-9)
+
+    def test_construction_solves_only_unit_rho(self, monkeypatch):
+        # every other entry comes from the schedule's probes via solution()
+        calls = []
+
+        def counting(model, rho, **kwargs):
+            calls.append(rho)
+            return solve_scheduled_are(model, rho, **kwargs)
+
+        monkeypatch.setattr(scheduling, "solve_scheduled_are", counting)
+        cache = PCache(triple_integrator())
+        assert calls == [1.0]
+        cache.g(0.25, np.ones(3))
+        assert calls == [1.0, 0.25]
 
     def test_solution_independent_of_cache_history(self):
         # every entry is a cold solve: the same bits as a direct solve,
