@@ -44,9 +44,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ASSERTION = 3
 
-REPRODUCE_HORIZON = 50.0
-REPRODUCE_TOL = 1e-2
-
 
 class ScenarioValidationError(ValueError):
     """All validation failures of one file, with JSON-pointer paths."""
@@ -288,7 +285,7 @@ def run_protocol(
     scenario: Scenario,
     kind: protocols.ProtocolKind,
     *,
-    t_final: float = REPRODUCE_HORIZON,
+    t_final: float = scheduling.T_VAL,
     method: str = "adaptive_rk45",
     dt: float = 1e-2,
     rtol: float = sim.DEFAULT_RTOL,
@@ -296,7 +293,7 @@ def run_protocol(
 ):
     """Simulate one protocol on a scenario; returns (Trajectory, RunReport).
 
-    The run converged if its final sync error is below REPRODUCE_TOL.
+    The run converged if its final sync error is below scheduling.TOL_VAL.
     """
     for name, value in (("t_final", t_final), ("dt", dt)):
         if not (np.isfinite(value) and value > 0):
@@ -309,13 +306,13 @@ def run_protocol(
         field_fn, z0, (0.0, t_final), method=method, dt=dt, rtol=rtol, atol=atol
     )
     elapsed = time.perf_counter() - start
-    metrics = sim.sync_metrics(traj, REPRODUCE_TOL)
+    metrics = sim.sync_metrics(traj, scheduling.TOL_VAL)
     events = sim.saturation_events(traj)
     report = RunReport(
         scenario_fingerprint=scenario.fingerprint(),
         protocol=kind.name,
         parameters=_kind_parameters(kind),
-        converged=bool(metrics.error_series[-1] < REPRODUCE_TOL),
+        converged=bool(metrics.error_series[-1] < scheduling.TOL_VAL),
         convergence_time=metrics.convergence_time,
         final_sync_error=float(metrics.error_series[-1]),
         max_control_inf_norm=metrics.max_control_inf_norm,
@@ -336,7 +333,7 @@ def reproduce(case: int, out_dir):
     scenario = bundled_scenario(case)
     kind = protocols.global_partial(scenario.model)
     traj, report = run_protocol(
-        scenario, kind, t_final=REPRODUCE_HORIZON, rtol=1e-6, atol=1e-8
+        scenario, kind, t_final=scheduling.T_VAL, rtol=1e-6, atol=1e-8
     )
     _write_run(traj, report, out_dir, f"case{case}_")
     return report
@@ -450,7 +447,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--protocol", required=True, choices=_PROTOCOL_CHOICES)
     p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--t-final", type=float, default=REPRODUCE_HORIZON)
+    p.add_argument("--t-final", type=float, default=scheduling.T_VAL)
     p.add_argument("--dt", type=float, default=1e-2)
     p.add_argument("--method", choices=("rk4", "rk45"), default="rk45")
     p.add_argument("--out", required=True)

@@ -28,9 +28,10 @@ class ProtocolError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolKind:
-    """Protocol family/coupling selection plus its design parameters."""
+    """Protocol family/coupling selection plus its design parameters.
+    Kinds compare and hash by identity (an ndarray gain has no ==)."""
 
     family: str  # "global" | "semiglobal"
     coupling: str  # "full" | "partial"
@@ -105,7 +106,6 @@ class StateLayout:
 
     N: int
     n: int
-    m: int
     partial: bool
 
     @property
@@ -210,7 +210,7 @@ class ClosedLoopField:
         self.model = model
         self.net = net
         self.kind = kind
-        self.layout = StateLayout(net.N, model.n, model.m, kind.is_partial)
+        self.layout = StateLayout(net.N, model.n, kind.is_partial)
         self.W = _closed_loop_operator(model, net, kind, self.layout)
         self._chi = self.layout.slices()[2]
         self._last = (None, None, None)  # (z, U, eps) of the last call

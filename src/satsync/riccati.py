@@ -40,8 +40,12 @@ def is_hurwitz(M) -> bool:
 
 
 def residual_tolerance(P: np.ndarray) -> float:
-    """Acceptable ARE residual: 1e-9·(1 + ‖P‖²)."""
-    return 1e-9 * (1.0 + np.linalg.norm(P, 2) ** 2)
+    """Acceptable ARE residual: 1e-9·(1 + ‖P‖₂²)."""
+    return _tolerance_for_norm(np.linalg.norm(P, 2))
+
+
+def _tolerance_for_norm(p_norm: float) -> float:
+    return 1e-9 * (1.0 + p_norm**2)
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,8 @@ def _certify(A, G, Q, P, kind, parameter):
             f"(min eig {eig_P.min():.2e})"
         )
     residual = np.linalg.norm(A.T @ P + P @ A - P @ G @ P + Q, 2)
-    if residual > residual_tolerance(P):
+    # P is symmetric, so ‖P‖₂ = max|λ(P)|
+    if residual > _tolerance_for_norm(np.abs(eig_P).max()):
         raise RiccatiError(
             f"{kind} ARE residual {residual:.2e} exceeds tolerance"
         )

@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from .model import AgentModel
 from .riccati import ParameterError, RiccatiSolution, solve_scheduled_are
@@ -35,7 +34,7 @@ EPS0 = 1.0
 EPS_RATIO = 0.5
 EPS_FLOOR = 2.0**-30
 SAT_MARGIN = 0.05
-T_VAL = 50.0
+T_VAL = 50.0  # synchronized: sync error < TOL_VAL at t = T_VAL, for every run
 TOL_VAL = 1e-2
 MAX_VERTEX_SAMPLES = 256
 
@@ -188,24 +187,24 @@ class SelectionReport:
 
 
 def sample_box_vertices(halfwidths: np.ndarray) -> np.ndarray:
-    """Deterministic sample of a box: all vertices if their count is ≤ 256,
-    otherwise 256 scaled-Hadamard sign patterns plus the origin."""
+    """Distinct box vertices: all 2^d of them for d ≤ 8 active coordinates,
+    else 256 pairwise non-antipodal ones plus the origin.
+
+    Vertex v < 2^b = min(2^d, MAX_VERTEX_SAMPLES) has sign
+    2·parity(v & mask_k) − 1 on active coordinate k, with the unit masks
+    first and then the other nonzero b-bit masks (3 = 1 ⊕ 2 next), cycled.
+    """
     h = np.asarray(halfwidths, dtype=float)
     active = np.nonzero(h > 0)[0]
     d = active.size
-    if d == 0:
-        return np.zeros((1, h.size))
-    if 2**d <= MAX_VERTEX_SAMPLES:
-        signs = np.array(
-            [[1.0 if (v >> k) & 1 else -1.0 for k in range(d)]
-             for v in range(2**d)]
-        )
-    else:
-        order = MAX_VERTEX_SAMPLES
-        while order < d:
-            order *= 2
-        H = sla.hadamard(order)[:MAX_VERTEX_SAMPLES, :d].astype(float)
-        signs = np.vstack([H, np.zeros((1, d))])
+    b = min(d, MAX_VERTEX_SAMPLES.bit_length() - 1)
+    bits = (np.arange(2**b)[:, None] >> np.arange(b)) & 1  # row v: bits of v
+    units = [1 << k for k in range(b)]
+    masks = units + [v for v in range(1, 2**b) if v not in units]
+    mask_bits = bits[[masks[k % len(masks)] for k in range(d)]]
+    signs = 2.0 * ((bits @ mask_bits.T) % 2) - 1.0
+    if d > b:
+        signs = np.vstack([signs, np.zeros((1, d))])
     samples = np.zeros((signs.shape[0], h.size))
     samples[:, active] = signs * h[active]
     return samples
@@ -233,7 +232,7 @@ def select_semiglobal_epsilon(
         from .riccati import design_observer_gain
 
         observer_gain = design_observer_gain(model)
-    layout = protocols.StateLayout(net.N, model.n, model.m, partial)
+    layout = protocols.StateLayout(net.N, model.n, partial)
     samples = sample_box_vertices(sets.halfwidths(layout))
     trials = []
     eps = EPS0

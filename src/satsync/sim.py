@@ -173,28 +173,20 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
         h = min(h, tf - t)
         K[0] = k1
         hA = h * _DP_A
+        q = 0.0  # tol/err; stays 0 (reject, h × 0.2) if anything is non-finite
         for s in range(1, 7):
             z_s = z + hA[s, :s] @ K[:s]
             K[s] = field_fn(t + _DP_C[s] * h, z_s)
             stats.n_field_evals += 1
             if not np.isfinite(K[s]).all():
-                err = np.inf
                 break
         else:
             z5 = z_s  # the last stage point is the fifth-order solution
             err = h * np.linalg.norm(_DP_E @ K)
-            tol = atol + rtol * np.linalg.norm(z5)
-        if not np.isfinite(err):
-            # non-finite stage or overflow in a trial step: reject hard and shrink
-            stats.n_rejected += 1
-            h *= 0.2
-            if h < DT_MIN:
-                raise IntegrationError(
-                    f"step size underflow (h={h:.3g} < {DT_MIN}) at t={t:.6g}",
-                    t, z,
-                )
-            continue
-        if err <= tol:
+            if np.isfinite(err):
+                tol = atol + rtol * np.linalg.norm(z5)
+                q = tol / err if err > 0 else np.inf
+        if q >= 1.0:
             t_new = t + h
             _check_finite(t_new, z5)
             t, z = t_new, z5
@@ -205,8 +197,7 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
             _record(field_fn, t, z, controls, eps_values)
         else:
             stats.n_rejected += 1
-        factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
-        h *= min(max(factor, 0.2), 5.0)
+        h *= min(max(0.9 * q**0.2, 0.2), 5.0)
         if h < DT_MIN and t < tf:
             raise IntegrationError(
                 f"step size underflow (h={h:.3g} < {DT_MIN}) at t={t:.6g}", t, z

@@ -213,7 +213,7 @@ def test_criterion_7_semiglobal_selection():
     # shrinks.  While every |u| < 1 the closed loop is linear and matches the
     # saturated one, so a margin violation found on the linear flow (expm,
     # dt = 0.02, all 257 samples) is exact.  On this box the largest grid eps
-    # keeping max|u| <= 0.95 is 2^-28 (max|u| = 0.868; 2^-27 gives 0.974).
+    # keeping max|u| <= 0.95 is 2^-28 (max|u| = 0.921; 2^-27 gives 1.031).
     # There the slowest pole of A - BB'P_eps is -0.0197, a time constant of
     # 50.8 s, and the worst vertex first stays below 1e-2 at t ~ 663 s
     # (746 s at 2^-29).  So no eps validates at T_VAL = 50, and the search is

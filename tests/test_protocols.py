@@ -59,14 +59,22 @@ class TestProtocolKind:
         with pytest.raises(ProtocolError):
             ProtocolKind("local", "full", cache=double_cache)
 
+    def test_partial_kind_hashes_by_identity(self, double, double_cache):
+        kind = global_partial(double, double_cache)
+        other = global_partial(double, double_cache)
+        assert kind == kind
+        assert kind != other
+        assert hash(kind) == hash(kind)
+        assert {kind, other, kind} == {kind, other}
+
 
 class TestStateLayout:
     def test_dims(self):
-        assert StateLayout(3, 2, 1, partial=False).dim == 14  # (2N+1)n
-        assert StateLayout(3, 2, 1, partial=True).dim == 20  # (3N+1)n
+        assert StateLayout(3, 2, partial=False).dim == 14  # (2N+1)n
+        assert StateLayout(3, 2, partial=True).dim == 20  # (3N+1)n
 
     def test_pack_split_round_trip(self, rng):
-        layout = StateLayout(4, 3, 1, partial=True)
+        layout = StateLayout(4, 3, partial=True)
         x = rng.standard_normal((4, 3))
         x_r = rng.standard_normal(3)
         chi = rng.standard_normal((4, 3))
@@ -79,11 +87,11 @@ class TestStateLayout:
 
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=100)
-@given(N=st.integers(1, 6), n=st.integers(1, 4), m=st.integers(1, 3),
-       partial=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_pack_split_round_trip_property(N, n, m, partial, seed):
+@given(N=st.integers(1, 6), n=st.integers(1, 4), partial=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_pack_split_round_trip_property(N, n, partial, seed):
     rng = np.random.default_rng(seed)
-    layout = StateLayout(N, n, m, partial)
+    layout = StateLayout(N, n, partial)
     x, chi = rng.standard_normal((N, n)), rng.standard_normal((N, n))
     x_r = rng.standard_normal(n)
     xhat = rng.standard_normal((N, n)) if partial else None

@@ -168,6 +168,25 @@ class TestSampleBoxVertices:
         assert samples.shape == (4, 3)
         np.testing.assert_array_equal(samples[:, 1], 0.0)
 
+    def test_small_box_enumerates_in_binary_order(self):
+        # row v has +h_k on coordinate k exactly when bit k of v is set
+        for d in range(9):
+            h = np.arange(1.0, d + 1)
+            expected = [[h[k] if (v >> k) & 1 else -h[k] for k in range(d)]
+                        for v in range(2**d)]
+            np.testing.assert_array_equal(
+                sample_box_vertices(h), np.reshape(expected, (2**d, d))
+            )
+
+    @pytest.mark.parametrize("d", [9, 16, 21, 30, 64, 100, 300])
+    def test_large_box_rows_distinct_and_not_antipodal(self, d):
+        samples = sample_box_vertices(np.ones(d))
+        assert samples.shape == (257, d)
+        rows = {tuple(row) for row in samples}
+        assert len(rows) == 257
+        assert not any(tuple(-row) in rows for row in samples[:-1])
+        np.testing.assert_array_equal(samples[-1], np.zeros(d))
+
     def test_large_box_uses_sign_patterns(self):
         h = np.ones(10)  # 1024 vertices > 256
         samples = sample_box_vertices(h)

@@ -80,6 +80,19 @@ class TestAdaptiveRk45:
         with pytest.raises(IntegrationError):
             integrate(lambda t, z: np.array([np.inf]), [1.0], (0.0, 1.0))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_recovers_after_nonfinite_stage(self):
+        # a stage that overshoots past 0 sees inf; the step is rejected with
+        # factor 0.2 and integration carries on from the last accepted state
+        def guarded_decay(t, z):
+            return np.array([np.inf]) if z[0] < 0 else -3.0 * z
+
+        traj = integrate(guarded_decay, [1.0], (0.0, 5.0), rtol=1e-3, atol=1e-6)
+        assert traj.times[-1] == 5.0
+        assert np.all(traj.states[:, 0] >= 0)
+        assert (traj.stats.n_steps, traj.stats.n_rejected,
+                traj.stats.n_field_evals) == (46, 34, 433)
+
     def test_divergence_detected_fixed_step(self):
         with pytest.raises(DivergenceError):
             integrate(
@@ -134,7 +147,7 @@ class TestSaturationEvents:
 
 class TestSyncMetrics:
     def _decay_traj(self, e0=1.0, tmax=10.0, steps=1001):
-        layout = StateLayout(1, 1, 1, partial=False)
+        layout = StateLayout(1, 1, partial=False)
         times = np.linspace(0.0, tmax, steps)
         states = np.zeros((steps, 3))
         states[:, 0] = e0 * np.exp(-times)  # x; x_r = chi = 0
@@ -147,7 +160,7 @@ class TestSyncMetrics:
         )
 
     def test_error_series_matches_per_row_loop(self, rng):
-        layout = StateLayout(3, 2, 1, partial=True)
+        layout = StateLayout(3, 2, partial=True)
         states = rng.standard_normal((50, layout.dim))
         traj = _make_traj(np.arange(50.0), states, layout=layout)
         expected = []
@@ -164,7 +177,7 @@ class TestSyncMetrics:
         assert metrics.convergence_time == pytest.approx(expected, abs=1e-12)
 
     def test_transient_dip_not_counted(self):
-        layout = StateLayout(1, 1, 1, partial=False)
+        layout = StateLayout(1, 1, partial=False)
         times = np.array([0.0, 1.0, 2.0, 3.0])
         states = np.zeros((4, 3))
         states[:, 0] = [1.0, 0.001, 0.5, 0.001]  # dips below tol, then rises

@@ -35,3 +35,9 @@ def test_sched_batch_and_reproduce_pass_their_checks(tmp_path):
     assert all(r["steps"] > 0 for r in results)
     result = workloads.Reproduce(satsync, 1, tmp_path)._case(3)
     assert result["final_sync_error"] < 1e-2
+
+
+def test_select_eps_passes_its_check(tmp_path):
+    # asserts eps* = 1.0 and n_samples = 257 on case 3, half-width 0.05
+    report = load_workloads().SelectEps(satsync, 1, tmp_path)._select()
+    assert report["trials"][-1]["passed"]
