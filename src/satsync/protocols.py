@@ -21,7 +21,8 @@ import numpy as np
 from .graph import Network, laplacian
 from .model import AgentModel, saturate
 from .riccati import design_observer_gain
-from .scheduling import PCache, epsilon_of_state
+# protocols.epsilon_of_state stays resolvable: perfbench's tracer wraps it
+from .scheduling import PCache, epsilon_of_state, schedule  # noqa: F401
 
 
 class ProtocolError(ValueError):
@@ -223,13 +224,7 @@ class ClosedLoopField:
     def controls(self, chi: np.ndarray):
         """Pre-saturation controls (N, m) and realized ε (N,) or None."""
         if self.kind.is_global:
-            N, B = self.net.N, self.model.B
-            eps = np.empty(N)
-            U = np.empty((N, self.model.m))
-            for i in range(N):
-                eps[i] = epsilon_of_state(chi[i], self.kind.cache)
-                P = self.kind.cache.solution(eps[i]).P
-                U[i] = -(B.T @ P @ chi[i])
+            eps, U = schedule(chi, self.kind.cache)
             return U, eps
         return chi @ self._gain_T, None
 

@@ -62,7 +62,11 @@ class RiccatiSolution:
 def _care_schur(A, G, Q):
     """Stabilizing solution of AᵀP + PA - PGP + Q = 0 via Hamiltonian Schur."""
     n = A.shape[0]
-    H = np.block([[A, -G], [-Q, -A.T]])
+    H = np.empty((2 * n, 2 * n))
+    H[:n, :n] = A
+    H[:n, n:] = -G
+    H[n:, :n] = -Q
+    H[n:, n:] = -A.T
     _, Z, sdim = sla.schur(H, sort=lambda x: x.real < 0.0)
     if sdim != n:
         raise RiccatiError(

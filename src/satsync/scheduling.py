@@ -6,8 +6,12 @@ The schedule picks the largest ρ ∈ (0,1] for which
 
 which keeps ‖BᵀP_ρχ‖ ≤ 1 so the control never saturates.  g is nondecreasing
 in ρ, so the maximizer is found by scanning a dyadic grid and bisecting the
-bracketing interval.  Bisection probes live on a fixed binary subdivision of
-each grid interval so that on-demand ARE solves are shared across calls.
+bracketing interval.  Every ρ probed or returned lies on the dyadic lattice
+
+    ρ(k, j) = 2⁻ᵏ + 2⁻ᵏ·j/2¹⁰,   octave k ∈ [0, 20], index j ∈ [0, 2¹⁰),
+
+whose points are exact binary floats, so on-demand ARE solves are shared
+across calls and all agents are scheduled together as array operations.
 
 The semi-global ε* has no constructive formula; it is selected by validating
 candidate ε values on closed-loop simulations from a deterministic sample of
@@ -16,6 +20,7 @@ the prescribed compact sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -27,6 +32,8 @@ from .riccati import ParameterError, RiccatiSolution, solve_scheduled_are
 RHO_MIN = 2.0**-20
 GRID = tuple(2.0**-k for k in range(21))  # 1, 1/2, ..., 2^-20
 BISECTION_DEPTH = 10  # relative interval width 2^-10 < 1e-3
+OCTAVE = 2**BISECTION_DEPTH  # lattice points per grid interval
+GRID_IDS = np.arange(len(GRID)) * OCTAVE  # lattice ids k·2¹⁰ of the grid
 
 # Semi-global search parameters (validated by direct simulation, not by the
 # existential constants of the convergence analysis).
@@ -58,61 +65,142 @@ class SelectionError(RuntimeError):
 
 
 class PCache:
-    """Memo of scheduled-ARE solutions, keyed by ρ.
+    """Memo of scheduled-ARE solutions, keyed by ρ, with packed lattice rows.
 
     Construction solves ρ = 1 only, which validates the model; every other ρ
     the schedule probes is solved on first request and memoized.  Every
     entry is a cold solve, so `solution(ρ).P` is exactly
     `solve_scheduled_are(model, ρ).P` whatever was cached before.
+
+    The schedule reads lattice points ids = k·2¹⁰ + j through `rows(ids)`.
+    The first time a point is needed, ρ and the P, tr(BᵀPB) and BᵀP of
+    `solution(ρ)` are copied into one row of the packed arrays `rho`, `P`,
+    `trace` and `BtP`, which grow by doubling, so their memory follows the
+    rows actually solved.
     """
 
     def __init__(self, model: AgentModel):
         self.model = model
-        self._solutions: dict[float, RiccatiSolution] = {}
-        self._trace: dict[float, float] = {}
-        self._store(1.0, solve_scheduled_are(model, 1.0))
-
-    def _store(self, rho, sol):
-        self._solutions[rho] = sol
-        B = self.model.B
-        self._trace[rho] = float(np.trace(B.T @ sol.P @ B))
+        self._solutions: dict[float, RiccatiSolution] = {
+            1.0: solve_scheduled_are(model, 1.0)
+        }
+        n, m = model.n, model.m
+        self._row = np.full(len(GRID) * OCTAVE, -1, dtype=np.int32)
+        self._n_rows = 0
+        self.grid_levels = 0  # rows of the grid points 2⁻ᵏ, k < grid_levels
+        self.rho = np.empty(1)
+        self.P = np.empty((1, n, n))
+        self.trace = np.empty(1)
+        self.BtP = np.empty((1, m, n))
 
     def solution(self, rho: float) -> RiccatiSolution:
         sol = self._solutions.get(rho)
         if sol is None:
             sol = solve_scheduled_are(self.model, rho, validate_model=False)
-            self._store(rho, sol)
+            self._solutions[rho] = sol
         return sol
 
     def g(self, rho: float, chi: np.ndarray) -> float:
-        sol = self.solution(rho)
-        return float(chi @ sol.P @ chi) * self._trace[rho]
+        P, B = self.solution(rho).P, self.model.B
+        return float(chi @ P @ chi) * float(np.trace(B.T @ P @ B))
+
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """Packed-row indices of the lattice points ids, filling each
+        missing row from `solution`."""
+        rows = self._row[ids]
+        if rows.size and rows.min() < 0:
+            for i in ids[rows < 0].tolist():
+                if self._row[i] < 0:
+                    self._fill(i)
+            rows = self._row[ids]
+        return rows
+
+    def _fill(self, i):
+        r = self._n_rows
+        if r == len(self.trace):
+            self.rho, self.P, self.trace, self.BtP = (
+                np.concatenate((a, np.empty_like(a)))
+                for a in (self.rho, self.P, self.trace, self.BtP)
+            )
+        k, j = divmod(i, OCTAVE)
+        self.rho[r] = rho = math.ldexp(1.0 + j / OCTAVE, -k)
+        P, B = self.solution(rho).P, self.model.B
+        self.P[r] = P
+        self.BtP[r] = B.T @ P
+        self.trace[r] = np.trace(self.BtP[r] @ B)
+        self._row[i] = r
+        self._n_rows += 1
+        if j == 0:  # the scan fills grid points in order k = 0, 1, …
+            self.grid_levels += 1
+
+
+def _g(chi_row, chi_col, P, trace):
+    """g = (χ·P)·χ · trace over broadcast stacks of χ as rows (…, 1, n) and
+    columns (…, n, 1) and of P (…, n, n).
+
+    This association gives the same bits as `PCache.g`."""
+    return ((chi_row @ P) @ chi_col)[..., 0, 0] * trace
+
+
+def _first_passing_level(chi, cache):
+    """Per agent, the first grid level k with g(2⁻ᵏ, χ) ≤ 1, or -1 past the
+    floor.
+
+    All filled levels are scanned at once; the next level is filled only
+    when some agent fails every filled one, so exactly the levels that
+    scanning one agent at a time would probe get solved.
+    """
+    levels = max(1, cache.grid_levels)
+    r = cache.rows(GRID_IDS[:levels])
+    ok = _g(chi[:, None, None, :], chi[:, None, :, None],
+            cache.P.take(r, axis=0), cache.trace.take(r)) <= 1.0
+    first = np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
+    todo = np.flatnonzero(first < 0)
+    for k in range(levels, len(GRID)):
+        if not todo.size:
+            break
+        r = cache.rows(GRID_IDS[k:k + 1])
+        ok = _g(chi[todo, None, :], chi[todo, :, None],
+                cache.P[r[0]], cache.trace[r[0]]) <= 1.0
+        first[todo[ok]] = k
+        todo = todo[~ok]
+    return first
+
+
+def schedule(chi: np.ndarray, cache: PCache):
+    """ε(χᵢ) and uᵢ = −BᵀP_ε χᵢ for the agent states chi (N, n).
+
+    εᵢ is the largest ρ ∈ (0,1] with g(ρ, χᵢ) ≤ 1, to 1e-3 relative
+    bisection width; returns (eps (N,), U (N, m)).  Raises
+    ScheduleFloorError for the lowest-index agent past the floor, after
+    solving what scheduling the agents ahead of it one at a time would.
+    """
+    chi = np.asarray(chi, dtype=float)
+    k = _first_passing_level(chi, cache)
+    past = np.flatnonzero(k < 0)
+    if past.size:
+        schedule(chi[:past[0]], cache)
+        raise ScheduleFloorError(float(np.linalg.norm(chi[past[0]])))
+    ids = k * OCTAVE
+    b = np.flatnonzero(k)
+    if b.size:  # bisect [2⁻ᵏ, 2⁻ᵏ⁺¹] on its lattice; ρ(k, lo) always passes
+        lo, chi_row, chi_col = ids[b], chi[b, None, :], chi[b, :, None]
+        for depth in range(1, BISECTION_DEPTH + 1):
+            mid = lo + (OCTAVE >> depth)
+            r = cache.rows(mid)
+            g = _g(chi_row, chi_col, cache.P.take(r, axis=0),
+                   cache.trace.take(r))
+            np.copyto(lo, mid, where=g <= 1.0)
+        ids[b] = lo
+    r = cache.rows(ids)
+    U = -(cache.BtP.take(r, axis=0) @ chi[:, :, None])[:, :, 0]
+    return cache.rho.take(r), U
 
 
 def epsilon_of_state(chi, cache: PCache) -> float:
-    """Largest ρ ∈ (0,1] with g(ρ, χ) ≤ 1, to 1e-3 relative bisection width."""
-    chi = np.asarray(chi, dtype=float).reshape(-1)
-    if cache.g(1.0, chi) <= 1.0:
-        return 1.0
-    lo = None
-    for k in range(1, len(GRID)):
-        if cache.g(GRID[k], chi) <= 1.0:
-            lo, hi = k, k - 1
-            break
-    if lo is None:
-        raise ScheduleFloorError(float(np.linalg.norm(chi)))
-    # bisect on the fixed dyadic subdivision of [GRID[lo], GRID[hi]]
-    rho_lo, rho_hi = GRID[lo], GRID[hi]
-    width = rho_hi - rho_lo
-    j_lo, j_hi = 0, 2**BISECTION_DEPTH  # j_lo passes, j_hi fails
-    for _ in range(BISECTION_DEPTH):
-        j_mid = (j_lo + j_hi) // 2
-        rho_mid = rho_lo + width * (j_mid / 2**BISECTION_DEPTH)
-        if cache.g(rho_mid, chi) <= 1.0:
-            j_lo = j_mid
-        else:
-            j_hi = j_mid
-    return rho_lo + width * (j_lo / 2**BISECTION_DEPTH)
+    """Largest ρ ∈ (0,1] with g(ρ, χ) ≤ 1: `schedule` of the one state χ."""
+    eps, _ = schedule(np.asarray(chi, dtype=float).reshape(1, -1), cache)
+    return float(eps[0])
 
 
 @dataclass(frozen=True)

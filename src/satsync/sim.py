@@ -38,7 +38,8 @@ _DP_E = _DP_B5 - _DP_B4  # embedded error weights
 
 
 class IntegrationError(RuntimeError):
-    """Step-size underflow; carries the time and state where it happened."""
+    """Step-size underflow or a non-finite step size; carries the time and
+    state where it happened."""
 
     def __init__(self, message, t, z):
         super().__init__(message)
@@ -168,6 +169,8 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
     scale = atol + rtol * np.linalg.norm(z)
     h = min(0.1 * scale / max(np.linalg.norm(k1), 1e-10), tf - t0, 1.0)
     h = max(h, DT_MIN)
+    if not np.isfinite(h):  # z0 or f(t0, z0) overflowed or holds a nan
+        raise IntegrationError(f"non-finite initial step size at t={t:.6g}", t, z)
     K = np.empty((7, z.size))
     while t < tf:
         h = min(h, tf - t)

@@ -1,3 +1,7 @@
+import gc
+import os
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,16 +13,19 @@ from satsync import (
     Network,
     PCache,
     epsilon_of_state,
+    reproduce,
     select_semiglobal_epsilon,
     solve_scheduled_are,
     triple_integrator,
 )
 from satsync import scheduling
 from satsync.scheduling import (
+    BISECTION_DEPTH,
     GRID,
     RHO_MIN,
     ScheduleFloorError,
     sample_box_vertices,
+    schedule,
 )
 
 
@@ -125,6 +132,102 @@ class TestEpsilonOfState:
         assert cache.g(eps, chi) <= 1.0
         # a grid-resolution step up must violate the constraint
         assert cache.g(min(1.0, eps * 2.01), chi) > 1.0
+
+
+def reference_schedule(chi, cache):
+    """One agent at a time: grid scan, then bisection, through PCache.g, and
+    u = −(BᵀP)χ from PCache.solution; stops at the first agent past the
+    floor."""
+    B = cache.model.B
+    eps, U = [], []
+    for c in chi:
+        k = next((k for k in range(len(GRID)) if cache.g(GRID[k], c) <= 1.0),
+                 None)
+        if k is None:
+            raise ScheduleFloorError(float(np.linalg.norm(c)))
+        rho = GRID[k]
+        if k > 0:
+            width = GRID[k - 1] - GRID[k]
+            j_lo, j_hi = 0, 2**BISECTION_DEPTH
+            for _ in range(BISECTION_DEPTH):
+                j_mid = (j_lo + j_hi) // 2
+                mid = GRID[k] + width * (j_mid / 2**BISECTION_DEPTH)
+                if cache.g(mid, c) <= 1.0:
+                    j_lo = j_mid
+                else:
+                    j_hi = j_mid
+            rho = GRID[k] + width * (j_lo / 2**BISECTION_DEPTH)
+        eps.append(rho)
+        U.append(-(B.T @ cache.solution(rho).P @ c))
+    return np.array(eps), np.array(U).reshape(len(chi), B.shape[1])
+
+
+def run_schedule(fn, chi, model):
+    """(eps, U) or the floor error's norm, and the ρ a fresh cache solved."""
+    cache = PCache(model)
+    try:
+        result = fn(chi, cache)
+    except ScheduleFloorError as err:
+        result = err.chi_norm
+    return result, set(cache._solutions)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=40)
+@given(agents=st.integers(1, 40).flatmap(lambda N: st.lists(
+    st.tuples(st.floats(-3.0, 7.0),
+              st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)),
+    min_size=N, max_size=N)))
+def test_schedule_matches_one_agent_at_a_time(agents):
+    """Same bits of ε and U, the same floor error and the same solved ρ as
+    scheduling each agent alone, for log-uniform scales 10⁻³ … 10⁷ (the
+    floor is near 10⁶ along the last axis)."""
+    chi = np.array([10.0**e * np.array(v) for e, v in agents])
+    model = triple_integrator()
+    got, solved = run_schedule(schedule, chi, model)
+    want, want_solved = run_schedule(reference_schedule, chi, model)
+    assert solved == want_solved
+    if isinstance(want, float):
+        assert got == want
+    else:
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+
+def test_floor_error_names_first_agent_past_floor(scalar_cache):
+    # agents 1 and 2 are past the floor; agent 0 is scheduled first
+    chi = np.array([[3.0], [4.0 / RHO_MIN], [3.0 / RHO_MIN]])
+    with pytest.raises(ScheduleFloorError) as err:
+        schedule(chi, scalar_cache)
+    assert err.value.chi_norm == 4.0 / RHO_MIN
+
+
+def test_discarded_cache_is_freed_at_once():
+    # no reference cycle: the last reference going frees the packed rows
+    cache = PCache(triple_integrator())
+    schedule(np.outer(10.0 ** np.arange(-2, 5), [1.0, -0.5, 0.25]), cache)
+    ref = weakref.ref(cache)
+    gc.disable()
+    try:
+        del cache
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="reads resident memory from /proc")
+def test_repeated_reproduce_keeps_memory_flat(tmp_path):
+    def resident_mb():
+        with open("/proc/self/statm") as f:
+            pages = int(f.read().split()[1])
+        return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+    rounds = []
+    for _ in range(2):  # the first round also pays one-time allocations
+        for case in (1, 2, 3):
+            reproduce(case, tmp_path)
+        rounds.append(resident_mb())
+    assert rounds[1] - rounds[0] < 1.0
 
 
 @pytest.fixture(scope="module")

@@ -93,6 +93,23 @@ class TestAdaptiveRk45:
         assert (traj.stats.n_steps, traj.stats.n_rejected,
                 traj.stats.n_field_evals) == (46, 34, 433)
 
+    def test_overflowing_start_raises(self):
+        # ‖z0‖ and ‖f(t0, z0)‖ overflow, so the initial step is inf/inf = nan;
+        # the field gives up after 100 calls, so a nan step that never
+        # advances t fails the test instead of hanging it
+        calls = []
+
+        def huge(t, z):
+            calls.append(t)
+            if len(calls) > 100:
+                raise RuntimeError("integration did not stop")
+            return np.full(1, 1e200)
+
+        from satsync.sim import IntegrationError
+
+        with np.errstate(all="ignore"), pytest.raises(IntegrationError):
+            integrate(huge, [1e200], (0.0, 1.0))
+
     def test_divergence_detected_fixed_step(self):
         with pytest.raises(DivergenceError):
             integrate(
