@@ -408,7 +408,7 @@ def _cmd_riccati(args) -> int:
         sol = solve_lowgain_are(scenario.model, args.param)
     print(f"P ({sol.kind}, parameter={sol.parameter}):")
     print(np.array2string(sol.P, precision=12))
-    print(f"residual norm: {sol.residual_norm:.3e}")
+    print(f"residual Frobenius norm: {sol.residual_norm:.3e}")
     print(f"closed loop stable: {sol.closed_loop_stable}")
     return EXIT_OK
 

@@ -9,8 +9,10 @@ is detectable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 
 # Tolerance for "closed left half plane" membership of eigenvalues of A.
 # Floating-point eigenvalues of nilpotent matrices perturb at eps scale.
@@ -75,6 +77,14 @@ class AgentModel:
     @property
     def q(self) -> int:
         return self.C.shape[0]
+
+    @cached_property
+    def schur(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only real Schur form (T, U) of A, A = U T Uᵀ, computed once."""
+        T, U = sla.schur(self.A, output="real")
+        T.setflags(write=False)
+        U.setflags(write=False)
+        return T, U
 
 
 @dataclass(frozen=True)

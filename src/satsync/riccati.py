@@ -6,10 +6,27 @@ Two continuous AREs are used downstream:
   lowgain:    AᵀP + PA - PBBᵀP + εI = 0,   ε ∈ (0,1]
 
 The scheduled equation reduces exactly to a zero-state-weight standard ARE
-for the shifted matrix A + (ρ/2)I.  Each equation is solved once, cold, by
-the Hamiltonian stable-invariant-subspace (Schur) method, and the result is
-returned only with its residual, PSD and Hurwitz certificates.  The observer
-gain comes from the unit-weight low-gain ARE of the dual pair (Aᵀ, Cᵀ).
+for the shifted matrix A_s = A + (ρ/2)I.  With no state weight its solution
+is P_ρ = W⁻¹, where W solves the Lyapunov equation A_sW + WA_sᵀ = BBᵀ,
+whenever A_s is antistable (Zhou, Duan & Lin, IEEE TAC 2008): then A_s - BBᵀP
+= -WA_sᵀW⁻¹ has spectrum -spec(A_s).  So the scheduled ARE is solved first on
+the model's cached real Schur form A = UTUᵀ: one triangular Sylvester solve
+for T + (ρ/2)I, a Cholesky factor W = ULLᵀUᵀ and P = UL⁻ᵀL⁻¹Uᵀ.  That P is
+kept only when
+
+  (i)   min Re λ(A) + ρ/2 > HURWITZ_TOL, read off the Schur diagonal;
+  (ii)  the Cholesky factorization succeeds;
+  (iii) the ARE residual R is at rounding level relative to its terms,
+        ‖R‖_F ≤ 512·ε_mach·(2‖A_sᵀP‖_F + ‖PBBᵀP‖_F), which the absolute
+        tolerance below does not enforce when ‖P‖ ≪ 1;
+  (iv)  it passes the certificates every returned P passes.
+
+Otherwise, and for the low-gain ARE, the equation is solved cold by the
+Hamiltonian stable-invariant-subspace (Schur) method.  Every returned P
+carries its certificates: the Frobenius norm of the residual (never below
+its 2-norm) within 1e-9·(1 + ‖P‖₂²), P PSD to PSD_TOL, and a Hurwitz closed
+loop.  The observer gain comes from the unit-weight low-gain ARE of the dual
+pair (Aᵀ, Cᵀ).
 """
 
 from __future__ import annotations
@@ -18,11 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .model import AgentModel, check_assumption
 
 HURWITZ_TOL = 1e-9
 PSD_TOL = 1e-8
+# gate (iii): a Lyapunov P must meet the ARE to this multiple of its terms
+ROUNDING_RTOL = 512 * np.finfo(float).eps
 
 
 class RiccatiError(RuntimeError):
@@ -55,7 +75,7 @@ class RiccatiSolution:
     P: np.ndarray
     kind: str  # "scheduled" or "lowgain"
     parameter: float  # ρ or ε
-    residual_norm: float
+    residual_norm: float  # Frobenius norm of the ARE residual
     closed_loop_stable: bool
 
 
@@ -67,7 +87,11 @@ def _care_schur(A, G, Q):
     H[:n, n:] = -G
     H[n:, :n] = -Q
     H[n:, n:] = -A.T
-    _, Z, sdim = sla.schur(H, sort=lambda x: x.real < 0.0)
+    try:
+        _, Z, sdim = sla.schur(H, sort=lambda x: x.real < 0.0)
+    except np.linalg.LinAlgError as exc:
+        # LAPACK could not reorder close eigenvalues across the axis
+        raise RiccatiError(f"Hamiltonian Schur form failed: {exc}") from exc
     if sdim != n:
         raise RiccatiError(
             f"stable invariant subspace has dimension {sdim}, expected {n}"
@@ -81,18 +105,41 @@ def _care_schur(A, G, Q):
     return (P + P.T) / 2
 
 
+def _care_lyapunov(A, G, T, U):
+    """Stabilizing solution of AᵀP + PA - PGP = 0 as P = W⁻¹, AW + WAᵀ = G,
+    from the real Schur form A = UTUᵀ; None unless gates (i)-(iii) of the
+    module docstring hold."""
+    if T.diagonal().min() <= HURWITZ_TOL:
+        return None
+    X, scale, info = lapack.dtrsyl(T, T, U.T @ G @ U, tranb="T")
+    if info != 0:
+        return None
+    L, info = lapack.dpotrf(X / scale, lower=1)
+    if info != 0:
+        return None
+    M = lapack.dtrtri(L, lower=1)[0] @ U.T
+    P = M.T @ M
+    AP = A.T @ P
+    PGP = P @ G @ P
+    residual = np.linalg.norm(AP + AP.T - PGP)
+    bound = ROUNDING_RTOL * (2 * np.linalg.norm(AP) + np.linalg.norm(PGP))
+    return P if residual <= bound else None
+
+
 def _certify(A, G, Q, P, kind, parameter):
     """Wrap P as a RiccatiSolution once AᵀP + PA - PGP + Q = 0 is met to
     tolerance, P is PSD and A - GP is Hurwitz; raise RiccatiError otherwise."""
-    eig_P = np.linalg.eigvalsh(P)
-    if eig_P.min() < -PSD_TOL:
+    eig_P = np.linalg.eigvalsh(P)  # ascending
+    eig_min, eig_max = eig_P[0], eig_P[-1]
+    if eig_min < -PSD_TOL:
         raise RiccatiError(
             f"{kind} ARE solution not positive semidefinite "
-            f"(min eig {eig_P.min():.2e})"
+            f"(min eig {eig_min:.2e})"
         )
-    residual = np.linalg.norm(A.T @ P + P @ A - P @ G @ P + Q, 2)
+    # the Frobenius norm bounds the 2-norm from above
+    residual = np.linalg.norm(A.T @ P + P @ A - P @ G @ P + Q)
     # P is symmetric, so ‖P‖₂ = max|λ(P)|
-    if residual > _tolerance_for_norm(np.abs(eig_P).max()):
+    if residual > _tolerance_for_norm(max(-eig_min, eig_max)):
         raise RiccatiError(
             f"{kind} ARE residual {residual:.2e} exceeds tolerance"
         )
@@ -120,7 +167,8 @@ def _check_model(model):
 
 
 def _solve(model, kind, name, parameter, shift, weight, validate_model):
-    """Certified solution of (A + sI)ᵀP + P(A + sI) - PBBᵀP + wI = 0."""
+    """Certified solution of (A + sI)ᵀP + P(A + sI) - PBBᵀP + wI = 0: from
+    the Lyapunov form when w = 0 and it certifies, else Hamiltonian Schur."""
     if not (0.0 < parameter <= 1.0):
         raise ParameterError(f"{name} must be in (0, 1], got {parameter}")
     if validate_model:
@@ -129,6 +177,14 @@ def _solve(model, kind, name, parameter, shift, weight, validate_model):
     A = model.A + shift * I
     G = model.B @ model.B.T
     Q = weight * I
+    if weight == 0.0:
+        T, U = model.schur
+        P = _care_lyapunov(A, G, T + shift * I, U)
+        if P is not None:
+            try:
+                return _certify(A, G, Q, P, kind, parameter)
+            except RiccatiError:
+                pass  # gate (iv) failed: the Hamiltonian solve decides
     return _certify(A, G, Q, _care_schur(A, G, Q), kind, parameter)
 
 
@@ -138,7 +194,9 @@ def solve_scheduled_are(
     """Stabilizing psd solution of AᵀP + PA - PBBᵀP + ρP = 0.
 
     Solved via the exact shift A → A + (ρ/2)I, which reduces it to a
-    standard zero-state-weight ARE.  The result depends on (model, ρ) only.
+    standard zero-state-weight ARE, from its Lyapunov form when that is
+    certified and by the Hamiltonian method otherwise (module docstring).
+    The result depends on (model, ρ) only.
     Raises RiccatiError when no certified stabilizing solution exists, for
     instance when A has an eigenvalue at exactly -ρ/2.
     """

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import satsync
+from conftest import SKEWED_DOUBLE_INTEGRATOR
 from satsync import (
     AgentModel,
     Network,
@@ -22,6 +23,7 @@ from satsync import (
     write_trajectory_csv,
 )
 from satsync.cli_io import (
+    EXIT_ASSERTION,
     EXIT_OK,
     EXIT_VALIDATION,
     ScenarioValidationError,
@@ -289,6 +291,22 @@ class TestCommandLine:
                     + arguments[1:])
         assert code == EXIT_VALIDATION
         assert "error:" in capsys.readouterr().err
+
+    def test_riccati_unseparable_hamiltonian_exit_code(self, tmp_path, capsys):
+        # LAPACK's reordering failure is reported as an error, not a traceback
+        data = dict(SCALAR_SCENARIO, model=SKEWED_DOUBLE_INTEGRATOR,
+                    x0=[[0.4, 0.1], [-0.3, 0.2]], xr0=[0.2, 0.0])
+        path = write_scenario(tmp_path, data)
+        code = main(
+            ["riccati", "--scenario", str(path), "--kind", "scheduled",
+             "--param", "9.5367431640625e-07"]
+        )
+        captured = capsys.readouterr()
+        if code == EXIT_OK:
+            assert "closed loop stable: True" in captured.out
+        else:
+            assert code == EXIT_ASSERTION
+            assert captured.err.startswith("error:")
 
     def test_riccati_prints_solution(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SCALAR_SCENARIO)

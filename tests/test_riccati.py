@@ -4,11 +4,17 @@ import scipy.linalg as sla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import integrator_chain, random_admissible_model
+from conftest import (
+    SKEWED_DOUBLE_INTEGRATOR,
+    integrator_chain,
+    random_admissible_model,
+    random_axis_spectrum_model,
+)
 from satsync import (
     AgentModel,
     design_observer_gain,
     is_hurwitz,
+    riccati,
     solve_lowgain_are,
     solve_scheduled_are,
 )
@@ -16,8 +22,12 @@ from satsync.riccati import (
     PSD_TOL,
     ParameterError,
     RiccatiError,
+    _care_lyapunov,
+    _care_schur,
+    _certify,
     residual_tolerance,
 )
+from satsync.scheduling import GRID, OCTAVE
 
 
 def scheduled_residual(model, P, rho):
@@ -25,6 +35,26 @@ def scheduled_residual(model, P, rho):
     return np.linalg.norm(
         model.A.T @ P + P @ model.A - P @ G @ P + rho * P, 2
     )
+
+
+def assert_scheduled_certificates(model, P, rho):
+    """Residual, PSD and Hurwitz certificates, recomputed independently."""
+    G = model.B @ model.B.T
+    assert scheduled_residual(model, P, rho) <= residual_tolerance(P)
+    assert np.linalg.eigvalsh(P).min() >= -PSD_TOL
+    # the scheduled closed loop is Hurwitz with margin ρ/2
+    assert is_hurwitz(model.A + (rho / 2) * np.eye(model.n) - G @ P)
+
+
+def hamiltonian_reference(model, rho):
+    """The certified Hamiltonian-Schur P_ρ, or None where it does not certify."""
+    A = model.A + (rho / 2) * np.eye(model.n)
+    G = model.B @ model.B.T
+    Q = np.zeros_like(A)
+    try:
+        return _certify(A, G, Q, _care_schur(A, G, Q), "scheduled", rho).P
+    except RiccatiError:
+        return None
 
 
 def lowgain_residual(model, P, eps):
@@ -110,6 +140,36 @@ class TestScheduledAre:
             solve_scheduled_are(model, 0.5)
         assert solve_scheduled_are(model, 1.0).closed_loop_stable
 
+    def test_unseparable_hamiltonian_raises_riccati_error(self):
+        # LAPACK's "could not be separated for reordering" is a RiccatiError
+        model = AgentModel(**SKEWED_DOUBLE_INTEGRATOR)
+        rho = 2.0**-20
+        try:
+            P = solve_scheduled_are(model, rho).P
+        except RiccatiError:
+            return
+        assert_scheduled_certificates(model, P, rho)
+
+    def test_triple_integrator_takes_the_lyapunov_path(self, triple,
+                                                       monkeypatch):
+        # a silent fallback to the Hamiltonian solve would lose the fast path
+        A, G = triple.A, triple.B @ triple.B.T
+        Q = np.zeros((3, 3))
+        lattice = [rho * (1 + j / OCTAVE) for rho in GRID[1:]
+                   for j in range(1, OCTAVE, 31)]
+        reference = {rho: _care_schur(A + (rho / 2) * np.eye(3), G, Q)
+                     for rho in GRID + tuple(lattice)}
+
+        def no_hamiltonian(*args):
+            raise AssertionError("Hamiltonian solve called")
+
+        monkeypatch.setattr(riccati, "_care_schur", no_hamiltonian)
+        for rho, P_ref in reference.items():
+            P = solve_scheduled_are(triple, rho).P
+            # both are round-off away from a 40-digit reference: the
+            # Lyapunov P up to 2.8e-15, the Hamiltonian one up to 2.4e-15
+            assert np.linalg.norm(P - P_ref) <= 1e-14 * np.linalg.norm(P_ref)
+
     def test_random_models_certified(self, rng):
         for _ in range(15):
             model = random_admissible_model(rng, n_max=6)
@@ -194,12 +254,36 @@ def test_are_certificates_on_random_admissible_models(seed, log2_rho, log2_eps):
     model = random_admissible_model(np.random.default_rng(seed), n_max=6)
     rho, eps = 2.0**log2_rho, 2.0**log2_eps
     G = model.B @ model.B.T
-    P = solve_scheduled_are(model, rho).P
-    assert scheduled_residual(model, P, rho) <= residual_tolerance(P)
-    assert np.linalg.eigvalsh(P).min() >= -PSD_TOL
-    # the scheduled closed loop is Hurwitz with margin ρ/2
-    assert is_hurwitz(model.A + (rho / 2) * np.eye(model.n) - G @ P)
+    assert_scheduled_certificates(model, solve_scheduled_are(model, rho).P, rho)
     P = solve_lowgain_are(model, eps).P
     assert lowgain_residual(model, P, eps) <= residual_tolerance(P)
     assert np.linalg.eigvalsh(P).min() >= -PSD_TOL
     assert is_hurwitz(model.A - G @ P)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), log2_rho=st.floats(-20.0, 0.0))
+@example(seed=0, log2_rho=-20.0)
+@example(seed=55, log2_rho=-19.684209788723443)  # Hamiltonian cannot reorder
+def test_scheduled_are_on_axis_spectrum_models(seed, log2_rho):
+    """With the whole spectrum of A on the axis, A + (ρ/2)I is antistable and
+    the Lyapunov path is tried.  Every returned P is certified; wherever the
+    Hamiltonian solve certifies, a P is returned; where the Lyapunov path
+    was taken, the two agree."""
+    model = random_axis_spectrum_model(np.random.default_rng(seed))
+    rho = 2.0**log2_rho
+    reference = hamiltonian_reference(model, rho)
+    try:
+        P = solve_scheduled_are(model, rho).P
+    except RiccatiError:
+        assert reference is None
+        return
+    assert_scheduled_certificates(model, P, rho)
+    T, U = model.schur
+    shift = (rho / 2) * np.eye(model.n)
+    fast = _care_lyapunov(model.A + shift, model.B @ model.B.T, T + shift, U)
+    if reference is not None and fast is not None and np.array_equal(fast, P):
+        # the problem's conditioning, not either solver, sets the gap: up to
+        # about 1e-8 relative on these models, each P about 5e-9 from a
+        # 60-digit reference there
+        assert np.linalg.norm(P - reference) <= 1e-6 * np.linalg.norm(reference)
