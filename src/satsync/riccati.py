@@ -15,7 +15,8 @@ for T + (ρ/2)I, a Cholesky factor W = ULLᵀUᵀ and P = UL⁻ᵀL⁻¹Uᵀ.  T
 kept only when
 
   (i)   min Re λ(A) + ρ/2 > HURWITZ_TOL, read off the Schur diagonal;
-  (ii)  the Cholesky factorization succeeds;
+  (ii)  the Sylvester solve needs no perturbation and the Cholesky
+        factorization succeeds;
   (iii) the ARE residual R is at rounding level relative to its terms,
         ‖R‖_F ≤ 512·ε_mach·(2‖A_sᵀP‖_F + ‖PBBᵀP‖_F), which the absolute
         tolerance below does not enforce when ‖P‖ ≪ 1;
