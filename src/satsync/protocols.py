@@ -23,6 +23,7 @@ from .model import AgentModel, saturate
 from .riccati import design_observer_gain
 # protocols.epsilon_of_state stays resolvable: perfbench's tracer wraps it
 from .scheduling import PCache, epsilon_of_state, schedule  # noqa: F401
+from .sim import LinearPart
 
 
 class ProtocolError(ValueError):
@@ -203,6 +204,11 @@ class ClosedLoopField:
     the realized schedule values at a state.  Given the very array passed to
     the last call it returns that call's values, so a state handed to the
     field must not be modified in place afterwards.
+
+    `linear_part` is the `LinearPart` (L, F) of a semiglobal kind, whose
+    controls vec U = F z are linear in the state: f(t, z) = L z wherever
+    ‖F z‖∞ ≤ 1, with L = M + (G_u + G_sat) F.  Global kinds schedule their
+    gain, so theirs is None.
     """
 
     def __init__(self, model: AgentModel, net: Network, kind: ProtocolKind):
@@ -215,11 +221,17 @@ class ClosedLoopField:
         self.W = _closed_loop_operator(model, net, kind, self.layout)
         self._chi = self.layout.slices()[2]
         self._last = (None, None, None)  # (z, U, eps) of the last call
+        self.linear_part = None
         if not kind.is_global:
             from .riccati import solve_lowgain_are
 
             P = solve_lowgain_are(model, kind.epsilon).P
             self._gain_T = -(model.B.T @ P).T  # U = χ·gain_T: u_i = −BᵀP χ_i
+            dim, Nm = self.layout.dim, net.N * model.m
+            F = np.zeros((Nm, dim))
+            F[:, self._chi] = np.kron(np.eye(net.N), self._gain_T.T)
+            M, G_u, G_sat = np.split(self.W, [dim, dim + Nm], axis=1)
+            self.linear_part = LinearPart(M + (G_u + G_sat) @ F, F)
 
     def controls(self, chi: np.ndarray):
         """Pre-saturation controls (N, m) and realized ε (N,) or None."""

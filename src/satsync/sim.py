@@ -4,10 +4,27 @@ Two explicit Runge-Kutta methods: classic fixed-step RK4 and adaptive
 Dormand-Prince RK45.  Fields exposing a `control_info(t, z)` method get
 their pre-saturation controls (and realized schedule values, when present)
 recorded at every accepted step.
+
+RK45 has one step-size controller, one accept path and one record path, and
+two kernels for the stages of an attempted step:
+
+- the linear kernel, for a field that declares a `linear_part` (L, F) (the
+  semiglobal protocols) while its controls stay unsaturated.  Each stage
+  point is a fixed polynomial in hL applied to z, so one Krylov block
+  [z, Lz, …, L⁷z] per accepted point gives every attempted h by small
+  matrix products, with no field call; the accepted step then calls the
+  field once, at its new point.  `IntegratorStats.n_linear_steps` counts
+  these steps.
+- the stage loop, one field call per stage, for every other attempt: a
+  field with no linear part (the global protocols), a stage point whose
+  controls F z_s exceed 1 in magnitude (the start point among them), or a
+  Krylov block that is not finite.  It runs at the same h.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -37,6 +54,46 @@ _DP_B4 = np.array(
 _DP_E = _DP_B5 - _DP_B4  # embedded error weights
 
 
+def _dp_polynomials():
+    """One step of ż = L z as polynomials in x = hL, applied to z.
+
+    Row s < 7 holds stage point s, z_s = z + x Σ_j a_sj z_j (row 6 is the
+    fifth-order solution); row 7 holds the error estimate h Σ_s e_s L z_s.
+    Column k holds the coefficient of xᵏ.
+    """
+    poly = np.zeros((8, 8))
+    poly[:7, 0] = 1.0
+    for s in range(1, 7):
+        poly[s, 1:] = (_DP_A[s, :s] @ poly[:s])[:-1]
+    poly[7, 1:] = (_DP_E @ poly[:7])[:-1]
+    return poly
+
+
+_DP_POLY = _dp_polynomials()
+_DP_POWERS = np.arange(8.0)
+
+
+class LinearPart:
+    """A field's linear regime: f(t, z) = L z wherever ‖F z‖∞ ≤ 1.
+
+    A field that declares one as its `linear_part` attribute gets RK45 steps
+    that stay in the regime from one Krylov block of L per accepted step.
+    """
+
+    def __init__(self, L: np.ndarray, F: np.ndarray):
+        self.L = L
+        self.F = F
+
+    @functools.cached_property
+    def powers(self) -> np.ndarray:
+        """[L; L²; …; L⁶], (6·dim, dim): one product with k1 = L z gives the
+        rest of a step's Krylov block."""
+        powers = [self.L]
+        for _ in range(5):
+            powers.append(self.L @ powers[-1])
+        return np.vstack(powers)
+
+
 class IntegrationError(RuntimeError):
     """Step-size underflow or a non-finite step size; carries the time and
     state where it happened."""
@@ -61,6 +118,7 @@ class IntegratorStats:
     n_steps: int = 0
     n_rejected: int = 0
     n_field_evals: int = 0
+    n_linear_steps: int = 0  # accepted steps taken by the linear kernel
 
 
 @dataclass
@@ -105,7 +163,7 @@ def _finish(field_fn, times, states, controls, eps_values, stats):
 
 
 def _check_finite(t, z):
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise DivergenceError(f"non-finite state at t={t:.6g}", t, z)
 
 
@@ -171,29 +229,30 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
     h = max(h, DT_MIN)
     if not np.isfinite(h):  # z0 or f(t0, z0) overflowed or holds a nan
         raise IntegrationError(f"non-finite initial step size at t={t:.6g}", t, z)
+    linear = getattr(field_fn, "linear_part", None)
+    V = V_at = None  # Krylov block of the linear kernel and the z it is of
     K = np.empty((7, z.size))
     while t < tf:
         h = min(h, tf - t)
-        K[0] = k1
-        hA = h * _DP_A
+        if linear is not None and V_at is not z:
+            V, V_at = _krylov_block(linear, z, k1), z
+        step = None if V is None else _linear_stages(V, linear.F, h)
+        if step is None:
+            step = _field_stages(field_fn, t, z, k1, h, K, stats)
+        z5, err, k_new = step
         q = 0.0  # tol/err; stays 0 (reject, h × 0.2) if anything is non-finite
-        for s in range(1, 7):
-            z_s = z + hA[s, :s] @ K[:s]
-            K[s] = field_fn(t + _DP_C[s] * h, z_s)
-            stats.n_field_evals += 1
-            if not np.isfinite(K[s]).all():
-                break
-        else:
-            z5 = z_s  # the last stage point is the fifth-order solution
-            err = h * np.linalg.norm(_DP_E @ K)
-            if np.isfinite(err):
-                tol = atol + rtol * np.linalg.norm(z5)
-                q = tol / err if err > 0 else np.inf
+        if np.isfinite(err):
+            tol = atol + rtol * _norm(z5)
+            q = tol / err if err > 0 else np.inf
         if q >= 1.0:
             t_new = t + h
             _check_finite(t_new, z5)
             t, z = t_new, z5
-            k1 = K[6]  # FSAL: evaluated at z5, whose controls the field keeps
+            if k_new is None:  # linear kernel: the step's one field call
+                k_new = field_fn(t, z)
+                stats.n_field_evals += 1
+                stats.n_linear_steps += 1
+            k1 = k_new  # FSAL: evaluated at z5, whose controls the field keeps
             stats.n_steps += 1
             times.append(t)
             states.append(z)
@@ -206,6 +265,47 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
                 f"step size underflow (h={h:.3g} < {DT_MIN}) at t={t:.6g}", t, z
             )
     return _finish(field_fn, times, states, controls, eps_values, stats)
+
+
+def _field_stages(field_fn, t, z, k1, h, K, stats):
+    """Stage loop: (z5, err, f(t + h, z5)) of one step, with one field call
+    per stage; err is nan once a stage is non-finite."""
+    K[0] = k1
+    hA = h * _DP_A
+    for s in range(1, 7):
+        z_s = z + hA[s, :s] @ K[:s]
+        k_s = field_fn(t + _DP_C[s] * h, z_s)
+        stats.n_field_evals += 1
+        if not np.isfinite(k_s).all():
+            return None, np.nan, None
+        K[s] = k_s
+    # the last stage point is the fifth-order solution and k_s the field
+    # there; k_s, not the row K[6], since a retry after a rejection
+    # overwrites K but must start from the field at the accepted point
+    return z_s, h * _norm(_DP_E @ K), k_s
+
+
+def _krylov_block(linear, z, k1):
+    """V = [z, k1, L k1, …, L⁶ k1] = [Lᵏ z], or None if V is not finite."""
+    V = np.empty((8, z.size))
+    V[0], V[1] = z, k1
+    V[2:] = (linear.powers @ k1).reshape(6, z.size)
+    return V if np.isfinite(V).all() else None
+
+
+def _linear_stages(V, F, h):
+    """Linear kernel: (z5, err, None) of one step from the Krylov block V,
+    with no field call, or None if the controls F z_s of a stage point
+    (the start z among them) saturate."""
+    Z = (_DP_POLY * h**_DP_POWERS) @ V
+    if np.abs(Z[:7] @ F.T).max() > 1.0:
+        return None
+    return Z[6].copy(), _norm(Z[7]), None  # a copy: states keep z5, not Z
+
+
+def _norm(v):
+    """‖v‖₂ as np.linalg.norm computes it, without its argument handling."""
+    return math.sqrt(v.dot(v))
 
 
 def saturation_events(traj: Trajectory) -> list[tuple[float, int, int, float]]:

@@ -244,6 +244,42 @@ class TestClosedLoopField:
             np.testing.assert_array_equal(U, U_ref)
             np.testing.assert_array_equal(eps, eps_ref)
 
+    def test_recorded_semiglobal_controls_match_recomputed(self, double, rng):
+        """The linear kernel calls the field once per accepted step, at the
+        new state, and the stage loop at its last stage; the controls
+        recorded either way must equal those recomputed from the recorded
+        state.  This start saturates, so both kernels take steps."""
+        from satsync import integrate
+
+        field = ClosedLoopField(double, chain_net(3),
+                                semiglobal_full(double, 0.25))
+        z0 = rng.uniform(-2.0, 2.0, size=field.layout.dim)
+        traj = integrate(field, z0, (0.0, 5.0), rtol=1e-6, atol=1e-8)
+        assert 0 < traj.stats.n_linear_steps < traj.stats.n_steps
+        assert traj.realized_epsilon is None
+        for t, z, U in zip(traj.times, traj.states, traj.controls):
+            U_ref, eps_ref = field.control_info(t, z.copy())
+            np.testing.assert_array_equal(U, U_ref)
+            assert eps_ref is None
+
+    @pytest.mark.parametrize("coupling", ["full", "partial"])
+    def test_linear_part_is_the_unsaturated_field(self, double, double_cache,
+                                                  coupling, rng):
+        """Semiglobal kinds: F z = vec U, and f(t, z) = L z where ‖F z‖∞ ≤ 1.
+        Global kinds declare no linear part."""
+        net = chain_net(3)
+        make = semiglobal_partial if coupling == "partial" else semiglobal_full
+        field = ClosedLoopField(double, net, make(double, 0.5))
+        L, F = field.linear_part.L, field.linear_part.F
+        z = rng.standard_normal(field.layout.dim)
+        U, _ = field.controls(field.layout.split(z)[2])
+        np.testing.assert_allclose(F @ z, U.ravel(), atol=1e-13)
+        z *= 0.9 / np.abs(U).max()
+        np.testing.assert_allclose(field(0.0, z), L @ z, atol=1e-12)
+        kind = (global_partial(double, double_cache) if coupling == "partial"
+                else global_full(double, double_cache))
+        assert ClosedLoopField(double, net, kind).linear_part is None
+
     def test_semiglobal_controls_are_fixed_gain(self, double, rng):
         net = chain_net(3)
         kind = semiglobal_full(double, 0.25)

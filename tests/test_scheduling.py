@@ -333,3 +333,24 @@ class TestSelectSemiglobalEpsilon:
         d = report.to_dict()
         assert d["epsilon_star"] == 1.0
         assert len(d["trials"]) == len(report.trials)
+
+    def test_case3_unit_epsilon_steps_are_all_linear(self):
+        """select-eps on case 3 at half-width 0.05 validates ε = 1 from 257
+        samples.  That loop never saturates, so every accepted RK45 step
+        must come from the linear kernel; a silent fallback to the stage
+        loop would cost its 6 field calls per step again."""
+        from satsync import ClosedLoopField, bundled_scenario, integrate
+        from satsync.protocols import ProtocolKind
+        from satsync.riccati import design_observer_gain
+
+        scenario = bundled_scenario(3)
+        kind = ProtocolKind("semiglobal", scenario.coupling, epsilon=1.0,
+                            observer_gain=design_observer_gain(scenario.model))
+        field = ClosedLoopField(scenario.model, scenario.net, kind)
+        sets = CompactSetSpec(agent=0.05, exo=0.05, protocol=0.05)
+        samples = sample_box_vertices(sets.halfwidths(field.layout))
+        assert samples.shape[0] == 257
+        for z0 in samples:
+            traj = integrate(field, z0, (0.0, scheduling.T_VAL),
+                             rtol=1e-6, atol=1e-8)
+            assert traj.stats.n_linear_steps == traj.stats.n_steps > 0

@@ -1,8 +1,24 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
-from satsync import StateLayout, Trajectory, integrate, saturation_events, sync_metrics
+from conftest import random_admissible_model
+from satsync import (
+    Network,
+    StateLayout,
+    Trajectory,
+    integrate,
+    random_rooted_network,
+    saturation_events,
+    semiglobal_full,
+    semiglobal_partial,
+    sync_metrics,
+    triple_integrator,
+)
+from satsync.protocols import ClosedLoopField
 from satsync.sim import DivergenceError, sync_error_series
 
 
@@ -91,7 +107,21 @@ class TestAdaptiveRk45:
         assert traj.times[-1] == 5.0
         assert np.all(traj.states[:, 0] >= 0)
         assert (traj.stats.n_steps, traj.stats.n_rejected,
-                traj.stats.n_field_evals) == (46, 34, 433)
+                traj.stats.n_field_evals) == (39, 22, 326)
+
+    def test_retry_after_rejection_starts_from_the_field_at_z(self):
+        # Duffing oscillator: many steps are rejected.  Each retry must start
+        # from f(t, z), not from the field at the rejected attempt's end
+        # point; that mix-up gave a final error of 2.6e-2 here, and about
+        # four times as many rejections.
+        def duffing(t, z):
+            return np.array([z[1], -z[0] * (1.0 + z[0] ** 2)])
+
+        traj = integrate(duffing, [3.0, 0.0], (0.0, 10.0), rtol=1e-6, atol=1e-8)
+        ref = solve_ivp(duffing, (0.0, 10.0), [3.0, 0.0], method="DOP853",
+                        rtol=1e-13, atol=1e-13)
+        assert traj.stats.n_rejected > 10
+        np.testing.assert_allclose(traj.states[-1], ref.y[:, -1], atol=1e-4)
 
     def test_overflowing_start_raises(self):
         # ‖z0‖ and ‖f(t0, z0)‖ overflow, so the initial step is inf/inf = nan;
@@ -124,6 +154,91 @@ class TestAdaptiveRk45:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             integrate(decay, [1.0], (0.0, 1.0), method="euler")
+
+
+class StageLoopOnly:
+    """A protocol field without its linear part: RK45 then takes every step
+    through the stage loop."""
+
+    def __init__(self, field):
+        self.field = field
+        self.layout = field.layout
+        self.control_info = field.control_info
+
+    def __call__(self, t, z):
+        return self.field(t, z)
+
+
+def chain_net(N):
+    adj = np.zeros((N, N))
+    for i in range(1, N):
+        adj[i, i - 1] = 1.0
+    return Network(adjacency=adj, root_set=frozenset([0]))
+
+
+class TestLinearKernel:
+    T = 10.0
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), log2_eps=st.floats(-20.0, 0.0),
+           partial=st.booleans())
+    @example(seed=0, log2_eps=-20.0, partial=False)
+    @example(seed=0, log2_eps=0.0, partial=True)
+    def test_matches_stage_loop_and_exact_flow(self, seed, log2_eps, partial):
+        """From a start whose exact flow keeps ‖u‖∞ ≤ 0.5 up to T, every
+        step is linear, and the final state agrees with expm(T·L) z0 and
+        with the stage loop's to the tolerance of the run."""
+        rng = np.random.default_rng(seed)
+        model = random_admissible_model(rng, n_max=6)
+        net = random_rooted_network(rng, int(rng.integers(1, 7)))
+        make = semiglobal_partial if partial else semiglobal_full
+        field = ClosedLoopField(model, net, make(model, 2.0**log2_eps))
+        L, F = field.linear_part.L, field.linear_part.F
+        z0 = rng.standard_normal(field.layout.dim)
+        flow = [z0]  # the exact flow on a grid of 400 steps
+        step = sla.expm(self.T / 400 * L)
+        for _ in range(400):
+            flow.append(step @ flow[-1])
+        flow = np.array(flow)
+        scale = 0.5 / np.abs(flow @ F.T).max()
+        z0, flow = scale * z0, scale * flow
+        exact = sla.expm(self.T * L) @ z0
+
+        rtol, atol = 1e-8, 1e-10
+        traj = integrate(field, z0, (0.0, self.T), rtol=rtol, atol=atol)
+        stages = integrate(StageLoopOnly(field), z0, (0.0, self.T),
+                           rtol=rtol, atol=atol)
+        assert traj.stats.n_linear_steps == traj.stats.n_steps
+        assert stages.stats.n_linear_steps == 0
+        # global error within ten local tolerances (2.4 at most on 200 draws)
+        tol = 10 * (atol + rtol * np.abs(flow).max())
+        assert np.abs(traj.states[-1] - exact).max() <= tol
+        assert np.abs(traj.states[-1] - stages.states[-1]).max() <= tol
+
+    @pytest.mark.parametrize("epsilon, half_width", [(0.25, 3.0), (0.5, 4.0)])
+    def test_saturated_steps_take_the_stage_loop(self, epsilon, half_width):
+        """A saturating start: every step from a state with ‖u‖∞ > 1 runs
+        through the stage loop, and saturation_events reports the same
+        excursions as a run that never takes the linear kernel."""
+        model = triple_integrator()
+        field = ClosedLoopField(model, chain_net(3),
+                                semiglobal_full(model, epsilon))
+        z0 = np.random.default_rng(1).uniform(
+            -half_width, half_width, field.layout.dim)
+        traj = integrate(field, z0, (0.0, 20.0), rtol=1e-6, atol=1e-8)
+        stages = integrate(StageLoopOnly(field), z0, (0.0, 20.0),
+                           rtol=1e-6, atol=1e-8)
+        saturated = np.abs(traj.controls[:-1]).max(axis=(1, 2)) > 1.0
+        assert saturated[0]
+        assert 0 < traj.stats.n_linear_steps
+        assert traj.stats.n_linear_steps <= traj.stats.n_steps - saturated.sum()
+
+        events, reference = saturation_events(traj), saturation_events(stages)
+        assert len(events) == len(reference) > 0
+        assert [e[1:3] for e in events] == [e[1:3] for e in reference]
+        np.testing.assert_allclose([(e[0], e[3]) for e in events],
+                                   [(e[0], e[3]) for e in reference],
+                                   rtol=1e-9)
 
 
 def _make_traj(times, states, controls=None, layout=None):
