@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from satsync import AgentModel, check_assumption, triple_integrator
+from satsync import AgentModel, Network, check_assumption, triple_integrator
 
 # one line per acceptance criterion, printed after the test run
 ACCEPTANCE_RESULTS = []
@@ -84,6 +84,14 @@ def random_axis_spectrum_model(rng, n_max=6, io_max=2):
         model = AgentModel(A, B, C)
         if check_assumption(model).passed:
             return model
+
+
+def chain_net(N):
+    """Directed path 0 → 1 → … → N−1 with unit weights, rooted at agent 0."""
+    adj = np.zeros((N, N))
+    for i in range(1, N):
+        adj[i, i - 1] = 1.0
+    return Network(adjacency=adj, root_set=frozenset([0]))
 
 
 def integrator_chain(n):

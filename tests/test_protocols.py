@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import integrator_chain
+from conftest import chain_net, integrator_chain
 from satsync import (
     AgentModel,
     Network,
@@ -19,13 +19,6 @@ from satsync import (
     solve_lowgain_are,
 )
 from satsync.protocols import ClosedLoopField, ProtocolError
-
-
-def chain_net(N):
-    adj = np.zeros((N, N))
-    for i in range(1, N):
-        adj[i, i - 1] = 1.0
-    return Network(adjacency=adj, root_set=frozenset([0]))
 
 
 @pytest.fixture(scope="module")
