@@ -330,19 +330,29 @@ def reproduce(case: int, out_dir):
     One fixed protocol configuration serves all three cases; only the graph,
     the number of agents, and the initial conditions change.
     """
+    out = _out_dir(out_dir)
     scenario = bundled_scenario(case)
     kind = protocols.global_partial(scenario.model)
     traj, report = run_protocol(
         scenario, kind, t_final=scheduling.T_VAL, rtol=1e-6, atol=1e-8
     )
-    _write_run(traj, report, out_dir, f"case{case}_")
+    _write_run(traj, report, out, f"case{case}_")
     return report
 
 
-def _write_run(traj, report, out_dir, prefix=""):
-    """Write `{prefix}trajectory.csv` and `{prefix}report.json` to out_dir."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _out_dir(path) -> Path:
+    """The output directory, created now so that one that cannot be created
+    fails before the run rather than after it."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"cannot create output directory: {exc}") from None
+    return out
+
+
+def _write_run(traj, report, out: Path, prefix=""):
+    """Write `{prefix}trajectory.csv` and `{prefix}report.json` to out."""
     write_trajectory_csv(traj, out / f"{prefix}trajectory.csv")
     (out / f"{prefix}report.json").write_text(
         json.dumps(report.to_dict(), indent=2) + "\n"
@@ -365,6 +375,11 @@ def _build_kind(scenario: Scenario, name: str, epsilon: Optional[float]):
         if coupling == "full":
             return protocols.semiglobal_full(scenario.model, epsilon)
         return protocols.semiglobal_partial(scenario.model, epsilon)
+    if epsilon is not None:
+        raise ParameterError(
+            "--epsilon applies to semiglobal protocols only; global ones "
+            "schedule ε from the protocol state"
+        )
     if coupling == "full":
         return protocols.global_full(scenario.model)
     return protocols.global_partial(scenario.model)
@@ -373,11 +388,12 @@ def _build_kind(scenario: Scenario, name: str, epsilon: Optional[float]):
 def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     kind = _build_kind(scenario, args.protocol, args.epsilon)
+    out = _out_dir(args.out)
     method = "fixed_rk4" if args.method == "rk4" else "adaptive_rk45"
     traj, report = run_protocol(
         scenario, kind, t_final=args.t_final, method=method, dt=args.dt
     )
-    _write_run(traj, report, args.out)
+    _write_run(traj, report, out)
     print(
         f"{kind.name}: final sync error {report.final_sync_error:.3e}, "
         f"max ‖u‖∞ {report.max_control_inf_norm:.3f}, "

@@ -10,7 +10,8 @@ bracketing interval.  Every ρ probed or returned lies on the dyadic lattice
 
     ρ(k, j) = 2⁻ᵏ + 2⁻ᵏ·j/2¹⁰,   octave k ∈ [0, 20], index j ∈ [0, 2¹⁰),
 
-whose points are exact binary floats, so on-demand ARE solves are shared
+whose points are exact binary floats.  `PCache` holds one row per lattice
+point, at its id k·2¹⁰ + j, filled on first probe, so ARE solves are shared
 across calls and all agents are scheduled together as array operations.
 
 The semi-global ε* has no constructive formula; it is selected by validating
@@ -20,7 +21,6 @@ the prescribed compact sets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -64,74 +64,56 @@ class SelectionError(RuntimeError):
         self.trials = trials
 
 
+def lattice_rho(ids):
+    """ρ(k, j) = ldexp(1 + j/2¹⁰, −k) of the lattice ids k·2¹⁰ + j, exactly."""
+    k, j = np.divmod(ids, OCTAVE)
+    return np.ldexp(1.0 + j / OCTAVE, -k)
+
+
 class PCache:
-    """Memo of scheduled-ARE solutions, keyed by ρ, with packed lattice rows.
+    """Scheduled-ARE solutions in one table indexed by lattice id.
 
-    Construction solves ρ = 1 only, which validates the model; every other ρ
-    the schedule probes is solved on first request and memoized.  Every
-    entry is a cold solve, so `solution(ρ).P` is exactly
-    `solve_scheduled_are(model, ρ).P` whatever was cached before.
-
-    The schedule reads lattice points ids = k·2¹⁰ + j through `rows(ids)`.
-    The first time a point is needed, ρ and the P, tr(BᵀPB) and BᵀP of
-    `solution(ρ)` are copied into one row of the packed arrays `rho`, `P`,
-    `trace` and `BtP`, which grow by doubling, so their memory follows the
-    rows actually solved.
+    Row i = k·2¹⁰ + j holds P, BᵀP and tr(BᵀPB) of ρ = `lattice_rho(i)`, and
+    `filled[i]` says whether it has been solved.  The arrays are allocated
+    empty for the whole lattice, so only the pages of filled rows become
+    resident.  Construction solves ρ = 1 into row 0, which validates the
+    model; every other row is filled by `fill` when the schedule first
+    probes it.  Each row is one cold solve, so it holds exactly the bits of
+    `solve_scheduled_are(model, ρ)` whatever was filled before, and the
+    rows of octave k are the slice [k·2¹⁰, (k+1)·2¹⁰).
     """
 
     def __init__(self, model: AgentModel):
         self.model = model
-        self._solutions: dict[float, RiccatiSolution] = {
-            1.0: solve_scheduled_are(model, 1.0)
-        }
-        n, m = model.n, model.m
-        self._row = np.full(len(GRID) * OCTAVE, -1, dtype=np.int32)
-        self._n_rows = 0
-        self.grid_levels = 0  # rows of the grid points 2⁻ᵏ, k < grid_levels
-        self.rho = np.empty(1)
-        self.P = np.empty((1, n, n))
-        self.trace = np.empty(1)
-        self.BtP = np.empty((1, m, n))
+        size, n, m = len(GRID) * OCTAVE, model.n, model.m
+        self.P = np.empty((size, n, n))
+        self.BtP = np.empty((size, m, n))
+        self.trace = np.empty(size)
+        self.filled = np.zeros(size, dtype=bool)
+        self._fill(0, solve_scheduled_are(model, 1.0))
 
     def solution(self, rho: float) -> RiccatiSolution:
-        sol = self._solutions.get(rho)
-        if sol is None:
-            sol = solve_scheduled_are(self.model, rho, validate_model=False)
-            self._solutions[rho] = sol
-        return sol
+        """The certified solve at ρ, cold: the table is not consulted."""
+        return solve_scheduled_are(self.model, rho, validate_model=False)
 
     def g(self, rho: float, chi: np.ndarray) -> float:
         P, B = self.solution(rho).P, self.model.B
         return float(chi @ P @ chi) * float(np.trace(B.T @ P @ B))
 
-    def rows(self, ids: np.ndarray) -> np.ndarray:
-        """Packed-row indices of the lattice points ids, filling each
-        missing row from `solution`."""
-        rows = self._row[ids]
-        if rows.size and rows.min() < 0:
-            for i in ids[rows < 0].tolist():
-                if self._row[i] < 0:
-                    self._fill(i)
-            rows = self._row[ids]
-        return rows
+    def fill(self, ids: np.ndarray) -> None:
+        """Solve the rows of the lattice ids that are not filled yet."""
+        missing = ~self.filled[ids]
+        if missing.any():
+            new = np.unique(ids[missing])
+            for i, rho in zip(new.tolist(), lattice_rho(new).tolist()):
+                self._fill(i, self.solution(rho))
 
-    def _fill(self, i):
-        r = self._n_rows
-        if r == len(self.trace):
-            self.rho, self.P, self.trace, self.BtP = (
-                np.concatenate((a, np.empty_like(a)))
-                for a in (self.rho, self.P, self.trace, self.BtP)
-            )
-        k, j = divmod(i, OCTAVE)
-        self.rho[r] = rho = math.ldexp(1.0 + j / OCTAVE, -k)
-        P, B = self.solution(rho).P, self.model.B
-        self.P[r] = P
-        self.BtP[r] = B.T @ P
-        self.trace[r] = np.trace(self.BtP[r] @ B)
-        self._row[i] = r
-        self._n_rows += 1
-        if j == 0:  # the scan fills grid points in order k = 0, 1, …
-            self.grid_levels += 1
+    def _fill(self, i, sol):
+        B = self.model.B
+        self.P[i] = sol.P
+        self.BtP[i] = B.T @ sol.P
+        self.trace[i] = np.trace(self.BtP[i] @ B)
+        self.filled[i] = True
 
 
 def _g(chi_row, chi_col, P, trace):
@@ -146,22 +128,24 @@ def _first_passing_level(chi, cache):
     """Per agent, the first grid level k with g(2⁻ᵏ, χ) ≤ 1, or -1 past the
     floor.
 
-    All filled levels are scanned at once; the next level is filled only
-    when some agent fails every filled one, so exactly the levels that
-    scanning one agent at a time would probe get solved.
+    All filled levels are scanned at once; they are a prefix of the grid,
+    since only construction (row 0) and this scan fill grid rows.  The next
+    level is filled only when some agent fails every filled one, so exactly
+    the levels that scanning one agent at a time would probe get solved.
     """
-    levels = max(1, cache.grid_levels)
-    r = cache.rows(GRID_IDS[:levels])
+    levels = int(cache.filled[GRID_IDS].sum())
+    ids = GRID_IDS[:levels]
     ok = _g(chi[:, None, None, :], chi[:, None, :, None],
-            cache.P.take(r, axis=0), cache.trace.take(r)) <= 1.0
+            cache.P[ids], cache.trace[ids]) <= 1.0
     first = np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
     todo = np.flatnonzero(first < 0)
     for k in range(levels, len(GRID)):
         if not todo.size:
             break
-        r = cache.rows(GRID_IDS[k:k + 1])
+        i = GRID_IDS[k]
+        cache.fill(GRID_IDS[k:k + 1])
         ok = _g(chi[todo, None, :], chi[todo, :, None],
-                cache.P[r[0]], cache.trace[r[0]]) <= 1.0
+                cache.P[i], cache.trace[i]) <= 1.0
         first[todo[ok]] = k
         todo = todo[~ok]
     return first
@@ -172,14 +156,12 @@ def schedule(chi: np.ndarray, cache: PCache):
 
     εᵢ is the largest ρ ∈ (0,1] with g(ρ, χᵢ) ≤ 1, to 1e-3 relative
     bisection width; returns (eps (N,), U (N, m)).  Raises
-    ScheduleFloorError for the lowest-index agent past the floor, after
-    solving what scheduling the agents ahead of it one at a time would.
+    ScheduleFloorError for the lowest-index agent past the floor.
     """
     chi = np.asarray(chi, dtype=float)
     k = _first_passing_level(chi, cache)
     past = np.flatnonzero(k < 0)
     if past.size:
-        schedule(chi[:past[0]], cache)
         raise ScheduleFloorError(float(np.linalg.norm(chi[past[0]])))
     ids = k * OCTAVE
     b = np.flatnonzero(k)
@@ -187,14 +169,13 @@ def schedule(chi: np.ndarray, cache: PCache):
         lo, chi_row, chi_col = ids[b], chi[b, None, :], chi[b, :, None]
         for depth in range(1, BISECTION_DEPTH + 1):
             mid = lo + (OCTAVE >> depth)
-            r = cache.rows(mid)
-            g = _g(chi_row, chi_col, cache.P.take(r, axis=0),
-                   cache.trace.take(r))
+            cache.fill(mid)
+            g = _g(chi_row, chi_col, cache.P.take(mid, axis=0),
+                   cache.trace.take(mid))
             np.copyto(lo, mid, where=g <= 1.0)
         ids[b] = lo
-    r = cache.rows(ids)
-    U = -(cache.BtP.take(r, axis=0) @ chi[:, :, None])[:, :, 0]
-    return cache.rho.take(r), U
+    U = -(cache.BtP.take(ids, axis=0) @ chi[:, :, None])[:, :, 0]
+    return lattice_rho(ids), U
 
 
 def epsilon_of_state(chi, cache: PCache) -> float:

@@ -280,6 +280,7 @@ class TestCommandLine:
         ["simulate", "--t-final", "inf"],
         ["simulate", "--method", "rk4", "--dt", "0"],
         ["simulate", "--dt", "nan"],
+        ["simulate", "--protocol", "global-full"],
     ], ids=" ".join)
     def test_bad_numeric_argument_exit_code(self, tmp_path, capsys, arguments):
         path = write_scenario(tmp_path, SCALAR_SCENARIO)
@@ -291,6 +292,25 @@ class TestCommandLine:
                     + arguments[1:])
         assert code == EXIT_VALIDATION
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["reproduce", "simulate"])
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, capsys,
+                                                 monkeypatch, command):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before checking --out")
+
+        monkeypatch.setattr(satsync.cli_io, "run_protocol", no_run)
+        if command == "reproduce":
+            argv = ["reproduce", "--case", "1"]
+        else:
+            path = write_scenario(tmp_path, SCALAR_SCENARIO)
+            argv = ["simulate", "--scenario", str(path),
+                    "--protocol", "semiglobal-full", "--epsilon", "1"]
+        regular_file = tmp_path / "file"
+        regular_file.write_text("")
+        code = main(argv + ["--out", str(regular_file / "out")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_riccati_unseparable_hamiltonian_exit_code(self, tmp_path, capsys):
         # LAPACK's reordering failure is reported as an error, not a traceback

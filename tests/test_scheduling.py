@@ -1,5 +1,6 @@
 import gc
 import os
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -24,6 +25,7 @@ from satsync.scheduling import (
     GRID,
     RHO_MIN,
     ScheduleFloorError,
+    lattice_rho,
     sample_box_vertices,
     schedule,
 )
@@ -56,14 +58,11 @@ class TestPCache:
         values = [cache.g(rho, chi) for rho in reversed(GRID)]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_off_grid_solution_memoized(self, scalar_cache):
-        rho = 0.3
-        first = scalar_cache.solution(rho)
-        assert scalar_cache.solution(rho) is first
-        assert first.P[0, 0] == pytest.approx(0.3, rel=1e-9)
+    def test_off_grid_solution_closed_form(self, scalar_cache):
+        assert scalar_cache.solution(0.3).P[0, 0] == pytest.approx(0.3, rel=1e-9)
 
     def test_construction_solves_only_unit_rho(self, monkeypatch):
-        # every other entry comes from the schedule's probes via solution()
+        # every other row is filled from the schedule's probes via solution()
         calls = []
 
         def counting(model, rho, **kwargs):
@@ -134,15 +133,23 @@ class TestEpsilonOfState:
         assert cache.g(min(1.0, eps * 2.01), chi) > 1.0
 
 
-def reference_schedule(chi, cache):
-    """One agent at a time: grid scan, then bisection, through PCache.g, and
-    u = −(BᵀP)χ from PCache.solution; stops at the first agent past the
-    floor."""
-    B = cache.model.B
+def reference_schedule(chi, model, solved):
+    """One agent at a time: grid scan, then bisection, with g and
+    u = −(BᵀP)χ from one cold `solve_scheduled_are` per probed ρ, kept in the
+    dict solved; stops at the first agent past the floor."""
+    B = model.B
+
+    def P(rho):
+        if rho not in solved:
+            solved[rho] = solve_scheduled_are(model, rho)
+        return solved[rho].P
+
+    def g(rho, c):  # the association of PCache.g
+        return float(c @ P(rho) @ c) * float(np.trace(B.T @ P(rho) @ B))
+
     eps, U = [], []
     for c in chi:
-        k = next((k for k in range(len(GRID)) if cache.g(GRID[k], c) <= 1.0),
-                 None)
+        k = next((k for k in range(len(GRID)) if g(GRID[k], c) <= 1.0), None)
         if k is None:
             raise ScheduleFloorError(float(np.linalg.norm(c)))
         rho = GRID[k]
@@ -152,24 +159,22 @@ def reference_schedule(chi, cache):
             for _ in range(BISECTION_DEPTH):
                 j_mid = (j_lo + j_hi) // 2
                 mid = GRID[k] + width * (j_mid / 2**BISECTION_DEPTH)
-                if cache.g(mid, c) <= 1.0:
+                if g(mid, c) <= 1.0:
                     j_lo = j_mid
                 else:
                     j_hi = j_mid
             rho = GRID[k] + width * (j_lo / 2**BISECTION_DEPTH)
         eps.append(rho)
-        U.append(-(B.T @ cache.solution(rho).P @ c))
+        U.append(-(B.T @ P(rho) @ c))
     return np.array(eps), np.array(U).reshape(len(chi), B.shape[1])
 
 
-def run_schedule(fn, chi, model):
-    """(eps, U) or the floor error's norm, and the ρ a fresh cache solved."""
-    cache = PCache(model)
+def floor_norm_or(fn, *args):
+    """fn(*args), or the norm a ScheduleFloorError names."""
     try:
-        result = fn(chi, cache)
+        return fn(*args)
     except ScheduleFloorError as err:
-        result = err.chi_norm
-    return result, set(cache._solutions)
+        return err.chi_norm
 
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=40)
@@ -178,19 +183,31 @@ def run_schedule(fn, chi, model):
               st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)),
     min_size=N, max_size=N)))
 def test_schedule_matches_one_agent_at_a_time(agents):
-    """Same bits of ε and U, the same floor error and the same solved ρ as
-    scheduling each agent alone, for log-uniform scales 10⁻³ … 10⁷ (the
-    floor is near 10⁶ along the last axis)."""
+    """Same bits of ε and U, the same floor error and, on success, the same
+    solved ρ as scheduling each agent alone, for log-uniform scales
+    10⁻³ … 10⁷ (the floor is near 10⁶ along the last axis).  A floor error
+    is raised once the grid scan fails, so exactly the grid is solved.
+    Every filled row holds the bits of a direct solve."""
     chi = np.array([10.0**e * np.array(v) for e, v in agents])
     model = triple_integrator()
-    got, solved = run_schedule(schedule, chi, model)
-    want, want_solved = run_schedule(reference_schedule, chi, model)
-    assert solved == want_solved
+    cache, solved = PCache(model), {}
+    got = floor_norm_or(schedule, chi, cache)
+    want = floor_norm_or(reference_schedule, chi, model, solved)
+    ids = np.flatnonzero(cache.filled)
+    filled = set(lattice_rho(ids).tolist())
     if isinstance(want, float):
         assert got == want
+        assert filled == set(GRID)
     else:
+        assert filled == set(solved)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
+    B = model.B
+    for i in ids:
+        P = solved[float(lattice_rho(i))].P
+        np.testing.assert_array_equal(cache.P[i], P)
+        np.testing.assert_array_equal(cache.BtP[i], B.T @ P)
+        assert cache.trace[i] == np.trace(B.T @ P @ B)
 
 
 def test_floor_error_names_first_agent_past_floor(scalar_cache):
@@ -212,6 +229,22 @@ def test_discarded_cache_is_freed_at_once():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_filling_rows_allocates_nothing():
+    # rows live in the table allocated at construction: filling 612 of
+    # them keeps no per-row object or copy
+    cache = PCache(triple_integrator())
+    chi = np.outer(np.logspace(-2, 5, 100), [1.0, -0.5, 0.25])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        schedule(chi, cache)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert cache.filled.sum() > 500
+    assert grown < 16 * 1024
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
