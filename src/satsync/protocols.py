@@ -200,10 +200,10 @@ class ClosedLoopField:
     whole closed loop once as one operator W, and a call evaluates the
     controls U at z and returns W · (z, vec U, vec sat(U)).
 
-    `control_info` exposes the pre-saturation controls and (for global kinds)
-    the realized schedule values at a state.  Given the very array passed to
-    the last call it returns that call's values, so a state handed to the
-    field must not be modified in place afterwards.
+    The field keeps no per-call state: a call only evaluates f, and
+    `control_info` recomputes the pre-saturation controls and (for global
+    kinds) the realized schedule values from the states it is given, one
+    state or a whole trajectory at once.
 
     `linear_part` is the `LinearPart` (L, F) of a semiglobal kind, whose
     controls vec U = F z are linear in the state: f(t, z) = L z wherever
@@ -212,15 +212,20 @@ class ClosedLoopField:
     """
 
     def __init__(self, model: AgentModel, net: Network, kind: ProtocolKind):
-        if kind.is_partial and model.q != kind.observer_gain.shape[1]:
-            raise ProtocolError("observer gain shape inconsistent with C")
+        shape = np.shape(kind.observer_gain)
+        if kind.is_partial and shape != (model.n, model.q):
+            raise ProtocolError(f"observer gain has shape {shape}, "
+                                f"expected (n, q) = {(model.n, model.q)}")
+        if kind.is_global and not (
+                np.array_equal(kind.cache.model.A, model.A)
+                and np.array_equal(kind.cache.model.B, model.B)):
+            raise ProtocolError("the ARE cache was built for another model")
         self.model = model
         self.net = net
         self.kind = kind
         self.layout = StateLayout(net.N, model.n, kind.is_partial)
         self.W = _closed_loop_operator(model, net, kind, self.layout)
         self._chi = self.layout.slices()[2]
-        self._last = (None, None, None)  # (z, U, eps) of the last call
         self.linear_part = None
         if not kind.is_global:
             from .riccati import solve_lowgain_are
@@ -234,19 +239,18 @@ class ClosedLoopField:
             self.linear_part = LinearPart(M + (G_u + G_sat) @ F, F)
 
     def controls(self, chi: np.ndarray):
-        """Pre-saturation controls (N, m) and realized ε (N,) or None."""
+        """Pre-saturation controls (…, N, m) and realized ε (…, N) or None
+        of agent states chi (…, N, n)."""
         if self.kind.is_global:
-            eps, U = schedule(chi, self.kind.cache)
-            return U, eps
+            eps, U = schedule(chi.reshape(-1, self.model.n), self.kind.cache)
+            agents = chi.shape[:-1]
+            return U.reshape(agents + (self.model.m,)), eps.reshape(agents)
         return chi @ self._gain_T, None
 
-    def control_info(self, t: float, z: np.ndarray):
-        last_z, U, eps = self._last
-        if z is last_z:
-            return U, eps
+    def control_info(self, t, z: np.ndarray):
+        """`controls` of one stacked state (dim,) or a stack (…, dim)."""
         return self.controls(self.layout.split(z)[2])
 
     def __call__(self, t: float, z: np.ndarray) -> np.ndarray:
-        U, eps = self.controls(z[self._chi].reshape(self.net.N, self.model.n))
-        self._last = (z, U, eps)
+        U, _ = self.controls(z[self._chi].reshape(self.net.N, self.model.n))
         return self.W @ np.concatenate((z, U.ravel(), saturate(U).ravel()))

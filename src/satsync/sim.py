@@ -1,12 +1,14 @@
 """ODE integration of closed-loop fields and trajectory diagnostics.
 
 Two explicit Runge-Kutta methods: classic fixed-step RK4 and adaptive
-Dormand-Prince RK45.  Fields exposing a `control_info(t, z)` method get
-their pre-saturation controls (and realized schedule values, when present)
-recorded at every accepted step.
+Dormand-Prince RK45.  A field exposing a `control_info(t, z)` method gets
+the pre-saturation controls (and realized schedule values, when present) of
+every accepted state recorded.  The field must be a pure function of the
+state, and `control_info` must accept a stack of states (T, dim) with their
+times (T,): it is called once per run, on all accepted states at once.
 
-RK45 has one step-size controller, one accept path and one record path, and
-two kernels for the stages of an attempted step:
+RK45 has one step-size controller and one accept path, and two kernels for
+the stages of an attempted step:
 
 - the linear kernel, for a field that declares a `linear_part` (L, F) (the
   semiglobal protocols) while its controls stay unsaturated.  Each stage
@@ -123,7 +125,7 @@ class IntegratorStats:
 
 @dataclass
 class Trajectory:
-    """Time-indexed stacked-state record with per-step control extraction."""
+    """Time-indexed stacked-state record with the controls of each state."""
 
     times: np.ndarray
     states: np.ndarray  # (T, dim)
@@ -137,26 +139,16 @@ class Trajectory:
         return self.controls.size > 0
 
 
-def _record(field_fn, t, z, controls, eps_values):
+def _finish(field_fn, times, states, stats):
+    times, states = np.array(times), np.array(states)
     info = getattr(field_fn, "control_info", None)
-    if info is None:
-        return
-    U, eps = info(t, z)
-    controls.append(np.asarray(U, dtype=float))
-    if eps is not None:
-        eps_values.append(np.asarray(eps, dtype=float))
-
-
-def _finish(field_fn, times, states, controls, eps_values, stats):
-    controls_arr = (
-        np.array(controls) if controls else np.empty((len(times), 0, 0))
-    )
-    eps_arr = np.array(eps_values) if eps_values else None
+    U, eps = ((np.empty((times.size, 0, 0)), None) if info is None
+              else info(times, states))
     return Trajectory(
-        times=np.array(times),
-        states=np.array(states),
-        controls=controls_arr,
-        realized_epsilon=eps_arr,
+        times=times,
+        states=states,
+        controls=np.asarray(U, dtype=float),
+        realized_epsilon=None if eps is None else np.asarray(eps, dtype=float),
         layout=getattr(field_fn, "layout", None),
         stats=stats,
     )
@@ -179,22 +171,23 @@ def integrate(
 ) -> Trajectory:
     """Integrate ż = field_fn(t, z) over t_span, recording accepted steps."""
     t0, tf = float(t_span[0]), float(t_span[1])
-    if tf <= t0:
-        raise ValueError("t_span must be increasing")
+    if not -math.inf < t0 < tf < math.inf:  # also false for a nan
+        raise ValueError("t_span must be finite and increasing")
     z0 = np.asarray(z0, dtype=float).reshape(-1)
     if method == "fixed_rk4":
+        if not 0 < dt < math.inf:
+            raise ValueError("dt must be finite and positive")
         return _integrate_rk4(field_fn, z0, t0, tf, dt)
     if method == "adaptive_rk45":
+        if not (0 < rtol < math.inf and 0 < atol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
         return _integrate_rk45(field_fn, z0, t0, tf, rtol, atol)
     raise ValueError(f"unknown method {method!r}")
 
 
 def _integrate_rk4(field_fn, z0, t0, tf, dt):
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     stats = IntegratorStats()
-    times, states, controls, eps_values = [t0], [z0], [], []
-    _record(field_fn, t0, z0, controls, eps_values)
+    times, states = [t0], [z0]
     t, z = t0, z0
     n_steps = int(np.ceil((tf - t0) / dt - 1e-12))
     for k in range(n_steps):
@@ -210,19 +203,15 @@ def _integrate_rk4(field_fn, z0, t0, tf, dt):
         stats.n_field_evals += 4
         times.append(t)
         states.append(z)
-        _record(field_fn, t, z, controls, eps_values)
-    return _finish(field_fn, times, states, controls, eps_values, stats)
+    return _finish(field_fn, times, states, stats)
 
 
 def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("tolerances must be positive")
     stats = IntegratorStats()
-    times, states, controls, eps_values = [t0], [z0], [], []
+    times, states = [t0], [z0]
     t, z = t0, z0
     k1 = field_fn(t, z)
     stats.n_field_evals += 1
-    _record(field_fn, t0, z0, controls, eps_values)  # reuses k1's controls
     # initial step from the field magnitude
     scale = atol + rtol * np.linalg.norm(z)
     h = min(0.1 * scale / max(np.linalg.norm(k1), 1e-10), tf - t0, 1.0)
@@ -252,11 +241,10 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
                 k_new = field_fn(t, z)
                 stats.n_field_evals += 1
                 stats.n_linear_steps += 1
-            k1 = k_new  # FSAL: evaluated at z5, whose controls the field keeps
+            k1 = k_new  # FSAL: the field at z5
             stats.n_steps += 1
             times.append(t)
             states.append(z)
-            _record(field_fn, t, z, controls, eps_values)
         else:
             stats.n_rejected += 1
         h *= min(max(0.9 * q**0.2, 0.2), 5.0)
@@ -264,7 +252,7 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
             raise IntegrationError(
                 f"step size underflow (h={h:.3g} < {DT_MIN}) at t={t:.6g}", t, z
             )
-    return _finish(field_fn, times, states, controls, eps_values, stats)
+    return _finish(field_fn, times, states, stats)
 
 
 def _field_stages(field_fn, t, z, k1, h, K, stats):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_net, integrator_chain
+from conftest import chain_net, integrator_chain, random_admissible_model
 from satsync import (
     AgentModel,
     Network,
@@ -14,6 +14,7 @@ from satsync import (
     global_full,
     global_partial,
     laplacian,
+    random_rooted_network,
     semiglobal_full,
     semiglobal_partial,
     solve_lowgain_are,
@@ -222,20 +223,22 @@ class TestClosedLoopField:
 
     def test_recorded_controls_match_recomputed(self, double, double_cache,
                                                 rng):
-        """RK45 records the controls of its FSAL stage; they must equal
-        those recomputed from the recorded state."""
+        """Both integrators record the controls of all accepted states in
+        one call; they must equal those recomputed from each state alone."""
         from satsync import integrate
 
         net = chain_net(3)
         field = ClosedLoopField(double, net, global_full(double, double_cache))
         z0 = rng.uniform(-2.0, 2.0, size=field.layout.dim)
-        traj = integrate(field, z0, (0.0, 5.0), rtol=1e-6, atol=1e-8)
-        assert traj.stats.n_steps > 10
-        for t, z, U, eps in zip(traj.times, traj.states, traj.controls,
-                                traj.realized_epsilon):
-            U_ref, eps_ref = field.control_info(t, z.copy())
-            np.testing.assert_array_equal(U, U_ref)
-            np.testing.assert_array_equal(eps, eps_ref)
+        for method in ("adaptive_rk45", "fixed_rk4"):
+            traj = integrate(field, z0, (0.0, 5.0), method=method, dt=0.05,
+                             rtol=1e-6, atol=1e-8)
+            assert traj.stats.n_steps > 10
+            for t, z, U, eps in zip(traj.times, traj.states, traj.controls,
+                                    traj.realized_epsilon):
+                U_ref, eps_ref = field.control_info(t, z)
+                np.testing.assert_array_equal(U, U_ref)
+                np.testing.assert_array_equal(eps, eps_ref)
 
     def test_recorded_semiglobal_controls_match_recomputed(self, double, rng):
         """The linear kernel calls the field once per accepted step, at the
@@ -251,7 +254,7 @@ class TestClosedLoopField:
         assert 0 < traj.stats.n_linear_steps < traj.stats.n_steps
         assert traj.realized_epsilon is None
         for t, z, U in zip(traj.times, traj.states, traj.controls):
-            U_ref, eps_ref = field.control_info(t, z.copy())
+            U_ref, eps_ref = field.control_info(t, z)
             np.testing.assert_array_equal(U, U_ref)
             assert eps_ref is None
 
@@ -272,6 +275,46 @@ class TestClosedLoopField:
         kind = (global_partial(double, double_cache) if coupling == "partial"
                 else global_full(double, double_cache))
         assert ClosedLoopField(double, net, kind).linear_part is None
+
+    @pytest.mark.parametrize("family", ["global", "semiglobal"])
+    def test_call_keeps_no_state(self, double, double_cache, family, rng):
+        """A call changes no attribute of the field, so a state edited in
+        place after a call gets the controls of its new value."""
+        kind = (global_full(double, double_cache) if family == "global"
+                else semiglobal_full(double, 0.5))
+        field = ClosedLoopField(double, chain_net(3), kind)
+        before = dict(vars(field))
+        z = rng.uniform(-1.0, 1.0, size=field.layout.dim)
+        field(0.0, z)
+        assert vars(field).keys() == before.keys()
+        assert all(vars(field)[k] is v for k, v in before.items())
+        z[field.layout.slices()[2]] *= 0.5
+        U, eps = field.control_info(0.0, z)
+        U_ref, eps_ref = field.control_info(0.0, z.copy())
+        np.testing.assert_array_equal(U, U_ref)
+        np.testing.assert_array_equal(eps, eps_ref)
+
+    @pytest.mark.parametrize("design", [
+        "gain_n_plus_1_rows", "gain_n_minus_1_rows", "gain_1d",
+        "gain_transposed", "cache_of_2B",
+    ])
+    def test_design_data_of_another_model_rejected(self, double, design):
+        """The observer gain must be (n, q), and the scheduled-ARE cache must
+        be of the field's A and B, compared by value."""
+        n, q = double.n, double.q
+        if design == "cache_of_2B":
+            twin = AgentModel(double.A.copy(), double.B.copy(), double.C)
+            ClosedLoopField(double, chain_net(2),
+                            global_full(double, PCache(twin)))
+            doubled = AgentModel(double.A, 2.0 * double.B, double.C)
+            kind = global_full(double, PCache(doubled))
+        else:
+            shape = {"gain_n_plus_1_rows": (n + 1, q),
+                     "gain_n_minus_1_rows": (n - 1, q),
+                     "gain_1d": (n,), "gain_transposed": (q, n)}[design]
+            kind = semiglobal_partial(double, 0.5, np.ones(shape))
+        with pytest.raises(ProtocolError):
+            ClosedLoopField(double, chain_net(2), kind)
 
     def test_semiglobal_controls_are_fixed_gain(self, double, rng):
         net = chain_net(3)
@@ -308,3 +351,37 @@ class TestClosedLoopField:
         np.testing.assert_allclose(dz_p[0], dz[0][perm], atol=1e-12)
         np.testing.assert_allclose(dz_p[1], dz[1], atol=1e-12)
         np.testing.assert_allclose(dz_p[2], dz[2][perm], atol=1e-12)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1),
+       family=st.sampled_from(["global", "semiglobal"]),
+       coupling=st.sampled_from(["full", "partial"]), T=st.integers(1, 40))
+def test_control_info_of_a_stack_matches_each_state(seed, family, coupling,
+                                                    T):
+    """control_info on a stack of states (T, dim) gives, bit for bit, the
+    controls and ε of each state on its own."""
+    rng = np.random.default_rng(seed)
+    model = random_admissible_model(rng, n_max=6)
+    net = random_rooted_network(rng, int(rng.integers(1, 9)))
+    gain = design_observer_gain(model) if coupling == "partial" else None
+    if family == "global":
+        kind = ProtocolKind(family, coupling, cache=PCache(model),
+                            observer_gain=gain)
+    else:
+        kind = ProtocolKind(family, coupling, observer_gain=gain,
+                            epsilon=float(2.0 ** -rng.integers(0, 21)))
+    field = ClosedLoopField(model, net, kind)
+    Z = rng.standard_normal((T, field.layout.dim)) * 10 ** rng.uniform(-2, 2)
+    times = np.linspace(0.0, 1.0, T)
+    rows = [field.control_info(t, z) for t, z in zip(times, Z)]
+    U, eps = field.control_info(times, Z)
+    U_rows = np.array([U_row for U_row, _ in rows])
+    assert U.shape == (T, net.N, model.m)
+    assert U.tobytes() == U_rows.tobytes()
+    if family == "global":
+        eps_rows = np.array([eps_row for _, eps_row in rows])
+        assert eps.shape == (T, net.N)
+        assert eps.tobytes() == eps_rows.tobytes()
+    else:
+        assert eps is None

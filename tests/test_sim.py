@@ -7,11 +7,13 @@ from scipy.integrate import solve_ivp
 
 from conftest import chain_net, random_admissible_model
 from satsync import (
+    CompactSetSpec,
     StateLayout,
     Trajectory,
     integrate,
     random_rooted_network,
     saturation_events,
+    select_semiglobal_epsilon,
     semiglobal_full,
     semiglobal_partial,
     sync_metrics,
@@ -147,8 +149,28 @@ class TestAdaptiveRk45:
             )
 
     def test_bad_span_rejected(self):
+        """A span that is not finite and increasing, and an RK4 step or a
+        tolerance that is not finite and positive, are rejected before any
+        step; RK45 would never reach the end of an infinite span."""
+        inf, nan = np.inf, np.nan
+        bad = [
+            ((1.0, 0.0), {}), ((0.0, inf), {}), ((0.0, nan), {}),
+            ((nan, 1.0), {}), ((-inf, 1.0), {}),
+            ((0.0, inf), {"method": "fixed_rk4"}),
+            ((0.0, 1.0), {"method": "fixed_rk4", "dt": inf}),
+            ((0.0, 1.0), {"method": "fixed_rk4", "dt": nan}),
+            ((0.0, 1.0), {"method": "fixed_rk4", "dt": 0.0}),
+            ((0.0, 1.0), {"atol": inf}), ((0.0, 1.0), {"rtol": inf}),
+            ((0.0, 1.0), {"atol": nan}), ((0.0, 1.0), {"rtol": 0.0}),
+        ]
+        for span, options in bad:
+            with pytest.raises(ValueError):
+                integrate(decay, [1.0], span, **options)
+        model = triple_integrator()
+        sets = CompactSetSpec(agent=0.05, exo=0.05, protocol=0.05)
         with pytest.raises(ValueError):
-            integrate(decay, [1.0], (1.0, 0.0))
+            select_semiglobal_epsilon(model, chain_net(2), sets, "full",
+                                      horizon=inf)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
