@@ -207,8 +207,9 @@ class ClosedLoopField:
 
     `linear_part` is the `LinearPart` (L, F) of a semiglobal kind, whose
     controls vec U = F z are linear in the state: f(t, z) = L z wherever
-    ‖F z‖∞ ≤ 1, with L = M + (G_u + G_sat) F.  Global kinds schedule their
-    gain, so theirs is None.
+    ‖F z‖∞ ≤ 1, with L = M + (G_u + G_sat) F.  RK45 takes the steps that
+    stay in that regime from L alone, without calling the field.  Global
+    kinds schedule their gain, so theirs is None.
     """
 
     def __init__(self, model: AgentModel, net: Network, kind: ProtocolKind):

@@ -129,26 +129,20 @@ def _first_passing_level(chi, cache):
     floor.
 
     All filled levels are scanned at once; they are a prefix of the grid,
-    since only construction (row 0) and this scan fill grid rows.  The next
-    level is filled only when some agent fails every filled one, so exactly
-    the levels that scanning one agent at a time would probe get solved.
+    since only construction (row 0) and this scan fill grid rows.  While
+    some agent fails every filled level, the next level is filled and the
+    scan repeated, so exactly the levels that scanning one agent at a time
+    would probe get solved.
     """
-    levels = int(cache.filled[GRID_IDS].sum())
-    ids = GRID_IDS[:levels]
-    ok = _g(chi[:, None, None, :], chi[:, None, :, None],
-            cache.P[ids], cache.trace[ids]) <= 1.0
-    first = np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
-    todo = np.flatnonzero(first < 0)
-    for k in range(levels, len(GRID)):
-        if not todo.size:
-            break
-        i = GRID_IDS[k]
-        cache.fill(GRID_IDS[k:k + 1])
-        ok = _g(chi[todo, None, :], chi[todo, :, None],
-                cache.P[i], cache.trace[i]) <= 1.0
-        first[todo[ok]] = k
-        todo = todo[~ok]
-    return first
+    while True:
+        levels = int(cache.filled[GRID_IDS].sum())
+        ids = GRID_IDS[:levels]
+        ok = _g(chi[:, None, None, :], chi[:, None, :, None],
+                cache.P[ids], cache.trace[ids]) <= 1.0
+        passed = ok.any(axis=1)
+        if passed.all() or levels == len(GRID):
+            return np.where(passed, ok.argmax(axis=1), -1)
+        cache.fill(GRID_IDS[levels:levels + 1])
 
 
 def schedule(chi: np.ndarray, cache: PCache):

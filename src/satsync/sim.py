@@ -14,13 +14,14 @@ the stages of an attempted step:
   semiglobal protocols) while its controls stay unsaturated.  Each stage
   point is a fixed polynomial in hL applied to z, so one Krylov block
   [z, Lz, …, L⁷z] per accepted point gives every attempted h by small
-  matrix products, with no field call; the accepted step then calls the
-  field once, at its new point.  `IntegratorStats.n_linear_steps` counts
-  these steps.
+  matrix products.  The fifth-order solution z5 is stage point 6, so its
+  controls are checked with the rest and its FSAL slope is L z5: the kernel
+  makes no field call.  `IntegratorStats.n_linear_steps` counts its steps.
 - the stage loop, one field call per stage, for every other attempt: a
   field with no linear part (the global protocols), a stage point whose
   controls F z_s exceed 1 in magnitude (the start point among them), or a
-  Krylov block that is not finite.  It runs at the same h.
+  Krylov block that is not finite.  It runs at the same h.  Apart from the
+  call at t0, it is the only caller of the field.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ class LinearPart:
     """A field's linear regime: f(t, z) = L z wherever ‖F z‖∞ ≤ 1.
 
     A field that declares one as its `linear_part` attribute gets RK45 steps
-    that stay in the regime from one Krylov block of L per accepted step.
+    that stay in the regime from one Krylov block of L per accepted step,
+    with no field call: RK45 evaluates L z in place of the field there.
     """
 
     def __init__(self, L: np.ndarray, F: np.ndarray):
@@ -219,14 +221,13 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
     if not np.isfinite(h):  # z0 or f(t0, z0) overflowed or holds a nan
         raise IntegrationError(f"non-finite initial step size at t={t:.6g}", t, z)
     linear = getattr(field_fn, "linear_part", None)
-    V = V_at = None  # Krylov block of the linear kernel and the z it is of
+    V = None if linear is None else _krylov_block(linear, z, k1)
     K = np.empty((7, z.size))
     while t < tf:
         h = min(h, tf - t)
-        if linear is not None and V_at is not z:
-            V, V_at = _krylov_block(linear, z, k1), z
-        step = None if V is None else _linear_stages(V, linear.F, h)
-        if step is None:
+        step = None if V is None else _linear_stages(V, linear, h)
+        by_kernel = step is not None
+        if not by_kernel:
             step = _field_stages(field_fn, t, z, k1, h, K, stats)
         z5, err, k_new = step
         q = 0.0  # tol/err; stays 0 (reject, h × 0.2) if anything is non-finite
@@ -236,15 +237,13 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
         if q >= 1.0:
             t_new = t + h
             _check_finite(t_new, z5)
-            t, z = t_new, z5
-            if k_new is None:  # linear kernel: the step's one field call
-                k_new = field_fn(t, z)
-                stats.n_field_evals += 1
-                stats.n_linear_steps += 1
-            k1 = k_new  # FSAL: the field at z5
+            t, z, k1 = t_new, z5, k_new  # FSAL: k_new is the field at z5
             stats.n_steps += 1
+            stats.n_linear_steps += by_kernel
             times.append(t)
             states.append(z)
+            if linear is not None:
+                V = _krylov_block(linear, z, k1)
         else:
             stats.n_rejected += 1
         h *= min(max(0.9 * q**0.2, 0.2), 5.0)
@@ -281,14 +280,15 @@ def _krylov_block(linear, z, k1):
     return V if np.isfinite(V).all() else None
 
 
-def _linear_stages(V, F, h):
-    """Linear kernel: (z5, err, None) of one step from the Krylov block V,
+def _linear_stages(V, linear, h):
+    """Linear kernel: (z5, err, L z5) of one step from the Krylov block V,
     with no field call, or None if the controls F z_s of a stage point
-    (the start z among them) saturate."""
+    (the start z among them) saturate; z5 is one of them."""
     Z = (_DP_POLY * h**_DP_POWERS) @ V
-    if np.abs(Z[:7] @ F.T).max() > 1.0:
+    if np.abs(Z[:7] @ linear.F.T).max() > 1.0:
         return None
-    return Z[6].copy(), _norm(Z[7]), None  # a copy: states keep z5, not Z
+    z5 = Z[6].copy()  # a copy: states keep z5, not Z
+    return z5, _norm(Z[7]), linear.L @ z5
 
 
 def _norm(v):

@@ -351,6 +351,25 @@ class TestCommandLine:
         csv_b = (tmp_path / "b" / "trajectory.csv").read_bytes()
         assert csv_a == csv_b
 
+    @pytest.mark.parametrize("protocol, epsilon", [
+        ("global-full", None),
+        ("global-partial", None),
+        ("semiglobal-partial", "1.0"),
+    ])
+    def test_simulate_protocol(self, tmp_path, capsys, protocol, epsilon):
+        path = write_scenario(tmp_path, SCALAR_SCENARIO)
+        argv = ["simulate", "--scenario", str(path), "--protocol", protocol,
+                "--t-final", "1.0", "--out", str(tmp_path / "o")]
+        if epsilon is not None:
+            argv += ["--epsilon", epsilon]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"{protocol}: ")
+        header, _ = read_trajectory_csv(tmp_path / "o" / "trajectory.csv")
+        assert ("xhat[1][1]" in header) == protocol.endswith("partial")
+        assert ("eps[1]" in header) == protocol.startswith("global")
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["protocol"] == protocol
+
     def test_simulate_semiglobal_requires_epsilon(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SCALAR_SCENARIO)
         code = main(

@@ -53,6 +53,10 @@ class TestProtocolKind:
         with pytest.raises(ProtocolError):
             ProtocolKind("local", "full", cache=double_cache)
 
+    def test_unknown_coupling_rejected(self, double_cache):
+        with pytest.raises(ProtocolError, match="unknown coupling"):
+            ProtocolKind("global", "output", cache=double_cache)
+
     def test_partial_kind_hashes_by_identity(self, double, double_cache):
         kind = global_partial(double, double_cache)
         other = global_partial(double, double_cache)

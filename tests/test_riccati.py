@@ -216,7 +216,28 @@ class TestLowgainAre:
             assert sol.closed_loop_stable
 
 
+class TestCertify:
+    # scheduled ARE of A = 0, B = 1 at ρ = 1: 2·(1/2)·P − P² = 0, solved by
+    # P = 1 (closed loop −1/2) and by P = 0 (closed loop +1/2)
+    A, G, Q = np.array([[0.5]]), np.array([[1.0]]), np.zeros((1, 1))
+
+    @pytest.mark.parametrize("P, match", [
+        (-1.0, "not positive semidefinite"),
+        (0.5, "residual .* exceeds tolerance"),
+        (0.0, "closed loop not Hurwitz"),
+    ])
+    def test_failed_certificate_raises(self, P, match):
+        with pytest.raises(RiccatiError, match=match):
+            _certify(self.A, self.G, self.Q, np.array([[P]]), "scheduled", 1.0)
+
+
 class TestObserverGain:
+    def test_undetectable_pair_raises(self):
+        # the mode at 0 is invisible through C = 0
+        model = AgentModel([[0.0]], [[1.0]], [[0.0]])
+        with pytest.raises(RiccatiError, match="not detectable"):
+            design_observer_gain(model)
+
     def test_scalar_closed_form(self):
         model = AgentModel([[0.0]], [[1.0]], [[1.0]])
         K = design_observer_gain(model)

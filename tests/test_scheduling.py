@@ -13,6 +13,7 @@ from satsync import (
     CompactSetSpec,
     Network,
     PCache,
+    StateLayout,
     epsilon_of_state,
     reproduce,
     select_semiglobal_epsilon,
@@ -286,6 +287,12 @@ class TestCompactSetSpec:
     def test_scalar_broadcast(self):
         sets = CompactSetSpec(agent=2.0, exo=0.5, protocol=0.0)
         assert sets.agent.shape == (1,)
+
+    def test_half_width_length_must_be_one_or_n(self):
+        layout = StateLayout(2, 3, False)
+        sets = CompactSetSpec(agent=[1.0, 2.0], exo=0.5, protocol=0.0)
+        with pytest.raises(ValueError, match="half-width length"):
+            sets.halfwidths(layout)
 
 
 class TestSampleBoxVertices:

@@ -223,6 +223,7 @@ class TestLinearKernel:
         stages = integrate(StageLoopOnly(field), z0, (0.0, self.T),
                            rtol=rtol, atol=atol)
         assert traj.stats.n_linear_steps == traj.stats.n_steps
+        assert traj.stats.n_field_evals == 1  # at t0; the kernel calls none
         assert stages.stats.n_linear_steps == 0
         # global error within ten local tolerances (2.4 at most on 200 draws)
         tol = 10 * (atol + rtol * np.abs(flow).max())
