@@ -23,7 +23,6 @@ from .model import AgentModel, saturate
 from .riccati import design_observer_gain
 # protocols.epsilon_of_state stays resolvable: perfbench's tracer wraps it
 from .scheduling import PCache, epsilon_of_state, schedule  # noqa: F401
-from .sim import LinearPart
 
 
 class ProtocolError(ValueError):
@@ -205,11 +204,11 @@ class ClosedLoopField:
     kinds) the realized schedule values from the states it is given, one
     state or a whole trajectory at once.
 
-    `linear_part` is the `LinearPart` (L, F) of a semiglobal kind, whose
-    controls vec U = F z are linear in the state: f(t, z) = L z wherever
-    ‖F z‖∞ ≤ 1, with L = M + (G_u + G_sat) F.  RK45 takes the steps that
-    stay in that regime from L alone, without calling the field.  Global
-    kinds schedule their gain, so theirs is None.
+    `linear_part` is the pair of matrices (L, F) of a semiglobal kind,
+    whose controls vec U = F z are linear in the state: f(t, z) = L z
+    wherever ‖F z‖∞ ≤ 1, with L = M + (G_u + G_sat) F.  RK45 takes the
+    steps that stay in that regime from L alone, without calling the field.
+    Global kinds schedule their gain, so theirs is None.
     """
 
     def __init__(self, model: AgentModel, net: Network, kind: ProtocolKind):
@@ -229,6 +228,8 @@ class ClosedLoopField:
         self._chi = self.layout.slices()[2]
         self.linear_part = None
         if not kind.is_global:
+            # late: read at call time, where perfbench's tracer wraps it;
+            # a top-level import would hide this solve from riccati.lowgain
             from .riccati import solve_lowgain_are
 
             P = solve_lowgain_are(model, kind.epsilon).P
@@ -237,7 +238,7 @@ class ClosedLoopField:
             F = np.zeros((Nm, dim))
             F[:, self._chi] = np.kron(np.eye(net.N), self._gain_T.T)
             M, G_u, G_sat = np.split(self.W, [dim, dim + Nm], axis=1)
-            self.linear_part = LinearPart(M + (G_u + G_sat) @ F, F)
+            self.linear_part = (M + (G_u + G_sat) @ F, F)
 
     def controls(self, chi: np.ndarray):
         """Pre-saturation controls (…, N, m) and realized ε (…, N) or None

@@ -128,14 +128,14 @@ def _first_passing_level(chi, cache):
     """Per agent, the first grid level k with g(2⁻ᵏ, χ) ≤ 1, or -1 past the
     floor.
 
-    All filled levels are scanned at once; they are a prefix of the grid,
-    since only construction (row 0) and this scan fill grid rows.  While
-    some agent fails every filled level, the next level is filled and the
-    scan repeated, so exactly the levels that scanning one agent at a time
-    would probe get solved.
+    The filled prefix of the grid is scanned at once; a grid row that a
+    public `PCache.fill` solved out of order is scanned only once the
+    prefix reaches it.  While some agent fails every scanned level, the
+    first unfilled level is filled and the scan repeated, so exactly the
+    levels that scanning one agent at a time would probe get solved.
     """
     while True:
-        levels = int(cache.filled[GRID_IDS].sum())
+        levels = int(np.logical_and.accumulate(cache.filled[GRID_IDS]).sum())
         ids = GRID_IDS[:levels]
         ok = _g(chi[:, None, None, :], chi[:, None, :, None],
                 cache.P[ids], cache.trace[ids]) <= 1.0
@@ -292,6 +292,8 @@ def select_semiglobal_epsilon(
     partial = coupling == "partial"
     observer_gain = None
     if partial:
+        # late: read at call time, where perfbench's tracer wraps it; a
+        # top-level import would hide this design from riccati.observer
         from .riccati import design_observer_gain
 
         observer_gain = design_observer_gain(model)

@@ -8,15 +8,17 @@ state, and `control_info` must accept a stack of states (T, dim) with their
 times (T,): it is called once per run, on all accepted states at once.
 
 RK45 has one step-size controller and one accept path, and two kernels for
-the stages of an attempted step:
+the stages of an attempted step.  An attempt is a pure function of
+(t, z, k1 = f(t, z), h), and the loop carries nothing else between them.
 
 - the linear kernel, for a field that declares a `linear_part` (L, F) (the
   semiglobal protocols) while its controls stay unsaturated.  Each stage
-  point is a fixed polynomial in hL applied to z, so one Krylov block
-  [z, Lz, …, L⁷z] per accepted point gives every attempted h by small
-  matrix products.  The fifth-order solution z5 is stage point 6, so its
-  controls are checked with the rest and its FSAL slope is L z5: the kernel
-  makes no field call.  `IntegratorStats.n_linear_steps` counts its steps.
+  point is a fixed polynomial in hL applied to z, so the attempt's Krylov
+  block [z, k1, L k1, …, L⁶ k1] = [Lᵏ z] gives all of them by small matrix
+  products; the powers stack [L; …; L⁶] is formed once per run.  The
+  fifth-order solution z5 is stage point 6, so its controls are checked
+  with the rest and its FSAL slope is L z5: the kernel makes no field call.
+  `IntegratorStats.n_linear_steps` counts its steps.
 - the stage loop, one field call per stage, for every other attempt: a
   field with no linear part (the global protocols), a stage point whose
   controls F z_s exceed 1 in magnitude (the start point among them), or a
@@ -26,7 +28,6 @@ the stages of an attempted step:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -74,28 +75,6 @@ def _dp_polynomials():
 
 _DP_POLY = _dp_polynomials()
 _DP_POWERS = np.arange(8.0)
-
-
-class LinearPart:
-    """A field's linear regime: f(t, z) = L z wherever ‖F z‖∞ ≤ 1.
-
-    A field that declares one as its `linear_part` attribute gets RK45 steps
-    that stay in the regime from one Krylov block of L per accepted step,
-    with no field call: RK45 evaluates L z in place of the field there.
-    """
-
-    def __init__(self, L: np.ndarray, F: np.ndarray):
-        self.L = L
-        self.F = F
-
-    @functools.cached_property
-    def powers(self) -> np.ndarray:
-        """[L; L²; …; L⁶], (6·dim, dim): one product with k1 = L z gives the
-        rest of a step's Krylov block."""
-        powers = [self.L]
-        for _ in range(5):
-            powers.append(self.L @ powers[-1])
-        return np.vstack(powers)
 
 
 class IntegrationError(RuntimeError):
@@ -221,14 +200,14 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
     if not np.isfinite(h):  # z0 or f(t0, z0) overflowed or holds a nan
         raise IntegrationError(f"non-finite initial step size at t={t:.6g}", t, z)
     linear = getattr(field_fn, "linear_part", None)
-    V = None if linear is None else _krylov_block(linear, z, k1)
-    K = np.empty((7, z.size))
+    if linear is not None:
+        linear = (*linear, _powers(linear[0]))  # (L, F, [L; …; L⁶])
     while t < tf:
         h = min(h, tf - t)
-        step = None if V is None else _linear_stages(V, linear, h)
+        step = None if linear is None else _linear_stages(*linear, z, k1, h)
         by_kernel = step is not None
         if not by_kernel:
-            step = _field_stages(field_fn, t, z, k1, h, K, stats)
+            step = _field_stages(field_fn, t, z, k1, h, stats)
         z5, err, k_new = step
         q = 0.0  # tol/err; stays 0 (reject, h × 0.2) if anything is non-finite
         if np.isfinite(err):
@@ -242,8 +221,6 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
             stats.n_linear_steps += by_kernel
             times.append(t)
             states.append(z)
-            if linear is not None:
-                V = _krylov_block(linear, z, k1)
         else:
             stats.n_rejected += 1
         h *= min(max(0.9 * q**0.2, 0.2), 5.0)
@@ -254,9 +231,10 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
     return _finish(field_fn, times, states, stats)
 
 
-def _field_stages(field_fn, t, z, k1, h, K, stats):
+def _field_stages(field_fn, t, z, k1, h, stats):
     """Stage loop: (z5, err, f(t + h, z5)) of one step, with one field call
     per stage; err is nan once a stage is non-finite."""
+    K = np.empty((7, z.size))
     K[0] = k1
     hA = h * _DP_A
     for s in range(1, 7):
@@ -266,29 +244,33 @@ def _field_stages(field_fn, t, z, k1, h, K, stats):
         if not np.isfinite(k_s).all():
             return None, np.nan, None
         K[s] = k_s
-    # the last stage point is the fifth-order solution and k_s the field
-    # there; k_s, not the row K[6], since a retry after a rejection
-    # overwrites K but must start from the field at the accepted point
+    # the last stage point is the fifth-order solution, k_s the field there
     return z_s, h * _norm(_DP_E @ K), k_s
 
 
-def _krylov_block(linear, z, k1):
-    """V = [z, k1, L k1, …, L⁶ k1] = [Lᵏ z], or None if V is not finite."""
+def _powers(L):
+    """[L; L²; …; L⁶], (6·dim, dim): one product with k1 = L z gives the
+    rest of a step's Krylov block."""
+    powers = [L]
+    for _ in range(5):
+        powers.append(L @ powers[-1])
+    return np.vstack(powers)
+
+
+def _linear_stages(L, F, powers, z, k1, h):
+    """Linear kernel: (z5, err, L z5) of one step, with no field call, or
+    None if the Krylov block [z, k1, L k1, …, L⁶ k1] is not finite or the
+    controls F z_s of a stage point (z and z5 among them) saturate."""
     V = np.empty((8, z.size))
     V[0], V[1] = z, k1
-    V[2:] = (linear.powers @ k1).reshape(6, z.size)
-    return V if np.isfinite(V).all() else None
-
-
-def _linear_stages(V, linear, h):
-    """Linear kernel: (z5, err, L z5) of one step from the Krylov block V,
-    with no field call, or None if the controls F z_s of a stage point
-    (the start z among them) saturate; z5 is one of them."""
+    V[2:] = (powers @ k1).reshape(6, z.size)
+    if not np.isfinite(V).all():
+        return None
     Z = (_DP_POLY * h**_DP_POWERS) @ V
-    if np.abs(Z[:7] @ linear.F.T).max() > 1.0:
+    if np.abs(Z[:7] @ F.T).max() > 1.0:
         return None
     z5 = Z[6].copy()  # a copy: states keep z5, not Z
-    return z5, _norm(Z[7]), linear.L @ z5
+    return z5, _norm(Z[7]), L @ z5
 
 
 def _norm(v):

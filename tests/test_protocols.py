@@ -270,7 +270,7 @@ class TestClosedLoopField:
         net = chain_net(3)
         make = semiglobal_partial if coupling == "partial" else semiglobal_full
         field = ClosedLoopField(double, net, make(double, 0.5))
-        L, F = field.linear_part.L, field.linear_part.F
+        L, F = field.linear_part
         z = rng.standard_normal(field.layout.dim)
         U, _ = field.controls(field.layout.split(z)[2])
         np.testing.assert_allclose(F @ z, U.ravel(), atol=1e-13)

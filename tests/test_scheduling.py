@@ -219,6 +219,18 @@ def test_floor_error_names_first_agent_past_floor(scalar_cache):
     assert err.value.chi_norm == 4.0 / RHO_MIN
 
 
+def test_out_of_order_grid_fill_changes_no_bits():
+    """A grid row filled by a public `fill` ahead of the filled prefix is
+    not read before the rows below it: ε and U equal a fresh cache's."""
+    chi = np.array([[3.0, 2.0, 1.0]])
+    cache = PCache(triple_integrator())
+    cache.fill(np.array([3 * scheduling.OCTAVE]))
+    got = schedule(chi, cache)
+    want = schedule(chi, PCache(triple_integrator()))
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+
+
 def test_discarded_cache_is_freed_at_once():
     # no reference cycle: the last reference going frees the packed rows
     cache = PCache(triple_integrator())

@@ -20,7 +20,14 @@ from satsync import (
     triple_integrator,
 )
 from satsync.protocols import ClosedLoopField
-from satsync.sim import DivergenceError, sync_error_series
+from satsync.sim import (
+    DivergenceError,
+    IntegratorStats,
+    _field_stages,
+    _linear_stages,
+    _powers,
+    sync_error_series,
+)
 
 
 def decay(t, z):
@@ -207,7 +214,7 @@ class TestLinearKernel:
         net = random_rooted_network(rng, int(rng.integers(1, 7)))
         make = semiglobal_partial if partial else semiglobal_full
         field = ClosedLoopField(model, net, make(model, 2.0**log2_eps))
-        L, F = field.linear_part.L, field.linear_part.F
+        L, F = field.linear_part
         z0 = rng.standard_normal(field.layout.dim)
         flow = [z0]  # the exact flow on a grid of 400 steps
         step = sla.expm(self.T / 400 * L)
@@ -229,6 +236,54 @@ class TestLinearKernel:
         tol = 10 * (atol + rtol * np.abs(flow).max())
         assert np.abs(traj.states[-1] - exact).max() <= tol
         assert np.abs(traj.states[-1] - stages.states[-1]).max() <= tol
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), log2_eps=st.floats(-20.0, 0.0),
+           partial=st.booleans(), log10_hL=st.floats(-3.0, 0.0))
+    def test_one_attempt_is_a_pure_function(self, seed, log2_eps, partial,
+                                            log10_hL):
+        """One attempt of either kernel on ż = L z from the same (z, L z, h),
+        with ‖u‖∞ ≤ 0.5 at every stage point: both give the same z5, err
+        and k_new to 1e-12 relative (err relative to h‖k1‖, the size of
+        the slopes it sums).  Repeating an attempt after one at another h
+        gives the same bits, and the arguments are read-only, so no
+        attempt writes into its inputs or into what another returned."""
+        rng = np.random.default_rng(seed)
+        model = random_admissible_model(rng, n_max=6)
+        net = random_rooted_network(rng, int(rng.integers(1, 7)))
+        make = semiglobal_partial if partial else semiglobal_full
+        field = ClosedLoopField(model, net, make(model, 2.0**log2_eps))
+        L, F = field.linear_part
+        h = 10.0**log10_hL / np.linalg.norm(L, 2)
+        points = []
+
+        def flow(t, y):
+            points.append(y)
+            return L @ y
+
+        z = rng.standard_normal(L.shape[0])
+        _field_stages(flow, 0.0, z, L @ z, h, IntegratorStats())
+        z *= 0.5 / np.abs(np.vstack([z] + points) @ F.T).max()
+        k1 = L @ z
+        z.flags.writeable = k1.flags.writeable = False
+
+        powers, stats = _powers(L), IntegratorStats()
+        kernels = (lambda h: _linear_stages(L, F, powers, z, k1, h),
+                   lambda h: _field_stages(flow, 0.0, z, k1, h, stats))
+        linear, stages = (kernel(h) for kernel in kernels)
+        assert linear is not None and stats.n_field_evals == 6
+        z5, _, k_new = linear
+        scales = (np.abs(z5).max(), h * np.linalg.norm(k1),
+                  np.abs(k_new).max())
+        for a, b, scale in zip(linear, stages, scales):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * scale)
+        for kernel, first in zip(kernels, (linear, stages)):
+            bits = [np.copy(a) for a in first]
+            kernel(h / 2)
+            for a, b in zip(first, bits):
+                np.testing.assert_array_equal(a, b)
+            for a, b in zip(kernel(h), bits):
+                np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("epsilon, half_width", [(0.25, 3.0), (0.5, 4.0)])
     def test_saturated_steps_take_the_stage_loop(self, epsilon, half_width):
