@@ -221,12 +221,11 @@ def write_trajectory_csv(traj: sim.Trajectory, path) -> None:
         raise ValueError("trajectory has no stacked-state layout")
     N, n = layout.N, layout.n
     m = traj.controls.shape[2] if traj.has_controls else 0
-    cols = ["t"]
-    cols += [f"x[{i+1}][{k+1}]" for i in range(N) for k in range(n)]
-    cols += [f"xr[{k+1}]" for k in range(n)]
-    cols += [f"chi[{i+1}][{k+1}]" for i in range(N) for k in range(n)]
-    if layout.partial:
-        cols += [f"xhat[{i+1}][{k+1}]" for i in range(N) for k in range(n)]
+    agent = np.array([[f"[{i+1}][{k+1}]" for k in range(n)]
+                      for i in range(N)], dtype=object)
+    own = np.array([f"[{k+1}]" for k in range(n)], dtype=object)
+    cols = ["t", *layout.pack("x" + agent, "xr" + own, "chi" + agent,
+                              "xhat" + agent)]
     cols += [f"u[{i+1}][{k+1}]" for i in range(N) for k in range(m)]
     if traj.realized_epsilon is not None:
         cols += [f"eps[{i+1}]" for i in range(N)]

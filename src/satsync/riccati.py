@@ -17,10 +17,10 @@ kept only when
   (i)   min Re λ(A) + ρ/2 > HURWITZ_TOL, read off the Schur diagonal;
   (ii)  the Sylvester solve needs no perturbation and the Cholesky
         factorization succeeds;
-  (iii) the ARE residual R is at rounding level relative to its terms,
+  (iii) it passes the certificates every returned P passes, with the
+        residual bound tightened to rounding level relative to the terms,
         ‖R‖_F ≤ 512·ε_mach·(2‖A_sᵀP‖_F + ‖PBBᵀP‖_F), which the absolute
-        tolerance below does not enforce when ‖P‖ ≪ 1;
-  (iv)  it passes the certificates every returned P passes.
+        tolerance below does not enforce when ‖P‖ ≪ 1.
 
 Otherwise, and for the low-gain ARE, the equation is solved cold by the
 Hamiltonian stable-invariant-subspace (Schur) method.  Every returned P
@@ -106,10 +106,10 @@ def _care_schur(A, G, Q):
     return (P + P.T) / 2
 
 
-def _care_lyapunov(A, G, T, U):
+def _care_lyapunov(G, T, U):
     """Stabilizing solution of AᵀP + PA - PGP = 0 as P = W⁻¹, AW + WAᵀ = G,
-    from the real Schur form A = UTUᵀ; None unless gates (i)-(iii) of the
-    module docstring hold."""
+    from the real Schur form A = UTUᵀ; None unless gates (i)-(ii) of the
+    module docstring hold.  `_certify` with rounding applies gate (iii)."""
     if T.diagonal().min() <= HURWITZ_TOL:
         return None
     X, scale, info = lapack.dtrsyl(T, T, U.T @ G @ U, tranb="T")
@@ -119,17 +119,13 @@ def _care_lyapunov(A, G, T, U):
     if info != 0:
         return None
     M = lapack.dtrtri(L, lower=1)[0] @ U.T
-    P = M.T @ M
-    AP = A.T @ P
-    PGP = P @ G @ P
-    residual = np.linalg.norm(AP + AP.T - PGP)
-    bound = ROUNDING_RTOL * (2 * np.linalg.norm(AP) + np.linalg.norm(PGP))
-    return P if residual <= bound else None
+    return M.T @ M
 
 
-def _certify(A, G, Q, P, kind, parameter):
+def _certify(A, G, Q, P, kind, parameter, rounding=False):
     """Wrap P as a RiccatiSolution once AᵀP + PA - PGP + Q = 0 is met to
-    tolerance, P is PSD and A - GP is Hurwitz; raise RiccatiError otherwise."""
+    tolerance, P is PSD and A - GP is Hurwitz; raise RiccatiError otherwise.
+    With rounding, the residual must also meet gate (iii)'s bound."""
     eig_P = np.linalg.eigvalsh(P)  # ascending
     eig_min, eig_max = eig_P[0], eig_P[-1]
     if eig_min < -PSD_TOL:
@@ -137,24 +133,23 @@ def _certify(A, G, Q, P, kind, parameter):
             f"{kind} ARE solution not positive semidefinite "
             f"(min eig {eig_min:.2e})"
         )
+    AP, PGP = A.T @ P, P @ G @ P
     # the Frobenius norm bounds the 2-norm from above
-    residual = np.linalg.norm(A.T @ P + P @ A - P @ G @ P + Q)
+    residual = np.linalg.norm(AP + AP.T - PGP + Q)
     # P is symmetric, so ‖P‖₂ = max|λ(P)|
-    if residual > _tolerance_for_norm(max(-eig_min, eig_max)):
+    bound = _tolerance_for_norm(max(-eig_min, eig_max))
+    if rounding:
+        bound = min(bound, ROUNDING_RTOL
+                    * (2 * np.linalg.norm(AP) + np.linalg.norm(PGP)))
+    if residual > bound:
         raise RiccatiError(
             f"{kind} ARE residual {residual:.2e} exceeds tolerance"
         )
-    stable = is_hurwitz(A - G @ P)
-    if not stable:
+    if not is_hurwitz(A - G @ P):
         raise RiccatiError(f"{kind} ARE closed loop not Hurwitz")
     P.setflags(write=False)
-    return RiccatiSolution(
-        P=P,
-        kind=kind,
-        parameter=parameter,
-        residual_norm=residual,
-        closed_loop_stable=stable,
-    )
+    return RiccatiSolution(P=P, kind=kind, parameter=parameter,
+                           residual_norm=residual, closed_loop_stable=True)
 
 
 def _check_model(model):
@@ -180,12 +175,12 @@ def _solve(model, kind, name, parameter, shift, weight, validate_model):
     Q = weight * I
     if weight == 0.0:
         T, U = model.schur
-        P = _care_lyapunov(A, G, T + shift * I, U)
+        P = _care_lyapunov(G, T + shift * I, U)
         if P is not None:
             try:
-                return _certify(A, G, Q, P, kind, parameter)
+                return _certify(A, G, Q, P, kind, parameter, rounding=True)
             except RiccatiError:
-                pass  # gate (iv) failed: the Hamiltonian solve decides
+                pass  # gate (iii) failed: the Hamiltonian solve decides
     return _certify(A, G, Q, _care_schur(A, G, Q), kind, parameter)
 
 

@@ -2,7 +2,7 @@
 
 The schedule picks the largest ρ ∈ (0,1] for which
 
-    g(ρ, χ) = χᵀP_ρχ · trace(BᵀP_ρB) ≤ 1,
+    g(ρ, χ) = χᵀP_ρχ · trace(BᵀP_ρB) = χᵀS_ρχ ≤ 1,
 
 which keeps ‖BᵀP_ρχ‖ ≤ 1 so the control never saturates.  g is nondecreasing
 in ρ, so the maximizer is found by scanning a dyadic grid and bisecting the
@@ -73,22 +73,22 @@ def lattice_rho(ids):
 class PCache:
     """Scheduled-ARE solutions in one table indexed by lattice id.
 
-    Row i = k·2¹⁰ + j holds P, BᵀP and tr(BᵀPB) of ρ = `lattice_rho(i)`, and
-    `filled[i]` says whether it has been solved.  The arrays are allocated
-    empty for the whole lattice, so only the pages of filled rows become
-    resident.  Construction solves ρ = 1 into row 0, which validates the
-    model; every other row is filled by `fill` when the schedule first
-    probes it.  Each row is one cold solve, so it holds exactly the bits of
-    `solve_scheduled_are(model, ρ)` whatever was filled before, and the
-    rows of octave k are the slice [k·2¹⁰, (k+1)·2¹⁰).
+    Row i = k·2¹⁰ + j holds what the schedule reads of P at ρ =
+    `lattice_rho(i)`: the quadratic form S = tr(BᵀPB)·P of g and the gain
+    BᵀP, and `filled[i]` says whether it has been solved.  The arrays are
+    allocated empty for the whole lattice, so only the pages of filled rows
+    become resident.  Construction solves ρ = 1 into row 0, which validates
+    the model; every other row is filled by `fill` when the schedule first
+    probes it.  Each row comes from one cold solve, so it holds exactly the
+    bits that `solve_scheduled_are(model, ρ)` gives whatever was filled
+    before, and the rows of octave k are the slice [k·2¹⁰, (k+1)·2¹⁰).
     """
 
     def __init__(self, model: AgentModel):
         self.model = model
         size, n, m = len(GRID) * OCTAVE, model.n, model.m
-        self.P = np.empty((size, n, n))
+        self.S = np.empty((size, n, n))
         self.BtP = np.empty((size, m, n))
-        self.trace = np.empty(size)
         self.filled = np.zeros(size, dtype=bool)
         self._fill(0, solve_scheduled_are(model, 1.0))
 
@@ -97,8 +97,8 @@ class PCache:
         return solve_scheduled_are(self.model, rho, validate_model=False)
 
     def g(self, rho: float, chi: np.ndarray) -> float:
-        P, B = self.solution(rho).P, self.model.B
-        return float(chi @ P @ chi) * float(np.trace(B.T @ P @ B))
+        S, _ = _row(self.model.B, self.solution(rho).P)
+        return float(chi @ S @ chi)
 
     def fill(self, ids: np.ndarray) -> None:
         """Solve the rows of the lattice ids that are not filled yet."""
@@ -109,19 +109,22 @@ class PCache:
                 self._fill(i, self.solution(rho))
 
     def _fill(self, i, sol):
-        B = self.model.B
-        self.P[i] = sol.P
-        self.BtP[i] = B.T @ sol.P
-        self.trace[i] = np.trace(self.BtP[i] @ B)
+        self.S[i], self.BtP[i] = _row(self.model.B, sol.P)
         self.filled[i] = True
 
 
-def _g(chi_row, chi_col, P, trace):
-    """g = (χ·P)·χ · trace over broadcast stacks of χ as rows (…, 1, n) and
-    columns (…, n, 1) and of P (…, n, n).
+def _row(B, P):
+    """(S, BᵀP) with S = tr(BᵀPB)·P: a table row of P."""
+    BtP = B.T @ P
+    return np.trace(BtP @ B) * P, BtP
+
+
+def _g(chi_row, chi_col, S):
+    """g = (χ·S)·χ over broadcast stacks of χ as rows (…, 1, n) and
+    columns (…, n, 1) and of S (…, n, n).
 
     This association gives the same bits as `PCache.g`."""
-    return ((chi_row @ P) @ chi_col)[..., 0, 0] * trace
+    return ((chi_row @ S) @ chi_col)[..., 0, 0]
 
 
 def _first_passing_level(chi, cache):
@@ -138,7 +141,7 @@ def _first_passing_level(chi, cache):
         levels = int(np.logical_and.accumulate(cache.filled[GRID_IDS]).sum())
         ids = GRID_IDS[:levels]
         ok = _g(chi[:, None, None, :], chi[:, None, :, None],
-                cache.P[ids], cache.trace[ids]) <= 1.0
+                cache.S[ids]) <= 1.0
         passed = ok.any(axis=1)
         if passed.all() or levels == len(GRID):
             return np.where(passed, ok.argmax(axis=1), -1)
@@ -164,8 +167,7 @@ def schedule(chi: np.ndarray, cache: PCache):
         for depth in range(1, BISECTION_DEPTH + 1):
             mid = lo + (OCTAVE >> depth)
             cache.fill(mid)
-            g = _g(chi_row, chi_col, cache.P.take(mid, axis=0),
-                   cache.trace.take(mid))
+            g = _g(chi_row, chi_col, cache.S.take(mid, axis=0))
             np.copyto(lo, mid, where=g <= 1.0)
         ids[b] = lo
     U = -(cache.BtP.take(ids, axis=0) @ chi[:, :, None])[:, :, 0]

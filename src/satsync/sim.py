@@ -251,10 +251,11 @@ def _field_stages(field_fn, t, z, k1, h, stats):
 def _powers(L):
     """[L; L²; …; L⁶], (6·dim, dim): one product with k1 = L z gives the
     rest of a step's Krylov block."""
-    powers = [L]
-    for _ in range(5):
-        powers.append(L @ powers[-1])
-    return np.vstack(powers)
+    powers = np.empty((6, *L.shape))
+    powers[0] = L
+    for k in range(1, 6):
+        np.matmul(L, powers[k - 1], out=powers[k])
+    return powers.reshape(-1, L.shape[1])
 
 
 def _linear_stages(L, F, powers, z, k1, h):

@@ -286,6 +286,7 @@ def test_are_certificates_on_random_admissible_models(seed, log2_rho, log2_eps):
 @given(seed=st.integers(0, 2**32 - 1), log2_rho=st.floats(-20.0, 0.0))
 @example(seed=0, log2_rho=-20.0)
 @example(seed=55, log2_rho=-19.684209788723443)  # Hamiltonian cannot reorder
+@example(seed=0, log2_rho=-12.0)  # gate (iii) alone rejects a P 1.6e-6 off
 def test_scheduled_are_on_axis_spectrum_models(seed, log2_rho):
     """With the whole spectrum of A on the axis, A + (ρ/2)I is antistable and
     the Lyapunov path is tried.  Every returned P is certified; wherever the
@@ -302,7 +303,7 @@ def test_scheduled_are_on_axis_spectrum_models(seed, log2_rho):
     assert_scheduled_certificates(model, P, rho)
     T, U = model.schur
     shift = (rho / 2) * np.eye(model.n)
-    fast = _care_lyapunov(model.A + shift, model.B @ model.B.T, T + shift, U)
+    fast = _care_lyapunov(model.B @ model.B.T, T + shift, U)
     if reference is not None and fast is not None and np.array_equal(fast, P):
         # the problem's conditioning, not either solver, sets the gap: up to
         # about 1e-8 relative on these models, each P about 5e-9 from a

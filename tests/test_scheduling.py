@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_admissible_model
 from satsync import (
     AgentModel,
     CompactSetSpec,
@@ -21,6 +22,7 @@ from satsync import (
     triple_integrator,
 )
 from satsync import scheduling
+from satsync.riccati import RiccatiError
 from satsync.scheduling import (
     BISECTION_DEPTH,
     GRID,
@@ -134,6 +136,12 @@ class TestEpsilonOfState:
         assert cache.g(min(1.0, eps * 2.01), chi) > 1.0
 
 
+def table_row(model, P):
+    """(tr(BᵀPB)·P, BᵀP), computed here from a solved P."""
+    BtP = model.B.T @ P
+    return np.trace(BtP @ model.B) * P, BtP
+
+
 def reference_schedule(chi, model, solved):
     """One agent at a time: grid scan, then bisection, with g and
     u = −(BᵀP)χ from one cold `solve_scheduled_are` per probed ρ, kept in the
@@ -146,7 +154,7 @@ def reference_schedule(chi, model, solved):
         return solved[rho].P
 
     def g(rho, c):  # the association of PCache.g
-        return float(c @ P(rho) @ c) * float(np.trace(B.T @ P(rho) @ B))
+        return float(c @ table_row(model, P(rho))[0] @ c)
 
     eps, U = [], []
     for c in chi:
@@ -203,12 +211,36 @@ def test_schedule_matches_one_agent_at_a_time(agents):
         assert filled == set(solved)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
-    B = model.B
     for i in ids:
-        P = solved[float(lattice_rho(i))].P
-        np.testing.assert_array_equal(cache.P[i], P)
-        np.testing.assert_array_equal(cache.BtP[i], B.T @ P)
-        assert cache.trace[i] == np.trace(B.T @ P @ B)
+        S, BtP = table_row(model, solved[float(lattice_rho(i))].P)
+        np.testing.assert_array_equal(cache.S[i], S)
+        np.testing.assert_array_equal(cache.BtP[i], BtP)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), log10_scale=st.floats(-2.0, 4.0))
+def test_table_rows_on_random_admissible_models(seed, log10_scale):
+    """On random admissible models (n ≤ 6, m ≤ 2), after `schedule` of a
+    few random states every filled row holds the bits of S = tr(BᵀPB)·P
+    and BᵀP of a direct solve, and `_g` as the schedule calls it gives the
+    bits of `PCache.g` on each row."""
+    rng = np.random.default_rng(seed)
+    model = random_admissible_model(rng, n_max=6, io_max=2)
+    chi = 10.0**log10_scale * rng.standard_normal((3, model.n))
+    try:
+        cache = PCache(model)
+        schedule(chi, cache)
+    except (RiccatiError, ScheduleFloorError):
+        return
+    ids = np.flatnonzero(cache.filled)
+    g = scheduling._g(chi[:, None, None, :], chi[:, None, :, None],
+                      cache.S[ids])
+    for i, g_row in zip(ids, g.T):
+        rho = float(lattice_rho(i))
+        S, BtP = table_row(model, solve_scheduled_are(model, rho).P)
+        np.testing.assert_array_equal(cache.S[i], S)
+        np.testing.assert_array_equal(cache.BtP[i], BtP)
+        assert g_row.tolist() == [cache.g(rho, c) for c in chi]
 
 
 def test_floor_error_names_first_agent_past_floor(scalar_cache):
