@@ -10,17 +10,23 @@ for the shifted matrix A_s = A + (ρ/2)I.  With no state weight its solution
 is P_ρ = W⁻¹, where W solves the Lyapunov equation A_sW + WA_sᵀ = BBᵀ,
 whenever A_s is antistable (Zhou, Duan & Lin, IEEE TAC 2008): then A_s - BBᵀP
 = -WA_sᵀW⁻¹ has spectrum -spec(A_s).  So the scheduled ARE is solved first on
-the model's cached real Schur form A = UTUᵀ: one triangular Sylvester solve
-for T + (ρ/2)I, a Cholesky factor W = ULLᵀUᵀ and P = UL⁻ᵀL⁻¹Uᵀ.  That P is
-kept only when
+the model's cached real Schur form A = UTUᵀ, for a whole stack of ρ at once
+(`scheduled_lyapunov`): W in Schur coordinates solves the linear system
+(K₀ + ρI) vec W = vec UᵀBBᵀU with K₀ = I⊗T + T⊗I, one batched solve over the
+stack, then W = LLᵀ and P = UL⁻ᵀL⁻¹Uᵀ.  A row's P is kept only when
 
   (i)   min Re λ(A) + ρ/2 > HURWITZ_TOL, read off the Schur diagonal;
-  (ii)  the Sylvester solve needs no perturbation and the Cholesky
-        factorization succeeds;
+  (ii)  the linear solve and the Cholesky factorization succeed and P is
+        finite;
   (iii) it passes the certificates every returned P passes, with the
         residual bound tightened to rounding level relative to the terms,
         ‖R‖_F ≤ 512·ε_mach·(2‖A_sᵀP‖_F + ‖PBBᵀP‖_F), which the absolute
         tolerance below does not enforce when ‖P‖ ≪ 1.
+
+The gates apply to each row on its own, and a row that fails one reaches no
+later stage.  `solve_scheduled_are` is the stack of one, and each stage
+makes one LAPACK call per row, so it gives a row the bits a larger stack
+gives it.
 
 Otherwise, and for the low-gain ARE, the equation is solved cold by the
 Hamiltonian stable-invariant-subspace (Schur) method.  Every returned P
@@ -36,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import lapack
 
 from .model import AgentModel, check_assumption
 
@@ -56,8 +61,12 @@ class ParameterError(ValueError):
 
 def is_hurwitz(M) -> bool:
     """True iff every eigenvalue of M has real part < -1e-9."""
-    M = np.asarray(M, dtype=float)
-    return bool(np.linalg.eigvals(M).real.max() < -HURWITZ_TOL)
+    return bool(_hurwitz(np.asarray(M, dtype=float)))
+
+
+def _hurwitz(M):
+    """is_hurwitz of each matrix in the stack M (…, n, n)."""
+    return np.linalg.eigvals(M).real.max(axis=-1) < -HURWITZ_TOL
 
 
 def residual_tolerance(P: np.ndarray) -> float:
@@ -106,50 +115,67 @@ def _care_schur(A, G, Q):
     return (P + P.T) / 2
 
 
-def _care_lyapunov(G, T, U):
-    """Stabilizing solution of AᵀP + PA - PGP = 0 as P = W⁻¹, AW + WAᵀ = G,
-    from the real Schur form A = UTUᵀ; None unless gates (i)-(ii) of the
-    module docstring hold.  `_certify` with rounding applies gate (iii)."""
-    if T.diagonal().min() <= HURWITZ_TOL:
-        return None
-    X, scale, info = lapack.dtrsyl(T, T, U.T @ G @ U, tranb="T")
-    if info != 0:
-        return None
-    L, info = lapack.dpotrf(X / scale, lower=1)
-    if info != 0:
-        return None
-    M = lapack.dtrtri(L, lower=1)[0] @ U.T
-    return M.T @ M
+def _stacked(fn, X, *args):
+    """fn over the stack X, and the mask of rows where it succeeds.  One
+    failing row makes numpy raise for the whole stack, so only then are the
+    rows tried one at a time; a row's bits do not depend on its stack."""
+    try:
+        return fn(X, *args), np.ones(len(X), dtype=bool)
+    except np.linalg.LinAlgError:
+        ok = np.zeros(len(X), dtype=bool)
+        for i in range(len(X)):
+            try:
+                fn(X[i:i + 1], *args)
+            except np.linalg.LinAlgError:
+                continue
+            ok[i] = True
+        return fn(X[ok], *args), ok
 
 
-def _certify(A, G, Q, P, kind, parameter, rounding=False):
-    """Wrap P as a RiccatiSolution once AᵀP + PA - PGP + Q = 0 is met to
-    tolerance, P is PSD and A - GP is Hurwitz; raise RiccatiError otherwise.
-    With rounding, the residual must also meet gate (iii)'s bound."""
+def _certificates(A, G, Q, P, rounding=False):
+    """Certificates of each P in the stack (r, n, n) as a solution of
+    AᵀP + PA - PGP + Q = 0, for A of shape (n, n) or (r, n, n).
+
+    Returns the Frobenius norm of each residual (never below its 2-norm),
+    λmin(P) and the first certificate each row fails: 0 none, 1 PSD to
+    PSD_TOL, 2 the residual tolerance (with rounding, also gate (iii)'s
+    bound), 3 a Hurwitz closed loop.  Only rows that pass 1 and 2 reach the
+    eigenvalues of A - GP.
+    """
     eig_P = np.linalg.eigvalsh(P)  # ascending
-    eig_min, eig_max = eig_P[0], eig_P[-1]
-    if eig_min < -PSD_TOL:
-        raise RiccatiError(
-            f"{kind} ARE solution not positive semidefinite "
-            f"(min eig {eig_min:.2e})"
-        )
-    AP, PGP = A.T @ P, P @ G @ P
-    # the Frobenius norm bounds the 2-norm from above
-    residual = np.linalg.norm(AP + AP.T - PGP + Q)
+    eig_min, eig_max = eig_P[:, 0], eig_P[:, -1]
+    AP, PGP = np.swapaxes(A, -1, -2) @ P, P @ G @ P
+    residual = _frobenius(AP + np.swapaxes(AP, -1, -2) - PGP + Q)
     # P is symmetric, so ‖P‖₂ = max|λ(P)|
-    bound = _tolerance_for_norm(max(-eig_min, eig_max))
+    bound = _tolerance_for_norm(np.maximum(-eig_min, eig_max))
     if rounding:
-        bound = min(bound, ROUNDING_RTOL
-                    * (2 * np.linalg.norm(AP) + np.linalg.norm(PGP)))
-    if residual > bound:
-        raise RiccatiError(
-            f"{kind} ARE residual {residual:.2e} exceeds tolerance"
-        )
-    if not is_hurwitz(A - G @ P):
-        raise RiccatiError(f"{kind} ARE closed loop not Hurwitz")
+        bound = np.minimum(bound, ROUNDING_RTOL
+                           * (2 * _frobenius(AP) + _frobenius(PGP)))
+    failed = np.where(eig_min < -PSD_TOL, 1, np.where(residual > bound, 2, 0))
+    rest = failed == 0
+    failed[rest] = np.where(_hurwitz((A - G @ P)[rest]), 0, 3)
+    return residual, eig_min, failed
+
+
+def _frobenius(M):
+    return np.sqrt((M * M).sum(axis=(-2, -1)))
+
+
+def _certify(A, G, Q, P, kind, parameter):
+    """Wrap P as a RiccatiSolution once AᵀP + PA - PGP + Q = 0 is met to
+    tolerance, P is PSD and A - GP is Hurwitz; raise RiccatiError otherwise."""
+    residual, eig_min, failed = _certificates(A, G, Q, P[None])
+    if failed[0]:
+        reason = ("",
+                  "solution not positive semidefinite "
+                  f"(min eig {eig_min[0]:.2e})",
+                  f"residual {residual[0]:.2e} exceeds tolerance",
+                  "closed loop not Hurwitz")[failed[0]]
+        raise RiccatiError(f"{kind} ARE {reason}")
     P.setflags(write=False)
     return RiccatiSolution(P=P, kind=kind, parameter=parameter,
-                           residual_norm=residual, closed_loop_stable=True)
+                           residual_norm=float(residual[0]),
+                           closed_loop_stable=True)
 
 
 def _check_model(model):
@@ -162,26 +188,62 @@ def _check_model(model):
         )
 
 
-def _solve(model, kind, name, parameter, shift, weight, validate_model):
-    """Certified solution of (A + sI)ᵀP + P(A + sI) - PBBᵀP + wI = 0: from
-    the Lyapunov form when w = 0 and it certifies, else Hamiltonian Schur."""
+def _check_inputs(model, name, parameter, validate_model):
     if not (0.0 < parameter <= 1.0):
         raise ParameterError(f"{name} must be in (0, 1], got {parameter}")
     if validate_model:
         _check_model(model)
+
+
+def _hamiltonian(model, kind, parameter, shift, weight):
+    """Certified solution of (A + sI)ᵀP + P(A + sI) - PBBᵀP + wI = 0 by the
+    Hamiltonian Schur method."""
     I = np.eye(model.n)
     A = model.A + shift * I
     G = model.B @ model.B.T
     Q = weight * I
-    if weight == 0.0:
-        T, U = model.schur
-        P = _care_lyapunov(G, T + shift * I, U)
-        if P is not None:
-            try:
-                return _certify(A, G, Q, P, kind, parameter, rounding=True)
-            except RiccatiError:
-                pass  # gate (iii) failed: the Hamiltonian solve decides
     return _certify(A, G, Q, _care_schur(A, G, Q), kind, parameter)
+
+
+def scheduled_lyapunov(model: AgentModel, rho: np.ndarray):
+    """The scheduled ARE for each ρ of the stack rho (r,) from its Lyapunov
+    form (module docstring), as one stacked solve with stacked certificates.
+
+    W solves (K₀ + ρI) vec W = vec UᵀBBᵀU with K₀ = I⊗T + T⊗I on the Schur
+    form A = UTUᵀ, and P = UL⁻ᵀL⁻¹Uᵀ from W = LLᵀ.  Returns (P, residual,
+    certified): the mask (r,) marks the rows that pass gates (i)-(iii), and
+    P and residual hold, in order, those rows' P and residual norm.  A row
+    that fails a gate is left out of every later stage.  Each stage makes one LAPACK call per
+    row, so a row's bits do not depend on the rest of the stack:
+    `solve_scheduled_are` is this call on a stack of one.
+    """
+    rho = np.asarray(rho, dtype=float)
+    n = model.n
+    T, U = model.schur
+    certified = T.diagonal().min() + rho / 2 > HURWITZ_TOL  # gate (i)
+    if not certified.any():
+        return np.empty((0, n, n)), np.empty(0), certified
+    # K₀ indexed [(i, k), (j, l)] as δᵢⱼTₖₗ + Tᵢⱼδₖₗ
+    I = np.eye(n)
+    K0 = (I[:, None, :, None] * T[None, :, None, :]
+          + T[:, None, :, None] * I[None, :, None, :]).reshape(n * n, n * n)
+    K = rho[certified, None, None] * np.eye(n * n)
+    K += K0  # in place: the stack holds r·n⁴ doubles
+    G = model.B @ model.B.T
+    W, ok = _stacked(np.linalg.solve, K, (U.T @ G @ U).reshape(n * n, 1))
+    certified[certified] = ok
+    L, ok = _stacked(np.linalg.cholesky, W.reshape(-1, n, n))
+    certified[certified] = ok
+    M = np.linalg.inv(L) @ U.T
+    P = np.swapaxes(M, -1, -2) @ M
+    ok = np.isfinite(P).all(axis=(-2, -1))  # a W near singular overflows P
+    certified[certified] = ok
+    P = P[ok]
+    A = model.A + (rho[certified] / 2)[:, None, None] * I
+    residual, _, failed = _certificates(A, G, 0.0, P, rounding=True)
+    ok = failed == 0
+    certified[certified] = ok
+    return P[ok], residual[ok], certified
 
 
 def solve_scheduled_are(
@@ -196,14 +258,23 @@ def solve_scheduled_are(
     Raises RiccatiError when no certified stabilizing solution exists, for
     instance when A has an eigenvalue at exactly -ρ/2.
     """
-    return _solve(model, "scheduled", "rho", rho, rho / 2, 0.0, validate_model)
+    _check_inputs(model, "rho", rho, validate_model)
+    P, residual, certified = scheduled_lyapunov(model, np.array([rho]))
+    if not certified[0]:
+        return _hamiltonian(model, "scheduled", rho, rho / 2, 0.0)
+    P = P[0]
+    P.setflags(write=False)
+    return RiccatiSolution(P=P, kind="scheduled", parameter=rho,
+                           residual_norm=float(residual[0]),
+                           closed_loop_stable=True)
 
 
 def solve_lowgain_are(
     model: AgentModel, eps: float, *, validate_model: bool = True
 ) -> RiccatiSolution:
     """Stabilizing solution of AᵀP + PA - PBBᵀP + εI = 0."""
-    return _solve(model, "lowgain", "eps", eps, 0.0, eps, validate_model)
+    _check_inputs(model, "eps", eps, validate_model)
+    return _hamiltonian(model, "lowgain", eps, 0.0, eps)
 
 
 def design_observer_gain(model: AgentModel) -> np.ndarray:

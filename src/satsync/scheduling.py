@@ -11,7 +11,7 @@ bracketing interval.  Every ρ probed or returned lies on the dyadic lattice
     ρ(k, j) = 2⁻ᵏ + 2⁻ᵏ·j/2¹⁰,   octave k ∈ [0, 20], index j ∈ [0, 2¹⁰),
 
 whose points are exact binary floats.  `PCache` holds one row per lattice
-point, at its id k·2¹⁰ + j, filled on first probe, so ARE solves are shared
+point, at its id k·2¹⁰ + j, filled by octave, so ARE solves are shared
 across calls and all agents are scheduled together as array operations.
 
 The semi-global ε* has no constructive formula; it is selected by validating
@@ -27,7 +27,12 @@ from typing import Optional
 import numpy as np
 
 from .model import AgentModel
-from .riccati import ParameterError, RiccatiSolution, solve_scheduled_are
+from .riccati import (
+    ParameterError,
+    RiccatiSolution,
+    scheduled_lyapunov,
+    solve_scheduled_are,
+)
 
 RHO_MIN = 2.0**-20
 GRID = tuple(2.0**-k for k in range(21))  # 1, 1/2, ..., 2^-20
@@ -78,10 +83,12 @@ class PCache:
     BᵀP, and `filled[i]` says whether it has been solved.  The arrays are
     allocated empty for the whole lattice, so only the pages of filled rows
     become resident.  Construction solves ρ = 1 into row 0, which validates
-    the model; every other row is filled by `fill` when the schedule first
-    probes it.  Each row comes from one cold solve, so it holds exactly the
-    bits that `solve_scheduled_are(model, ρ)` gives whatever was filled
-    before, and the rows of octave k are the slice [k·2¹⁰, (k+1)·2¹⁰).
+    the model.  The other rows are filled by `fill`: by octave, the slice
+    [k·2¹⁰, (k+1)·2¹⁰), once the bisection first probes octave k ≥ 1, from
+    one stacked Lyapunov solve; alone, a grid row 2⁻ᵏ that only the grid
+    scan reads, and a probed row that the Lyapunov form cannot certify.
+    Row 0 is octave 0's only ρ in (0, 1].  Every row holds exactly the bits
+    that `solve_scheduled_are(model, ρ)` gives, whatever was filled before.
     """
 
     def __init__(self, model: AgentModel):
@@ -90,7 +97,8 @@ class PCache:
         self.S = np.empty((size, n, n))
         self.BtP = np.empty((size, m, n))
         self.filled = np.zeros(size, dtype=bool)
-        self._fill(0, solve_scheduled_are(model, 1.0))
+        self._stacked = set()  # octaves already given their stacked solve
+        self._fill(0, solve_scheduled_are(model, 1.0).P)
 
     def solution(self, rho: float) -> RiccatiSolution:
         """The certified solve at ρ, cold: the table is not consulted."""
@@ -101,22 +109,43 @@ class PCache:
         return float(chi @ S @ chi)
 
     def fill(self, ids: np.ndarray) -> None:
-        """Solve the rows of the lattice ids that are not filled yet."""
-        missing = ~self.filled[ids]
-        if missing.any():
-            new = np.unique(ids[missing])
-            for i, rho in zip(new.tolist(), lattice_rho(new).tolist()):
-                self._fill(i, self.solution(rho))
+        """Solve the rows of the lattice ids that are not filled yet.
 
-    def _fill(self, i, sol):
-        self.S[i], self.BtP[i] = _row(self.model.B, sol.P)
+        Each octave k ≥ 1 with a missing id off the grid (j > 0, as the
+        bisection probes) gets one stacked Lyapunov solve
+        (`riccati.scheduled_lyapunov`), once, which fills every row of it
+        that the Lyapunov form certifies.  Every missing id left, the grid
+        rows among them, is then solved on its own, by the Hamiltonian
+        method where the Lyapunov form does not certify; an octave's other
+        rows stay unfilled until they are asked for.
+        """
+        missing = ~self.filled[ids]
+        if not missing.any():
+            return
+        new = np.unique(ids[missing])
+        k_new, j_new = np.divmod(new, OCTAVE)
+        for k in np.unique(k_new[j_new > 0]).tolist():
+            # octave 0's rows j > 0 lie above ρ = 1
+            if k > 0 and k not in self._stacked:
+                self._stacked.add(k)
+                rows = np.arange(k * OCTAVE, (k + 1) * OCTAVE)
+                P, _, certified = scheduled_lyapunov(self.model,
+                                                     lattice_rho(rows))
+                self._fill(rows[certified], P)
+        new = new[~self.filled[new]]
+        for i, rho in zip(new.tolist(), lattice_rho(new).tolist()):
+            self._fill(i, self.solution(rho).P)
+
+    def _fill(self, i, P):
+        """Rows i from P: one row from (n, n), or rows from a stack."""
+        self.S[i], self.BtP[i] = _row(self.model.B, P)
         self.filled[i] = True
 
 
 def _row(B, P):
-    """(S, BᵀP) with S = tr(BᵀPB)·P: a table row of P."""
+    """(S, BᵀP) with S = tr(BᵀPB)·P: the table rows of P (…, n, n)."""
     BtP = B.T @ P
-    return np.trace(BtP @ B) * P, BtP
+    return np.trace(BtP @ B, axis1=-2, axis2=-1)[..., None, None] * P, BtP
 
 
 def _g(chi_row, chi_col, S):
@@ -135,7 +164,9 @@ def _first_passing_level(chi, cache):
     public `PCache.fill` solved out of order is scanned only once the
     prefix reaches it.  While some agent fails every scanned level, the
     first unfilled level is filled and the scan repeated, so exactly the
-    levels that scanning one agent at a time would probe get solved.
+    levels that scanning one agent at a time would probe get solved.  Each
+    is a grid row solved alone: its octave is filled whole only once the
+    bisection probes it.
     """
     while True:
         levels = int(np.logical_and.accumulate(cache.filled[GRID_IDS]).sum())

@@ -1,3 +1,4 @@
+import functools
 import gc
 import os
 import tracemalloc
@@ -21,11 +22,12 @@ from satsync import (
     solve_scheduled_are,
     triple_integrator,
 )
-from satsync import scheduling
-from satsync.riccati import RiccatiError
+from satsync import riccati, scheduling
+from satsync.riccati import ParameterError, RiccatiError, scheduled_lyapunov
 from satsync.scheduling import (
     BISECTION_DEPTH,
     GRID,
+    OCTAVE,
     RHO_MIN,
     ScheduleFloorError,
     lattice_rho,
@@ -137,20 +139,63 @@ class TestEpsilonOfState:
 
 
 def table_row(model, P):
-    """(tr(BᵀPB)·P, BᵀP), computed here from a solved P."""
+    """(tr(BᵀPB)·P, BᵀP), computed here from a solved P (…, n, n)."""
     BtP = model.B.T @ P
-    return np.trace(BtP @ model.B) * P, BtP
+    return np.trace(BtP @ model.B, axis1=-2, axis2=-1)[..., None, None] * P, BtP
 
 
-def reference_schedule(chi, model, solved):
+def octave_rows(k):
+    """The lattice ids of octave k, [k·2¹⁰, (k+1)·2¹⁰)."""
+    return np.arange(k * OCTAVE, (k + 1) * OCTAVE)
+
+
+def octave_of(rho):
+    """The octave k of a lattice ρ ∈ [2⁻ᵏ, 2⁻ᵏ⁺¹)."""
+    return 1 - int(np.frexp(rho)[1])
+
+
+def lattice_id(rho):
+    """The id k·2¹⁰ + j of the lattice ρ = 2⁻ᵏ(1 + j/2¹⁰)."""
+    k = octave_of(rho)
+    return k * OCTAVE + int((rho * 2.0**k - 1) * OCTAVE)
+
+
+def assert_octave_matches_direct_solve(cache, k):
+    """The rows of octave k that one direct stacked solve certifies are
+    filled and hold its bits."""
+    rows = octave_rows(k)
+    P, _, certified = scheduled_lyapunov(cache.model, lattice_rho(rows))
+    S, BtP = table_row(cache.model, P)
+    assert cache.filled[rows[certified]].all()
+    np.testing.assert_array_equal(cache.S[rows[certified]], S)
+    np.testing.assert_array_equal(cache.BtP[rows[certified]], BtP)
+
+
+@functools.cache
+def triple_solve(rho):
+    """`solve_scheduled_are` on the triple integrator, once per ρ."""
+    return solve_scheduled_are(triple_integrator(), rho)
+
+
+@functools.cache
+def triple_octave(k):
+    """Table rows (S, BᵀP) of the triple integrator's octave k ≥ 1 from one
+    direct stacked solve; every row of it certifies."""
+    P, _, certified = scheduled_lyapunov(triple_integrator(),
+                                         lattice_rho(octave_rows(k)))
+    assert certified.all()
+    return table_row(triple_integrator(), P)
+
+
+def reference_schedule(chi, model, solved, solve=solve_scheduled_are):
     """One agent at a time: grid scan, then bisection, with g and
-    u = −(BᵀP)χ from one cold `solve_scheduled_are` per probed ρ, kept in the
+    u = −(BᵀP)χ from one cold `solve(model, ρ)` per probed ρ, kept in the
     dict solved; stops at the first agent past the floor."""
     B = model.B
 
     def P(rho):
         if rho not in solved:
-            solved[rho] = solve_scheduled_are(model, rho)
+            solved[rho] = solve(model, rho)
         return solved[rho].P
 
     def g(rho, c):  # the association of PCache.g
@@ -192,38 +237,52 @@ def floor_norm_or(fn, *args):
               st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)),
     min_size=N, max_size=N)))
 def test_schedule_matches_one_agent_at_a_time(agents):
-    """Same bits of ε and U, the same floor error and, on success, the same
-    solved ρ as scheduling each agent alone, for log-uniform scales
-    10⁻³ … 10⁷ (the floor is near 10⁶ along the last axis).  A floor error
-    is raised once the grid scan fails, so exactly the grid is solved.
-    Every filled row holds the bits of a direct solve."""
+    """Same bits of ε and U and the same floor error as scheduling each
+    agent alone, for log-uniform scales 10⁻³ … 10⁷ (the floor is near 10⁶
+    along the last axis).  The table fills exactly the grid rows the
+    reference scans and, whole, each octave it bisects; a floor error is
+    raised once the grid scan fails, so then exactly the grid is filled.
+    Each filled octave holds the bits of one direct stacked solve, and each
+    row the reference solved the bits of its direct solve."""
     chi = np.array([10.0**e * np.array(v) for e, v in agents])
     model = triple_integrator()
     cache, solved = PCache(model), {}
     got = floor_norm_or(schedule, chi, cache)
-    want = floor_norm_or(reference_schedule, chi, model, solved)
-    ids = np.flatnonzero(cache.filled)
-    filled = set(lattice_rho(ids).tolist())
+    want = floor_norm_or(reference_schedule, chi, model, solved,
+                         lambda _, rho: triple_solve(rho))
     if isinstance(want, float):
         assert got == want
-        assert filled == set(GRID)
+        filled = set(GRID)
     else:
-        assert filled == set(solved)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
-    for i in ids:
-        S, BtP = table_row(model, solved[float(lattice_rho(i))].P)
-        np.testing.assert_array_equal(cache.S[i], S)
-        np.testing.assert_array_equal(cache.BtP[i], BtP)
+        filled = set(solved)
+    octaves = {octave_of(rho) for rho in filled if rho not in GRID}
+    for k in octaves:
+        filled.update(lattice_rho(octave_rows(k)).tolist())
+    assert set(lattice_rho(np.flatnonzero(cache.filled)).tolist()) == filled
+    for k in octaves:
+        S, BtP = triple_octave(k)
+        np.testing.assert_array_equal(cache.S[octave_rows(k)], S)
+        np.testing.assert_array_equal(cache.BtP[octave_rows(k)], BtP)
+    for rho, sol in solved.items():
+        i = lattice_id(rho)
+        if cache.filled[i]:
+            S, BtP = table_row(model, sol.P)
+            np.testing.assert_array_equal(cache.S[i], S)
+            np.testing.assert_array_equal(cache.BtP[i], BtP)
 
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=20)
 @given(seed=st.integers(0, 2**32 - 1), log10_scale=st.floats(-2.0, 4.0))
 def test_table_rows_on_random_admissible_models(seed, log10_scale):
     """On random admissible models (n ≤ 6, m ≤ 2), after `schedule` of a
-    few random states every filled row holds the bits of S = tr(BᵀPB)·P
-    and BᵀP of a direct solve, and `_g` as the schedule calls it gives the
-    bits of `PCache.g` on each row."""
+    few random states every octave with a filled row off the grid is
+    filled in each row one direct stacked solve certifies, with its bits.
+    Sampled filled rows, and every filled row the stacked solve does not
+    certify, hold the bits of S = tr(BᵀPB)·P and BᵀP of a direct
+    `solve_scheduled_are`, and `_g` as the schedule calls it gives the
+    bits of `PCache.g` on each."""
     rng = np.random.default_rng(seed)
     model = random_admissible_model(rng, n_max=6, io_max=2)
     chi = 10.0**log10_scale * rng.standard_normal((3, model.n))
@@ -232,15 +291,78 @@ def test_table_rows_on_random_admissible_models(seed, log10_scale):
         schedule(chi, cache)
     except (RiccatiError, ScheduleFloorError):
         return
+    filled = cache.filled.reshape(len(GRID), OCTAVE)
+    assert not filled[0, 1:].any()
+    for k in np.flatnonzero(filled[:, 1:].any(axis=1)):
+        assert_octave_matches_direct_solve(cache, k)
     ids = np.flatnonzero(cache.filled)
+    rho = lattice_rho(ids)
+    lyapunov = scheduled_lyapunov(model, rho)[2]
+    sample = np.union1d(np.linspace(0, ids.size - 1, 16).astype(int),
+                        np.flatnonzero(~lyapunov))
     g = scheduling._g(chi[:, None, None, :], chi[:, None, :, None],
-                      cache.S[ids])
-    for i, g_row in zip(ids, g.T):
-        rho = float(lattice_rho(i))
-        S, BtP = table_row(model, solve_scheduled_are(model, rho).P)
+                      cache.S[ids[sample]])
+    for i, r, g_row in zip(ids[sample], rho[sample].tolist(), g.T):
+        S, BtP = table_row(model, solve_scheduled_are(model, r).P)
         np.testing.assert_array_equal(cache.S[i], S)
         np.testing.assert_array_equal(cache.BtP[i], BtP)
-        assert g_row.tolist() == [cache.g(rho, c) for c in chi]
+        assert g_row.tolist() == [cache.g(r, c) for c in chi]
+
+
+def test_octave_split_by_gate_i(monkeypatch):
+    """A stable mode at −0.3 fails gate (i) for ρ ≤ 0.6 + 2·HURWITZ_TOL,
+    rows j ≤ 204 of octave 1 and all deeper octaves.  Those rows stay
+    unfilled unless a probe asks for them, and a probe among them is solved
+    by the Hamiltonian method; the octave's other rows come from its
+    stacked solve.  ε and U equal the one-agent-at-a-time reference's."""
+    model = AgentModel([[0.0, 0.0], [0.0, -0.3]], [[1.0], [1.0]],
+                       [[1.0, 0.0]])
+    v = np.array([1.0, 0.2])
+    # scaled to g = 1 at ρ = 0.55 and 0.7: bisected in both parts of
+    # octave 1; at ρ = 0.1, in octave 4, where no row passes gate (i)
+    chi = np.array([v / np.sqrt(PCache(model).g(rho, v))
+                    for rho in (0.55, 0.7, 0.1)])
+    hamiltonian = []
+
+    def counting(A, G, Q):
+        hamiltonian.append(2 * A[0, 0])  # A + (ρ/2)I, and A₀₀ = 0
+        return care_schur(A, G, Q)
+
+    care_schur = riccati._care_schur
+    cache = PCache(model)
+    monkeypatch.setattr(riccati, "_care_schur", counting)
+    got = schedule(chi, cache)
+    monkeypatch.undo()
+    solved = {}
+    want = reference_schedule(chi, model, solved)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    gate_i = lattice_rho(np.arange(cache.filled.size)) <= 0.6 + 2e-9
+    probed = np.zeros_like(cache.filled)
+    probed[[lattice_id(rho) for rho in solved]] = True
+    assert probed[octave_rows(1)][:205].any()  # a probe fails gate (i)
+    np.testing.assert_array_equal(cache.filled[gate_i], probed[gate_i])
+    assert cache.filled[octave_rows(1)][205:].all()
+    assert cache.filled[~gate_i].sum() == OCTAVE - 205 + 1
+    assert sorted(hamiltonian) == sorted(
+        lattice_rho(np.flatnonzero(probed & gate_i)).tolist())
+    assert_octave_matches_direct_solve(cache, 1)
+
+
+def test_octave_zero_is_never_stacked():
+    """Only row 0 of octave 0 is a ρ in (0, 1]: scheduling leaves its other
+    rows unfilled, and a public fill of one of them raises."""
+    cache = PCache(triple_integrator())
+    chi = np.outer(10.0 ** np.arange(-3, 8), [1.0, -0.5, 0.25])
+    with pytest.raises(ScheduleFloorError):
+        schedule(chi, cache)
+    eps, _ = schedule(chi[:-2], cache)
+    stacked = np.unique(np.frexp(eps[eps < 1.0])[1])
+    assert stacked.size > 1
+    assert cache.filled.reshape(len(GRID), OCTAVE)[1 - stacked].all()
+    with pytest.raises(ParameterError):
+        cache.fill(np.array([1]))
+    assert cache.filled[:OCTAVE].tolist() == [True] + [False] * (OCTAVE - 1)
 
 
 def test_floor_error_names_first_agent_past_floor(scalar_cache):
