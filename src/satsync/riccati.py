@@ -213,9 +213,9 @@ def scheduled_lyapunov(model: AgentModel, rho: np.ndarray):
     form A = UTUᵀ, and P = UL⁻ᵀL⁻¹Uᵀ from W = LLᵀ.  Returns (P, residual,
     certified): the mask (r,) marks the rows that pass gates (i)-(iii), and
     P and residual hold, in order, those rows' P and residual norm.  A row
-    that fails a gate is left out of every later stage.  Each stage makes one LAPACK call per
-    row, so a row's bits do not depend on the rest of the stack:
-    `solve_scheduled_are` is this call on a stack of one.
+    that fails a gate is left out of every later stage.  Each stage makes
+    one LAPACK call per row, so a row's bits do not depend on the rest of
+    the stack: `solve_scheduled_are` is this call on a stack of one.
     """
     rho = np.asarray(rho, dtype=float)
     n = model.n

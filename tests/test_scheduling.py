@@ -141,7 +141,8 @@ class TestEpsilonOfState:
 def table_row(model, P):
     """(tr(BᵀPB)·P, BᵀP), computed here from a solved P (…, n, n)."""
     BtP = model.B.T @ P
-    return np.trace(BtP @ model.B, axis1=-2, axis2=-1)[..., None, None] * P, BtP
+    S = np.trace(BtP @ model.B, axis1=-2, axis2=-1)[..., None, None] * P
+    return S, BtP
 
 
 def octave_rows(k):
