@@ -11,9 +11,10 @@ is P_ρ = W⁻¹, where W solves the Lyapunov equation A_sW + WA_sᵀ = BBᵀ,
 whenever A_s is antistable (Zhou, Duan & Lin, IEEE TAC 2008): then A_s - BBᵀP
 = -WA_sᵀW⁻¹ has spectrum -spec(A_s).  So the scheduled ARE is solved first on
 the model's cached real Schur form A = UTUᵀ, for a whole stack of ρ at once
-(`scheduled_lyapunov`): W in Schur coordinates solves the linear system
-(K₀ + ρI) vec W = vec UᵀBBᵀU with K₀ = I⊗T + T⊗I, one batched solve over the
-stack, then W = LLᵀ and P = UL⁻ᵀL⁻¹Uᵀ.  A row's P is kept only when
+(`scheduled_lyapunov`): W in Schur coordinates solves TW + WTᵀ + ρW =
+UᵀBBᵀU, block row by block row of W as T's 1×1 and 2×2 diagonal blocks
+split it (Bartels–Stewart), one batched solve over the stack per block,
+then W = LLᵀ and P = UL⁻ᵀL⁻¹Uᵀ.  A row's P is kept only when
 
   (i)   min Re λ(A) + ρ/2 > HURWITZ_TOL, read off the Schur diagonal;
   (ii)  the linear solve and the Cholesky factorization succeed and P is
@@ -115,21 +116,21 @@ def _care_schur(A, G, Q):
     return (P + P.T) / 2
 
 
-def _stacked(fn, X, *args):
-    """fn over the stack X, and the mask of rows where it succeeds.  One
+def _stacked(fn, *X):
+    """fn over the stacks X, and the mask of rows where it succeeds.  One
     failing row makes numpy raise for the whole stack, so only then are the
     rows tried one at a time; a row's bits do not depend on its stack."""
     try:
-        return fn(X, *args), np.ones(len(X), dtype=bool)
+        return fn(*X), np.ones(len(X[0]), dtype=bool)
     except np.linalg.LinAlgError:
-        ok = np.zeros(len(X), dtype=bool)
-        for i in range(len(X)):
+        ok = np.zeros(len(X[0]), dtype=bool)
+        for i in range(len(ok)):
             try:
-                fn(X[i:i + 1], *args)
+                fn(*(x[i:i + 1] for x in X))
             except np.linalg.LinAlgError:
                 continue
             ok[i] = True
-        return fn(X[ok], *args), ok
+        return fn(*(x[ok] for x in X)), ok
 
 
 def _certificates(A, G, Q, P, rounding=False):
@@ -205,17 +206,30 @@ def _hamiltonian(model, kind, parameter, shift, weight):
     return _certify(A, G, Q, _care_schur(A, G, Q), kind, parameter)
 
 
+def _schur_blocks(T):
+    """(start, end) of each diagonal block, 1×1 or 2×2, of the real Schur
+    form T, last block first."""
+    starts = [i for i in range(len(T)) if i == 0 or T[i, i - 1] == 0.0]
+    return list(zip(starts, starts[1:] + [len(T)]))[::-1]
+
+
 def scheduled_lyapunov(model: AgentModel, rho: np.ndarray):
     """The scheduled ARE for each ρ of the stack rho (r,) from its Lyapunov
-    form (module docstring), as one stacked solve with stacked certificates.
+    form (module docstring), with stacked certificates.
 
-    W solves (K₀ + ρI) vec W = vec UᵀBBᵀU with K₀ = I⊗T + T⊗I on the Schur
-    form A = UTUᵀ, and P = UL⁻ᵀL⁻¹Uᵀ from W = LLᵀ.  Returns (P, residual,
-    certified): the mask (r,) marks the rows that pass gates (i)-(iii), and
-    P and residual hold, in order, those rows' P and residual norm.  A row
-    that fails a gate is left out of every later stage.  Each stage makes
-    one LAPACK call per row, so a row's bits do not depend on the rest of
-    the stack: `solve_scheduled_are` is this call on a stack of one.
+    W solves TW + WTᵀ + ρW = C = UᵀBBᵀU on the Schur form A = UTUᵀ by
+    Bartels–Stewart: T is block upper triangular, so the block rows W_I of
+    W, last first, solve T_II·W_I + W_I·Tᵀ + ρW_I = C_I − Σ_{J>I} T_IJ·W_J,
+    a system of size at most 2n for each row of the stack.  The stack holds
+    O(r·n²) doubles and costs O(n⁴) per row.  Then P = UL⁻ᵀL⁻¹Uᵀ from
+    W = LLᵀ.
+
+    Returns (P, residual, certified): the mask (r,) marks the rows that
+    pass gates (i)-(iii), and P and residual hold, in order, those rows' P
+    and residual norm.  A row that fails a gate is left out of every later
+    stage.  Each stage makes one LAPACK call per row, so a row's bits do not
+    depend on the rest of the stack: `solve_scheduled_are` is this call on
+    a stack of one.
     """
     rho = np.asarray(rho, dtype=float)
     n = model.n
@@ -223,16 +237,27 @@ def scheduled_lyapunov(model: AgentModel, rho: np.ndarray):
     certified = T.diagonal().min() + rho / 2 > HURWITZ_TOL  # gate (i)
     if not certified.any():
         return np.empty((0, n, n)), np.empty(0), certified
-    # K₀ indexed [(i, k), (j, l)] as δᵢⱼTₖₗ + Tᵢⱼδₖₗ
-    I = np.eye(n)
-    K0 = (I[:, None, :, None] * T[None, :, None, :]
-          + T[:, None, :, None] * I[None, :, None, :]).reshape(n * n, n * n)
-    K = rho[certified, None, None] * np.eye(n * n)
-    K += K0  # in place: the stack holds r·n⁴ doubles
     G = model.B @ model.B.T
-    W, ok = _stacked(np.linalg.solve, K, (U.T @ G @ U).reshape(n * n, 1))
-    certified[certified] = ok
-    L, ok = _stacked(np.linalg.cholesky, W.reshape(-1, n, n))
+    C = U.T @ G @ U
+    I = np.eye(n)
+    shift = rho[certified, None, None]
+    W = np.empty((len(shift), n, n))
+    for a, b in _schur_blocks(T):
+        q = b - a
+        # T_II⊗I + I⊗T on the rows I = [a, b) of W, indexed [(i, k), (j, l)]
+        # as (T_II)ᵢⱼδₖₗ + δᵢⱼTₖₗ
+        K = (T[a:b, None, a:b, None] * I[None, :, None, :]
+             + np.eye(q)[:, None, :, None] * T[None, :, None, :])
+        # the right-hand side keeps the stack's ndim, so numpy 1.x and 2.x
+        # both read it as one column per row
+        x, ok = _stacked(np.linalg.solve,
+                         shift * np.eye(q * n) + K.reshape(q * n, q * n),
+                         (C[a:b] - T[a:b, b:] @ W[:, b:]).reshape(-1, q * n, 1))
+        if not ok.all():
+            certified[certified] = ok
+            shift, W = shift[ok], W[ok]
+        W[:, a:b] = x.reshape(-1, q, n)
+    L, ok = _stacked(np.linalg.cholesky, W)
     certified[certified] = ok
     M = np.linalg.inv(L) @ U.T
     P = np.swapaxes(M, -1, -2) @ M

@@ -39,6 +39,9 @@ GRID = tuple(2.0**-k for k in range(21))  # 1, 1/2, ..., 2^-20
 BISECTION_DEPTH = 10  # relative interval width 2^-10 < 1e-3
 OCTAVE = 2**BISECTION_DEPTH  # lattice points per grid interval
 GRID_IDS = np.arange(len(GRID)) * OCTAVE  # lattice ids k·2¹⁰ of the grid
+# rows of one octave that, solved one at a time, cost about what one stacked
+# solve of the whole octave costs (n = 3 to 6)
+STACK_AFTER = 64
 
 # Semi-global search parameters (validated by direct simulation, not by the
 # existential constants of the convergence analysis).
@@ -83,12 +86,14 @@ class PCache:
     BᵀP, and `filled[i]` says whether it has been solved.  The arrays are
     allocated empty for the whole lattice, so only the pages of filled rows
     become resident.  Construction solves ρ = 1 into row 0, which validates
-    the model.  The other rows are filled by `fill`: by octave, the slice
-    [k·2¹⁰, (k+1)·2¹⁰), once the bisection first probes octave k ≥ 1, from
-    one stacked Lyapunov solve; alone, a grid row 2⁻ᵏ that only the grid
-    scan reads, and a probed row that the Lyapunov form cannot certify.
-    Row 0 is octave 0's only ρ in (0, 1].  Every row holds exactly the bits
-    that `solve_scheduled_are(model, ρ)` gives, whatever was filled before.
+    the model.  The other rows are filled by `fill`, alone as they are
+    asked for, and by octave, the slice [k·2¹⁰, (k+1)·2¹⁰) of octave
+    k ≥ 1, from one stacked Lyapunov solve once STACK_AFTER of its rows
+    have been asked for: a cache that probes an octave a few times pays a
+    few solves, and one that probes it often pays at most about twice the
+    stack.  Row 0 is octave 0's only ρ in (0, 1].  Every row holds exactly
+    the bits that `solve_scheduled_are(model, ρ)` gives, whatever was
+    filled before.
     """
 
     def __init__(self, model: AgentModel):
@@ -97,7 +102,7 @@ class PCache:
         self.S = np.empty((size, n, n))
         self.BtP = np.empty((size, m, n))
         self.filled = np.zeros(size, dtype=bool)
-        self._stacked = set()  # octaves already given their stacked solve
+        self._asked = np.zeros(len(GRID), dtype=int)  # missing rows asked for
         self._fill(0, solve_scheduled_are(model, 1.0).P)
 
     def solution(self, rho: float) -> RiccatiSolution:
@@ -111,27 +116,27 @@ class PCache:
     def fill(self, ids: np.ndarray) -> None:
         """Solve the rows of the lattice ids that are not filled yet.
 
-        Each octave k ≥ 1 with a missing id off the grid (j > 0, as the
-        bisection probes) gets one stacked Lyapunov solve
-        (`riccati.scheduled_lyapunov`), once, which fills every row of it
-        that the Lyapunov form certifies.  Every missing id left, the grid
-        rows among them, is then solved on its own, by the Hamiltonian
-        method where the Lyapunov form does not certify; an octave's other
-        rows stay unfilled until they are asked for.
+        The missing ids are counted per octave.  An octave k ≥ 1 whose
+        count reaches STACK_AFTER in this call gets one stacked Lyapunov
+        solve (`riccati.scheduled_lyapunov`), which fills every row of it
+        that the Lyapunov form certifies.  Every missing id left is then
+        solved on its own, by the Hamiltonian method where the Lyapunov
+        form does not certify; an octave's other rows stay unfilled until
+        they are asked for.
         """
         missing = ~self.filled[ids]
         if not missing.any():
             return
         new = np.unique(ids[missing])
-        k_new, j_new = np.divmod(new, OCTAVE)
-        for k in np.unique(k_new[j_new > 0]).tolist():
-            # octave 0's rows j > 0 lie above ρ = 1
-            if k > 0 and k not in self._stacked:
-                self._stacked.add(k)
-                rows = np.arange(k * OCTAVE, (k + 1) * OCTAVE)
-                P, _, certified = scheduled_lyapunov(self.model,
-                                                     lattice_rho(rows))
-                self._fill(rows[certified], P)
+        asked = self._asked + np.bincount(new // OCTAVE, minlength=len(GRID))
+        reached = (self._asked < STACK_AFTER) & (asked >= STACK_AFTER)
+        self._asked = asked
+        # octave 0's rows j > 0 lie above ρ = 1
+        for k in np.flatnonzero(reached[1:]) + 1:
+            rows = np.arange(k * OCTAVE, (k + 1) * OCTAVE)
+            P, _, certified = scheduled_lyapunov(self.model,
+                                                 lattice_rho(rows))
+            self._fill(rows[certified], P)
         new = new[~self.filled[new]]
         for i, rho in zip(new.tolist(), lattice_rho(new).tolist()):
             self._fill(i, self.solution(rho).P)
@@ -165,8 +170,8 @@ def _first_passing_level(chi, cache):
     prefix reaches it.  While some agent fails every scanned level, the
     first unfilled level is filled and the scan repeated, so exactly the
     levels that scanning one agent at a time would probe get solved.  Each
-    is a grid row solved alone: its octave is filled whole only once the
-    bisection probes it.
+    is a row asked for like any other, and counts toward its octave's
+    stacked solve.
     """
     while True:
         levels = int(np.logical_and.accumulate(cache.filled[GRID_IDS]).sum())

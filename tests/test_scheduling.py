@@ -29,6 +29,7 @@ from satsync.scheduling import (
     GRID,
     OCTAVE,
     RHO_MIN,
+    STACK_AFTER,
     ScheduleFloorError,
     lattice_rho,
     sample_box_vertices,
@@ -161,6 +162,14 @@ def lattice_id(rho):
     return k * OCTAVE + int((rho * 2.0**k - 1) * OCTAVE)
 
 
+def stacked_octaves(asked):
+    """The octaves k ≥ 1 of which the lattice ids asked hold at least
+    STACK_AFTER rows: those a cache asked for them stacks."""
+    count = np.bincount(np.asarray(list(asked), dtype=int) // OCTAVE,
+                        minlength=len(GRID))
+    return (np.flatnonzero(count[1:] >= STACK_AFTER) + 1).tolist()
+
+
 def assert_octave_matches_direct_solve(cache, k):
     """The rows of octave k that one direct stacked solve certifies are
     filled and hold its bits."""
@@ -232,20 +241,14 @@ def floor_norm_or(fn, *args):
         return err.chi_norm
 
 
-@settings(database=None, derandomize=True, deadline=None, max_examples=40)
-@given(agents=st.integers(1, 40).flatmap(lambda N: st.lists(
-    st.tuples(st.floats(-3.0, 7.0),
-              st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)),
-    min_size=N, max_size=N)))
-def test_schedule_matches_one_agent_at_a_time(agents):
-    """Same bits of ε and U and the same floor error as scheduling each
-    agent alone, for log-uniform scales 10⁻³ … 10⁷ (the floor is near 10⁶
-    along the last axis).  The table fills exactly the grid rows the
-    reference scans and, whole, each octave it bisects; a floor error is
-    raised once the grid scan fails, so then exactly the grid is filled.
-    Each filled octave holds the bits of one direct stacked solve, and each
-    row the reference solved the bits of its direct solve."""
-    chi = np.array([10.0**e * np.array(v) for e, v in agents])
+def assert_schedule_matches_reference(chi):
+    """`schedule` of chi on a fresh triple-integrator cache against the
+    one-agent-at-a-time reference: same bits of ε and U, or the same floor
+    error.  The table fills exactly the rows the reference solves (on a
+    floor error, the grid) and, whole, each octave of which it solves at
+    least STACK_AFTER rows; each such octave holds the bits of one direct
+    stacked solve, and each row the reference solved the bits of its
+    direct solve."""
     model = triple_integrator()
     cache, solved = PCache(model), {}
     got = floor_norm_or(schedule, chi, cache)
@@ -253,15 +256,15 @@ def test_schedule_matches_one_agent_at_a_time(agents):
                          lambda _, rho: triple_solve(rho))
     if isinstance(want, float):
         assert got == want
-        filled = set(GRID)
+        filled = {lattice_id(rho) for rho in GRID}
     else:
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
-        filled = set(solved)
-    octaves = {octave_of(rho) for rho in filled if rho not in GRID}
+        filled = {lattice_id(rho) for rho in solved}
+    octaves = stacked_octaves(filled)
     for k in octaves:
-        filled.update(lattice_rho(octave_rows(k)).tolist())
-    assert set(lattice_rho(np.flatnonzero(cache.filled)).tolist()) == filled
+        filled.update(octave_rows(k).tolist())
+    assert set(np.flatnonzero(cache.filled).tolist()) == filled
     for k in octaves:
         S, BtP = triple_octave(k)
         np.testing.assert_array_equal(cache.S[octave_rows(k)], S)
@@ -272,35 +275,72 @@ def test_schedule_matches_one_agent_at_a_time(agents):
             S, BtP = table_row(model, sol.P)
             np.testing.assert_array_equal(cache.S[i], S)
             np.testing.assert_array_equal(cache.BtP[i], BtP)
+    return octaves
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=40)
+@given(agents=st.integers(1, 40).flatmap(lambda N: st.lists(
+    st.tuples(st.floats(-3.0, 7.0),
+              st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)),
+    min_size=N, max_size=N)))
+def test_schedule_matches_one_agent_at_a_time(agents):
+    """`assert_schedule_matches_reference` for log-uniform scales 10⁻³ …
+    10⁷ (the floor is near 10⁶ along the last axis)."""
+    assert_schedule_matches_reference(
+        np.array([10.0**e * np.array(v) for e, v in agents]))
+
+
+def test_octaves_asked_often_are_stacked():
+    """Sixty agents spread over two octaves of ε ask for more than
+    STACK_AFTER rows of each; those octaves are filled whole, and ε and U
+    keep the reference's bits."""
+    rng = np.random.default_rng(3)
+    chi = 10.0 ** rng.uniform(1.0, 1.6, (60, 1)) * rng.uniform(-1, 1, (60, 3))
+    assert len(assert_schedule_matches_reference(chi)) >= 2
 
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=20)
 @given(seed=st.integers(0, 2**32 - 1), log10_scale=st.floats(-2.0, 4.0))
 def test_table_rows_on_random_admissible_models(seed, log10_scale):
     """On random admissible models (n ≤ 6, m ≤ 2), after `schedule` of a
-    few random states every octave with a filled row off the grid is
-    filled in each row one direct stacked solve certifies, with its bits.
-    Sampled filled rows, and every filled row the stacked solve does not
-    certify, hold the bits of S = tr(BᵀPB)·P and BᵀP of a direct
-    `solve_scheduled_are`, and `_g` as the schedule calls it gives the
-    bits of `PCache.g` on each."""
+    few random states and a fill of every 16th row of the first state's
+    octave, the table holds exactly the rows asked for and, of each octave
+    asked for at least STACK_AFTER rows, every row one direct stacked solve
+    certifies, with its bits.  Sampled filled rows, among them rows the
+    stacked solve does not certify, hold the bits of S = tr(BᵀPB)·P and BᵀP
+    of a direct `solve_scheduled_are`, and `_g` as the schedule calls it
+    gives the bits of `PCache.g` on each."""
     rng = np.random.default_rng(seed)
     model = random_admissible_model(rng, n_max=6, io_max=2)
     chi = 10.0**log10_scale * rng.standard_normal((3, model.n))
+    asked = {0}
     try:
         cache = PCache(model)
-        schedule(chi, cache)
+        fill = cache.fill
+
+        def asking(ids):
+            asked.update(np.asarray(ids).tolist())
+            fill(ids)
+
+        cache.fill = asking
+        eps, _ = schedule(chi, cache)
+        cache.fill(octave_rows(max(1, octave_of(eps[0])))[::16])
     except (RiccatiError, ScheduleFloorError):
         return
-    filled = cache.filled.reshape(len(GRID), OCTAVE)
-    assert not filled[0, 1:].any()
-    for k in np.flatnonzero(filled[:, 1:].any(axis=1)):
+    octaves = stacked_octaves(asked)
+    unstacked = np.ones(cache.filled.size, dtype=bool)
+    for k in octaves:
         assert_octave_matches_direct_solve(cache, k)
+        unstacked[octave_rows(k)] = False
+    np.testing.assert_array_equal(
+        np.flatnonzero(cache.filled & unstacked),
+        sorted(i for i in asked if unstacked[i]))
     ids = np.flatnonzero(cache.filled)
     rho = lattice_rho(ids)
-    lyapunov = scheduled_lyapunov(model, rho)[2]
+    failing = np.flatnonzero(~scheduled_lyapunov(model, rho)[2])
     sample = np.union1d(np.linspace(0, ids.size - 1, 16).astype(int),
-                        np.flatnonzero(~lyapunov))
+                        failing[np.linspace(0, failing.size - 1,
+                                            min(16, failing.size)).astype(int)])
     g = scheduling._g(chi[:, None, None, :], chi[:, None, :, None],
                       cache.S[ids[sample]])
     for i, r, g_row in zip(ids[sample], rho[sample].tolist(), g.T):
@@ -312,17 +352,19 @@ def test_table_rows_on_random_admissible_models(seed, log10_scale):
 
 def test_octave_split_by_gate_i(monkeypatch):
     """A stable mode at −0.3 fails gate (i) for ρ ≤ 0.6 + 2·HURWITZ_TOL,
-    rows j ≤ 204 of octave 1 and all deeper octaves.  Those rows stay
-    unfilled unless a probe asks for them, and a probe among them is solved
-    by the Hamiltonian method; the octave's other rows come from its
-    stacked solve.  ε and U equal the one-agent-at-a-time reference's."""
+    rows j ≤ 204 of octave 1 and all deeper octaves.  Once octave 1 is
+    stacked, those rows stay unfilled unless a probe asks for them, and a
+    probe among them is solved by the Hamiltonian method; the octave's
+    other rows come from its stacked solve.  ε and U equal the
+    one-agent-at-a-time reference's."""
     model = AgentModel([[0.0, 0.0], [0.0, -0.3]], [[1.0], [1.0]],
                        [[1.0, 0.0]])
     v = np.array([1.0, 0.2])
-    # scaled to g = 1 at ρ = 0.55 and 0.7: bisected in both parts of
-    # octave 1; at ρ = 0.1, in octave 4, where no row passes gate (i)
+    # scaled to g = 1 at 40 ρ across octave 1, bisected on both sides of
+    # the gate, which asks for more than STACK_AFTER of its rows; at
+    # ρ = 0.1, in octave 4, where no row passes gate (i)
     chi = np.array([v / np.sqrt(PCache(model).g(rho, v))
-                    for rho in (0.55, 0.7, 0.1)])
+                    for rho in [*np.linspace(0.51, 0.99, 40), 0.1]])
     hamiltonian = []
 
     def counting(A, G, Q):
@@ -341,6 +383,7 @@ def test_octave_split_by_gate_i(monkeypatch):
     gate_i = lattice_rho(np.arange(cache.filled.size)) <= 0.6 + 2e-9
     probed = np.zeros_like(cache.filled)
     probed[[lattice_id(rho) for rho in solved]] = True
+    assert probed[octave_rows(1)].sum() >= STACK_AFTER
     assert probed[octave_rows(1)][:205].any()  # a probe fails gate (i)
     np.testing.assert_array_equal(cache.filled[gate_i], probed[gate_i])
     assert cache.filled[octave_rows(1)][205:].all()
@@ -352,17 +395,17 @@ def test_octave_split_by_gate_i(monkeypatch):
 
 def test_octave_zero_is_never_stacked():
     """Only row 0 of octave 0 is a ρ in (0, 1]: scheduling leaves its other
-    rows unfilled, and a public fill of one of them raises."""
+    rows unfilled, and a public fill of them raises, even of more than
+    STACK_AFTER, rather than stack them."""
     cache = PCache(triple_integrator())
-    chi = np.outer(10.0 ** np.arange(-3, 8), [1.0, -0.5, 0.25])
-    with pytest.raises(ScheduleFloorError):
-        schedule(chi, cache)
-    eps, _ = schedule(chi[:-2], cache)
-    stacked = np.unique(np.frexp(eps[eps < 1.0])[1])
-    assert stacked.size > 1
-    assert cache.filled.reshape(len(GRID), OCTAVE)[1 - stacked].all()
+    rng = np.random.default_rng(3)
+    chi = 10.0 ** rng.uniform(-1.0, 1.6, (60, 1)) * rng.uniform(-1, 1, (60, 3))
+    eps, _ = schedule(chi, cache)
+    assert eps.max() == 1.0
+    whole = cache.filled.reshape(len(GRID), OCTAVE).all(axis=1)
+    assert whole[1:].any()
     with pytest.raises(ParameterError):
-        cache.fill(np.array([1]))
+        cache.fill(np.arange(1, OCTAVE))
     assert cache.filled[:OCTAVE].tolist() == [True] + [False] * (OCTAVE - 1)
 
 
