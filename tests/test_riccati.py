@@ -208,6 +208,9 @@ class TestScheduledAre:
         rows, solve = [], np.linalg.solve
 
         def counting(K, b):
+            # numpy 1.x reads a right-hand side of ndim K.ndim − 1 as a
+            # stack of vectors, numpy 2 as one matrix
+            assert b.ndim == K.ndim
             rows.append(len(K))
             return solve(K, b)
 
