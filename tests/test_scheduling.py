@@ -163,8 +163,8 @@ def lattice_id(rho):
 
 
 def stacked_octaves(asked):
-    """The octaves k ≥ 1 of which the lattice ids asked hold at least
-    STACK_AFTER rows: those a cache asked for them stacks."""
+    """The octaves k ≥ 1 that hold at least STACK_AFTER of the lattice ids
+    asked: the octaves a cache asked for those ids stacks."""
     count = np.bincount(np.asarray(list(asked), dtype=int) // OCTAVE,
                         minlength=len(GRID))
     return (np.flatnonzero(count[1:] >= STACK_AFTER) + 1).tolist()
