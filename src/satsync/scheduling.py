@@ -2,7 +2,7 @@
 
 The schedule picks the largest ρ ∈ (0,1] for which
 
-    g(ρ, χ) = χᵀP_ρχ · trace(BᵀP_ρB) = χᵀS_ρχ ≤ 1,
+    g(ρ, χ) = χᵀP_ρχ · trace(BᵀP_ρB) = χᵀS_ρχ = ⟨vec S_ρ, χ⊗χ⟩ ≤ 1,
 
 which keeps ‖BᵀP_ρχ‖ ≤ 1 so the control never saturates.  g is nondecreasing
 in ρ, so the maximizer is found by scanning a dyadic grid and bisecting the
@@ -12,7 +12,11 @@ bracketing interval.  Every ρ probed or returned lies on the dyadic lattice
 
 whose points are exact binary floats.  `PCache` holds one row per lattice
 point, at its id k·2¹⁰ + j, filled by octave, so ARE solves are shared
-across calls and all agents are scheduled together as array operations.
+across calls and all agents are scheduled together as array operations:
+χ⊗χ is formed once per call, and each g is one inner product of it with a
+table row read as vec S.  An octave whose stacked solve certified every row
+is complete, and a bisection that stays in complete octaves makes no fill
+check.
 
 The semi-global ε* has no constructive formula; it is selected by validating
 candidate ε values on closed-loop simulations from a deterministic sample of
@@ -72,10 +76,17 @@ class SelectionError(RuntimeError):
         self.trials = trials
 
 
+# ρ of every lattice id k·2¹⁰ + j, evaluated once (168 KB)
+_LATTICE_RHO = np.ldexp(1.0 + np.arange(OCTAVE) / OCTAVE,
+                        -np.arange(len(GRID))[:, None]).ravel()
+_LATTICE_RHO.setflags(write=False)
+
+
 def lattice_rho(ids):
-    """ρ(k, j) = ldexp(1 + j/2¹⁰, −k) of the lattice ids k·2¹⁰ + j, exactly."""
-    k, j = np.divmod(ids, OCTAVE)
-    return np.ldexp(1.0 + j / OCTAVE, -k)
+    """ρ(k, j) = ldexp(1 + j/2¹⁰, −k) of the lattice ids k·2¹⁰ + j, exactly,
+    read from a table evaluated once.  ids must be lattice ids, integers in
+    [0, 21·2¹⁰)."""
+    return _LATTICE_RHO[ids]
 
 
 class PCache:
@@ -83,17 +94,18 @@ class PCache:
 
     Row i = k·2¹⁰ + j holds what the schedule reads of P at ρ =
     `lattice_rho(i)`: the quadratic form S = tr(BᵀPB)·P of g and the gain
-    BᵀP, and `filled[i]` says whether it has been solved.  The arrays are
-    allocated empty for the whole lattice, so only the pages of filled rows
-    become resident.  Construction solves ρ = 1 into row 0, which validates
-    the model.  The other rows are filled by `fill`, alone as they are
-    asked for, and by octave, the slice [k·2¹⁰, (k+1)·2¹⁰) of octave
-    k ≥ 1, from one stacked Lyapunov solve once STACK_AFTER of its rows
-    have been asked for: a cache that probes an octave a few times pays a
-    few solves, and one that probes it often pays at most about twice the
-    stack.  Row 0 is octave 0's only ρ in (0, 1].  Every row holds exactly
-    the bits that `solve_scheduled_are(model, ρ)` gives, whatever was
-    filled before.
+    BᵀP, and `filled[i]` says whether it has been solved.  `complete[k]`
+    says that octave k's stacked solve certified, and so filled, every row
+    of it.  The arrays are allocated empty for the whole lattice, so only
+    the pages of filled rows become resident.  Construction solves ρ = 1
+    into row 0, which validates the model.  The other rows are filled by
+    `fill`, alone as they are asked for, and by octave, the slice
+    [k·2¹⁰, (k+1)·2¹⁰) of octave k ≥ 1, from one stacked Lyapunov solve
+    once STACK_AFTER of its rows have been asked for: a cache that probes
+    an octave a few times pays a few solves, and one that probes it often
+    pays at most about twice the stack.  Row 0 is octave 0's only ρ in
+    (0, 1].  Every row holds exactly the bits that
+    `solve_scheduled_are(model, ρ)` gives, whatever was filled before.
     """
 
     def __init__(self, model: AgentModel):
@@ -102,6 +114,7 @@ class PCache:
         self.S = np.empty((size, n, n))
         self.BtP = np.empty((size, m, n))
         self.filled = np.zeros(size, dtype=bool)
+        self.complete = np.zeros(len(GRID), dtype=bool)
         self._asked = np.zeros(len(GRID), dtype=int)  # missing rows asked for
         self._fill(0, solve_scheduled_are(model, 1.0).P)
 
@@ -111,7 +124,7 @@ class PCache:
 
     def g(self, rho: float, chi: np.ndarray) -> float:
         S, _ = _row(self.model.B, self.solution(rho).P)
-        return float(chi @ S @ chi)
+        return float(_g(_kron(np.asarray(chi, dtype=float)), S.reshape(-1)))
 
     def fill(self, ids: np.ndarray) -> None:
         """Solve the rows of the lattice ids that are not filled yet.
@@ -119,10 +132,10 @@ class PCache:
         The missing ids are counted per octave.  An octave k ≥ 1 whose
         count reaches STACK_AFTER in this call gets one stacked Lyapunov
         solve (`riccati.scheduled_lyapunov`), which fills every row of it
-        that the Lyapunov form certifies.  Every missing id left is then
-        solved on its own, by the Hamiltonian method where the Lyapunov
-        form does not certify; an octave's other rows stay unfilled until
-        they are asked for.
+        that the Lyapunov form certifies, and is complete if that is every
+        row.  Every missing id left is then solved on its own, by the
+        Hamiltonian method where the Lyapunov form does not certify; an
+        octave's other rows stay unfilled until they are asked for.
         """
         missing = ~self.filled[ids]
         if not missing.any():
@@ -137,6 +150,7 @@ class PCache:
             P, _, certified = scheduled_lyapunov(self.model,
                                                  lattice_rho(rows))
             self._fill(rows[certified], P)
+            self.complete[k] = certified.all()
         new = new[~self.filled[new]]
         for i, rho in zip(new.tolist(), lattice_rho(new).tolist()):
             self._fill(i, self.solution(rho).P)
@@ -153,31 +167,38 @@ def _row(B, P):
     return np.trace(BtP @ B, axis1=-2, axis2=-1)[..., None, None] * P, BtP
 
 
-def _g(chi_row, chi_col, S):
-    """g = (χ·S)·χ over broadcast stacks of χ as rows (…, 1, n) and
-    columns (…, n, 1) and of S (…, n, n).
-
-    This association gives the same bits as `PCache.g`."""
-    return ((chi_row @ S) @ chi_col)[..., 0, 0]
+def _kron(chi):
+    """χ⊗χ of states chi (…, n), as (…, n²) in the order of vec S."""
+    return (chi[..., :, None] * chi[..., None, :]).reshape(
+        chi.shape[:-1] + (-1,))
 
 
-def _first_passing_level(chi, cache):
+def _g(kron, vec_S):
+    """g = ⟨vec S, χ⊗χ⟩ over broadcast stacks of χ⊗χ (…, n²) and of table
+    rows read as vec S (…, n²).
+
+    `PCache.g` evaluates this same expression, so it and the schedule give
+    the same bits."""
+    return np.vecdot(kron, vec_S)
+
+
+def _first_passing_level(kron, cache):
     """Per agent, the first grid level k with g(2⁻ᵏ, χ) ≤ 1, or -1 past the
-    floor.
+    floor, from the agents' χ⊗χ (N, n²).
 
-    The filled prefix of the grid is scanned at once; a grid row that a
-    public `PCache.fill` solved out of order is scanned only once the
-    prefix reaches it.  While some agent fails every scanned level, the
-    first unfilled level is filled and the scan repeated, so exactly the
-    levels that scanning one agent at a time would probe get solved.  Each
-    is a row asked for like any other, and counts toward its octave's
-    stacked solve.
+    The filled prefix of the grid is scanned at once, as one broadcast
+    inner product of (N, 1, n²) against the scanned rows (levels, n²); a
+    grid row that a public `PCache.fill` solved out of order is scanned
+    only once the prefix reaches it.  While some agent fails every scanned
+    level, the first unfilled level is filled and the scan repeated, so
+    exactly the levels that scanning one agent at a time would probe get
+    solved.  Each is a row asked for like any other, and counts toward its
+    octave's stacked solve.
     """
     while True:
         levels = int(np.logical_and.accumulate(cache.filled[GRID_IDS]).sum())
-        ids = GRID_IDS[:levels]
-        ok = _g(chi[:, None, None, :], chi[:, None, :, None],
-                cache.S[ids]) <= 1.0
+        vec_S = cache.S[GRID_IDS[:levels]].reshape(levels, -1)
+        ok = _g(kron[:, None, :], vec_S) <= 1.0
         passed = ok.any(axis=1)
         if passed.all() or levels == len(GRID):
             return np.where(passed, ok.argmax(axis=1), -1)
@@ -190,20 +211,28 @@ def schedule(chi: np.ndarray, cache: PCache):
     εᵢ is the largest ρ ∈ (0,1] with g(ρ, χᵢ) ≤ 1, to 1e-3 relative
     bisection width; returns (eps (N,), U (N, m)).  Raises
     ScheduleFloorError for the lowest-index agent past the floor.
+
+    Each bisection step gathers one table row per agent and takes its inner
+    product with χ⊗χ.  When every bisecting agent's octave is complete, the
+    steps skip `cache.fill`, which would find every row filled.
     """
     chi = np.asarray(chi, dtype=float)
-    k = _first_passing_level(chi, cache)
+    kron = _kron(chi)
+    k = _first_passing_level(kron, cache)
     past = np.flatnonzero(k < 0)
     if past.size:
         raise ScheduleFloorError(float(np.linalg.norm(chi[past[0]])))
     ids = k * OCTAVE
     b = np.flatnonzero(k)
     if b.size:  # bisect [2⁻ᵏ, 2⁻ᵏ⁺¹] on its lattice; ρ(k, lo) always passes
-        lo, chi_row, chi_col = ids[b], chi[b, None, :], chi[b, :, None]
+        lo, kron_b = ids[b], kron[b]
+        vec_S = cache.S.reshape(len(cache.S), -1)
+        complete = cache.complete[k[b]].all()
         for depth in range(1, BISECTION_DEPTH + 1):
             mid = lo + (OCTAVE >> depth)
-            cache.fill(mid)
-            g = _g(chi_row, chi_col, cache.S.take(mid, axis=0))
+            if not complete:
+                cache.fill(mid)
+            g = _g(kron_b, vec_S.take(mid, axis=0))
             np.copyto(lo, mid, where=g <= 1.0)
         ids[b] = lo
     U = -(cache.BtP.take(ids, axis=0) @ chi[:, :, None])[:, :, 0]

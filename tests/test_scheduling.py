@@ -208,8 +208,9 @@ def reference_schedule(chi, model, solved, solve=solve_scheduled_are):
             solved[rho] = solve(model, rho)
         return solved[rho].P
 
-    def g(rho, c):  # the association of PCache.g
-        return float(c @ table_row(model, P(rho))[0] @ c)
+    def g(rho, c):  # the expression of PCache.g
+        S = table_row(model, P(rho))[0]
+        return float(scheduling._g(scheduling._kron(c), S.reshape(-1)))
 
     eps, U = [], []
     for c in chi:
@@ -299,6 +300,18 @@ def test_octaves_asked_often_are_stacked():
     assert len(assert_schedule_matches_reference(chi)) >= 2
 
 
+def counting_fills(cache):
+    """Wrap `cache.fill` to record the ids of each call; returns the list."""
+    calls, fill = [], cache.fill
+
+    def asking(ids):
+        calls.append(np.array(ids))
+        fill(ids)
+
+    cache.fill = asking
+    return calls
+
+
 @settings(database=None, derandomize=True, deadline=None, max_examples=20)
 @given(seed=st.integers(0, 2**32 - 1), log10_scale=st.floats(-2.0, 4.0))
 def test_table_rows_on_random_admissible_models(seed, log10_scale):
@@ -313,20 +326,14 @@ def test_table_rows_on_random_admissible_models(seed, log10_scale):
     rng = np.random.default_rng(seed)
     model = random_admissible_model(rng, n_max=6, io_max=2)
     chi = 10.0**log10_scale * rng.standard_normal((3, model.n))
-    asked = {0}
     try:
         cache = PCache(model)
-        fill = cache.fill
-
-        def asking(ids):
-            asked.update(np.asarray(ids).tolist())
-            fill(ids)
-
-        cache.fill = asking
+        calls = counting_fills(cache)
         eps, _ = schedule(chi, cache)
         cache.fill(octave_rows(max(1, octave_of(eps[0])))[::16])
     except (RiccatiError, ScheduleFloorError):
         return
+    asked = {0, *np.concatenate(calls).tolist()}
     octaves = stacked_octaves(asked)
     unstacked = np.ones(cache.filled.size, dtype=bool)
     for k in octaves:
@@ -341,13 +348,25 @@ def test_table_rows_on_random_admissible_models(seed, log10_scale):
     sample = np.union1d(np.linspace(0, ids.size - 1, 16).astype(int),
                         failing[np.linspace(0, failing.size - 1,
                                             min(16, failing.size)).astype(int)])
-    g = scheduling._g(chi[:, None, None, :], chi[:, None, :, None],
-                      cache.S[ids[sample]])
+    g = scheduling._g(scheduling._kron(chi)[:, None, :],
+                      cache.S[ids[sample]].reshape(sample.size, -1))
     for i, r, g_row in zip(ids[sample], rho[sample].tolist(), g.T):
         S, BtP = table_row(model, solve_scheduled_are(model, r).P)
         np.testing.assert_array_equal(cache.S[i], S)
         np.testing.assert_array_equal(cache.BtP[i], BtP)
         assert g_row.tolist() == [cache.g(r, c) for c in chi]
+
+
+# a stable mode at −0.3: gate (i) fails for ρ ≤ 0.6 + 2·HURWITZ_TOL
+GATE_I_MODEL = AgentModel([[0.0, 0.0], [0.0, -0.3]], [[1.0], [1.0]],
+                          [[1.0, 0.0]])
+
+
+def gate_i_states(rhos):
+    """States along (1, 0.2) of `GATE_I_MODEL` scaled to g = 1 at each ρ."""
+    v = np.array([1.0, 0.2])
+    return np.array([v / np.sqrt(PCache(GATE_I_MODEL).g(rho, v))
+                     for rho in rhos])
 
 
 def test_octave_split_by_gate_i(monkeypatch):
@@ -356,15 +375,12 @@ def test_octave_split_by_gate_i(monkeypatch):
     stacked, those rows stay unfilled unless a probe asks for them, and a
     probe among them is solved by the Hamiltonian method; the octave's
     other rows come from its stacked solve.  ε and U equal the
-    one-agent-at-a-time reference's."""
-    model = AgentModel([[0.0, 0.0], [0.0, -0.3]], [[1.0], [1.0]],
-                       [[1.0, 0.0]])
-    v = np.array([1.0, 0.2])
-    # scaled to g = 1 at 40 ρ across octave 1, bisected on both sides of
-    # the gate, which asks for more than STACK_AFTER of its rows; at
-    # ρ = 0.1, in octave 4, where no row passes gate (i)
-    chi = np.array([v / np.sqrt(PCache(model).g(rho, v))
-                    for rho in [*np.linspace(0.51, 0.99, 40), 0.1]])
+    one-agent-at-a-time reference's.  The states have g = 1 at 40 ρ across
+    octave 1, bisected on both sides of the gate, which asks for more than
+    STACK_AFTER of its rows, and at ρ = 0.1, in octave 4, where no row
+    passes gate (i)."""
+    model, chi = GATE_I_MODEL, gate_i_states(
+        [*np.linspace(0.51, 0.99, 40), 0.1])
     hamiltonian = []
 
     def counting(A, G, Q):
@@ -391,6 +407,68 @@ def test_octave_split_by_gate_i(monkeypatch):
     assert sorted(hamiltonian) == sorted(
         lattice_rho(np.flatnonzero(probed & gate_i)).tolist())
     assert_octave_matches_direct_solve(cache, 1)
+
+
+def test_complete_octaves_are_bisected_without_fill():
+    """On the triple integrator every stacked octave certifies every row,
+    so exactly the stacked octaves are complete.  A warm `schedule` whose
+    bisecting agents all lie in complete octaves calls no `fill` and keeps
+    the bits of ε and U."""
+    rng = np.random.default_rng(3)
+    chi = 10.0 ** rng.uniform(1.0, 1.6, (60, 1)) * rng.uniform(-1, 1, (60, 3))
+    chi = np.vstack([chi, [[0.1, 0.0, 0.0]]])  # one agent at ε = 1
+    cache = PCache(triple_integrator())
+    eps, U = schedule(chi, cache)
+    whole = cache.filled.reshape(len(GRID), OCTAVE).all(axis=1)
+    assert whole[1:].sum() >= 2
+    assert cache.complete.tolist() == [False] + whole[1:].tolist()
+    octave = np.array([octave_of(e) for e in eps])
+    warm = cache.complete[octave] | (eps == 1.0)
+    assert (warm & (eps < 1.0)).sum() >= 20 and eps[warm].max() == 1.0
+    calls = counting_fills(cache)
+    got = schedule(chi[warm], cache)
+    assert calls == []
+    np.testing.assert_array_equal(got[0], eps[warm])
+    np.testing.assert_array_equal(got[1], U[warm])
+
+
+def test_incomplete_octave_rows_are_filled_when_probed():
+    """On the gate-(i) model of `test_octave_split_by_gate_i`, octave 1 is
+    stacked but stays incomplete.  A later `schedule` that bisects into its
+    gate-(i) rows still fills each step's probe: rows missing before are
+    filled with the bits of their direct solve, and ε and U equal the
+    one-agent-at-a-time reference's."""
+    model = GATE_I_MODEL
+    cache = PCache(model)
+    schedule(gate_i_states([*np.linspace(0.51, 0.99, 40), 0.1]), cache)
+    assert cache.filled[octave_rows(1)][205:].all()
+    assert not cache.complete.any()
+    later = gate_i_states([0.5165])
+    before = cache.filled.copy()
+    calls = counting_fills(cache)
+    got = schedule(later, cache)
+    asked = np.concatenate(calls)
+    assert len(calls) == BISECTION_DEPTH
+    assert (~before[asked]).any()
+    assert cache.filled[asked].all()
+    for i in asked[~before[asked]]:
+        S, BtP = table_row(model,
+                           solve_scheduled_are(model, lattice_rho(i)).P)
+        np.testing.assert_array_equal(cache.S[i], S)
+        np.testing.assert_array_equal(cache.BtP[i], BtP)
+    want = reference_schedule(later, model, {})
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+
+
+def test_lattice_rho_table_matches_ldexp():
+    """The lattice table holds ldexp(1 + j/2¹⁰, −k) bit for bit at every
+    id k·2¹⁰ + j."""
+    ids = np.arange(len(GRID) * OCTAVE)
+    k, j = np.divmod(ids, OCTAVE)
+    want = np.ldexp(1.0 + j / OCTAVE, -k)
+    np.testing.assert_array_equal(lattice_rho(ids).view(np.int64),
+                                  want.view(np.int64))
 
 
 def test_octave_zero_is_never_stacked():
