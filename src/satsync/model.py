@@ -86,6 +86,11 @@ class AgentModel:
         U.setflags(write=False)
         return T, U
 
+    @cached_property
+    def assumption(self) -> AssumptionReport:
+        """`check_assumption` of this model, computed once."""
+        return check_assumption(self)
+
 
 @dataclass(frozen=True)
 class AssumptionReport:

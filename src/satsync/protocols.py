@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import riccati
 from .graph import Network, laplacian
 from .model import AgentModel, saturate
 from .riccati import design_observer_gain
@@ -135,11 +136,13 @@ class StateLayout:
         return x, x_r, chi, xhat
 
     def pack(self, x, x_r, chi, xhat=None) -> np.ndarray:
+        """The stacked state of the blocks; xhat is required for partial
+        layouts and ignored for full ones."""
         parts = [np.asarray(x).reshape(-1), np.asarray(x_r).reshape(-1),
                  np.asarray(chi).reshape(-1)]
         if self.partial:
             if xhat is None:
-                xhat = np.zeros((self.N, self.n))
+                raise ProtocolError("a partial layout needs x̂")
             parts.append(np.asarray(xhat).reshape(-1))
         z = np.concatenate(parts)
         if z.size != self.dim:
@@ -228,11 +231,7 @@ class ClosedLoopField:
         self._chi = self.layout.slices()[2]
         self.linear_part = None
         if not kind.is_global:
-            # late: read at call time, where perfbench's tracer wraps it;
-            # a top-level import would hide this solve from riccati.lowgain
-            from .riccati import solve_lowgain_are
-
-            P = solve_lowgain_are(model, kind.epsilon).P
+            P = riccati.solve_lowgain_are(model, kind.epsilon).P
             self._gain_T = -(model.B.T @ P).T  # U = χ·gain_T: u_i = −BᵀP χ_i
             dim, Nm = self.layout.dim, net.N * model.m
             F = np.zeros((Nm, dim))

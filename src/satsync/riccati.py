@@ -44,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .model import AgentModel, check_assumption
+# riccati.check_assumption stays resolvable: perfbench's tracer wraps it
+from .model import AgentModel, check_assumption  # noqa: F401
 
 HURWITZ_TOL = 1e-9
 PSD_TOL = 1e-8
@@ -173,27 +174,29 @@ def _certify(A, G, Q, P, kind, parameter):
                   f"residual {residual[0]:.2e} exceeds tolerance",
                   "closed loop not Hurwitz")[failed[0]]
         raise RiccatiError(f"{kind} ARE {reason}")
+    return _solution(P, kind, parameter, residual[0])
+
+
+def _solution(P, kind, parameter, residual):
+    """The RiccatiSolution of a certified P, which it makes read-only."""
     P.setflags(write=False)
     return RiccatiSolution(P=P, kind=kind, parameter=parameter,
-                           residual_norm=float(residual[0]),
+                           residual_norm=float(residual),
                            closed_loop_stable=True)
 
 
-def _check_model(model):
-    report = check_assumption(model)
+def _check_inputs(model, name, parameter):
+    """Raise unless the parameter is in (0, 1] and the model is admissible
+    (`AgentModel.assumption`, checked once per model)."""
+    if not (0.0 < parameter <= 1.0):
+        raise ParameterError(f"{name} must be in (0, 1], got {parameter}")
+    report = model.assumption
     if not report.passed:
         raise RiccatiError(
             "model fails admissibility: "
             f"max Re eig(A)={report.max_real_part:.2e}, "
             f"stabilizable={report.stabilizable}, detectable={report.detectable}"
         )
-
-
-def _check_inputs(model, name, parameter, validate_model):
-    if not (0.0 < parameter <= 1.0):
-        raise ParameterError(f"{name} must be in (0, 1], got {parameter}")
-    if validate_model:
-        _check_model(model)
 
 
 def _hamiltonian(model, kind, parameter, shift, weight):
@@ -271,9 +274,7 @@ def scheduled_lyapunov(model: AgentModel, rho: np.ndarray):
     return P[ok], residual[ok], certified
 
 
-def solve_scheduled_are(
-    model: AgentModel, rho: float, *, validate_model: bool = True
-) -> RiccatiSolution:
+def solve_scheduled_are(model: AgentModel, rho: float) -> RiccatiSolution:
     """Stabilizing psd solution of AᵀP + PA - PBBᵀP + ρP = 0.
 
     Solved via the exact shift A → A + (ρ/2)I, which reduces it to a
@@ -283,22 +284,16 @@ def solve_scheduled_are(
     Raises RiccatiError when no certified stabilizing solution exists, for
     instance when A has an eigenvalue at exactly -ρ/2.
     """
-    _check_inputs(model, "rho", rho, validate_model)
+    _check_inputs(model, "rho", rho)
     P, residual, certified = scheduled_lyapunov(model, np.array([rho]))
     if not certified[0]:
         return _hamiltonian(model, "scheduled", rho, rho / 2, 0.0)
-    P = P[0]
-    P.setflags(write=False)
-    return RiccatiSolution(P=P, kind="scheduled", parameter=rho,
-                           residual_norm=float(residual[0]),
-                           closed_loop_stable=True)
+    return _solution(P[0], "scheduled", rho, residual[0])
 
 
-def solve_lowgain_are(
-    model: AgentModel, eps: float, *, validate_model: bool = True
-) -> RiccatiSolution:
+def solve_lowgain_are(model: AgentModel, eps: float) -> RiccatiSolution:
     """Stabilizing solution of AᵀP + PA - PBBᵀP + εI = 0."""
-    _check_inputs(model, "eps", eps, validate_model)
+    _check_inputs(model, "eps", eps)
     return _hamiltonian(model, "lowgain", eps, 0.0, eps)
 
 
@@ -306,13 +301,14 @@ def design_observer_gain(model: AgentModel) -> np.ndarray:
     """Read-only gain K = P_o Cᵀ, with A - KC Hurwitz, from the dual ARE
     AP_o + P_oAᵀ - P_oCᵀCP_o + I = 0.
 
-    This is the unit-weight low-gain ARE of the dual model (Aᵀ, Cᵀ, Bᵀ);
-    its Hurwitz certificate for Aᵀ - CᵀKᵀ is one for A - KC.
+    This is the unit-weight low-gain ARE of the dual model (Aᵀ, Cᵀ, Bᵀ),
+    solved with no admissibility check of the dual: only detectability of
+    (A, C) is needed.  Its Hurwitz certificate for Aᵀ - CᵀKᵀ is one for
+    A - KC.
     """
-    report = check_assumption(model)
-    if not report.detectable:
+    if not model.assumption.detectable:
         raise RiccatiError("(A, C) not detectable; cannot design observer gain")
     dual = AgentModel(model.A.T, model.C.T, model.B.T)
-    K = solve_lowgain_are(dual, 1.0, validate_model=False).P @ model.C.T
+    K = _hamiltonian(dual, "lowgain", 1.0, 0.0, 1.0).P @ model.C.T
     K.setflags(write=False)
     return K

@@ -30,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import riccati
 from .model import AgentModel
 from .riccati import (
     ParameterError,
@@ -98,13 +99,13 @@ class PCache:
     says that octave k's stacked solve certified, and so filled, every row
     of it.  The arrays are allocated empty for the whole lattice, so only
     the pages of filled rows become resident.  Construction solves ρ = 1
-    into row 0, which validates the model.  The other rows are filled by
-    `fill`, alone as they are asked for, and by octave, the slice
-    [k·2¹⁰, (k+1)·2¹⁰) of octave k ≥ 1, from one stacked Lyapunov solve
-    once STACK_AFTER of its rows have been asked for: a cache that probes
-    an octave a few times pays a few solves, and one that probes it often
-    pays at most about twice the stack.  Row 0 is octave 0's only ρ in
-    (0, 1].  Every row holds exactly the bits that
+    into row 0, which checks that the model is admissible.  The other rows
+    are filled by `fill`, alone as they are asked for, and by octave, the
+    slice [k·2¹⁰, (k+1)·2¹⁰) of octave k ≥ 1, from one stacked Lyapunov
+    solve once STACK_AFTER of its rows have been asked for: a cache that
+    probes an octave a few times pays a few solves, and one that probes it
+    often pays at most about twice the stack.  Row 0 is octave 0's only ρ
+    in (0, 1].  Every row holds exactly the bits that
     `solve_scheduled_are(model, ρ)` gives, whatever was filled before.
     """
 
@@ -120,7 +121,7 @@ class PCache:
 
     def solution(self, rho: float) -> RiccatiSolution:
         """The certified solve at ρ, cold: the table is not consulted."""
-        return solve_scheduled_are(self.model, rho, validate_model=False)
+        return solve_scheduled_are(self.model, rho)
 
     def g(self, rho: float, chi: np.ndarray) -> float:
         S, _ = _row(self.model.B, self.solution(rho).P)
@@ -357,13 +358,7 @@ def select_semiglobal_epsilon(
     from . import protocols  # late import: protocols depends on this module
 
     partial = coupling == "partial"
-    observer_gain = None
-    if partial:
-        # late: read at call time, where perfbench's tracer wraps it; a
-        # top-level import would hide this design from riccati.observer
-        from .riccati import design_observer_gain
-
-        observer_gain = design_observer_gain(model)
+    observer_gain = riccati.design_observer_gain(model) if partial else None
     layout = protocols.StateLayout(net.N, model.n, partial)
     samples = sample_box_vertices(sets.halfwidths(layout))
     trials = []

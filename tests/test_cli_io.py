@@ -250,6 +250,12 @@ class TestCommandLine:
         assert main(["check", "--scenario", str(path)]) == EXIT_VALIDATION
         assert "error:" in capsys.readouterr().err
 
+    def test_check_rejects_a_top_level_array(self, tmp_path, capsys):
+        path = tmp_path / "array.json"
+        path.write_text(json.dumps([SCALAR_SCENARIO]))
+        assert main(["check", "--scenario", str(path)]) == EXIT_VALIDATION
+        assert "top level must be an object" in capsys.readouterr().err
+
     def test_riccati_bad_parameter_exit_code(self, tmp_path):
         path = write_scenario(tmp_path, SCALAR_SCENARIO)
         code = main(

@@ -34,6 +34,12 @@ class TestNetwork:
         with pytest.raises(NetworkError):
             Network(adjacency=adj, root_set=frozenset([0]))
 
+    def test_nonfinite_weight_rejected(self):
+        adj = np.zeros((2, 2))
+        adj[1, 0] = np.inf
+        with pytest.raises(NetworkError, match="non-finite"):
+            Network(adjacency=adj, root_set=frozenset([0]))
+
     def test_indicator(self):
         net = Network(adjacency=chain(3), root_set=frozenset([0, 2]))
         np.testing.assert_array_equal(net.indicator, [1, 0, 1])

@@ -72,5 +72,10 @@ class TestAgentModel:
         with pytest.raises(ModelError):
             AgentModel([[0.0, 1.0]], [[1.0]], [[1.0]])
 
+    def test_nonfinite_entry_names_field(self):
+        with pytest.raises(ModelError, match="non-finite") as exc:
+            AgentModel([[0.0]], [[1.0]], [[np.nan]])
+        assert exc.value.field_name == "C"
+
     def test_dimensions(self, triple):
         assert (triple.n, triple.m, triple.q) == (3, 1, 1)

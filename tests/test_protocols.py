@@ -83,6 +83,17 @@ class TestStateLayout:
         np.testing.assert_array_equal(chi2, chi)
         np.testing.assert_array_equal(xhat2, xhat)
 
+    @pytest.mark.parametrize("N, n", [(2, 3), (1, 1)])
+    def test_pack_checks_its_blocks(self, N, n):
+        # x̂ is not filled in for a partial layout, and a block of the wrong
+        # size fails the size check
+        layout = StateLayout(N, n, partial=True)
+        x, x_r = np.zeros((N, n)), np.zeros(n)
+        with pytest.raises(ProtocolError, match="needs x̂"):
+            layout.pack(x, x_r, x)
+        with pytest.raises(ProtocolError, match=f"expected {layout.dim}"):
+            layout.pack(x, x_r, x, np.zeros(N * n + 1))
+
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=100)
 @given(N=st.integers(1, 6), n=st.integers(1, 4), partial=st.booleans(),

@@ -12,13 +12,16 @@ from conftest import (
     random_admissible_model,
     random_axis_spectrum_model,
 )
+import satsync
 from satsync import (
     AgentModel,
+    PCache,
     design_observer_gain,
     is_hurwitz,
     riccati,
     solve_lowgain_are,
     solve_scheduled_are,
+    triple_integrator,
 )
 from satsync.riccati import (
     PSD_TOL,
@@ -280,6 +283,59 @@ class TestLowgainAre:
             assert lowgain_residual(model, sol.P, eps) <= residual_tolerance(sol.P)
             assert np.linalg.eigvalsh(sol.P).min() >= -1e-8
             assert sol.closed_loop_stable
+
+
+class TestAdmissibility:
+    """Both solvers, and so a PCache build, refuse an inadmissible model;
+    a model's admissibility is checked once."""
+
+    @pytest.mark.parametrize("solve", [
+        lambda model: solve_scheduled_are(model, 0.5),
+        lambda model: solve_lowgain_are(model, 0.5),
+        PCache,
+    ])
+    def test_inadmissible_model_raises(self, solve):
+        # A = 1 lies in the open right half plane, yet both AREs have a
+        # certified stabilizing solution for it
+        model = AgentModel([[1.0]], [[1.0]], [[1.0]])
+        with pytest.raises(RiccatiError, match="model fails admissibility"):
+            solve(model)
+
+    def test_checked_once_per_model(self, monkeypatch):
+        calls, check = [], satsync.model.check_assumption
+
+        def counting(model):
+            calls.append(model)
+            return check(model)
+
+        monkeypatch.setattr(satsync.model, "check_assumption", counting)
+        model = triple_integrator()
+        cache = PCache(model)
+        for rho in np.linspace(0.01, 1.0, 100):
+            cache.solution(float(rho))
+        solve_lowgain_are(model, 1.0)
+        solve_lowgain_are(model, 0.25)
+        assert len(calls) == 1 and calls[0] is model
+
+
+class TestStacked:
+    @pytest.mark.parametrize("fn, bad, rhs", [
+        (np.linalg.cholesky, -np.eye(3), ()),  # not positive definite
+        (np.linalg.solve, np.zeros((3, 3)), (np.ones((6, 3, 1)),)),  # singular
+    ])
+    def test_mixed_stack_keeps_the_rows_that_pass(self, fn, bad, rhs):
+        # rows 1 and 4 fail: the mask marks the rest, and each kept row has
+        # the bits of its stack of one
+        M = np.random.default_rng(0).standard_normal((6, 3, 3))
+        X = M @ np.swapaxes(M, -1, -2) + 3 * np.eye(3)
+        X[[1, 4]] = bad
+        args = (X, *rhs)
+        out, ok = riccati._stacked(fn, *args)
+        assert ok.tolist() == [True, False, True, True, False, True]
+        assert len(out) == 4
+        for row, i in zip(out, np.flatnonzero(ok)):
+            np.testing.assert_array_equal(
+                row, fn(*(x[i:i + 1] for x in args))[0])
 
 
 class TestCertify:

@@ -197,8 +197,27 @@ class StageLoopOnly:
         return self.field(t, z)
 
 
+class NonFiniteKernel:
+    """ż = −z with a linear part whose Krylov block is not finite."""
+
+    linear_part = (np.array([[np.nan]]), np.zeros((1, 1)))
+
+    def __call__(self, t, z):
+        return -z
+
+
 class TestLinearKernel:
     T = 10.0
+
+    def test_nonfinite_krylov_block_takes_the_stage_loop(self):
+        L, F = NonFiniteKernel.linear_part
+        z = np.array([1.0])
+        assert _linear_stages(L, F, _powers(L), z, -z, 0.1) is None
+        traj = integrate(NonFiniteKernel(), z, (0.0, 2.0))
+        stages = integrate(decay, z, (0.0, 2.0))
+        assert traj.stats.n_linear_steps == 0
+        assert traj.stats.n_steps == stages.stats.n_steps > 0
+        np.testing.assert_array_equal(traj.states, stages.states)
 
     @settings(database=None, derandomize=True, deadline=None, max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1), log2_eps=st.floats(-20.0, 0.0),
