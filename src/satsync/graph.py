@@ -33,7 +33,7 @@ class Network:
     root_set: frozenset[int]
 
     def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=float)
+        adj = np.array(self.adjacency, dtype=float)  # a copy: frozen below
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise NetworkError(f"adjacency must be square, got {adj.shape}")
         if not np.all(np.isfinite(adj)):

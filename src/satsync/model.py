@@ -31,7 +31,7 @@ class ModelError(ValueError):
 
 
 def _as_matrix(M, name):
-    M = np.asarray(M, dtype=float)
+    M = np.array(M, dtype=float)  # a copy: the model freezes it
     if M.ndim == 1:
         M = M.reshape(1, -1) if name == "C" else M.reshape(-1, 1)
     if M.ndim != 2:

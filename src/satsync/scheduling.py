@@ -260,7 +260,8 @@ class CompactSetSpec:
 
     def __post_init__(self):
         for name in ("agent", "exo", "protocol"):
-            h = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            # a copy: the spec freezes it
+            h = np.atleast_1d(np.array(getattr(self, name), dtype=float))
             if not np.all(np.isfinite(h) & (h >= 0)):
                 raise ParameterError(
                     f"{name} half-widths must be finite and nonnegative"

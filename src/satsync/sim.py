@@ -10,20 +10,25 @@ times (T,): it is called once per run, on all accepted states at once.
 RK45 has one step-size controller and one accept path, and two kernels for
 the stages of an attempted step.  An attempt is a pure function of
 (t, z, k1 = f(t, z), h), and the loop carries nothing else between them.
+The first step is sized by the starting-step rule of Hairer, Nørsett &
+Wanner (Solving ODEs I, §II.4), in the norm of the loop's error test: it
+probes the field once, at t0 + h0 along the slope at t0.
 
 - the linear kernel, for a field that declares a `linear_part` (L, F) (the
   semiglobal protocols) while its controls stay unsaturated.  Each stage
-  point is a fixed polynomial in hL applied to z, so the attempt's Krylov
-  block [z, k1, L k1, …, L⁶ k1] = [Lᵏ z] gives all of them by small matrix
-  products; the powers stack [L; …; L⁶] is formed once per run.  The
-  fifth-order solution z5 is stage point 6, so its controls are checked
-  with the rest and its FSAL slope is L z5: the kernel makes no field call.
+  point is a fixed polynomial in hL applied to z, so one product of a 9-row
+  polynomial matrix with the attempt's Krylov block
+  [z, k1, L k1, …, L⁶ k1] = [Lᵏ z] gives all of them: rows 0–6 the stage
+  points (row 6 the fifth-order solution z5), row 7 the error estimate and
+  row 8 the FSAL slope L z5.  The powers stack [L; …; L⁶] is formed once
+  per run.  z5 is a stage point, so its controls are checked with the rest,
+  and a finite product certifies the step: the kernel makes no field call.
   `IntegratorStats.n_linear_steps` counts its steps.
 - the stage loop, one field call per stage, for every other attempt: a
   field with no linear part (the global protocols), a stage point whose
   controls F z_s exceed 1 in magnitude (the start point among them), or a
-  Krylov block that is not finite.  It runs at the same h.  Apart from the
-  call at t0, it is the only caller of the field.
+  product that is not finite.  It runs at the same h.  Apart from the call
+  at t0 and the start-step probe, it is the only caller of the field.
 """
 
 from __future__ import annotations
@@ -62,19 +67,23 @@ def _dp_polynomials():
     """One step of ż = L z as polynomials in x = hL, applied to z.
 
     Row s < 7 holds stage point s, z_s = z + x Σ_j a_sj z_j (row 6 is the
-    fifth-order solution); row 7 holds the error estimate h Σ_s e_s L z_s.
-    Column k holds the coefficient of xᵏ.
+    fifth-order solution); row 7 holds the error estimate h Σ_s e_s L z_s,
+    and row 8 the FSAL slope L z_6 = L z5.  Column k holds the coefficient of
+    Lᵏ z, and the powers table the power of h it carries: k, and k − 1 in
+    row 8, whose extra L is not scaled by h.
     """
-    poly = np.zeros((8, 8))
+    poly = np.zeros((9, 8))
     poly[:7, 0] = 1.0
     for s in range(1, 7):
         poly[s, 1:] = (_DP_A[s, :s] @ poly[:s])[:-1]
     poly[7, 1:] = (_DP_E @ poly[:7])[:-1]
-    return poly
+    poly[8, 1:] = poly[6, :-1]
+    powers = np.tile(np.arange(8.0), (9, 1))
+    powers[8, 1:] -= 1.0
+    return poly, powers
 
 
-_DP_POLY = _dp_polynomials()
-_DP_POWERS = np.arange(8.0)
+_DP_POLY, _DP_POWERS = _dp_polynomials()
 
 
 class IntegrationError(RuntimeError):
@@ -193,15 +202,10 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
     t, z = t0, z0
     k1 = field_fn(t, z)
     stats.n_field_evals += 1
-    # initial step from the field magnitude
-    scale = atol + rtol * np.linalg.norm(z)
-    h = min(0.1 * scale / max(np.linalg.norm(k1), 1e-10), tf - t0, 1.0)
-    h = max(h, DT_MIN)
-    if not np.isfinite(h):  # z0 or f(t0, z0) overflowed or holds a nan
-        raise IntegrationError(f"non-finite initial step size at t={t:.6g}", t, z)
+    h = _initial_step(field_fn, t, z, k1, tf - t0, rtol, atol, stats)
     linear = getattr(field_fn, "linear_part", None)
-    if linear is not None:
-        linear = (*linear, _powers(linear[0]))  # (L, F, [L; …; L⁶])
+    if linear is not None:  # (Fᵀ, [L; …; L⁶])
+        linear = (np.ascontiguousarray(linear[1].T), _powers(linear[0]))
     while t < tf:
         h = min(h, tf - t)
         step = None if linear is None else _linear_stages(*linear, z, k1, h)
@@ -210,12 +214,13 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
             step = _field_stages(field_fn, t, z, k1, h, stats)
         z5, err, k_new = step
         q = 0.0  # tol/err; stays 0 (reject, h × 0.2) if anything is non-finite
-        if np.isfinite(err):
+        if math.isfinite(err):
             tol = atol + rtol * _norm(z5)
             q = tol / err if err > 0 else np.inf
         if q >= 1.0:
             t_new = t + h
-            _check_finite(t_new, z5)
+            if not by_kernel:  # a kernel step is finite by construction
+                _check_finite(t_new, z5)
             t, z, k1 = t_new, z5, k_new  # FSAL: k_new is the field at z5
             stats.n_steps += 1
             stats.n_linear_steps += by_kernel
@@ -229,6 +234,30 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
                 f"step size underflow (h={h:.3g} < {DT_MIN}) at t={t:.6g}", t, z
             )
     return _finish(field_fn, times, states, stats)
+
+
+def _initial_step(field_fn, t, z, k1, span, rtol, atol, stats):
+    """First step size by the rule of Hairer, Nørsett & Wanner (Solving
+    ODEs I, §II.4), in the loop's norm with s = atol + rtol‖z‖.
+
+    A probe step h0 = 0.01‖z‖/‖k1‖ (1e-6 when either is below 1e-5·s)
+    estimates the field's rate of change by d2 = ‖f(t + h0, z + h0 k1) − k1‖
+    / (s h0), one counted field call.  The step is h1 = (0.01/d)^(1/5) with
+    d = max(‖k1‖/s, d2), at most 100·h0 and the span, at least DT_MIN.
+    """
+    norm_z, norm_f = _norm(z), _norm(k1)
+    if not (math.isfinite(norm_z) and math.isfinite(norm_f)):
+        # z0 or f(t0, z0) overflowed or holds a nan
+        raise IntegrationError(
+            f"non-finite initial state or slope at t={t:.6g}", t, z)
+    scale = atol + rtol * norm_z
+    d0, d1 = norm_z / scale, norm_f / scale
+    h0 = min(1e-6 if min(d0, d1) < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = _norm(field_fn(t + h0, z + h0 * k1) - k1) / (scale * h0)
+    stats.n_field_evals += 1
+    d = max(d1, d2)
+    h1 = max(1e-6, 1e-3 * h0) if d <= 1e-15 else (0.01 / d) ** 0.2
+    return max(min(100 * h0, h1, span), DT_MIN)
 
 
 def _field_stages(field_fn, t, z, k1, h, stats):
@@ -258,20 +287,20 @@ def _powers(L):
     return powers.reshape(-1, L.shape[1])
 
 
-def _linear_stages(L, F, powers, z, k1, h):
-    """Linear kernel: (z5, err, L z5) of one step, with no field call, or
-    None if the Krylov block [z, k1, L k1, …, L⁶ k1] is not finite or the
-    controls F z_s of a stage point (z and z5 among them) saturate."""
+def _linear_stages(FT, powers, z, k1, h):
+    """Linear kernel: (z5, err, L z5) of one step, with no field call, as one
+    product of the scaled polynomial matrix with the Krylov block
+    [z, k1, L k1, …, L⁶ k1]; None if the product is not finite or the
+    controls F z_s of a stage point (z and z5 among them) saturate.  Rows 6
+    and 8 carry every entry of the block with a nonzero coefficient, so a
+    non-finite block gives a non-finite product."""
     V = np.empty((8, z.size))
     V[0], V[1] = z, k1
-    V[2:] = (powers @ k1).reshape(6, z.size)
-    if not np.isfinite(V).all():
-        return None
+    np.matmul(powers, k1, out=V[2:].reshape(-1))
     Z = (_DP_POLY * h**_DP_POWERS) @ V
-    if np.abs(Z[:7] @ F.T).max() > 1.0:
+    if not np.isfinite(Z).all() or np.abs(Z[:7] @ FT).max() > 1.0:
         return None
-    z5 = Z[6].copy()  # a copy: states keep z5, not Z
-    return z5, _norm(Z[7]), L @ z5
+    return Z[6].copy(), _norm(Z[7]), Z[8]  # a copy: states keep z5, not Z
 
 
 def _norm(v):

@@ -22,6 +22,13 @@ def chain(n, weights=None):
 
 
 class TestNetwork:
+    def test_input_adjacency_stays_the_callers(self):
+        adj = chain(3)
+        net = Network(adjacency=adj, root_set=frozenset([0]))
+        assert adj.flags.writeable and not net.adjacency.flags.writeable
+        adj[2, 0] = 7.0
+        np.testing.assert_array_equal(net.adjacency, chain(3))
+
     def test_self_loop_rejected(self):
         adj = np.zeros((2, 2))
         adj[0, 0] = 1.0

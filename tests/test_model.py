@@ -77,5 +77,13 @@ class TestAgentModel:
             AgentModel([[0.0]], [[1.0]], [[np.nan]])
         assert exc.value.field_name == "C"
 
+    def test_input_arrays_stay_the_callers(self):
+        A, B, C = np.zeros((2, 2)), np.ones((2, 1)), np.ones((1, 2))
+        model = AgentModel(A, B, C)
+        for given, held in ((A, model.A), (B, model.B), (C, model.C)):
+            assert given.flags.writeable and not held.flags.writeable
+            given += 5.0
+            assert not np.any(held == given)
+
     def test_dimensions(self, triple):
         assert (triple.n, triple.m, triple.q) == (3, 1, 1)

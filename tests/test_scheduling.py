@@ -572,6 +572,14 @@ class TestCompactSetSpec:
         with pytest.raises(ValueError):
             CompactSetSpec(agent=-1.0, exo=1.0, protocol=1.0)
 
+    def test_input_arrays_stay_the_callers(self):
+        agent, exo = np.array([1.0, 2.0]), np.array([0.5])
+        sets = CompactSetSpec(agent=agent, exo=exo, protocol=0.0)
+        for given, held in ((agent, sets.agent), (exo, sets.exo)):
+            assert given.flags.writeable and not held.flags.writeable
+            given *= 3.0
+            assert not np.any(held == given)
+
     def test_scalar_broadcast(self):
         sets = CompactSetSpec(agent=2.0, exo=0.5, protocol=0.0)
         assert sets.agent.shape == (1,)

@@ -107,7 +107,8 @@ class TestAdaptiveRk45:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_recovers_after_nonfinite_stage(self):
         # a stage that overshoots past 0 sees inf; the step is rejected with
-        # factor 0.2 and integration carries on from the last accepted state
+        # factor 0.2 and integration carries on from the last accepted state.
+        # The counts include the start step's probe of the field.
         def guarded_decay(t, z):
             return np.array([np.inf]) if z[0] < 0 else -3.0 * z
 
@@ -115,7 +116,7 @@ class TestAdaptiveRk45:
         assert traj.times[-1] == 5.0
         assert np.all(traj.states[:, 0] >= 0)
         assert (traj.stats.n_steps, traj.stats.n_rejected,
-                traj.stats.n_field_evals) == (39, 22, 326)
+                traj.stats.n_field_evals) == (36, 24, 316)
 
     def test_retry_after_rejection_starts_from_the_field_at_z(self):
         # Duffing oscillator: many steps are rejected.  Each retry must start
@@ -206,13 +207,33 @@ class NonFiniteKernel:
         return -z
 
 
+class LinearDecay:
+    """ż = −z with a linear part whose controls never saturate."""
+
+    linear_part = (np.array([[-1.0]]), np.zeros((1, 1)))
+
+    def __call__(self, t, z):
+        return -z
+
+
 class TestLinearKernel:
     T = 10.0
+
+    def test_start_step_is_sized_to_the_tolerance(self):
+        """On ż = −z from 1 at rtol 1e-6 the first accepted step is at
+        least 1e-3; a tenth of a tolerance over the slope would give about
+        1e-7.  A run whose steps are all linear calls the field twice: at
+        t0 and for the start step's probe."""
+        for field in (decay, LinearDecay()):
+            traj = integrate(field, [1.0], (0.0, 1.0), rtol=1e-6)
+            assert traj.times[1] - traj.times[0] >= 1e-3
+        assert traj.stats.n_linear_steps == traj.stats.n_steps > 0
+        assert traj.stats.n_field_evals == 2
 
     def test_nonfinite_krylov_block_takes_the_stage_loop(self):
         L, F = NonFiniteKernel.linear_part
         z = np.array([1.0])
-        assert _linear_stages(L, F, _powers(L), z, -z, 0.1) is None
+        assert _linear_stages(F.T, _powers(L), z, -z, 0.1) is None
         traj = integrate(NonFiniteKernel(), z, (0.0, 2.0))
         stages = integrate(decay, z, (0.0, 2.0))
         assert traj.stats.n_linear_steps == 0
@@ -249,7 +270,8 @@ class TestLinearKernel:
         stages = integrate(StageLoopOnly(field), z0, (0.0, self.T),
                            rtol=rtol, atol=atol)
         assert traj.stats.n_linear_steps == traj.stats.n_steps
-        assert traj.stats.n_field_evals == 1  # at t0; the kernel calls none
+        # at t0 and the start step's probe; the kernel calls none
+        assert traj.stats.n_field_evals == 2
         assert stages.stats.n_linear_steps == 0
         # global error within ten local tolerances (2.4 at most on 200 draws)
         tol = 10 * (atol + rtol * np.abs(flow).max())
@@ -287,7 +309,8 @@ class TestLinearKernel:
         z.flags.writeable = k1.flags.writeable = False
 
         powers, stats = _powers(L), IntegratorStats()
-        kernels = (lambda h: _linear_stages(L, F, powers, z, k1, h),
+        powers.flags.writeable = False
+        kernels = (lambda h: _linear_stages(F.T, powers, z, k1, h),
                    lambda h: _field_stages(flow, 0.0, z, k1, h, stats))
         linear, stages = (kernel(h) for kernel in kernels)
         assert linear is not None and stats.n_field_evals == 6
