@@ -44,9 +44,6 @@ GRID = tuple(2.0**-k for k in range(21))  # 1, 1/2, ..., 2^-20
 BISECTION_DEPTH = 10  # relative interval width 2^-10 < 1e-3
 OCTAVE = 2**BISECTION_DEPTH  # lattice points per grid interval
 GRID_IDS = np.arange(len(GRID)) * OCTAVE  # lattice ids k·2¹⁰ of the grid
-# rows of one octave that, solved one at a time, cost about what one stacked
-# solve of the whole octave costs (n = 3 to 6)
-STACK_AFTER = 64
 
 # Semi-global search parameters (validated by direct simulation, not by the
 # existential constants of the convergence analysis).
@@ -100,13 +97,11 @@ class PCache:
     of it.  The arrays are allocated empty for the whole lattice, so only
     the pages of filled rows become resident.  Construction solves ρ = 1
     into row 0, which checks that the model is admissible.  The other rows
-    are filled by `fill`, alone as they are asked for, and by octave, the
-    slice [k·2¹⁰, (k+1)·2¹⁰) of octave k ≥ 1, from one stacked Lyapunov
-    solve once STACK_AFTER of its rows have been asked for: a cache that
-    probes an octave a few times pays a few solves, and one that probes it
-    often pays at most about twice the stack.  Row 0 is octave 0's only ρ
-    in (0, 1].  Every row holds exactly the bits that
-    `solve_scheduled_are(model, ρ)` gives, whatever was filled before.
+    are filled by `fill`: octave k ≥ 1, the slice [k·2¹⁰, (k+1)·2¹⁰), from
+    one stacked Lyapunov solve when any of its rows is first asked for, and
+    a row that solve does not certify alone when it is asked for.  Row 0 is
+    octave 0's only ρ in (0, 1].  Every row holds exactly the bits of
+    `solve_scheduled_are(model, ρ)`, whatever was filled before.
     """
 
     def __init__(self, model: AgentModel):
@@ -116,7 +111,6 @@ class PCache:
         self.BtP = np.empty((size, m, n))
         self.filled = np.zeros(size, dtype=bool)
         self.complete = np.zeros(len(GRID), dtype=bool)
-        self._asked = np.zeros(len(GRID), dtype=int)  # missing rows asked for
         self._fill(0, solve_scheduled_are(model, 1.0).P)
 
     def solution(self, rho: float) -> RiccatiSolution:
@@ -130,24 +124,22 @@ class PCache:
     def fill(self, ids: np.ndarray) -> None:
         """Solve the rows of the lattice ids that are not filled yet.
 
-        The missing ids are counted per octave.  An octave k ≥ 1 whose
-        count reaches STACK_AFTER in this call gets one stacked Lyapunov
-        solve (`riccati.scheduled_lyapunov`), which fills every row of it
-        that the Lyapunov form certifies, and is complete if that is every
-        row.  Every missing id left is then solved on its own, by the
-        Hamiltonian method where the Lyapunov form does not certify; an
-        octave's other rows stay unfilled until they are asked for.
+        An octave that holds a missing id and no filled row gets one stacked
+        Lyapunov solve (`riccati.scheduled_lyapunov`), which fills every row
+        of it that the Lyapunov form certifies, and is complete if that is
+        every row.  Every missing id left is then solved on its own, by the
+        Hamiltonian method where the Lyapunov form does not certify.  A fill
+        that returns has filled every id it was asked for, so an octave with
+        a filled row has been stacked, or is octave 0, which holds row 0.
         """
         missing = ~self.filled[ids]
         if not missing.any():
             return
         new = np.unique(ids[missing])
-        asked = self._asked + np.bincount(new // OCTAVE, minlength=len(GRID))
-        reached = (self._asked < STACK_AFTER) & (asked >= STACK_AFTER)
-        self._asked = asked
-        # octave 0's rows j > 0 lie above ρ = 1
-        for k in np.flatnonzero(reached[1:]) + 1:
+        for k in np.unique(new // OCTAVE):
             rows = np.arange(k * OCTAVE, (k + 1) * OCTAVE)
+            if self.filled[rows].any():
+                continue
             P, _, certified = scheduled_lyapunov(self.model,
                                                  lattice_rho(rows))
             self._fill(rows[certified], P)
@@ -193,8 +185,8 @@ def _first_passing_level(kron, cache):
     only once the prefix reaches it.  While some agent fails every scanned
     level, the first unfilled level is filled and the scan repeated, so
     exactly the levels that scanning one agent at a time would probe get
-    solved.  Each is a row asked for like any other, and counts toward its
-    octave's stacked solve.
+    solved.  Each is a row asked for like any other, so the first asked in
+    an octave stacks it.
     """
     while True:
         levels = int(np.logical_and.accumulate(cache.filled[GRID_IDS]).sum())
@@ -291,10 +283,13 @@ class CompactSetSpec:
 class EpsilonTrial:
     """Outcome of validating one candidate ε.
 
-    Validation stops at the first failing sample, so for a failed trial
-    max_control and final_sync_error are the worst over the samples checked
-    up to and including that one, not over the whole sample set; the true
-    worst |u| over all samples can be far larger.
+    max_control is |u| at the accepted states only (`sim.SyncMetrics`), not
+    over continuous time, so it moves with the step sequence; SAT_MARGIN is
+    judged on that sampled peak.  Validation stops at the first failing
+    sample, so for a failed trial max_control and final_sync_error are the
+    worst over the samples checked up to and including that one, not over
+    the whole sample set; the true worst |u| over all samples can be far
+    larger.
     """
 
     epsilon: float

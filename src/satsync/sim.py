@@ -309,9 +309,9 @@ def _norm(v):
 
 
 def saturation_events(traj: Trajectory) -> list[tuple[float, int, int, float]]:
-    """All (t, agent, component, |u|) with pre-saturation |u| > 1.
-
-    An empty list certifies the closed loop operated linearly throughout.
+    """All (t, agent, component, |u|) with pre-saturation |u| > 1 at the
+    accepted states only, not over continuous time, so the list moves with
+    the step sequence: an empty one says no accepted state saturated.
     """
     if not traj.has_controls:
         raise ValueError("trajectory has no recorded controls")
@@ -327,7 +327,11 @@ def saturation_events(traj: Trajectory) -> list[tuple[float, int, int, float]]:
 
 @dataclass
 class SyncMetrics:
-    """Per-time synchronization error and derived summary values."""
+    """Per-time synchronization error and derived summary values.
+
+    max_control_inf_norm is the peak pre-saturation |u| at the accepted
+    states only, not over continuous time, so it moves with the step
+    sequence; ε* selection judges SAT_MARGIN on this sampled peak."""
 
     error_series: np.ndarray  # max_i ‖x_i - x_r‖ at each accepted step
     convergence_time: Optional[float]

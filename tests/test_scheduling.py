@@ -29,7 +29,6 @@ from satsync.scheduling import (
     GRID,
     OCTAVE,
     RHO_MIN,
-    STACK_AFTER,
     ScheduleFloorError,
     lattice_rho,
     sample_box_vertices,
@@ -163,22 +162,22 @@ def lattice_id(rho):
 
 
 def stacked_octaves(asked):
-    """The octaves k ≥ 1 that hold at least STACK_AFTER of the lattice ids
-    asked: the octaves a cache asked for those ids stacks."""
-    count = np.bincount(np.asarray(list(asked), dtype=int) // OCTAVE,
-                        minlength=len(GRID))
-    return (np.flatnonzero(count[1:] >= STACK_AFTER) + 1).tolist()
+    """The octaves k ≥ 1 that hold a lattice id asked: the octaves a cache
+    asked for those ids stacks."""
+    octaves = np.unique(np.asarray(list(asked), dtype=int) // OCTAVE)
+    return octaves[octaves > 0].tolist()
 
 
 def assert_octave_matches_direct_solve(cache, k):
     """The rows of octave k that one direct stacked solve certifies are
-    filled and hold its bits."""
+    filled and hold its bits; returns the certified mask (2¹⁰,)."""
     rows = octave_rows(k)
     P, _, certified = scheduled_lyapunov(cache.model, lattice_rho(rows))
     S, BtP = table_row(cache.model, P)
     assert cache.filled[rows[certified]].all()
     np.testing.assert_array_equal(cache.S[rows[certified]], S)
     np.testing.assert_array_equal(cache.BtP[rows[certified]], BtP)
+    return certified
 
 
 @functools.cache
@@ -246,10 +245,9 @@ def assert_schedule_matches_reference(chi):
     """`schedule` of chi on a fresh triple-integrator cache against the
     one-agent-at-a-time reference: same bits of ε and U, or the same floor
     error.  The table fills exactly the rows the reference solves (on a
-    floor error, the grid) and, whole, each octave of which it solves at
-    least STACK_AFTER rows; each such octave holds the bits of one direct
-    stacked solve, and each row the reference solved the bits of its
-    direct solve."""
+    floor error, the grid) and, whole, each octave k ≥ 1 of which it solves
+    a row; each such octave holds the bits of one direct stacked solve, and
+    each row the reference solved the bits of its direct solve."""
     model = triple_integrator()
     cache, solved = PCache(model), {}
     got = floor_norm_or(schedule, chi, cache)
@@ -291,10 +289,10 @@ def test_schedule_matches_one_agent_at_a_time(agents):
         np.array([10.0**e * np.array(v) for e, v in agents]))
 
 
-def test_octaves_asked_often_are_stacked():
-    """Sixty agents spread over two octaves of ε ask for more than
-    STACK_AFTER rows of each; those octaves are filled whole, and ε and U
-    keep the reference's bits."""
+def test_every_probed_octave_is_stacked():
+    """Sixty agents spread over two octaves of ε ask for many rows of each;
+    like every octave k ≥ 1 holding a row asked for, those octaves are
+    filled whole, and ε and U keep the reference's bits."""
     rng = np.random.default_rng(3)
     chi = 10.0 ** rng.uniform(1.0, 1.6, (60, 1)) * rng.uniform(-1, 1, (60, 3))
     assert len(assert_schedule_matches_reference(chi)) >= 2
@@ -312,14 +310,27 @@ def counting_fills(cache):
     return calls
 
 
+def counting_stacks(monkeypatch):
+    """Wrap the octave stack `scheduling.scheduled_lyapunov` to record the
+    octave of each call; returns the list."""
+    octaves, stack = [], scheduled_lyapunov
+
+    def stacking(model, rho):
+        octaves.append(octave_of(rho[0]))
+        return stack(model, rho)
+
+    monkeypatch.setattr(scheduling, "scheduled_lyapunov", stacking)
+    return octaves
+
+
 @settings(database=None, derandomize=True, deadline=None, max_examples=20)
 @given(seed=st.integers(0, 2**32 - 1), log10_scale=st.floats(-2.0, 4.0))
 def test_table_rows_on_random_admissible_models(seed, log10_scale):
     """On random admissible models (n ≤ 6, m ≤ 2), after `schedule` of a
     few random states and a fill of every 16th row of the first state's
     octave, the table holds exactly the rows asked for and, of each octave
-    asked for at least STACK_AFTER rows, every row one direct stacked solve
-    certifies, with its bits.  Sampled filled rows, among them rows the
+    k ≥ 1 asked for a row, every row one direct stacked solve certifies,
+    with its bits.  Sampled filled rows, among them rows the
     stacked solve does not certify, hold the bits of S = tr(BᵀPB)·P and BᵀP
     of a direct `solve_scheduled_are`, and `_g` as the schedule calls it
     gives the bits of `PCache.g` on each."""
@@ -334,14 +345,11 @@ def test_table_rows_on_random_admissible_models(seed, log10_scale):
     except (RiccatiError, ScheduleFloorError):
         return
     asked = {0, *np.concatenate(calls).tolist()}
-    octaves = stacked_octaves(asked)
-    unstacked = np.ones(cache.filled.size, dtype=bool)
-    for k in octaves:
-        assert_octave_matches_direct_solve(cache, k)
-        unstacked[octave_rows(k)] = False
-    np.testing.assert_array_equal(
-        np.flatnonzero(cache.filled & unstacked),
-        sorted(i for i in asked if unstacked[i]))
+    want = np.zeros_like(cache.filled)
+    want[list(asked)] = True
+    for k in stacked_octaves(asked):
+        want[octave_rows(k)] |= assert_octave_matches_direct_solve(cache, k)
+    np.testing.assert_array_equal(cache.filled, want)
     ids = np.flatnonzero(cache.filled)
     rho = lattice_rho(ids)
     failing = np.flatnonzero(~scheduled_lyapunov(model, rho)[2])
@@ -376,9 +384,9 @@ def test_octave_split_by_gate_i(monkeypatch):
     probe among them is solved by the Hamiltonian method; the octave's
     other rows come from its stacked solve.  ε and U equal the
     one-agent-at-a-time reference's.  The states have g = 1 at 40 ρ across
-    octave 1, bisected on both sides of the gate, which asks for more than
-    STACK_AFTER of its rows, and at ρ = 0.1, in octave 4, where no row
-    passes gate (i)."""
+    octave 1, bisected on both sides of the gate, and at ρ = 0.1, in octave
+    4, where no row passes gate (i).  Each octave holding a probe, the grid
+    scan's 2 and 3 among them, is stacked once."""
     model, chi = GATE_I_MODEL, gate_i_states(
         [*np.linspace(0.51, 0.99, 40), 0.1])
     hamiltonian = []
@@ -390,6 +398,7 @@ def test_octave_split_by_gate_i(monkeypatch):
     care_schur = riccati._care_schur
     cache = PCache(model)
     monkeypatch.setattr(riccati, "_care_schur", counting)
+    stacks = counting_stacks(monkeypatch)
     got = schedule(chi, cache)
     monkeypatch.undo()
     solved = {}
@@ -399,7 +408,7 @@ def test_octave_split_by_gate_i(monkeypatch):
     gate_i = lattice_rho(np.arange(cache.filled.size)) <= 0.6 + 2e-9
     probed = np.zeros_like(cache.filled)
     probed[[lattice_id(rho) for rho in solved]] = True
-    assert probed[octave_rows(1)].sum() >= STACK_AFTER
+    assert stacks == stacked_octaves(np.flatnonzero(probed)) == [1, 2, 3, 4]
     assert probed[octave_rows(1)][:205].any()  # a probe fails gate (i)
     np.testing.assert_array_equal(cache.filled[gate_i], probed[gate_i])
     assert cache.filled[octave_rows(1)][205:].all()
@@ -461,6 +470,52 @@ def test_incomplete_octave_rows_are_filled_when_probed():
     np.testing.assert_array_equal(got[1], want[1])
 
 
+@pytest.mark.parametrize("k", [1, 9, 20])
+def test_one_row_fill_stacks_its_octave(k):
+    """A public fill of one row of octave k on the triple integrator fills
+    every row of octave k, and no other, with the bits of one direct
+    stacked solve, and marks the octave complete."""
+    cache = PCache(triple_integrator())
+    cache.fill(octave_rows(k)[[517]])
+    want = np.zeros_like(cache.filled)
+    want[0] = True
+    want[octave_rows(k)] = True
+    np.testing.assert_array_equal(cache.filled, want)
+    S, BtP = triple_octave(k)
+    np.testing.assert_array_equal(cache.S[octave_rows(k)], S)
+    np.testing.assert_array_equal(cache.BtP[octave_rows(k)], BtP)
+    assert cache.complete.tolist() == [i == k for i in range(len(GRID))]
+
+
+STACKING_CASES = {  # model, states of two `schedule` calls, ids of a fill
+    "triple": lambda: (
+        triple_integrator(),
+        (np.outer([2.0, 30.0, 500.0], [1.0, -0.5, 0.25]),
+         np.outer([3.0, 45.0, 7e3], [-0.2, 1.0, 0.5])),
+        np.array([2 * OCTAVE + 3, 11 * OCTAVE + 700])),
+    # octave 4 certifies no row, so the rows solved alone mark it stacked
+    "gate_i": lambda: (
+        GATE_I_MODEL, (gate_i_states([0.1]), gate_i_states([0.07, 0.12])),
+        octave_rows(4)[::8]),
+}
+
+
+@pytest.mark.parametrize("case", STACKING_CASES)
+def test_each_octave_is_stacked_at_most_once(monkeypatch, case):
+    """Across two `schedule` calls and a public fill, each octave k ≥ 1
+    that holds a row asked for is stacked exactly once."""
+    model, states, extra = STACKING_CASES[case]()
+    cache = PCache(model)
+    calls = counting_fills(cache)
+    stacks = counting_stacks(monkeypatch)
+    for chi in states:
+        schedule(chi, cache)
+    cache.fill(extra)
+    asked = np.concatenate(calls)
+    assert sorted(stacks) == stacked_octaves(asked)
+    assert len(set(stacks)) == len(stacks)
+
+
 def test_lattice_rho_table_matches_ldexp():
     """The lattice table holds ldexp(1 + j/2¹⁰, −k) bit for bit at every
     id k·2¹⁰ + j."""
@@ -471,10 +526,10 @@ def test_lattice_rho_table_matches_ldexp():
                                   want.view(np.int64))
 
 
-def test_octave_zero_is_never_stacked():
+def test_octave_zero_is_never_stacked(monkeypatch):
     """Only row 0 of octave 0 is a ρ in (0, 1]: scheduling leaves its other
-    rows unfilled, and a public fill of them raises, even of more than
-    STACK_AFTER, rather than stack them."""
+    rows unfilled, and a public fill of them raises rather than stack
+    them."""
     cache = PCache(triple_integrator())
     rng = np.random.default_rng(3)
     chi = 10.0 ** rng.uniform(-1.0, 1.6, (60, 1)) * rng.uniform(-1, 1, (60, 3))
@@ -482,8 +537,10 @@ def test_octave_zero_is_never_stacked():
     assert eps.max() == 1.0
     whole = cache.filled.reshape(len(GRID), OCTAVE).all(axis=1)
     assert whole[1:].any()
+    stacks = counting_stacks(monkeypatch)
     with pytest.raises(ParameterError):
         cache.fill(np.arange(1, OCTAVE))
+    assert stacks == []
     assert cache.filled[:OCTAVE].tolist() == [True] + [False] * (OCTAVE - 1)
 
 
