@@ -330,10 +330,10 @@ def test_table_rows_on_random_admissible_models(seed, log10_scale):
     few random states and a fill of every 16th row of the first state's
     octave, the table holds exactly the rows asked for and, of each octave
     k ≥ 1 asked for a row, every row one direct stacked solve certifies,
-    with its bits.  Sampled filled rows, among them rows the
-    stacked solve does not certify, hold the bits of S = tr(BᵀPB)·P and BᵀP
-    of a direct `solve_scheduled_are`, and `_g` as the schedule calls it
-    gives the bits of `PCache.g` on each."""
+    with its bits.  Sampled filled rows, among them rows the stacked solve
+    does not certify, hold the bits of S = tr(BᵀPB)·P and BᵀP of a direct
+    `solve_scheduled_are`, and `_g` as the schedule calls it gives the bits
+    of `PCache.g` on each."""
     rng = np.random.default_rng(seed)
     model = random_admissible_model(rng, n_max=6, io_max=2)
     chi = 10.0**log10_scale * rng.standard_normal((3, model.n))
