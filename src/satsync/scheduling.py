@@ -11,12 +11,13 @@ bracketing interval.  Every ρ probed or returned lies on the dyadic lattice
     ρ(k, j) = 2⁻ᵏ + 2⁻ᵏ·j/2¹⁰,   octave k ∈ [0, 20], index j ∈ [0, 2¹⁰),
 
 whose points are exact binary floats.  `PCache` holds one row per lattice
-point, at its id k·2¹⁰ + j, filled by octave, so ARE solves are shared
-across calls and all agents are scheduled together as array operations:
-χ⊗χ is formed once per call, and each g is one inner product of it with a
-table row read as vec S.  An octave whose stacked solve certified every row
-is complete, and a bisection that stays in complete octaves makes no fill
-check.
+point, at its id k·2¹⁰ + j, so ARE solves are shared across calls and all
+agents are scheduled together as array operations: χ⊗χ is formed once per
+call, and each g is one inner product of it with a table row read as vec S.
+The grid rows j = 0 are solved with the table, so the grid scan only reads;
+an octave is filled when the bisection first probes it.  An octave whose
+stacked solve certified every row is complete, and a bisection that stays
+in complete octaves makes no fill check.
 
 The semi-global ε* has no constructive formula; it is selected by validating
 candidate ε values on closed-loop simulations from a deterministic sample of
@@ -34,6 +35,7 @@ from . import riccati
 from .model import AgentModel
 from .riccati import (
     ParameterError,
+    RiccatiError,
     RiccatiSolution,
     scheduled_lyapunov,
     solve_scheduled_are,
@@ -96,12 +98,12 @@ class PCache:
     says that octave k's stacked solve certified, and so filled, every row
     of it.  The arrays are allocated empty for the whole lattice, so only
     the pages of filled rows become resident.  Construction solves ρ = 1
-    into row 0, which checks that the model is admissible.  The other rows
-    are filled by `fill`: octave k ≥ 1, the slice [k·2¹⁰, (k+1)·2¹⁰), from
-    one stacked Lyapunov solve when any of its rows is first asked for, and
-    a row that solve does not certify alone when it is asked for.  Row 0 is
-    octave 0's only ρ in (0, 1].  Every row holds exactly the bits of
-    `solve_scheduled_are(model, ρ)`, whatever was filled before.
+    into row 0, which checks that the model is admissible, then the grid
+    rows k·2¹⁰ from one stacked Lyapunov solve and, in order, each one it
+    does not certify alone.  The first grid row no solver certifies ends
+    the readable grid, of length `levels`.  `fill` solves the other rows.
+    Every row holds exactly the bits of `solve_scheduled_are(model, ρ)`,
+    whatever was filled before.
     """
 
     def __init__(self, model: AgentModel):
@@ -112,6 +114,15 @@ class PCache:
         self.filled = np.zeros(size, dtype=bool)
         self.complete = np.zeros(len(GRID), dtype=bool)
         self._fill(0, solve_scheduled_are(model, 1.0).P)
+        P, _, certified = scheduled_lyapunov(model, lattice_rho(GRID_IDS[1:]))
+        self._fill(GRID_IDS[1:][certified], P)
+        self.levels = len(GRID)
+        for k in np.flatnonzero(~self.filled[GRID_IDS]).tolist():
+            try:
+                self._fill(GRID_IDS[k], self.solution(GRID[k]).P)
+            except RiccatiError:
+                self.levels = k
+                break
 
     def solution(self, rho: float) -> RiccatiSolution:
         """The certified solve at ρ, cold: the table is not consulted."""
@@ -124,21 +135,22 @@ class PCache:
     def fill(self, ids: np.ndarray) -> None:
         """Solve the rows of the lattice ids that are not filled yet.
 
-        An octave that holds a missing id and no filled row gets one stacked
-        Lyapunov solve (`riccati.scheduled_lyapunov`), which fills every row
-        of it that the Lyapunov form certifies, and is complete if that is
-        every row.  Every missing id left is then solved on its own, by the
-        Hamiltonian method where the Lyapunov form does not certify.  A fill
-        that returns has filled every id it was asked for, so an octave with
-        a filled row has been stacked, or is octave 0, which holds row 0.
+        An octave k ≥ 1 with a missing non-grid id and no filled non-grid
+        row gets one stacked Lyapunov solve (`riccati.scheduled_lyapunov`),
+        which fills every row of it that the Lyapunov form certifies, and
+        is complete if that is every row.  Every missing id left is then
+        solved on its own, by the Hamiltonian method where the Lyapunov
+        form does not certify.  A fill that returns has filled every id it
+        was asked for, so an octave with a filled non-grid row has been
+        stacked.  Octave 0, whose only ρ in (0, 1] is row 0, never is.
         """
         missing = ~self.filled[ids]
         if not missing.any():
             return
         new = np.unique(ids[missing])
-        for k in np.unique(new // OCTAVE):
+        for k in np.unique(new[new % OCTAVE > 0] // OCTAVE):
             rows = np.arange(k * OCTAVE, (k + 1) * OCTAVE)
-            if self.filled[rows].any():
+            if k == 0 or self.filled[rows[1:]].any():
                 continue
             P, _, certified = scheduled_lyapunov(self.model,
                                                  lattice_rho(rows))
@@ -175,46 +187,30 @@ def _g(kron, vec_S):
     return np.vecdot(kron, vec_S)
 
 
-def _first_passing_level(kron, cache):
-    """Per agent, the first grid level k with g(2⁻ᵏ, χ) ≤ 1, or -1 past the
-    floor, from the agents' χ⊗χ (N, n²).
-
-    The filled prefix of the grid is scanned at once, as one broadcast
-    inner product of (N, 1, n²) against the scanned rows (levels, n²); a
-    grid row that a public `PCache.fill` solved out of order is scanned
-    only once the prefix reaches it.  While some agent fails every scanned
-    level, the first unfilled level is filled and the scan repeated, so
-    exactly the levels that scanning one agent at a time would probe get
-    solved.  Each is a row asked for like any other, so the first asked in
-    an octave stacks it.
-    """
-    while True:
-        levels = int(np.logical_and.accumulate(cache.filled[GRID_IDS]).sum())
-        vec_S = cache.S[GRID_IDS[:levels]].reshape(levels, -1)
-        ok = _g(kron[:, None, :], vec_S) <= 1.0
-        passed = ok.any(axis=1)
-        if passed.all() or levels == len(GRID):
-            return np.where(passed, ok.argmax(axis=1), -1)
-        cache.fill(GRID_IDS[levels:levels + 1])
-
-
 def schedule(chi: np.ndarray, cache: PCache):
     """ε(χᵢ) and uᵢ = −BᵀP_ε χᵢ for the agent states chi (N, n).
 
     εᵢ is the largest ρ ∈ (0,1] with g(ρ, χᵢ) ≤ 1, to 1e-3 relative
     bisection width; returns (eps (N,), U (N, m)).  Raises
-    ScheduleFloorError for the lowest-index agent past the floor.
+    ScheduleFloorError for the lowest-index agent past the floor, or the
+    RiccatiError of grid row `cache.levels` if an agent needs that row.
 
+    The grid scan is one inner product of χ⊗χ with each readable grid row.
     Each bisection step gathers one table row per agent and takes its inner
     product with χ⊗χ.  When every bisecting agent's octave is complete, the
     steps skip `cache.fill`, which would find every row filled.
     """
     chi = np.asarray(chi, dtype=float)
     kron = _kron(chi)
-    k = _first_passing_level(kron, cache)
-    past = np.flatnonzero(k < 0)
+    grid = cache.S.reshape(len(GRID), OCTAVE, -1)[:cache.levels, 0]
+    ok = _g(kron[:, None, :], grid) <= 1.0
+    passed = ok.any(axis=1)
+    if not passed.all() and cache.levels < len(GRID):
+        cache.fill(GRID_IDS[cache.levels:cache.levels + 1])  # raises
+    past = np.flatnonzero(~passed)
     if past.size:
         raise ScheduleFloorError(float(np.linalg.norm(chi[past[0]])))
+    k = ok.argmax(axis=1)
     ids = k * OCTAVE
     b = np.flatnonzero(k)
     if b.size:  # bisect [2⁻ᵏ, 2⁻ᵏ⁺¹] on its lattice; ρ(k, lo) always passes

@@ -376,6 +376,22 @@ class TestCommandLine:
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["protocol"] == protocol
 
+    def test_simulate_global_on_a_model_with_a_stable_mode(self, tmp_path,
+                                                            capsys):
+        # A has a mode at −0.3, so the Lyapunov form certifies no grid row
+        # below ρ = 1 and the schedule table solves them by the Hamiltonian
+        # method
+        path = Path(__file__).parent / "data" / "stable_mode.json"
+        code = main(["simulate", "--scenario", str(path),
+                     "--protocol", "global-partial", "--t-final", "1.0",
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_OK
+        capsys.readouterr()
+        header, data = read_trajectory_csv(tmp_path / "o" / "trajectory.csv")
+        eps = data[:, [header.index(f"eps[{i}]") for i in range(1, 6)]]
+        assert "eps[6]" not in header
+        assert ((eps > 0.0) & (eps <= 1.0)).all() and eps.min() < 1.0
+
     def test_simulate_semiglobal_requires_epsilon(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SCALAR_SCENARIO)
         code = main(

@@ -67,7 +67,8 @@ class TestPCache:
         assert scalar_cache.solution(0.3).P[0, 0] == pytest.approx(0.3, rel=1e-9)
 
     def test_construction_solves_only_unit_rho(self, monkeypatch):
-        # every other row is filled from the schedule's probes via solution()
+        # the other grid rows come from one stack, which certifies each of
+        # them on the triple integrator, and the rest from the schedule
         calls = []
 
         def counting(model, rho, **kwargs):
@@ -162,9 +163,10 @@ def lattice_id(rho):
 
 
 def stacked_octaves(asked):
-    """The octaves k ≥ 1 that hold a lattice id asked: the octaves a cache
-    asked for those ids stacks."""
-    octaves = np.unique(np.asarray(list(asked), dtype=int) // OCTAVE)
+    """The octaves k ≥ 1 that hold a non-grid lattice id asked: the octaves
+    a cache asked for those ids stacks."""
+    asked = np.asarray(list(asked), dtype=int)
+    octaves = np.unique(asked[asked % OCTAVE > 0] // OCTAVE)
     return octaves[octaves > 0].tolist()
 
 
@@ -244,23 +246,24 @@ def floor_norm_or(fn, *args):
 def assert_schedule_matches_reference(chi):
     """`schedule` of chi on a fresh triple-integrator cache against the
     one-agent-at-a-time reference: same bits of ε and U, or the same floor
-    error.  The table fills exactly the rows the reference solves (on a
-    floor error, the grid) and, whole, each octave k ≥ 1 of which it solves
-    a row; each such octave holds the bits of one direct stacked solve, and
-    each row the reference solved the bits of its direct solve."""
+    error.  The table fills exactly the 21 grid rows and, whole, each
+    octave k ≥ 1 of which the reference solves a non-grid row (on a floor
+    error, none); each such octave holds the bits of one direct stacked
+    solve, and each grid row and row the reference solved the bits of its
+    direct solve."""
     model = triple_integrator()
     cache, solved = PCache(model), {}
     got = floor_norm_or(schedule, chi, cache)
     want = floor_norm_or(reference_schedule, chi, model, solved,
                          lambda _, rho: triple_solve(rho))
+    filled = {lattice_id(rho) for rho in GRID}
     if isinstance(want, float):
         assert got == want
-        filled = {lattice_id(rho) for rho in GRID}
+        octaves = []
     else:
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
-        filled = {lattice_id(rho) for rho in solved}
-    octaves = stacked_octaves(filled)
+        octaves = stacked_octaves(lattice_id(rho) for rho in solved)
     for k in octaves:
         filled.update(octave_rows(k).tolist())
     assert set(np.flatnonzero(cache.filled).tolist()) == filled
@@ -268,10 +271,10 @@ def assert_schedule_matches_reference(chi):
         S, BtP = triple_octave(k)
         np.testing.assert_array_equal(cache.S[octave_rows(k)], S)
         np.testing.assert_array_equal(cache.BtP[octave_rows(k)], BtP)
-    for rho, sol in solved.items():
+    for rho in {*GRID, *solved}:
         i = lattice_id(rho)
         if cache.filled[i]:
-            S, BtP = table_row(model, sol.P)
+            S, BtP = table_row(model, triple_solve(rho).P)
             np.testing.assert_array_equal(cache.S[i], S)
             np.testing.assert_array_equal(cache.BtP[i], BtP)
     return octaves
@@ -291,8 +294,8 @@ def test_schedule_matches_one_agent_at_a_time(agents):
 
 def test_every_probed_octave_is_stacked():
     """Sixty agents spread over two octaves of ε ask for many rows of each;
-    like every octave k ≥ 1 holding a row asked for, those octaves are
-    filled whole, and ε and U keep the reference's bits."""
+    like every octave k ≥ 1 holding a non-grid row asked for, those octaves
+    are filled whole, and ε and U keep the reference's bits."""
     rng = np.random.default_rng(3)
     chi = 10.0 ** rng.uniform(1.0, 1.6, (60, 1)) * rng.uniform(-1, 1, (60, 3))
     assert len(assert_schedule_matches_reference(chi)) >= 2
@@ -328,10 +331,13 @@ def counting_stacks(monkeypatch):
 def test_table_rows_on_random_admissible_models(seed, log10_scale):
     """On random admissible models (n ≤ 6, m ≤ 2), after `schedule` of a
     few random states and a fill of every 16th row of the first state's
-    octave, the table holds exactly the rows asked for and, of each octave
-    k ≥ 1 asked for a row, every row one direct stacked solve certifies,
-    with its bits.  Sampled filled rows, among them rows the stacked solve
-    does not certify, hold the bits of S = tr(BᵀPB)·P and BᵀP of a direct
+    octave, the table holds exactly the rows asked for, the readable grid,
+    the grid rows one direct stacked solve of the grid certifies and, of
+    each octave k ≥ 1 asked for a non-grid row, every row one direct
+    stacked solve certifies, with its bits.  The grid row that ends the
+    readable grid has no certified solve.  Every filled grid row and
+    sampled filled rows, among them rows the stacked solve does not
+    certify, hold the bits of S = tr(BᵀPB)·P and BᵀP of a direct
     `solve_scheduled_are`, and `_g` as the schedule calls it gives the bits
     of `PCache.g` on each."""
     rng = np.random.default_rng(seed)
@@ -347,6 +353,12 @@ def test_table_rows_on_random_admissible_models(seed, log10_scale):
     asked = {0, *np.concatenate(calls).tolist()}
     want = np.zeros_like(cache.filled)
     want[list(asked)] = True
+    grid = scheduling.GRID_IDS
+    want[grid[:cache.levels]] = True
+    want[grid[1:]] |= scheduled_lyapunov(model, lattice_rho(grid[1:]))[2]
+    if cache.levels < len(GRID):
+        with pytest.raises(RiccatiError):
+            solve_scheduled_are(model, GRID[cache.levels])
     for k in stacked_octaves(asked):
         want[octave_rows(k)] |= assert_octave_matches_direct_solve(cache, k)
     np.testing.assert_array_equal(cache.filled, want)
@@ -356,6 +368,7 @@ def test_table_rows_on_random_admissible_models(seed, log10_scale):
     sample = np.union1d(np.linspace(0, ids.size - 1, 16).astype(int),
                         failing[np.linspace(0, failing.size - 1,
                                             min(16, failing.size)).astype(int)])
+    sample = np.union1d(sample, np.flatnonzero(ids % OCTAVE == 0))
     g = scheduling._g(scheduling._kron(chi)[:, None, :],
                       cache.S[ids[sample]].reshape(sample.size, -1))
     for i, r, g_row in zip(ids[sample], rho[sample].tolist(), g.T):
@@ -370,23 +383,24 @@ GATE_I_MODEL = AgentModel([[0.0, 0.0], [0.0, -0.3]], [[1.0], [1.0]],
                           [[1.0, 0.0]])
 
 
-def gate_i_states(rhos):
-    """States along (1, 0.2) of `GATE_I_MODEL` scaled to g = 1 at each ρ."""
-    v = np.array([1.0, 0.2])
-    return np.array([v / np.sqrt(PCache(GATE_I_MODEL).g(rho, v))
-                     for rho in rhos])
+def gate_i_states(rhos, model=GATE_I_MODEL):
+    """States along (1, 0.2) of the model scaled to g = 1 at each ρ."""
+    v, cache = np.array([1.0, 0.2]), PCache(model)
+    return np.array([v / np.sqrt(cache.g(rho, v)) for rho in rhos])
 
 
 def test_octave_split_by_gate_i(monkeypatch):
     """A stable mode at −0.3 fails gate (i) for ρ ≤ 0.6 + 2·HURWITZ_TOL,
-    rows j ≤ 204 of octave 1 and all deeper octaves.  Once octave 1 is
-    stacked, those rows stay unfilled unless a probe asks for them, and a
-    probe among them is solved by the Hamiltonian method; the octave's
-    other rows come from its stacked solve.  ε and U equal the
+    rows j ≤ 204 of octave 1 and all deeper octaves, so construction solves
+    the 20 grid rows k ≥ 1 by the Hamiltonian method.  Once octave 1 is
+    stacked, its gate-(i) rows stay unfilled unless a probe asks for them,
+    and a probe among them is solved by the Hamiltonian method; the
+    octave's other rows come from its stacked solve.  ε and U equal the
     one-agent-at-a-time reference's.  The states have g = 1 at 40 ρ across
     octave 1, bisected on both sides of the gate, and at ρ = 0.1, in octave
-    4, where no row passes gate (i).  Each octave holding a probe, the grid
-    scan's 2 and 3 among them, is stacked once."""
+    4, where no row passes gate (i).  Exactly the octaves holding a
+    bisection probe, 1 and 4, are stacked, each once: the grid scan's
+    levels 2 and 3 stack nothing."""
     model, chi = GATE_I_MODEL, gate_i_states(
         [*np.linspace(0.51, 0.99, 40), 0.1])
     hamiltonian = []
@@ -396,8 +410,11 @@ def test_octave_split_by_gate_i(monkeypatch):
         return care_schur(A, G, Q)
 
     care_schur = riccati._care_schur
-    cache = PCache(model)
     monkeypatch.setattr(riccati, "_care_schur", counting)
+    cache = PCache(model)
+    assert cache.levels == len(GRID)
+    assert hamiltonian == list(GRID[1:])
+    hamiltonian.clear()
     stacks = counting_stacks(monkeypatch)
     got = schedule(chi, cache)
     monkeypatch.undo()
@@ -406,15 +423,18 @@ def test_octave_split_by_gate_i(monkeypatch):
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
     gate_i = lattice_rho(np.arange(cache.filled.size)) <= 0.6 + 2e-9
+    grid = np.zeros_like(cache.filled)
+    grid[scheduling.GRID_IDS] = True
     probed = np.zeros_like(cache.filled)
     probed[[lattice_id(rho) for rho in solved]] = True
-    assert stacks == stacked_octaves(np.flatnonzero(probed)) == [1, 2, 3, 4]
+    assert stacks == stacked_octaves(np.flatnonzero(probed)) == [1, 4]
     assert probed[octave_rows(1)][:205].any()  # a probe fails gate (i)
-    np.testing.assert_array_equal(cache.filled[gate_i], probed[gate_i])
+    np.testing.assert_array_equal(cache.filled[gate_i],
+                                  (probed | grid)[gate_i])
     assert cache.filled[octave_rows(1)][205:].all()
     assert cache.filled[~gate_i].sum() == OCTAVE - 205 + 1
     assert sorted(hamiltonian) == sorted(
-        lattice_rho(np.flatnonzero(probed & gate_i)).tolist())
+        lattice_rho(np.flatnonzero(probed & gate_i & ~grid)).tolist())
     assert_octave_matches_direct_solve(cache, 1)
 
 
@@ -473,12 +493,12 @@ def test_incomplete_octave_rows_are_filled_when_probed():
 @pytest.mark.parametrize("k", [1, 9, 20])
 def test_one_row_fill_stacks_its_octave(k):
     """A public fill of one row of octave k on the triple integrator fills
-    every row of octave k, and no other, with the bits of one direct
-    stacked solve, and marks the octave complete."""
+    every row of octave k, and no other beside the grid, with the bits of
+    one direct stacked solve, and marks the octave complete."""
     cache = PCache(triple_integrator())
     cache.fill(octave_rows(k)[[517]])
     want = np.zeros_like(cache.filled)
-    want[0] = True
+    want[scheduling.GRID_IDS] = True
     want[octave_rows(k)] = True
     np.testing.assert_array_equal(cache.filled, want)
     S, BtP = triple_octave(k)
@@ -552,14 +572,68 @@ def test_floor_error_names_first_agent_past_floor(scalar_cache):
     assert err.value.chi_norm == 4.0 / RHO_MIN
 
 
-def test_out_of_order_grid_fill_changes_no_bits():
-    """A grid row filled by a public `fill` ahead of the filled prefix is
-    not read before the rows below it: ε and U equal a fresh cache's."""
-    chi = np.array([[3.0, 2.0, 1.0]])
-    cache = PCache(triple_integrator())
-    cache.fill(np.array([3 * scheduling.OCTAVE]))
+# a stable mode at −1/8: A + (ρ/2)I is singular at ρ = 1/4, grid level 2,
+# where no stabilizing P exists; ρ = 1/2 and 1/8 certify
+GRID_GAP_MODEL = AgentModel([[0.0, 0.0], [0.0, -0.125]], [[1.0], [1.0]],
+                            [[1.0, 0.0]])
+
+
+def test_unsolvable_grid_row_fails_only_states_that_need_it():
+    """`GRID_GAP_MODEL` constructs, with the readable grid ρ = 1, 1/2.  A
+    state with ε ≈ 0.6 keeps the reference's bits of ε and U.  A state that
+    needs level 2, alone or with others, raises the RiccatiError of
+    ρ = 1/4, not a floor error, as the reference does.  A public fill of
+    row 2·2¹⁰ raises and leaves the row unfilled."""
+    model = GRID_GAP_MODEL
+    cache = PCache(model)
+    assert cache.levels == 2
+    chi = gate_i_states([0.6], model)
     got = schedule(chi, cache)
-    want = schedule(chi, PCache(triple_integrator()))
+    want = reference_schedule(chi, model, {})
+    assert got[0][0] == pytest.approx(0.6, rel=2e-3)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    deep = gate_i_states([0.6, 0.3], model)
+    for states in (deep, deep[1:]):
+        with pytest.raises(RiccatiError, match="invariant subspace"):
+            schedule(states, cache)
+        with pytest.raises(RiccatiError, match="invariant subspace"):
+            reference_schedule(states, model, {})
+    with pytest.raises(RiccatiError, match="invariant subspace"):
+        cache.fill(np.array([2 * OCTAVE]))
+    assert not cache.filled[2 * OCTAVE]
+
+
+def test_out_of_order_grid_fill_changes_no_bits():
+    """A public fill of the grid row ρ = 1/8 of `GRID_GAP_MODEL`, past the
+    unsolvable ρ = 1/4, changes no schedule: ε and U equal a fresh
+    cache's, and a state that needs level 2 still raises."""
+    cache = PCache(GRID_GAP_MODEL)
+    cache.fill(np.array([3 * OCTAVE]))
+    assert cache.filled[3 * OCTAVE] and cache.levels == 2
+    chi = gate_i_states([1.0, 0.97, 0.75, 0.55, 0.52], GRID_GAP_MODEL)
+    got = schedule(chi, cache)
+    want = schedule(chi, PCache(GRID_GAP_MODEL))
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    with pytest.raises(RiccatiError):
+        schedule(gate_i_states([0.3], GRID_GAP_MODEL), cache)
+
+
+def test_grid_scan_stacks_no_octave(monkeypatch):
+    """The grid is solved with the table: on a fresh triple-integrator
+    cache, one state whose first passing grid level is 13 stacks only the
+    octave its bisection probes, and all 21 grid rows are filled.  ε and U
+    keep the one-agent-at-a-time reference's bits."""
+    model = triple_integrator()
+    cache = PCache(model)
+    chi = 1e4 * np.array([[1.0, -0.5, 0.25]])
+    stacks = counting_stacks(monkeypatch)
+    got = schedule(chi, cache)
+    assert octave_of(got[0][0]) == 13
+    assert stacks == [13]
+    assert cache.filled[scheduling.GRID_IDS].all()
+    want = reference_schedule(chi, model, {}, lambda _, rho: triple_solve(rho))
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
 
