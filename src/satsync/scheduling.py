@@ -206,7 +206,8 @@ def schedule(chi: np.ndarray, cache: PCache):
     ok = _g(kron[:, None, :], grid) <= 1.0
     passed = ok.any(axis=1)
     if not passed.all() and cache.levels < len(GRID):
-        cache.fill(GRID_IDS[cache.levels:cache.levels + 1])  # raises
+        # no solver certifies this grid row: its fill raises RiccatiError
+        cache.fill(GRID_IDS[cache.levels:cache.levels + 1])
     past = np.flatnonzero(~passed)
     if past.size:
         raise ScheduleFloorError(float(np.linalg.norm(chi[past[0]])))
