@@ -31,10 +31,16 @@ gives it.
 
 Otherwise, and for the low-gain ARE, the equation is solved cold by the
 Hamiltonian stable-invariant-subspace (Schur) method.  Every returned P
-carries its certificates: the Frobenius norm of the residual (never below
-its 2-norm) within 1e-9·(1 + ‖P‖₂²), P PSD to PSD_TOL, and a Hurwitz closed
-loop.  The observer gain comes from the unit-weight low-gain ARE of the dual
-pair (Aᵀ, Cᵀ).
+carries its certificates: (1) P PSD to PSD_TOL, (2) the Frobenius norm of
+the residual (never below its 2-norm) within 1e-9·(1 + ‖P‖₂²), and (3) a
+closed loop A - BBᵀP (A_s - BBᵀP for the scheduled ARE) with every
+eigenvalue below -HURWITZ_TOL.  Certificate 3 is proved by a Lyapunov bound
+wherever the bound decides (`_certificates`): from X with (A_s - τI)X +
+X(A_s - τI)ᵀ = I, one more Bartels–Stewart pass, for Lyapunov-path rows,
+and from P itself for the low-gain ARE and the observer.  Elsewhere it is
+checked on the computed eigenvalues (`is_hurwitz`), which in the deepest
+octaves of a defective A are evidence rather than proof.  The observer gain
+comes from the unit-weight low-gain ARE of the dual pair (Aᵀ, Cᵀ).
 """
 
 from __future__ import annotations
@@ -134,29 +140,114 @@ def _stacked(fn, *X):
         return fn(*(x[ok] for x in X)), ok
 
 
-def _certificates(A, G, Q, P, rounding=False):
+def _certificates(A, G, Q, P, rounding=False, candidate=None):
     """Certificates of each P in the stack (r, n, n) as a solution of
-    AᵀP + PA - PGP + Q = 0, for A of shape (n, n) or (r, n, n).
+    AᵀP + PA - PGP + Q = 0, for A of shape (r, n, n).
 
     Returns the Frobenius norm of each residual (never below its 2-norm),
     λmin(P) and the first certificate each row fails: 0 none, 1 PSD to
     PSD_TOL, 2 the residual tolerance (with rounding, also gate (iii)'s
-    bound), 3 a Hurwitz closed loop.  Only rows that pass 1 and 2 reach the
-    eigenvalues of A - GP.
+    bound), 3 a closed loop A - GP with every eigenvalue below -τ, τ =
+    HURWITZ_TOL.  Rows that pass 1 and 2 get certificate 3 from a Lyapunov
+    bound where it decides, and from the eigenvalues of A - GP (`_hurwitz`)
+    only where it does not.
+
+    The bound reads R = AᵀP + PA - PGP + Q, the exact residual of the
+    stored P, and needs P ≻ 0 and P bitwise symmetric (a row whose P is not
+    is left to `_hurwitz`; every P measured is).  With P⁻¹R = E,
+    P(A - GP)P⁻¹ = RP⁻¹ - Aᵀ, so spec(A - GP) = -spec(A - E).
+      - Scheduled rows (Q = 0) pass `candidate(rows)`, which gives a
+        symmetric X with (A - τI)X + X(A - τI)ᵀ ≈ I for the rows of the
+        mask, and the mask of rows where one was found.  Let Z ≻ 0 and
+        (A - τI)Z + Z(A - τI)ᵀ = I - Δ.  Then
+        (A - τI - E)Z + Z(A - τI - E)ᵀ = I - Δ - EZ - ZEᵀ ≻ 0 whenever
+        ‖Δ‖₂ + 2‖P⁻¹‖₂‖R‖₂‖Z‖₂ < 1, which proves A - τI - E antistable,
+        so every eigenvalue of A - GP lies below -τ.  A row with
+        2‖R‖₂ ≥ ‖G‖₂λmin(P)² gets no X, since it cannot pass: P⁻¹ solves
+        AW + WAᵀ = G ⪯ ‖G‖₂I, so X ⪰ P⁻¹/‖G‖₂ and ‖X‖₂ ≥ 1/(‖G‖₂λmin(P)),
+        up to the rounding of P.
+      - Other rows: (A - GP + τI)ᵀP + P(A - GP + τI) = R - Q - PGP + 2τP
+        ≺ 0 whenever λmax(R) + 2τλmax(P) < λmin(Q), which proves the same
+        with P as the Lyapunov function and no extra solve.  λmin(Q) is
+        bounded below by Gershgorin's discs, exact for Q = εI.
+
+    Floating point.  A, G, Q and P are taken as stored, and the bounds
+    below hold to first order in u = ε_mach/2.  γ_k (`_gamma`) bounds the
+    rounding of k operations relative to the magnitudes they combine, so
+    for each product |fl(MN) - MN| ≤ γ_n·|M||N|, and ‖|M||N|‖_F ≤
+    ‖M‖_F‖N‖_F; Frobenius norms are never below 2-norms.
+      - λmin(P) ≥ λ̂min - e‖P‖₂ and λmax(P) ≤ λ̂max + e‖P‖₂ for the
+        `eigvalsh` values λ̂ (Weyl, with the solver's backward error taken
+        as at most e = (n + 2)²·ε_mach relative).
+      - ‖R‖₂ ≤ (1 + γ_{n²+1})‖R̂‖_F + γ_{2n+3}(2‖A‖_F‖P‖_F + ‖G‖_F‖P‖_F²
+        + ‖Q‖_F) for the computed residual R̂: AᵀP is one product, PGP two,
+        and three sums join the terms.
+      - Z = L̂L̂ᵀ, with L̂ the Cholesky factor of the computed X̂, is
+        positive definite when the factorization succeeds, and ‖Z - X̂‖_F ≤
+        γ_{n+1}‖L̂‖_F² ≤ 2γ_{n+1}√n‖X̂‖_F.  So ‖Z‖₂ ≤ (1 + c)‖X̂‖_F and
+        ‖Δ‖₂ ≤ (1 + γ_{n²+1})‖Δ̂‖_F + γ_{n+4}(2‖A - τI‖_F‖X̂‖_F + √n) +
+        2c‖A - τI‖_F‖X̂‖_F, c = 2γ_{n+1}√n, for the computed Δ̂ of X̂.
+      - Each test multiplies its left side by 1 + e, for the terms of
+        second order and its own arithmetic.
+    So a decided row clears its test by at least e relative, 5.6e-15 for
+    n = 3, beyond every rounding term.
     """
+    n = P.shape[-1]
+    e, root_n = (n + 2) ** 2 * np.finfo(float).eps, np.sqrt(n)
+    tau = HURWITZ_TOL
     eig_P = np.linalg.eigvalsh(P)  # ascending
     eig_min, eig_max = eig_P[:, 0], eig_P[:, -1]
     AP, PGP = np.swapaxes(A, -1, -2) @ P, P @ G @ P
     residual = _frobenius(AP + np.swapaxes(AP, -1, -2) - PGP + Q)
     # P is symmetric, so ‖P‖₂ = max|λ(P)|
-    bound = _tolerance_for_norm(np.maximum(-eig_min, eig_max))
+    p_norm = np.maximum(-eig_min, eig_max)
+    bound = _tolerance_for_norm(p_norm)
     if rounding:
         bound = np.minimum(bound, ROUNDING_RTOL
                            * (2 * _frobenius(AP) + _frobenius(PGP)))
     failed = np.where(eig_min < -PSD_TOL, 1, np.where(residual > bound, 2, 0))
-    rest = failed == 0
-    failed[rest] = np.where(_hurwitz((A - G @ P)[rest]), 0, 3)
+    # bounds on λmin(P) and ‖R‖₂ of the stored P, as the docstring states;
+    # p_low = 0 leaves a row that is not symmetric undecided
+    symmetric = (P == np.swapaxes(P, -1, -2)).all(axis=(-2, -1))
+    p_low = np.where(symmetric, eig_min - e * p_norm, 0.0)
+    p_F, a_F = _frobenius(P), _frobenius(A)
+    r_high = ((1 + _gamma(n * n + 1)) * residual + _gamma(2 * n + 3)
+              * (2 * a_F * p_F + _frobenius(G) * p_F**2 + np.linalg.norm(Q)))
+    if candidate is None:
+        q_low = (2 * np.diagonal(Q) - np.abs(Q).sum(axis=-1)).min()
+        proved = (p_low > 0) & ((1 + e) * (r_high + 2 * tau
+                                           * (eig_max + e * p_norm)) < q_low)
+    else:
+        # the rows that get an X, narrowed to those it proves
+        proved = (failed == 0) & (p_low > 0) & (2 * r_high
+                                                < _frobenius(G) * p_low**2)
+        if proved.any():
+            X, ok = candidate(proved)  # X of the rows where ok
+            proved[proved] = ok
+            _, ok = _stacked(np.linalg.cholesky, X)
+            proved[proved] = ok
+            X = X[ok]
+            AX, c = A[proved] @ X, 2 * _gamma(n + 1) * root_n
+            m = a_F[proved] + tau * root_n  # ≥ ‖A - τI‖_F
+            x = _frobenius(X)
+            delta = ((1 + _gamma(n * n + 1))
+                     * _frobenius(AX + np.swapaxes(AX, -1, -2) - 2 * tau * X
+                                  - np.eye(n))
+                     + _gamma(n + 4) * (2 * m * x + root_n) + 2 * c * m * x)
+            p, r = p_low[proved], r_high[proved]
+            proved[proved] = (1 + e) * (p * delta + 2 * r * (1 + c) * x) < p
+    rest = (failed == 0) & ~proved
+    failed[rest] = np.where(_hurwitz(A[rest] - G @ P[rest]), 0, 3)
     return residual, eig_min, failed
+
+
+def _gamma(k):
+    """γ_k = k·u/(1 - k·u), u = ε_mach/2: k floating-point operations in a
+    sum or product err by at most γ_k relative to the magnitudes they
+    combine (Higham, Accuracy and Stability of Numerical Algorithms, §3.1).
+    """
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
 
 
 def _frobenius(M):
@@ -166,7 +257,7 @@ def _frobenius(M):
 def _certify(A, G, Q, P, kind, parameter):
     """Wrap P as a RiccatiSolution once AᵀP + PA - PGP + Q = 0 is met to
     tolerance, P is PSD and A - GP is Hurwitz; raise RiccatiError otherwise."""
-    residual, eig_min, failed = _certificates(A, G, Q, P[None])
+    residual, eig_min, failed = _certificates(A[None], G, Q, P[None])
     if failed[0]:
         reason = ("",
                   "solution not positive semidefinite "
@@ -216,16 +307,49 @@ def _schur_blocks(T):
     return list(zip(starts, starts[1:] + [len(T)]))[::-1]
 
 
+def _bartels_stewart(T, shift, C):
+    """W with TW + WTᵀ + sW = C for each shift s of the stack (r, 1, 1), on
+    the real Schur form T, and the mask (r,) of rows whose solves succeed;
+    W holds those rows, in order.
+
+    T is block upper triangular, so the block rows W_I of W, last first,
+    solve T_II·W_I + W_I·Tᵀ + sW_I = C_I − Σ_{J>I} T_IJ·W_J, a system of
+    size at most 2n for each row of the stack: one batched
+    `np.linalg.solve` per diagonal block of T, one LAPACK call per row.
+    """
+    n = len(T)
+    I = np.eye(n)
+    kept = np.ones(len(shift), dtype=bool)
+    W = np.empty((len(shift), n, n))
+    for a, b in _schur_blocks(T):
+        q = b - a
+        # T_II⊗I + I⊗T on the rows I = [a, b) of W, indexed [(i, k), (j, l)]
+        # as (T_II)ᵢⱼδₖₗ + δᵢⱼTₖₗ
+        K = (T[a:b, None, a:b, None] * I[None, :, None, :]
+             + np.eye(q)[:, None, :, None] * T[None, :, None, :])
+        # the right-hand side keeps the stack's ndim, so numpy 1.x and 2.x
+        # both read it as one column per row
+        x, ok = _stacked(np.linalg.solve,
+                         shift * np.eye(q * n) + K.reshape(q * n, q * n),
+                         (C[a:b] - T[a:b, b:] @ W[:, b:]).reshape(-1, q * n, 1))
+        if not ok.all():
+            kept[kept] = ok
+            shift, W = shift[ok], W[ok]
+        W[:, a:b] = x.reshape(-1, q, n)
+    return W, kept
+
+
 def scheduled_lyapunov(model: AgentModel, rho: np.ndarray):
     """The scheduled ARE for each ρ of the stack rho (r,) from its Lyapunov
     form (module docstring), with stacked certificates.
 
-    W solves TW + WTᵀ + ρW = C = UᵀBBᵀU on the Schur form A = UTUᵀ by
-    Bartels–Stewart: T is block upper triangular, so the block rows W_I of
-    W, last first, solve T_II·W_I + W_I·Tᵀ + ρW_I = C_I − Σ_{J>I} T_IJ·W_J,
-    a system of size at most 2n for each row of the stack.  The stack holds
-    O(r·n²) doubles and costs O(n⁴) per row.  Then P = UL⁻ᵀL⁻¹Uᵀ from
-    W = LLᵀ.
+    W solves TW + WTᵀ + ρW = UᵀBBᵀU on the Schur form A = UTUᵀ by
+    Bartels–Stewart (`_bartels_stewart`), then P = UL⁻ᵀL⁻¹Uᵀ from W = LLᵀ.
+    Certificate 3 takes, for each row that passes 1 and 2 and that the
+    Lyapunov bound of `_certificates` can decide, one more Bartels–Stewart
+    pass: X = UYUᵀ with TY + YTᵀ + (ρ - 2τ)Y = I, so that
+    (A_s - τI)X + X(A_s - τI)ᵀ = I, τ = HURWITZ_TOL.  Each pass costs O(n⁴)
+    per row, and the stack holds O(r·n²) doubles.
 
     Returns (P, residual, certified): the mask (r,) marks the rows that
     pass gates (i)-(iii), and P and residual hold, in order, those rows' P
@@ -241,34 +365,26 @@ def scheduled_lyapunov(model: AgentModel, rho: np.ndarray):
     if not certified.any():
         return np.empty((0, n, n)), np.empty(0), certified
     G = model.B @ model.B.T
-    C = U.T @ G @ U
-    I = np.eye(n)
-    shift = rho[certified, None, None]
-    W = np.empty((len(shift), n, n))
-    for a, b in _schur_blocks(T):
-        q = b - a
-        # T_II⊗I + I⊗T on the rows I = [a, b) of W, indexed [(i, k), (j, l)]
-        # as (T_II)ᵢⱼδₖₗ + δᵢⱼTₖₗ
-        K = (T[a:b, None, a:b, None] * I[None, :, None, :]
-             + np.eye(q)[:, None, :, None] * T[None, :, None, :])
-        # the right-hand side keeps the stack's ndim, so numpy 1.x and 2.x
-        # both read it as one column per row
-        x, ok = _stacked(np.linalg.solve,
-                         shift * np.eye(q * n) + K.reshape(q * n, q * n),
-                         (C[a:b] - T[a:b, b:] @ W[:, b:]).reshape(-1, q * n, 1))
-        if not ok.all():
-            certified[certified] = ok
-            shift, W = shift[ok], W[ok]
-        W[:, a:b] = x.reshape(-1, q, n)
+    W, ok = _bartels_stewart(T, rho[certified, None, None], U.T @ G @ U)
+    certified[certified] = ok
     L, ok = _stacked(np.linalg.cholesky, W)
     certified[certified] = ok
     M = np.linalg.inv(L) @ U.T
     P = np.swapaxes(M, -1, -2) @ M
     ok = np.isfinite(P).all(axis=(-2, -1))  # a W near singular overflows P
     certified[certified] = ok
-    P = P[ok]
-    A = model.A + (rho[certified] / 2)[:, None, None] * I
-    residual, _, failed = _certificates(A, G, 0.0, P, rounding=True)
+    P, rho = P[ok], rho[certified]
+    I = np.eye(n)
+
+    def candidate(rows):
+        Y, ok = _bartels_stewart(
+            T, (rho[rows] - 2 * HURWITZ_TOL)[:, None, None], I)
+        X = U @ Y @ U.T
+        return (X + np.swapaxes(X, -1, -2)) / 2, ok
+
+    A = model.A + (rho / 2)[:, None, None] * I
+    residual, _, failed = _certificates(A, G, 0.0, P, rounding=True,
+                                        candidate=candidate)
     ok = failed == 0
     certified[certified] = ok
     return P[ok], residual[ok], certified

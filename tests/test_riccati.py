@@ -24,10 +24,12 @@ from satsync import (
     triple_integrator,
 )
 from satsync.riccati import (
+    HURWITZ_TOL,
     PSD_TOL,
     ParameterError,
     RiccatiError,
     _care_schur,
+    _certificates,
     _certify,
     residual_tolerance,
     scheduled_lyapunov,
@@ -208,20 +210,25 @@ class TestScheduledAre:
         # they are dropped before the linear solves, the rest certify
         model = AgentModel([[0.0, 0.0], [0.0, -0.3]], [[1.0], [1.0]],
                            [[1.0, 0.0]])
-        rows, solve = [], np.linalg.solve
+        rows, shifts, solve = [], [], np.linalg.solve
 
         def counting(K, b):
             # numpy 1.x reads a right-hand side of ndim K.ndim − 1 as a
             # stack of vectors, numpy 2 as one matrix
             assert b.ndim == K.ndim
             rows.append(len(K))
+            shifts.append(K[:, 0, 0])
             return solve(K, b)
 
         monkeypatch.setattr(np.linalg, "solve", counting)
         rho = lattice_rho(np.arange(OCTAVE, 2 * OCTAVE))
         _, _, certified = scheduled_lyapunov(model, rho)
         monkeypatch.undo()
-        assert rows == [OCTAVE - 205] * 2  # one solve per 1×1 Schur block
+        # per 1×1 Schur block one solve for W (shift ρ), then per block one
+        # for the Hurwitz bound's X (shift ρ − 2·HURWITZ_TOL)
+        assert rows == [OCTAVE - 205] * 4
+        for w, x in zip(shifts[:2], shifts[2:]):
+            np.testing.assert_allclose(w - x, 2 * HURWITZ_TOL, rtol=1e-6)
         assert not certified[:205].any() and certified[205:].all()
 
     @pytest.mark.parametrize("n, k", [(8, 5), (10, 1)])
@@ -353,6 +360,74 @@ class TestCertify:
             _certify(self.A, self.G, self.Q, np.array([[P]]), "scheduled", 1.0)
 
 
+class TestHurwitzBound:
+    """Certificate 3 comes from a Lyapunov bound where it decides, and from
+    the eigenvalues of the closed loop (`_hurwitz`) otherwise."""
+
+    @staticmethod
+    def counting_hurwitz(monkeypatch):
+        rows, hurwitz = [], riccati._hurwitz
+
+        def counting(M):
+            rows.append(len(M))
+            return hurwitz(M)
+
+        monkeypatch.setattr(riccati, "_hurwitz", counting)
+        return rows
+
+    def test_decided_rows_skip_eigvals(self, triple, monkeypatch):
+        # octave 1 of the triple integrator, its ρ = 1 row and its observer
+        # are all proved by the bound, so no closed loop reaches eigvals
+        rows = self.counting_hurwitz(monkeypatch)
+        _, _, certified = scheduled_lyapunov(
+            triple, lattice_rho(np.arange(OCTAVE, 2 * OCTAVE)))
+        assert certified.all()
+        assert solve_scheduled_are(triple, 1.0).closed_loop_stable
+        assert solve_lowgain_are(triple, 0.01).closed_loop_stable
+        design_observer_gain(triple)
+        assert sum(rows) == 0
+
+    def test_undecided_rows_reach_eigvals(self, triple, monkeypatch):
+        # deep rows: ‖R‖/λmin(P) is too large for the bound, eigvals decides
+        rows = self.counting_hurwitz(monkeypatch)
+        _, _, certified = scheduled_lyapunov(
+            triple, lattice_rho(np.arange(20 * OCTAVE, 21 * OCTAVE, 64)))
+        assert certified.all() and sum(rows) == 16
+
+    def test_asymmetric_P_reaches_eigvals(self, triple, monkeypatch):
+        # the bounds read P as symmetric: one ulp off symmetry leaves the
+        # row to eigvals, which accepts it
+        P = solve_lowgain_are(triple, 0.5).P.copy()
+        A, G, Q = triple.A, triple.B @ triple.B.T, 0.5 * np.eye(3)
+        rows = self.counting_hurwitz(monkeypatch)
+        assert _certificates(A[None], G, Q, P[None])[2].tolist() == [0]
+        P[0, 1] = np.nextafter(P[0, 1], np.inf)
+        assert _certificates(A[None], G, Q, P[None])[2].tolist() == [0]
+        assert rows == [0, 1]
+
+    @pytest.mark.parametrize("rho", [1.0, 2.0**-10])
+    @pytest.mark.parametrize("p", [0.0, 1e-10])
+    def test_antistable_closed_loop_fails_certificate_3(self, triple, rho, p,
+                                                        monkeypatch):
+        # P = 0 solves the zero-weight scheduled ARE exactly (R = 0, PSD),
+        # and P = 1e-10·I is positive definite within the residual
+        # tolerance, but the closed loop of each is about A_s, antistable:
+        # neither bound decides it, with or without a Lyapunov candidate,
+        # and eigvals rejects it
+        A = triple.A + (rho / 2) * np.eye(3)
+        G = triple.B @ triple.B.T
+        X = sla.solve_continuous_lyapunov(A - HURWITZ_TOL * np.eye(3),
+                                          np.eye(3))
+        rows = self.counting_hurwitz(monkeypatch)
+        for Q, candidate in ((0.0, lambda mask: (X[None][mask],
+                                                 np.ones(mask.sum(), bool))),
+                             (np.zeros((3, 3)), None)):
+            _, _, failed = _certificates(A[None], G, Q, p * np.eye(3)[None],
+                                         candidate=candidate)
+            assert failed.tolist() == [3]  # the first certificate it fails
+        assert rows == [1, 1]
+
+
 class TestObserverGain:
     def test_undetectable_pair_raises(self):
         # the mode at 0 is invisible through C = 0
@@ -434,3 +509,30 @@ def test_scheduled_are_on_axis_spectrum_models(seed, log2_rho):
         # about 1e-8 relative on these models, each P about 5e-9 from a
         # 60-digit reference there
         assert np.linalg.norm(P - reference) <= 1e-6 * np.linalg.norm(reference)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), axis=st.booleans(),
+       k=st.integers(1, 5), log2_eps=st.floats(-20.0, 0.0))
+@example(seed=0, axis=True, k=5, log2_eps=-20.0)
+def test_rows_the_hurwitz_bound_proves_pass_is_hurwitz(seed, axis, k,
+                                                       log2_eps):
+    """Every scheduled row in octaves 1-5 and every low-gain P that the
+    Lyapunov bound proves (with eigvals made to reject every closed loop)
+    has a closed loop that `is_hurwitz` accepts."""
+    draw = random_axis_spectrum_model if axis else random_admissible_model
+    model = draw(np.random.default_rng(seed))
+    rho = lattice_rho(np.arange(k * OCTAVE, (k + 1) * OCTAVE, 16))
+    G, eps = model.B @ model.B.T, 2.0**log2_eps
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(riccati, "_hurwitz",
+                      lambda M: np.zeros(len(M), dtype=bool))
+        P, _, proved = scheduled_lyapunov(model, rho)
+        try:
+            lowgain = [solve_lowgain_are(model, eps).P]
+        except RiccatiError:
+            lowgain = []
+    for r, P_row in zip(rho[proved], P):
+        assert is_hurwitz(model.A + (r / 2) * np.eye(model.n) - G @ P_row)
+    for P_low in lowgain:
+        assert is_hurwitz(model.A - G @ P_low)
