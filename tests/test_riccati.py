@@ -394,6 +394,25 @@ class TestHurwitzBound:
             triple, lattice_rho(np.arange(20 * OCTAVE, 21 * OCTAVE, 64)))
         assert certified.all() and sum(rows) == 16
 
+    @pytest.mark.parametrize("scale", [1.0, 10.0, -1.0])
+    def test_only_a_lyapunov_solution_decides(self, triple, scale,
+                                              monkeypatch):
+        # the bound proves this row with its X; X scaled by 10 (‖Δ‖ about 9)
+        # or by −1 (not positive definite) decides nothing, and eigvals
+        # accepts the row
+        rho = 0.75
+        A, G = triple.A + (rho / 2) * np.eye(3), triple.B @ triple.B.T
+        X = sla.solve_continuous_lyapunov(A - HURWITZ_TOL * np.eye(3),
+                                          np.eye(3))
+        P = solve_scheduled_are(triple, rho).P
+        rows = self.counting_hurwitz(monkeypatch)
+        _, _, failed = _certificates(
+            A[None], G, 0.0, P[None],
+            candidate=lambda mask: (scale * X[None][mask],
+                                    np.ones(mask.sum(), bool)))
+        assert failed.tolist() == [0]
+        assert rows == [0 if scale == 1.0 else 1]
+
     def test_asymmetric_P_reaches_eigvals(self, triple, monkeypatch):
         # the bounds read P as symmetric: one ulp off symmetry leaves the
         # row to eigvals, which accepts it
