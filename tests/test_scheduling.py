@@ -1,8 +1,12 @@
 import functools
 import gc
+import json
 import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from satsync import (
     solve_scheduled_are,
     triple_integrator,
 )
+import satsync
 from satsync import riccati, scheduling
 from satsync.riccati import ParameterError, RiccatiError, scheduled_lyapunov
 from satsync.scheduling import (
@@ -667,38 +672,53 @@ def test_filling_rows_allocates_nothing():
     assert grown < 16 * 1024
 
 
+# Rounds of reproduce cases 1-3 in a fresh interpreter: resident memory
+# after each of three rounds (the first two also pay one-time allocations),
+# then the memory a traced fourth round leaves live.
+_MEMORY_ROUNDS = """
+import gc, json, os, sys, tracemalloc
+from satsync import reproduce
+
+def resident_mb():
+    with open("/proc/self/statm") as f:
+        pages = int(f.read().split()[1])
+    return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+def one_round():
+    for case in (1, 2, 3):
+        reproduce(case, sys.argv[1])
+
+rounds = []
+for _ in range(3):
+    one_round()
+    rounds.append(resident_mb())
+tracemalloc.start()
+one_round()
+gc.collect()
+retained = tracemalloc.get_traced_memory()[0] / 2**20
+print(json.dumps({"rounds": rounds, "retained": retained}))
+"""
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
                     reason="reads resident memory from /proc")
 def test_repeated_reproduce_keeps_memory_flat(tmp_path):
-    def resident_mb():
-        with open("/proc/self/statm") as f:
-            pages = int(f.read().split()[1])
-        return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
-
-    def one_round():
-        for case in (1, 2, 3):
-            reproduce(case, tmp_path)
-
-    rounds = []
-    for _ in range(3):  # the first two rounds also pay one-time allocations
-        one_round()
-        rounds.append(resident_mb())
+    # In the test process, the allocator state that earlier tests leave made
+    # resident memory take a one-time step of 2-4 MB in a round that varied
+    # from run to run, while traced memory stayed flat; a fresh interpreter
+    # sees only reproduce.  Traced memory counts live Python and numpy
+    # blocks, so a leak too small for the resident bound still fails: a
+    # round leaves about 5 KiB (scipy's Schur callbacks), one leaked set of
+    # trajectories is about 150 KiB and one leaked PCache about 2 MB.
+    src = str(Path(satsync.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _MEMORY_ROUNDS, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    rounds = result["rounds"]
     assert rounds[2] - rounds[1] < 1.0
-    # resident memory also moves with the allocator state that earlier tests
-    # leave (glibc retained a one-time step of 2-4 MB, in a round that
-    # varied from run to run, while traced memory stayed flat); traced
-    # memory counts live Python and numpy blocks only, so a leak fails here
-    # whatever that state.  A round leaves about 5 KiB (scipy's Schur
-    # callbacks); one leaked set of trajectories is about 150 KiB, and one
-    # leaked PCache about 2 MB.
-    tracemalloc.start()
-    try:
-        one_round()
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] / 2**20
-    finally:
-        tracemalloc.stop()
-    assert retained < 0.1
+    assert result["retained"] < 0.1
 
 
 @pytest.fixture(scope="module")
