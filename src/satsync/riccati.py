@@ -154,12 +154,12 @@ def _certificates(A, G, Q, P, rounding=False, candidate=None):
 
     The bound reads R = AᵀP + PA - PGP + Q, the exact residual of the
     stored P, and needs P ≻ 0 and P bitwise symmetric (a row whose P is not
-    is left to `_hurwitz`; every P measured is).  With P⁻¹R = E,
-    P(A - GP)P⁻¹ = RP⁻¹ - Aᵀ, so spec(A - GP) = -spec(A - E).
+    is left to `_hurwitz`; every P measured is).
       - Scheduled rows (Q = 0) pass `candidate(rows)`, which gives a
         symmetric X with (A - τI)X + X(A - τI)ᵀ ≈ I for the rows of the
-        mask, and the mask of rows where one was found.  Let Z ≻ 0 and
-        (A - τI)Z + Z(A - τI)ᵀ = I - Δ.  Then
+        mask, and the mask of rows where one was found.  With P⁻¹R = E,
+        P(A - GP)P⁻¹ = RP⁻¹ - Aᵀ, so spec(A - GP) = -spec(A - E).  Let
+        Z ≻ 0 and (A - τI)Z + Z(A - τI)ᵀ = I - Δ.  Then
         (A - τI - E)Z + Z(A - τI - E)ᵀ = I - Δ - EZ - ZEᵀ ≻ 0 whenever
         ‖Δ‖₂ + 2‖P⁻¹‖₂‖R‖₂‖Z‖₂ < 1, which proves A - τI - E antistable,
         so every eigenvalue of A - GP lies below -τ.  A row with
