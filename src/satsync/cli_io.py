@@ -97,9 +97,12 @@ def _scenario_dict(sc: Scenario) -> dict:
 def scenario_from_dict(data: dict, source_name: str = "<dict>") -> Scenario:
     problems = []
 
-    def matrix(ptr, value):
+    def matrix(ptr, parent, key):
+        if key not in parent:
+            problems.append((ptr, "missing"))
+            return None
         try:
-            M = np.asarray(value, dtype=float)
+            M = np.asarray(parent[key], dtype=float)
         except (TypeError, ValueError):
             problems.append((ptr, "not a numeric array"))
             return None
@@ -116,9 +119,9 @@ def scenario_from_dict(data: dict, source_name: str = "<dict>") -> Scenario:
     if not isinstance(md, dict):
         problems.append(("/model", "missing or not an object"))
     else:
-        A = matrix("/model/A", md.get("A"))
-        B = matrix("/model/B", md.get("B"))
-        C = matrix("/model/C", md.get("C"))
+        A = matrix("/model/A", md, "A")
+        B = matrix("/model/B", md, "B")
+        C = matrix("/model/C", md, "C")
         if A is not None and B is not None and C is not None:
             try:
                 model = AgentModel(A, B, C)
@@ -130,7 +133,7 @@ def scenario_from_dict(data: dict, source_name: str = "<dict>") -> Scenario:
     if not isinstance(nd, dict):
         problems.append(("/network", "missing or not an object"))
     else:
-        adj = matrix("/network/adjacency", nd.get("adjacency"))
+        adj = matrix("/network/adjacency", nd, "adjacency")
         roots = nd.get("root_set", [])
         if not isinstance(roots, list) or not all(
             isinstance(r, int) and not isinstance(r, bool) for r in roots
@@ -150,18 +153,18 @@ def scenario_from_dict(data: dict, source_name: str = "<dict>") -> Scenario:
     if coupling not in ("full", "partial"):
         problems.append(("/coupling", f"must be 'full' or 'partial', got {coupling!r}"))
 
-    x0 = matrix("/x0", data.get("x0"))
-    xr0 = matrix("/xr0", data.get("xr0"))
-    chi0 = matrix("/chi0", data["chi0"]) if "chi0" in data else None
-    xhat0 = matrix("/xhat0", data["xhat0"]) if "xhat0" in data else None
+    x0 = matrix("/x0", data, "x0")
+    xr0 = matrix("/xr0", data, "xr0")
+    chi0 = matrix("/chi0", data, "chi0") if "chi0" in data else None
+    xhat0 = matrix("/xhat0", data, "xhat0") if "xhat0" in data else None
 
     if model is not None and net is not None:
         N, n = net.N, model.n
-        if x0 is None or x0.shape != (N, n):
+        if x0 is not None and x0.shape != (N, n):
             problems.append(
                 ("/x0", f"must be an {N}×{n} array of agent initial states")
             )
-        if xr0 is None or xr0.reshape(-1).shape != (n,):
+        if xr0 is not None and xr0.reshape(-1).shape != (n,):
             problems.append(("/xr0", f"must be an {n}-vector"))
         for name, M in (("chi0", chi0), ("xhat0", xhat0)):
             if M is not None and M.shape != (N, n):

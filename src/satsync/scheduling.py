@@ -16,8 +16,12 @@ agents are scheduled together as array operations: χ⊗χ is formed once per
 call, and each g is one inner product of it with a table row read as vec S.
 The grid rows j = 0 are solved with the table, so the grid scan only reads;
 an octave is filled when the bisection first probes it.  An octave whose
-stacked solve certified every row is complete, and a bisection that stays
-in complete octaves makes no fill check.
+stacked solve certified every row is complete.  A bisection that stays in
+complete octaves makes no fill check and reads its 10 steps in three probe
+blocks: each gathers, per agent, the 2ʳ − 1 rows its next r steps could
+probe (r = 4, 3, 3), and a table reads the path of those steps from the
+rows' pass bits.  Elsewhere each step fills its probe and gathers one row
+per agent.
 
 The semi-global ε* has no constructive formula; it is selected by validating
 candidate ε values on closed-loop simulations from a deterministic sample of
@@ -46,6 +50,9 @@ GRID = tuple(2.0**-k for k in range(21))  # 1, 1/2, ..., 2^-20
 BISECTION_DEPTH = 10  # relative interval width 2^-10 < 1e-3
 OCTAVE = 2**BISECTION_DEPTH  # lattice points per grid interval
 GRID_IDS = np.arange(len(GRID)) * OCTAVE  # lattice ids k·2¹⁰ of the grid
+# the bisection depths read per probe block on complete octaves: (4, 3, 3)
+BLOCK_DEPTHS = tuple(BISECTION_DEPTH // 3 + (i < BISECTION_DEPTH % 3)
+                     for i in range(3))
 
 # Semi-global search parameters (validated by direct simulation, not by the
 # existential constants of the convergence analysis).
@@ -80,6 +87,48 @@ class SelectionError(RuntimeError):
 _LATTICE_RHO = np.ldexp(1.0 + np.arange(OCTAVE) / OCTAVE,
                         -np.arange(len(GRID))[:, None]).ravel()
 _LATTICE_RHO.setflags(write=False)
+
+
+def _walk(r):
+    """t of an r-depth bisection walk for every pattern of the pass bits of
+    its 2ʳ − 1 rows, bit m − 1 for row m: from t = 0, depth d probes row
+    t + 2^(r − d) and moves t there if that row passes.
+
+    The first depth probes row 2^(r − 1), the middle bit; the rows below
+    it and the rows above it, less 2^(r − 1), are (r − 1)-depth walks on
+    the low and the high bits."""
+    if r == 0:
+        return np.zeros(1, dtype=np.uint16)
+    inner = _walk(r - 1)
+    t = np.empty((inner.size, 2, inner.size), dtype=np.uint16)
+    t[:, 0] = inner  # indexed by the low bits
+    t[:, 1] = inner[:, None] + (1 << (r - 1))  # by the high bits
+    return t.ravel()
+
+
+def _probe_block(done, r):
+    """(offsets, weights, path) of the probe block that reads bisection
+    depths done + 1 … done + r at once.
+
+    From lo, those depths can probe only the 2ʳ − 1 rows lo + m·h, m = 1 …
+    2ʳ − 1, h = 2¹⁰ / 2^(done + r): `offsets` holds m·h.  The inner product
+    of the rows' pass bits with `weights` is their pattern, bit m − 1 for
+    row m, and `path[pattern]` is the offset t·h at which those depths
+    leave lo, for the t of `_walk(r)`."""
+    h = OCTAVE >> (done + r)
+    m = np.arange(1, 2**r)
+    path = _walk(r)
+    path *= h
+    path.setflags(write=False)
+    return h * m, 1 << (m - 1), path
+
+
+# one probe block per entry of BLOCK_DEPTHS; their path tables take 65 KB
+_BLOCKS = tuple(_probe_block(sum(BLOCK_DEPTHS[:i]), r)
+                for i, r in enumerate(BLOCK_DEPTHS))
+# agents per pass through the blocks: a block then gathers at most 2¹⁰ rows,
+# one octave of the table, however many states a call schedules
+_BLOCK_AGENTS = OCTAVE // len(_BLOCKS[0][0])
 
 
 def lattice_rho(ids):
@@ -196,34 +245,48 @@ def schedule(chi: np.ndarray, cache: PCache):
     RiccatiError of grid row `cache.levels` if an agent needs that row.
 
     The grid scan is one inner product of χ⊗χ with each readable grid row.
-    Each bisection step gathers one table row per agent and takes its inner
-    product with χ⊗χ.  When every bisecting agent's octave is complete, the
-    steps skip `cache.fill`, which would find every row filled.
+    When every bisecting agent's octave is complete, the bisection makes
+    no `cache.fill`, which would find every row filled, and runs as three
+    probe blocks of `BLOCK_DEPTHS` steps.  A block gathers, per agent, the
+    rows its steps could probe, takes their inner products with χ⊗χ in one
+    call, and reads the steps' path from the pass bits; it takes at most
+    `_BLOCK_AGENTS` agents at a time, so it gathers at most 2¹⁰ rows, the
+    size of one octave, however many states are asked for.  The comparisons
+    on that path are the steps' own, at the same rows, so ε and U keep
+    their bits.  Otherwise each step fills its probe, gathers one table row
+    per agent and takes its inner product with χ⊗χ.
     """
     chi = np.asarray(chi, dtype=float)
     kron = _kron(chi)
     grid = cache.S.reshape(len(GRID), OCTAVE, -1)[:cache.levels, 0]
     ok = _g(kron[:, None, :], grid) <= 1.0
     passed = ok.any(axis=1)
-    if not passed.all() and cache.levels < len(GRID):
-        # no solver certifies this grid row: its fill raises RiccatiError
-        cache.fill(GRID_IDS[cache.levels:cache.levels + 1])
-    past = np.flatnonzero(~passed)
-    if past.size:
-        raise ScheduleFloorError(float(np.linalg.norm(chi[past[0]])))
+    # count_nonzero: on a few dozen agents, a third of the cost of .all()
+    if np.count_nonzero(passed) < passed.size:
+        if cache.levels < len(GRID):
+            # no solver certifies this grid row: its fill raises RiccatiError
+            cache.fill(GRID_IDS[cache.levels:cache.levels + 1])
+        raise ScheduleFloorError(float(np.linalg.norm(chi[passed.argmin()])))
     k = ok.argmax(axis=1)
     ids = k * OCTAVE
-    b = np.flatnonzero(k)
+    b = k.nonzero()[0]
     if b.size:  # bisect [2⁻ᵏ, 2⁻ᵏ⁺¹] on its lattice; ρ(k, lo) always passes
         lo, kron_b = ids[b], kron[b]
         vec_S = cache.S.reshape(len(cache.S), -1)
-        complete = cache.complete[k[b]].all()
-        for depth in range(1, BISECTION_DEPTH + 1):
-            mid = lo + (OCTAVE >> depth)
-            if not complete:
+        if np.count_nonzero(cache.complete[k[b]]) == b.size:
+            kron_b = kron_b[:, None, :]
+            for first in range(0, b.size, _BLOCK_AGENTS):
+                part = slice(first, first + _BLOCK_AGENTS)
+                lo_p, kron_p = lo[part], kron_b[part]  # views: lo_p moves lo
+                for offsets, weights, path in _BLOCKS:
+                    rows = vec_S.take(lo_p[:, None] + offsets, axis=0)
+                    lo_p += path[(_g(kron_p, rows) <= 1.0) @ weights]
+        else:
+            for depth in range(1, BISECTION_DEPTH + 1):
+                mid = lo + (OCTAVE >> depth)
                 cache.fill(mid)
-            g = _g(kron_b, vec_S.take(mid, axis=0))
-            np.copyto(lo, mid, where=g <= 1.0)
+                g = _g(kron_b, vec_S.take(mid, axis=0))
+                np.copyto(lo, mid, where=g <= 1.0)
         ids[b] = lo
     U = -(cache.BtP.take(ids, axis=0) @ chi[:, :, None])[:, :, 0]
     return lattice_rho(ids), U

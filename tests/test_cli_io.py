@@ -74,6 +74,20 @@ class TestScenarioParsing:
             scenario_from_dict({})
         assert len(exc.value.problems) >= 2
 
+    @pytest.mark.parametrize("path", [
+        ("model", "A"), ("model", "B"), ("model", "C"),
+        ("network", "adjacency"), ("x0",), ("xr0",),
+    ])
+    def test_missing_field_reported_as_missing(self, path):
+        bad = json.loads(json.dumps(SCALAR_SCENARIO))
+        parent = bad
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        with pytest.raises(ScenarioValidationError) as exc:
+            scenario_from_dict(bad)
+        assert exc.value.problems == [("/" + "/".join(path), "missing")]
+
     def test_unrooted_graph_warns(self):
         loose = json.loads(json.dumps(SCALAR_SCENARIO))
         loose["network"]["root_set"] = [2]  # root set cannot reach agent 1

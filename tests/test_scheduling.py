@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_admissible_model
+from conftest import integrator_chain, random_admissible_model
 from satsync import (
     AgentModel,
     CompactSetSpec,
@@ -188,19 +188,32 @@ def assert_octave_matches_direct_solve(cache, k):
 
 
 @functools.cache
-def triple_solve(rho):
-    """`solve_scheduled_are` on the triple integrator, once per ρ."""
-    return solve_scheduled_are(triple_integrator(), rho)
+def named_model(name):
+    """The triple integrator or the 6-chain, one instance per name, so that
+    direct solves of it can be cached by name.  The 6-chain's octave stacks
+    certify 801 and 1,011 of the 1,024 rows of octaves 1 and 2 and every
+    row of octaves 3 and up."""
+    return {"triple": triple_integrator,
+            "6-chain": lambda: integrator_chain(6)}[name]()
 
 
 @functools.cache
-def triple_octave(k):
-    """Table rows (S, BᵀP) of the triple integrator's octave k ≥ 1 from one
-    direct stacked solve; every row of it certifies."""
-    P, _, certified = scheduled_lyapunov(triple_integrator(),
-                                         lattice_rho(octave_rows(k)))
-    assert certified.all()
-    return table_row(triple_integrator(), P)
+def direct_solve(name, rho):
+    """`solve_scheduled_are` on `named_model(name)`, once per ρ."""
+    return solve_scheduled_are(named_model(name), rho)
+
+
+triple_solve = functools.partial(direct_solve, "triple")
+
+
+@functools.cache
+def direct_octave(name, k):
+    """Table rows (S, BᵀP) of octave k ≥ 1 of `named_model(name)` from one
+    direct stacked solve, one for each row it certifies, and the mask of
+    those rows."""
+    model = named_model(name)
+    P, _, certified = scheduled_lyapunov(model, lattice_rho(octave_rows(k)))
+    return (*table_row(model, P), certified)
 
 
 def reference_schedule(chi, model, solved, solve=solve_scheduled_are):
@@ -248,38 +261,48 @@ def floor_norm_or(fn, *args):
         return err.chi_norm
 
 
-def assert_schedule_matches_reference(chi):
-    """`schedule` of chi on a fresh triple-integrator cache against the
-    one-agent-at-a-time reference: same bits of ε and U, or the same floor
-    error.  The table fills exactly the 21 grid rows and, whole, each
-    octave k ≥ 1 of which the reference solves a non-grid row (on a floor
-    error, none); each such octave holds the bits of one direct stacked
-    solve, and each grid row and row the reference solved the bits of its
-    direct solve."""
-    model = triple_integrator()
+def assert_schedule_matches_reference(chi, name="triple"):
+    """`schedule` of chi on a fresh cache of `named_model(name)`, cold and
+    then warm, against the one-agent-at-a-time reference: same bits of ε
+    and U, or the same floor error.  The warm call fills no row: it calls
+    no `fill` when every bisecting agent's octave is complete, so it reads
+    them in probe blocks, and otherwise asks for each step's probe again.
+    The table fills exactly the 21 grid rows and, bar a floor error, each
+    row the reference solves and, of each octave k ≥ 1 of which the
+    reference solves a non-grid row, every row one direct stacked solve
+    certifies, with its bits; each grid row and row the reference solved
+    holds the bits of its direct solve.  Returns those octaves."""
+    model = named_model(name)
     cache, solved = PCache(model), {}
     got = floor_norm_or(schedule, chi, cache)
+    cold = cache.filled.copy()
+    calls = counting_fills(cache)
+    warm = floor_norm_or(schedule, chi, cache)
     want = floor_norm_or(reference_schedule, chi, model, solved,
-                         lambda _, rho: triple_solve(rho))
+                         lambda _, rho: direct_solve(name, rho))
     filled = {lattice_id(rho) for rho in GRID}
     if isinstance(want, float):
-        assert got == want
+        assert got == warm == want
         octaves = []
     else:
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
+        for eps, U in (got, warm):
+            np.testing.assert_array_equal(eps, want[0])
+            np.testing.assert_array_equal(U, want[1])
         octaves = stacked_octaves(lattice_id(rho) for rho in solved)
+        filled.update(lattice_id(rho) for rho in solved)
+    np.testing.assert_array_equal(cache.filled, cold)
+    assert (calls == []) == cache.complete[octaves].all()
     for k in octaves:
-        filled.update(octave_rows(k).tolist())
+        S, BtP, certified = direct_octave(name, k)
+        rows = octave_rows(k)[certified]
+        filled.update(rows.tolist())
+        np.testing.assert_array_equal(cache.S[rows], S)
+        np.testing.assert_array_equal(cache.BtP[rows], BtP)
     assert set(np.flatnonzero(cache.filled).tolist()) == filled
-    for k in octaves:
-        S, BtP = triple_octave(k)
-        np.testing.assert_array_equal(cache.S[octave_rows(k)], S)
-        np.testing.assert_array_equal(cache.BtP[octave_rows(k)], BtP)
     for rho in {*GRID, *solved}:
         i = lattice_id(rho)
         if cache.filled[i]:
-            S, BtP = table_row(model, triple_solve(rho).P)
+            S, BtP = table_row(model, direct_solve(name, rho).P)
             np.testing.assert_array_equal(cache.S[i], S)
             np.testing.assert_array_equal(cache.BtP[i], BtP)
     return octaves
@@ -304,6 +327,46 @@ def test_every_probed_octave_is_stacked():
     rng = np.random.default_rng(3)
     chi = 10.0 ** rng.uniform(1.0, 1.6, (60, 1)) * rng.uniform(-1, 1, (60, 3))
     assert len(assert_schedule_matches_reference(chi)) >= 2
+
+
+@pytest.mark.parametrize("scales, mixed", [((-0.8, 0.8), True),
+                                            ((0.6, 1.2), False)])
+def test_schedule_matches_reference_on_the_6_chain(scales, mixed):
+    """`assert_schedule_matches_reference` on the 6-chain, whose octaves 1
+    and 2 stay incomplete once stacked.  Agents at scales 10^-0.8 … 10^0.8
+    bisect in octaves 1 and 2 and in complete ones, so the warm call
+    bisects step by step with `fill`; at 10^0.6 … 10^1.2 they bisect in
+    complete octaves only, so the warm call reads probe blocks."""
+    rng = np.random.default_rng(5)
+    chi = 10.0 ** rng.uniform(*scales, (12, 1)) * rng.uniform(-1, 1, (12, 6))
+    octaves = set(assert_schedule_matches_reference(chi, "6-chain"))
+    assert bool(octaves & {1, 2}) == mixed and octaves - {1, 2}
+
+
+@pytest.mark.parametrize("block", range(len(scheduling.BLOCK_DEPTHS)))
+def test_probe_block_reads_the_bisection_path(block):
+    """For every pass pattern of a probe block's rows, the offset the
+    schedule adds to lo, `path[bits @ weights]`, is where the per-depth
+    walk of the bisection over those bits leaves lo.  The blocks read the
+    bisection's depths in order, and each reads every row its depths can
+    probe."""
+    depths = scheduling.BLOCK_DEPTHS
+    assert sum(depths) == BISECTION_DEPTH
+    done, r = sum(depths[:block]), depths[block]
+    offsets, weights, path = scheduling._BLOCKS[block]
+    step = OCTAVE >> (done + r)
+    assert offsets.tolist() == list(range(step, OCTAVE >> done, step))
+    position = {m: i for i, m in enumerate(offsets.tolist())}
+    patterns = np.arange(2**offsets.size)
+    bits = (patterns[:, None] >> np.arange(offsets.size)) & 1 == 1
+    decoded = path[bits @ weights].tolist()
+    for row, offset in zip(bits.tolist(), decoded):
+        lo = 0
+        for depth in range(done + 1, done + r + 1):
+            mid = lo + (OCTAVE >> depth)
+            if row[position[mid]]:
+                lo = mid
+        assert offset == lo
 
 
 def counting_fills(cache):
@@ -466,6 +529,32 @@ def test_complete_octaves_are_bisected_without_fill():
     np.testing.assert_array_equal(got[1], U[warm])
 
 
+def test_many_states_read_probe_blocks_in_parts():
+    """A warm call with 2,000 bisecting states, as when a run's controls
+    are recorded, reads the probe blocks for `_BLOCK_AGENTS` of them at a
+    time: it calls no `fill`, keeps the bits of calls of 50 states, and
+    its traced peak stays under 1 MB, where one block gathering the rows
+    of all 2,000 states would take 2.2 MB alone."""
+    rng = np.random.default_rng(3)
+    chi = 10.0 ** rng.uniform(1.0, 3.0, (2000, 1)) * rng.uniform(-1, 1,
+                                                                   (2000, 3))
+    cache = PCache(triple_integrator())
+    eps, _ = schedule(chi, cache)
+    assert eps.max() < 1.0
+    calls = counting_fills(cache)
+    tracemalloc.start()
+    try:
+        got = schedule(chi, cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [] and peak < 2**20
+    for part in np.split(np.arange(2000), 40):
+        want = schedule(chi[part], cache)
+        np.testing.assert_array_equal(got[0][part], want[0])
+        np.testing.assert_array_equal(got[1][part], want[1])
+
+
 def test_incomplete_octave_rows_are_filled_when_probed():
     """On the gate-(i) model of `test_octave_split_by_gate_i`, octave 1 is
     stacked but stays incomplete.  A later `schedule` that bisects into its
@@ -506,7 +595,7 @@ def test_one_row_fill_stacks_its_octave(k):
     want[scheduling.GRID_IDS] = True
     want[octave_rows(k)] = True
     np.testing.assert_array_equal(cache.filled, want)
-    S, BtP = triple_octave(k)
+    S, BtP, _ = direct_octave("triple", k)
     np.testing.assert_array_equal(cache.S[octave_rows(k)], S)
     np.testing.assert_array_equal(cache.BtP[octave_rows(k)], BtP)
     assert cache.complete.tolist() == [i == k for i in range(len(GRID))]
