@@ -97,8 +97,8 @@ def _scenario_dict(sc: Scenario) -> dict:
 def scenario_from_dict(data: dict, source_name: str = "<dict>") -> Scenario:
     problems = []
 
-    def matrix(ptr, parent, key):
-        if key not in parent:
+    def matrix(ptr, parent, key):  # a JSON null reads as an absent key
+        if parent.get(key) is None:
             problems.append((ptr, "missing"))
             return None
         try:
@@ -134,7 +134,7 @@ def scenario_from_dict(data: dict, source_name: str = "<dict>") -> Scenario:
         problems.append(("/network", "missing or not an object"))
     else:
         adj = matrix("/network/adjacency", nd, "adjacency")
-        roots = nd.get("root_set", [])
+        roots = [] if nd.get("root_set") is None else nd["root_set"]
         if not isinstance(roots, list) or not all(
             isinstance(r, int) and not isinstance(r, bool) for r in roots
         ):
@@ -149,14 +149,14 @@ def scenario_from_dict(data: dict, source_name: str = "<dict>") -> Scenario:
             except NetworkError as exc:
                 problems.append(("/network", str(exc)))
 
-    coupling = data.get("coupling", "full")
+    coupling = "full" if data.get("coupling") is None else data["coupling"]
     if coupling not in ("full", "partial"):
         problems.append(("/coupling", f"must be 'full' or 'partial', got {coupling!r}"))
 
     x0 = matrix("/x0", data, "x0")
     xr0 = matrix("/xr0", data, "xr0")
-    chi0 = matrix("/chi0", data, "chi0") if "chi0" in data else None
-    xhat0 = matrix("/xhat0", data, "xhat0") if "xhat0" in data else None
+    chi0, xhat0 = (None if data.get(key) is None else
+                   matrix(f"/{key}", data, key) for key in ("chi0", "xhat0"))
 
     if model is not None and net is not None:
         N, n = net.N, model.n

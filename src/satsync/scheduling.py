@@ -15,13 +15,11 @@ point, at its id k·2¹⁰ + j, so ARE solves are shared across calls and all
 agents are scheduled together as array operations: χ⊗χ is formed once per
 call, and each g is one inner product of it with a table row read as vec S.
 The grid rows j = 0 are solved with the table, so the grid scan only reads;
-an octave is filled when the bisection first probes it.  An octave whose
-stacked solve certified every row is complete.  A bisection that stays in
-complete octaves makes no fill check and reads its 10 steps in three probe
-blocks: each gathers, per agent, the 2ʳ − 1 rows its next r steps could
-probe (r = 4, 3, 3), and a table reads the path of those steps from the
-rows' pass bits.  Elsewhere each step fills its probe and gathers one row
-per agent.
+an octave is filled when the bisection first probes it.  The bisection
+reads its 10 steps in three probe blocks: each gathers, per agent, the
+2ʳ − 1 rows its next r steps could probe (r = 4, 3, 3), filled first unless
+every octave read is complete, and a table reads the path of those steps
+from the rows' pass bits.  A non-grid row no solver certifies holds NaN.
 
 The semi-global ε* has no constructive formula; it is selected by validating
 candidate ε values on closed-loop simulations from a deterministic sample of
@@ -50,7 +48,7 @@ GRID = tuple(2.0**-k for k in range(21))  # 1, 1/2, ..., 2^-20
 BISECTION_DEPTH = 10  # relative interval width 2^-10 < 1e-3
 OCTAVE = 2**BISECTION_DEPTH  # lattice points per grid interval
 GRID_IDS = np.arange(len(GRID)) * OCTAVE  # lattice ids k·2¹⁰ of the grid
-# the bisection depths read per probe block on complete octaves: (4, 3, 3)
+# the bisection depths read per probe block: (4, 3, 3)
 BLOCK_DEPTHS = tuple(BISECTION_DEPTH // 3 + (i < BISECTION_DEPTH % 3)
                      for i in range(3))
 
@@ -151,8 +149,8 @@ class PCache:
     rows k·2¹⁰ from one stacked Lyapunov solve and, in order, each one it
     does not certify alone.  The first grid row no solver certifies ends
     the readable grid, of length `levels`.  `fill` solves the other rows.
-    Every row holds exactly the bits of `solve_scheduled_are(model, ρ)`,
-    whatever was filled before.
+    Every filled row holds exactly the bits of `solve_scheduled_are(model,
+    ρ)`, or NaN where it raises RiccatiError, whatever was filled before.
     """
 
     def __init__(self, model: AgentModel):
@@ -189,9 +187,10 @@ class PCache:
         which fills every row of it that the Lyapunov form certifies, and
         is complete if that is every row.  Every missing id left is then
         solved on its own, by the Hamiltonian method where the Lyapunov
-        form does not certify.  A fill that returns has filled every id it
-        was asked for, so an octave with a filled non-grid row has been
-        stacked.  Octave 0, whose only ρ in (0, 1] is row 0, never is.
+        form does not certify, and holds NaN where no solver certifies.  A
+        fill that returns has filled every id it was asked for, so an
+        octave with a filled non-grid row has been stacked.  Octave 0,
+        whose only ρ in (0, 1] is row 0, never is.
         """
         missing = ~self.filled[ids]
         if not missing.any():
@@ -207,7 +206,11 @@ class PCache:
             self.complete[k] = certified.all()
         new = new[~self.filled[new]]
         for i, rho in zip(new.tolist(), lattice_rho(new).tolist()):
-            self._fill(i, self.solution(rho).P)
+            try:
+                P = self.solution(rho).P
+            except RiccatiError:  # no solver certifies the row
+                P = np.full_like(self.S[i], np.nan)
+            self._fill(i, P)
 
     def _fill(self, i, P):
         """Rows i from P: one row from (n, n), or rows from a stack."""
@@ -245,16 +248,15 @@ def schedule(chi: np.ndarray, cache: PCache):
     RiccatiError of grid row `cache.levels` if an agent needs that row.
 
     The grid scan is one inner product of χ⊗χ with each readable grid row.
-    When every bisecting agent's octave is complete, the bisection makes
-    no `cache.fill`, which would find every row filled, and runs as three
-    probe blocks of `BLOCK_DEPTHS` steps.  A block gathers, per agent, the
-    rows its steps could probe, takes their inner products with χ⊗χ in one
-    call, and reads the steps' path from the pass bits; it takes at most
-    `_BLOCK_AGENTS` agents at a time, so it gathers at most 2¹⁰ rows, the
-    size of one octave, however many states are asked for.  The comparisons
-    on that path are the steps' own, at the same rows, so ε and U keep
-    their bits.  Otherwise each step fills its probe, gathers one table row
-    per agent and takes its inner product with χ⊗χ.
+    The bisection is three probe blocks of `BLOCK_DEPTHS` steps.  A block
+    gathers, per agent, the rows its steps could probe, takes their inner
+    products with χ⊗χ in one call, and reads the steps' path from the pass
+    bits, for at most `_BLOCK_AGENTS` agents at a time: at most 2¹⁰ rows,
+    one octave, however many states are asked for.  If a bisecting agent's
+    octave is not complete, each block `cache.fill`s its rows first.  The
+    path's comparisons are those of a step-by-step bisection, at the same
+    rows, so ε and U keep their bits.  A row no solver certifies holds NaN
+    and fails: an agent whose path probes it gets the last row it passed.
     """
     chi = np.asarray(chi, dtype=float)
     kron = _kron(chi)
@@ -264,29 +266,25 @@ def schedule(chi: np.ndarray, cache: PCache):
     # count_nonzero: on a few dozen agents, a third of the cost of .all()
     if np.count_nonzero(passed) < passed.size:
         if cache.levels < len(GRID):
-            # no solver certifies this grid row: its fill raises RiccatiError
-            cache.fill(GRID_IDS[cache.levels:cache.levels + 1])
+            # no solver certifies this grid row: its solve raises RiccatiError
+            cache.solution(GRID[cache.levels])
         raise ScheduleFloorError(float(np.linalg.norm(chi[passed.argmin()])))
     k = ok.argmax(axis=1)
     ids = k * OCTAVE
     b = k.nonzero()[0]
     if b.size:  # bisect [2⁻ᵏ, 2⁻ᵏ⁺¹] on its lattice; ρ(k, lo) always passes
-        lo, kron_b = ids[b], kron[b]
+        lo, kron_b = ids[b], kron[b][:, None, :]
         vec_S = cache.S.reshape(len(cache.S), -1)
-        if np.count_nonzero(cache.complete[k[b]]) == b.size:
-            kron_b = kron_b[:, None, :]
-            for first in range(0, b.size, _BLOCK_AGENTS):
-                part = slice(first, first + _BLOCK_AGENTS)
-                lo_p, kron_p = lo[part], kron_b[part]  # views: lo_p moves lo
-                for offsets, weights, path in _BLOCKS:
-                    rows = vec_S.take(lo_p[:, None] + offsets, axis=0)
-                    lo_p += path[(_g(kron_p, rows) <= 1.0) @ weights]
-        else:
-            for depth in range(1, BISECTION_DEPTH + 1):
-                mid = lo + (OCTAVE >> depth)
-                cache.fill(mid)
-                g = _g(kron_b, vec_S.take(mid, axis=0))
-                np.copyto(lo, mid, where=g <= 1.0)
+        fill = np.count_nonzero(cache.complete[k[b]]) < b.size
+        for first in range(0, b.size, _BLOCK_AGENTS):
+            part = slice(first, first + _BLOCK_AGENTS)
+            lo_p, kron_p = lo[part], kron_b[part]  # views: lo_p moves lo
+            for offsets, weights, path in _BLOCKS:
+                probes = lo_p[:, None] + offsets
+                if fill:
+                    cache.fill(probes.ravel())
+                rows = vec_S.take(probes, axis=0)
+                lo_p += path[(_g(kron_p, rows) <= 1.0) @ weights]
         ids[b] = lo
     U = -(cache.BtP.take(ids, axis=0) @ chi[:, :, None])[:, :, 0]
     return lattice_rho(ids), U

@@ -79,14 +79,36 @@ class TestScenarioParsing:
         ("network", "adjacency"), ("x0",), ("xr0",),
     ])
     def test_missing_field_reported_as_missing(self, path):
-        bad = json.loads(json.dumps(SCALAR_SCENARIO))
-        parent = bad
+        """An absent field and one given as JSON null both read "missing"."""
+        for null in (False, True):
+            bad = json.loads(json.dumps(SCALAR_SCENARIO))
+            parent = bad
+            for key in path[:-1]:
+                parent = parent[key]
+            if null:
+                parent[path[-1]] = None
+            else:
+                del parent[path[-1]]
+            with pytest.raises(ScenarioValidationError) as exc:
+                scenario_from_dict(bad)
+            assert exc.value.problems == [("/" + "/".join(path), "missing")]
+
+    @pytest.mark.parametrize("path", [
+        ("chi0",), ("xhat0",), ("coupling",), ("network", "root_set"),
+    ])
+    def test_null_optional_field_takes_its_default(self, path):
+        """An optional field given as JSON null loads as if it were absent."""
+        null = json.loads(json.dumps(SCALAR_SCENARIO))
+        parent = null
         for key in path[:-1]:
             parent = parent[key]
-        del parent[path[-1]]
-        with pytest.raises(ScenarioValidationError) as exc:
-            scenario_from_dict(bad)
-        assert exc.value.problems == [("/" + "/".join(path), "missing")]
+        parent.pop(path[-1], None)
+        absent = json.loads(json.dumps(null))
+        parent[path[-1]] = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # unrooted graph
+            got, want = scenario_from_dict(null), scenario_from_dict(absent)
+        assert got.fingerprint() == want.fingerprint()
 
     def test_unrooted_graph_warns(self):
         loose = json.loads(json.dumps(SCALAR_SCENARIO))
@@ -174,7 +196,7 @@ def test_fuzzed_scenario_field_loads_or_is_rejected(path, value):
             sc = scenario_from_dict(data)
         except ScenarioValidationError:
             return
-    roots = data["network"].get("root_set", [])
+    roots = data["network"].get("root_set") or []  # null reads as absent
     assert all(type(r) is int for r in roots)  # bool is an int subclass
     assert sc.net.root_set == {r - 1 for r in roots}
 

@@ -175,6 +175,33 @@ def stacked_octaves(asked):
     return octaves[octaves > 0].tolist()
 
 
+def probe_block_rows(eps):
+    """Per probe block, the set of lattice ids it reads for the ε below 1
+    that a schedule returned.  The block of r depths after `done` reads
+    the 2ʳ − 1 rows lo + m·2¹⁰/2^(done + r), where lo is the bisection's id
+    after `done` depths: the returned id with its 10 − done low bits
+    cleared."""
+    blocks = [set() for _ in scheduling.BLOCK_DEPTHS]
+    for i in (lattice_id(rho) for rho in eps if rho < 1.0):
+        done = 0
+        for rows, r in zip(blocks, scheduling.BLOCK_DEPTHS):
+            lo, step = i & -(OCTAVE >> done), OCTAVE >> (done + r)
+            rows.update(range(lo + step, lo + (OCTAVE >> done), step))
+            done += r
+    return blocks
+
+
+def assert_row_matches_direct_solve(cache, i):
+    """Row i holds the bits of its direct solve, or NaN where that raises."""
+    try:
+        P = solve_scheduled_are(cache.model, lattice_rho(i)).P
+    except RiccatiError:
+        P = np.full_like(cache.S[i], np.nan)
+    S, BtP = table_row(cache.model, P)
+    np.testing.assert_array_equal(cache.S[i], S)
+    np.testing.assert_array_equal(cache.BtP[i], BtP)
+
+
 def assert_octave_matches_direct_solve(cache, k):
     """The rows of octave k that one direct stacked solve certifies are
     filled and hold its bits; returns the certified mask (2¹⁰,)."""
@@ -264,40 +291,53 @@ def floor_norm_or(fn, *args):
 def assert_schedule_matches_reference(chi, name="triple"):
     """`schedule` of chi on a fresh cache of `named_model(name)`, cold and
     then warm, against the one-agent-at-a-time reference: same bits of ε
-    and U, or the same floor error.  The warm call fills no row: it calls
-    no `fill` when every bisecting agent's octave is complete, so it reads
-    them in probe blocks, and otherwise asks for each step's probe again.
-    The table fills exactly the 21 grid rows and, bar a floor error, each
-    row the reference solves and, of each octave k ≥ 1 of which the
-    reference solves a non-grid row, every row one direct stacked solve
-    certifies, with its bits; each grid row and row the reference solved
-    holds the bits of its direct solve.  Returns those octaves."""
+    and U, or the same floor error.  The cold call fills, per probe block,
+    the rows that block reads (`probe_block_rows`), which hold every row
+    the reference solves.  The warm call fills no row: it calls no `fill`
+    when every bisecting agent's octave is complete, and otherwise asks
+    for the same rows again, one call per block.  The table fills exactly
+    the 21 grid rows and, bar a floor error, the rows of the probe blocks
+    read and, of each octave k ≥ 1 holding such a row, every row one
+    direct stacked solve certifies, with its bits; each grid row, row the
+    reference solved and block row the stack does not certify holds the
+    bits of its direct solve, or NaN where that raises.  Returns those
+    octaves."""
     model = named_model(name)
     cache, solved = PCache(model), {}
-    got = floor_norm_or(schedule, chi, cache)
-    cold = cache.filled.copy()
     calls = counting_fills(cache)
+    got = floor_norm_or(schedule, chi, cache)
+    cold, asked = cache.filled.copy(), calls[:]
+    calls.clear()
     warm = floor_norm_or(schedule, chi, cache)
     want = floor_norm_or(reference_schedule, chi, model, solved,
                          lambda _, rho: direct_solve(name, rho))
     filled = {lattice_id(rho) for rho in GRID}
     if isinstance(want, float):
         assert got == warm == want
-        octaves = []
+        per_block = []
     else:
         for eps, U in (got, warm):
             np.testing.assert_array_equal(eps, want[0])
             np.testing.assert_array_equal(U, want[1])
-        octaves = stacked_octaves(lattice_id(rho) for rho in solved)
-        filled.update(lattice_id(rho) for rho in solved)
+        per_block = [rows for rows in probe_block_rows(want[0]) if rows]
+        assert {lattice_id(rho) for rho in solved} <= filled.union(*per_block)
+    blocks = set().union(*per_block)
+    filled |= blocks
+    octaves = stacked_octaves(blocks)
+    assert [set(c.tolist()) for c in asked] == per_block
     np.testing.assert_array_equal(cache.filled, cold)
-    assert (calls == []) == cache.complete[octaves].all()
+    if cache.complete[octaves].all():
+        assert calls == []
+    else:
+        assert [c.tolist() for c in calls] == [c.tolist() for c in asked]
     for k in octaves:
         S, BtP, certified = direct_octave(name, k)
         rows = octave_rows(k)[certified]
         filled.update(rows.tolist())
         np.testing.assert_array_equal(cache.S[rows], S)
         np.testing.assert_array_equal(cache.BtP[rows], BtP)
+        for i in set(octave_rows(k)[~certified].tolist()) & blocks:
+            assert_row_matches_direct_solve(cache, i)
     assert set(np.flatnonzero(cache.filled).tolist()) == filled
     for rho in {*GRID, *solved}:
         i = lattice_id(rho)
@@ -334,9 +374,9 @@ def test_every_probed_octave_is_stacked():
 def test_schedule_matches_reference_on_the_6_chain(scales, mixed):
     """`assert_schedule_matches_reference` on the 6-chain, whose octaves 1
     and 2 stay incomplete once stacked.  Agents at scales 10^-0.8 … 10^0.8
-    bisect in octaves 1 and 2 and in complete ones, so the warm call
-    bisects step by step with `fill`; at 10^0.6 … 10^1.2 they bisect in
-    complete octaves only, so the warm call reads probe blocks."""
+    bisect in octaves 1 and 2 and in complete ones, so the warm call fills
+    each probe block's rows again; at 10^0.6 … 10^1.2 they bisect in
+    complete octaves only, so the warm call makes no fill."""
     rng = np.random.default_rng(5)
     chi = 10.0 ** rng.uniform(*scales, (12, 1)) * rng.uniform(-1, 1, (12, 6))
     octaves = set(assert_schedule_matches_reference(chi, "6-chain"))
@@ -403,11 +443,11 @@ def test_table_rows_on_random_admissible_models(seed, log10_scale):
     the grid rows one direct stacked solve of the grid certifies and, of
     each octave k ≥ 1 asked for a non-grid row, every row one direct
     stacked solve certifies, with its bits.  The grid row that ends the
-    readable grid has no certified solve.  Every filled grid row and
-    sampled filled rows, among them rows the stacked solve does not
-    certify, hold the bits of S = tr(BᵀPB)·P and BᵀP of a direct
-    `solve_scheduled_are`, and `_g` as the schedule calls it gives the bits
-    of `PCache.g` on each."""
+    readable grid has no certified solve.  Every filled grid row, every
+    row holding NaN and sampled filled rows, among them rows the stacked
+    solve does not certify, hold the bits of S = tr(BᵀPB)·P and BᵀP of a
+    direct `solve_scheduled_are`, or NaN where it raises, and `_g` as the
+    schedule calls it gives the bits of `PCache.g` on each, or NaN."""
     rng = np.random.default_rng(seed)
     model = random_admissible_model(rng, n_max=6, io_max=2)
     chi = 10.0**log10_scale * rng.standard_normal((3, model.n))
@@ -436,14 +476,17 @@ def test_table_rows_on_random_admissible_models(seed, log10_scale):
     sample = np.union1d(np.linspace(0, ids.size - 1, 16).astype(int),
                         failing[np.linspace(0, failing.size - 1,
                                             min(16, failing.size)).astype(int)])
-    sample = np.union1d(sample, np.flatnonzero(ids % OCTAVE == 0))
+    nan = np.isnan(cache.S[ids]).any(axis=(1, 2))
+    sample = np.union1d(sample, np.flatnonzero((ids % OCTAVE == 0) | nan))
     g = scheduling._g(scheduling._kron(chi)[:, None, :],
                       cache.S[ids[sample]].reshape(sample.size, -1))
-    for i, r, g_row in zip(ids[sample], rho[sample].tolist(), g.T):
-        S, BtP = table_row(model, solve_scheduled_are(model, r).P)
-        np.testing.assert_array_equal(cache.S[i], S)
-        np.testing.assert_array_equal(cache.BtP[i], BtP)
-        assert g_row.tolist() == [cache.g(r, c) for c in chi]
+    for i, r, g_row, no_solve in zip(ids[sample], rho[sample].tolist(), g.T,
+                                     nan[sample]):
+        assert_row_matches_direct_solve(cache, i)
+        if no_solve:
+            assert np.isnan(g_row).all()
+        else:
+            assert g_row.tolist() == [cache.g(r, c) for c in chi]
 
 
 # a stable mode at −0.3: gate (i) fails for ρ ≤ 0.6 + 2·HURWITZ_TOL
@@ -462,13 +505,14 @@ def test_octave_split_by_gate_i(monkeypatch):
     rows j ≤ 204 of octave 1 and all deeper octaves, so construction solves
     the 20 grid rows k ≥ 1 by the Hamiltonian method.  Once octave 1 is
     stacked, its gate-(i) rows stay unfilled unless a probe asks for them,
-    and a probe among them is solved by the Hamiltonian method; the
-    octave's other rows come from its stacked solve.  ε and U equal the
-    one-agent-at-a-time reference's.  The states have g = 1 at 40 ρ across
+    and a row of a probe block among them is solved by the Hamiltonian
+    method; the octave's other rows come from its stacked solve.  The
+    blocks hold every row the one-agent-at-a-time reference probes, and ε
+    and U equal the reference's.  The states have g = 1 at 40 ρ across
     octave 1, bisected on both sides of the gate, and at ρ = 0.1, in octave
-    4, where no row passes gate (i).  Exactly the octaves holding a
-    bisection probe, 1 and 4, are stacked, each once: the grid scan's
-    levels 2 and 3 stack nothing."""
+    4, where no row passes gate (i).  Exactly the octaves holding a probe
+    block, 1 and 4, are stacked, each once: the grid scan's levels 2 and 3
+    stack nothing."""
     model, chi = GATE_I_MODEL, gate_i_states(
         [*np.linspace(0.51, 0.99, 40), 0.1])
     hamiltonian = []
@@ -493,16 +537,17 @@ def test_octave_split_by_gate_i(monkeypatch):
     gate_i = lattice_rho(np.arange(cache.filled.size)) <= 0.6 + 2e-9
     grid = np.zeros_like(cache.filled)
     grid[scheduling.GRID_IDS] = True
-    probed = np.zeros_like(cache.filled)
-    probed[[lattice_id(rho) for rho in solved]] = True
-    assert stacks == stacked_octaves(np.flatnonzero(probed)) == [1, 4]
-    assert probed[octave_rows(1)][:205].any()  # a probe fails gate (i)
+    read = np.zeros_like(cache.filled)
+    read[list(set().union(*probe_block_rows(got[0])))] = True
+    assert (read | grid)[[lattice_id(rho) for rho in solved]].all()
+    assert stacks == stacked_octaves(np.flatnonzero(read)) == [1, 4]
+    assert read[octave_rows(1)][:205].any()  # a probe fails gate (i)
     np.testing.assert_array_equal(cache.filled[gate_i],
-                                  (probed | grid)[gate_i])
+                                  (read | grid)[gate_i])
     assert cache.filled[octave_rows(1)][205:].all()
     assert cache.filled[~gate_i].sum() == OCTAVE - 205 + 1
     assert sorted(hamiltonian) == sorted(
-        lattice_rho(np.flatnonzero(probed & gate_i & ~grid)).tolist())
+        lattice_rho(np.flatnonzero(read & gate_i & ~grid)).tolist())
     assert_octave_matches_direct_solve(cache, 1)
 
 
@@ -555,12 +600,93 @@ def test_many_states_read_probe_blocks_in_parts():
         np.testing.assert_array_equal(got[1][part], want[1])
 
 
+def test_many_states_fill_probe_blocks_in_parts():
+    """A cold call with 2,000 states on the 6-chain, some bisecting in its
+    incomplete octaves 1 and 2, reads the probe blocks for `_BLOCK_AGENTS`
+    of them at a time and fills each block's rows first: one `fill` a
+    block and part, of the block's rows for that part's states.  ε, U and
+    the table equal those of 40 calls of 50 states on another fresh
+    cache."""
+    rng = np.random.default_rng(5)
+    chi = 10.0 ** rng.uniform(-0.8, 0.0, (2000, 1)) * rng.uniform(-1, 1,
+                                                                  (2000, 6))
+    model = named_model("6-chain")
+    cache, parted = PCache(model), PCache(model)
+    calls = counting_fills(cache)
+    got = schedule(chi, cache)
+    bisecting = np.flatnonzero(got[0] < 1.0)
+    assert {octave_of(e) for e in got[0][bisecting]} >= {1, 2}
+    assert not cache.complete[[1, 2]].any()
+    parts = [bisecting[first:first + scheduling._BLOCK_AGENTS]
+             for first in range(0, bisecting.size, scheduling._BLOCK_AGENTS)]
+    assert len(parts) > 1
+    want = [rows for part in parts for rows in probe_block_rows(got[0][part])]
+    assert [set(c.tolist()) for c in calls] == want
+    assert max(c.size for c in calls) <= OCTAVE
+    for part in np.split(np.arange(2000), 40):
+        eps, U = schedule(chi[part], parted)
+        np.testing.assert_array_equal(got[0][part], eps)
+        np.testing.assert_array_equal(got[1][part], U)
+    np.testing.assert_array_equal(cache.filled, parted.filled)
+    np.testing.assert_array_equal(cache.S[cache.filled],
+                                  parted.S[parted.filled])
+    np.testing.assert_array_equal(cache.BtP[cache.filled],
+                                  parted.BtP[parted.filled])
+
+
+# a stable mode at −ρ(1, 1)/2: A + (ρ/2)I is singular at ρ(1, 1) = 1/2 +
+# 2⁻¹¹, row 2¹⁰ + 1, which no solver certifies; the rows around it certify
+ROW_GAP_MODEL = AgentModel([[0.0, 0.0], [0.0, -0.25 * (1 + 2.0**-10)]],
+                           [[1.0], [1.0]], [[1.0, 0.0]])
+
+
+def test_uncertified_row_reads_as_failing(monkeypatch):
+    """Row 2¹⁰ + 1 of `ROW_GAP_MODEL` has no certified solve, and the
+    third probe block of a bisection ending at row 2¹⁰ + j, j < 8, reads
+    it.  One call fills it with NaN.  States with g = 1 between rows
+    2¹⁰ + 3 and + 4 and between + 5 and + 6, whose bisection path never
+    probes row 2¹⁰ + 1, keep the one-agent-at-a-time reference's bits of ε
+    and U.  A state with g = 1 between rows 2¹⁰ + 1 and + 2 probes it and
+    gets row 2¹⁰, ρ = 1/2, the last row its path passed, where the
+    reference raises.  A second call solves nothing and keeps the bits."""
+    model, gap = ROW_GAP_MODEL, OCTAVE + 1
+    with pytest.raises(RiccatiError, match="invariant subspace"):
+        solve_scheduled_are(model, lattice_rho(gap))
+    half_row = 2.0**-12  # half the lattice spacing of octave 1
+    chi = gate_i_states(lattice_rho(OCTAVE + np.array([3, 5, 1])) + half_row,
+                        model)
+    cache = PCache(model)
+    got = schedule(chi, cache)
+    np.testing.assert_array_equal(got[0], lattice_rho(OCTAVE + np.array(
+        [3, 5, 0])))
+    want = reference_schedule(chi[:2], model, {})
+    np.testing.assert_array_equal(got[0][:2], want[0])
+    np.testing.assert_array_equal(got[1][:2], want[1])
+    with pytest.raises(RiccatiError, match="invariant subspace"):
+        reference_schedule(chi[2:], model, {})
+    np.testing.assert_array_equal(
+        got[1][2], -(model.B.T @ solve_scheduled_are(model, 0.5).P @ chi[2]))
+    assert cache.filled[gap] and not cache.complete[1]
+    assert np.isnan(cache.S[gap]).all() and np.isnan(cache.BtP[gap]).all()
+    solves = []
+
+    def counting(model, rho, **kwargs):
+        solves.append(rho)
+        return solve_scheduled_are(model, rho, **kwargs)
+
+    monkeypatch.setattr(scheduling, "solve_scheduled_are", counting)
+    again = schedule(chi, cache)
+    assert solves == []
+    np.testing.assert_array_equal(again[0], got[0])
+    np.testing.assert_array_equal(again[1], got[1])
+
+
 def test_incomplete_octave_rows_are_filled_when_probed():
     """On the gate-(i) model of `test_octave_split_by_gate_i`, octave 1 is
     stacked but stays incomplete.  A later `schedule` that bisects into its
-    gate-(i) rows still fills each step's probe: rows missing before are
-    filled with the bits of their direct solve, and ε and U equal the
-    one-agent-at-a-time reference's."""
+    gate-(i) rows still fills each probe block's rows, one `fill` a block:
+    rows missing before are filled with the bits of their direct solve,
+    and ε and U equal the one-agent-at-a-time reference's."""
     model = GATE_I_MODEL
     cache = PCache(model)
     schedule(gate_i_states([*np.linspace(0.51, 0.99, 40), 0.1]), cache)
@@ -571,7 +697,7 @@ def test_incomplete_octave_rows_are_filled_when_probed():
     calls = counting_fills(cache)
     got = schedule(later, cache)
     asked = np.concatenate(calls)
-    assert len(calls) == BISECTION_DEPTH
+    assert [set(c.tolist()) for c in calls] == probe_block_rows(got[0])
     assert (~before[asked]).any()
     assert cache.filled[asked].all()
     for i in asked[~before[asked]]:
@@ -677,7 +803,8 @@ def test_unsolvable_grid_row_fails_only_states_that_need_it():
     state with ε ≈ 0.6 keeps the reference's bits of ε and U.  A state that
     needs level 2, alone or with others, raises the RiccatiError of
     ρ = 1/4, not a floor error, as the reference does.  A public fill of
-    row 2·2¹⁰ raises and leaves the row unfilled."""
+    row 2·2¹⁰ records NaN, which the grid scan never reads: such a state
+    still raises that error."""
     model = GRID_GAP_MODEL
     cache = PCache(model)
     assert cache.levels == 2
@@ -693,9 +820,12 @@ def test_unsolvable_grid_row_fails_only_states_that_need_it():
             schedule(states, cache)
         with pytest.raises(RiccatiError, match="invariant subspace"):
             reference_schedule(states, model, {})
+    cache.fill(np.array([2 * OCTAVE]))
+    assert cache.filled[2 * OCTAVE] and cache.levels == 2
+    assert np.isnan(cache.S[2 * OCTAVE]).all()
+    assert np.isnan(cache.BtP[2 * OCTAVE]).all()
     with pytest.raises(RiccatiError, match="invariant subspace"):
-        cache.fill(np.array([2 * OCTAVE]))
-    assert not cache.filled[2 * OCTAVE]
+        schedule(deep[1:], cache)
 
 
 def test_out_of_order_grid_fill_changes_no_bits():
