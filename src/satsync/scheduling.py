@@ -19,7 +19,8 @@ an octave is filled when the bisection first probes it.  The bisection
 reads its 10 steps in three probe blocks: each gathers, per agent, the
 2ʳ − 1 rows its next r steps could probe (r = 4, 3, 3), filled first unless
 every octave read is complete, and a table reads the path of those steps
-from the rows' pass bits.  A non-grid row no solver certifies holds NaN.
+from the rows' pass bits.  A row no solver certifies, on the grid or off
+it, holds NaN and reads as failing.
 
 The semi-global ε* has no constructive formula; it is selected by validating
 candidate ε values on closed-loop simulations from a deterministic sample of
@@ -64,7 +65,8 @@ MAX_VERTEX_SAMPLES = 256
 
 
 class ScheduleFloorError(RuntimeError):
-    """g(ρ_min, χ) > 1: the state left the region the schedule can serve."""
+    """g > 1 at every certified grid row, ρ_min among them: the state left
+    the region the schedule can serve."""
 
     def __init__(self, chi_norm):
         super().__init__(
@@ -146,11 +148,11 @@ class PCache:
     of it.  The arrays are allocated empty for the whole lattice, so only
     the pages of filled rows become resident.  Construction solves ρ = 1
     into row 0, which checks that the model is admissible, then the grid
-    rows k·2¹⁰ from one stacked Lyapunov solve and, in order, each one it
-    does not certify alone.  The first grid row no solver certifies ends
-    the readable grid, of length `levels`.  `fill` solves the other rows.
-    Every filled row holds exactly the bits of `solve_scheduled_are(model,
-    ρ)`, or NaN where it raises RiccatiError, whatever was filled before.
+    rows k·2¹⁰ from one stacked Lyapunov solve, and `fill`s the grid ids:
+    each grid row the stack does not certify is solved alone.  `fill`
+    solves the other rows as the schedule asks for them.  Every filled row
+    holds exactly the bits of `solve_scheduled_are(model, ρ)`, or NaN where
+    it raises RiccatiError, whatever was filled before.
     """
 
     def __init__(self, model: AgentModel):
@@ -163,13 +165,7 @@ class PCache:
         self._fill(0, solve_scheduled_are(model, 1.0).P)
         P, _, certified = scheduled_lyapunov(model, lattice_rho(GRID_IDS[1:]))
         self._fill(GRID_IDS[1:][certified], P)
-        self.levels = len(GRID)
-        for k in np.flatnonzero(~self.filled[GRID_IDS]).tolist():
-            try:
-                self._fill(GRID_IDS[k], self.solution(GRID[k]).P)
-            except RiccatiError:
-                self.levels = k
-                break
+        self.fill(GRID_IDS)
 
     def solution(self, rho: float) -> RiccatiSolution:
         """The certified solve at ρ, cold: the table is not consulted."""
@@ -185,12 +181,12 @@ class PCache:
         An octave k ≥ 1 with a missing non-grid id and no filled non-grid
         row gets one stacked Lyapunov solve (`riccati.scheduled_lyapunov`),
         which fills every row of it that the Lyapunov form certifies, and
-        is complete if that is every row.  Every missing id left is then
-        solved on its own, by the Hamiltonian method where the Lyapunov
-        form does not certify, and holds NaN where no solver certifies.  A
-        fill that returns has filled every id it was asked for, so an
-        octave with a filled non-grid row has been stacked.  Octave 0,
-        whose only ρ in (0, 1] is row 0, never is.
+        is complete if that is every row.  Every missing id left, grid ids
+        among them, is then solved on its own, by the Hamiltonian method
+        where the Lyapunov form does not certify, and holds NaN where no
+        solver certifies.  A fill that returns has filled every id it was
+        asked for, so an octave with a filled non-grid row has been
+        stacked.  Octave 0, whose only ρ in (0, 1] is row 0, never is.
         """
         missing = ~self.filled[ids]
         if not missing.any():
@@ -244,10 +240,14 @@ def schedule(chi: np.ndarray, cache: PCache):
 
     εᵢ is the largest ρ ∈ (0,1] with g(ρ, χᵢ) ≤ 1, to 1e-3 relative
     bisection width; returns (eps (N,), U (N, m)).  Raises
-    ScheduleFloorError for the lowest-index agent past the floor, or the
-    RiccatiError of grid row `cache.levels` if an agent needs that row.
+    ScheduleFloorError for the lowest-index agent with g > 1 at every
+    certified grid row.
 
-    The grid scan is one inner product of χ⊗χ with each readable grid row.
+    The grid scan is one inner product of χ⊗χ with each of the 21 grid
+    rows.  A grid row no solver certifies holds NaN and fails: an agent
+    that passes a deeper certified grid row bisects that row's octave, so
+    it gets a certified row with g ≤ 1, if not the largest, and an
+    unsaturated control.
     The bisection is three probe blocks of `BLOCK_DEPTHS` steps.  A block
     gathers, per agent, the rows its steps could probe, takes their inner
     products with χ⊗χ in one call, and reads the steps' path from the pass
@@ -260,14 +260,11 @@ def schedule(chi: np.ndarray, cache: PCache):
     """
     chi = np.asarray(chi, dtype=float)
     kron = _kron(chi)
-    grid = cache.S.reshape(len(GRID), OCTAVE, -1)[:cache.levels, 0]
+    grid = cache.S.reshape(len(GRID), OCTAVE, -1)[:, 0]
     ok = _g(kron[:, None, :], grid) <= 1.0
     passed = ok.any(axis=1)
     # count_nonzero: on a few dozen agents, a third of the cost of .all()
     if np.count_nonzero(passed) < passed.size:
-        if cache.levels < len(GRID):
-            # no solver certifies this grid row: its solve raises RiccatiError
-            cache.solution(GRID[cache.levels])
         raise ScheduleFloorError(float(np.linalg.norm(chi[passed.argmin()])))
     k = ok.argmax(axis=1)
     ids = k * OCTAVE

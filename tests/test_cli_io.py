@@ -428,6 +428,23 @@ class TestCommandLine:
         assert "eps[6]" not in header
         assert ((eps > 0.0) & (eps <= 1.0)).all() and eps.min() < 1.0
 
+    def test_simulate_global_past_a_grid_row_no_solver_certifies(
+            self, tmp_path, capsys):
+        # A has a mode at −1/8, so the scheduled ARE has no certified
+        # solution at the grid row ρ = 1/4; that row reads as failing and
+        # the states that need it bisect the next octave down
+        path = Path(__file__).parent / "data" / "grid_gap.json"
+        code = main(["simulate", "--scenario", str(path),
+                     "--protocol", "global-full", "--t-final", "0.1",
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_OK
+        capsys.readouterr()
+        header, data = read_trajectory_csv(tmp_path / "o" / "trajectory.csv")
+        eps = data[:, [header.index(f"eps[{i}]") for i in range(1, 6)]]
+        assert ((eps > 0.0) & (eps <= 1.0)).all()
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["saturation_events"] == []
+
     def test_simulate_semiglobal_requires_epsilon(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SCALAR_SCENARIO)
         code = main(

@@ -80,9 +80,18 @@ class TestPCache:
             calls.append(rho)
             return solve_scheduled_are(model, rho, **kwargs)
 
+        def stacking(model, rho):
+            stacks.append(rho.size)
+            return scheduled_lyapunov(model, rho)
+
+        # row 0's stack of one, inside its solve, then the grid's of 20
+        stacks = []
         monkeypatch.setattr(scheduling, "solve_scheduled_are", counting)
+        monkeypatch.setattr(scheduling, "scheduled_lyapunov", stacking)
+        monkeypatch.setattr(riccati, "scheduled_lyapunov", stacking)
         cache = PCache(triple_integrator())
         assert calls == [1.0]
+        assert stacks == [1, len(GRID) - 1]
         cache.g(0.25, np.ones(3))
         assert calls == [1.0, 0.25]
 
@@ -245,14 +254,18 @@ def direct_octave(name, k):
 
 def reference_schedule(chi, model, solved, solve=solve_scheduled_are):
     """One agent at a time: grid scan, then bisection, with g and
-    u = −(BᵀP)χ from one cold `solve(model, ρ)` per probed ρ, kept in the
-    dict solved; stops at the first agent past the floor."""
+    u = −(BᵀP)χ from one cold `solve(model, ρ)` per probed ρ, its P kept in
+    the dict solved; a ρ whose solve raises RiccatiError gets a NaN P and
+    fails.  Stops at the first agent that fails every grid row."""
     B = model.B
 
     def P(rho):
         if rho not in solved:
-            solved[rho] = solve(model, rho)
-        return solved[rho].P
+            try:
+                solved[rho] = solve(model, rho).P
+            except RiccatiError:  # no solver certifies ρ
+                solved[rho] = np.full((model.n, model.n), np.nan)
+        return solved[rho]
 
     def g(rho, c):  # the expression of PCache.g
         S = table_row(model, P(rho))[0]
@@ -439,34 +452,36 @@ def counting_stacks(monkeypatch):
 def test_table_rows_on_random_admissible_models(seed, log10_scale):
     """On random admissible models (n ≤ 6, m ≤ 2), after `schedule` of a
     few random states and a fill of every 16th row of the first state's
-    octave, the table holds exactly the rows asked for, the readable grid,
-    the grid rows one direct stacked solve of the grid certifies and, of
-    each octave k ≥ 1 asked for a non-grid row, every row one direct
-    stacked solve certifies, with its bits.  The grid row that ends the
-    readable grid has no certified solve.  Every filled grid row, every
-    row holding NaN and sampled filled rows, among them rows the stacked
-    solve does not certify, hold the bits of S = tr(BᵀPB)·P and BᵀP of a
-    direct `solve_scheduled_are`, or NaN where it raises, and `_g` as the
+    octave, the table holds exactly the rows asked for, the 21 grid rows
+    and, of each octave k ≥ 1 asked for a non-grid row, every row one
+    direct stacked solve certifies, with its bits.  Only construction may
+    raise RiccatiError; it fills every grid row, with NaN exactly where
+    the row's direct solve raises.  Every grid row, every row holding NaN
+    and sampled filled rows, among them rows the stacked solve does not
+    certify, hold the bits of S = tr(BᵀPB)·P and BᵀP of a direct
+    `solve_scheduled_are`, or NaN where it raises, and `_g` as the
     schedule calls it gives the bits of `PCache.g` on each, or NaN."""
     rng = np.random.default_rng(seed)
     model = random_admissible_model(rng, n_max=6, io_max=2)
     chi = 10.0**log10_scale * rng.standard_normal((3, model.n))
     try:
         cache = PCache(model)
-        calls = counting_fills(cache)
-        eps, _ = schedule(chi, cache)
-        cache.fill(octave_rows(max(1, octave_of(eps[0])))[::16])
-    except (RiccatiError, ScheduleFloorError):
+    except RiccatiError:  # row 0: the model is not admissible
         return
+    grid = scheduling.GRID_IDS
+    assert cache.filled[grid].all()
+    for i in grid:
+        assert_row_matches_direct_solve(cache, i)
+    calls = counting_fills(cache)
+    try:
+        eps, _ = schedule(chi, cache)
+    except ScheduleFloorError:
+        return
+    cache.fill(octave_rows(max(1, octave_of(eps[0])))[::16])
     asked = {0, *np.concatenate(calls).tolist()}
     want = np.zeros_like(cache.filled)
     want[list(asked)] = True
-    grid = scheduling.GRID_IDS
-    want[grid[:cache.levels]] = True
-    want[grid[1:]] |= scheduled_lyapunov(model, lattice_rho(grid[1:]))[2]
-    if cache.levels < len(GRID):
-        with pytest.raises(RiccatiError):
-            solve_scheduled_are(model, GRID[cache.levels])
+    want[grid] = True
     for k in stacked_octaves(asked):
         want[octave_rows(k)] |= assert_octave_matches_direct_solve(cache, k)
     np.testing.assert_array_equal(cache.filled, want)
@@ -524,7 +539,8 @@ def test_octave_split_by_gate_i(monkeypatch):
     care_schur = riccati._care_schur
     monkeypatch.setattr(riccati, "_care_schur", counting)
     cache = PCache(model)
-    assert cache.levels == len(GRID)
+    assert cache.filled[scheduling.GRID_IDS].all()
+    assert not np.isnan(cache.S[scheduling.GRID_IDS]).any()
     assert hamiltonian == list(GRID[1:])
     hamiltonian.clear()
     stacks = counting_stacks(monkeypatch)
@@ -645,10 +661,11 @@ def test_uncertified_row_reads_as_failing(monkeypatch):
     third probe block of a bisection ending at row 2¹⁰ + j, j < 8, reads
     it.  One call fills it with NaN.  States with g = 1 between rows
     2¹⁰ + 3 and + 4 and between + 5 and + 6, whose bisection path never
-    probes row 2¹⁰ + 1, keep the one-agent-at-a-time reference's bits of ε
-    and U.  A state with g = 1 between rows 2¹⁰ + 1 and + 2 probes it and
-    gets row 2¹⁰, ρ = 1/2, the last row its path passed, where the
-    reference raises.  A second call solves nothing and keeps the bits."""
+    probes row 2¹⁰ + 1, and a state with g = 1 between rows 2¹⁰ + 1 and
+    + 2, which probes it and gets row 2¹⁰, ρ = 1/2, the last row its path
+    passed, keep the bits of ε and U of the one-agent-at-a-time reference,
+    in which that row fails too.  A second call solves nothing and keeps
+    the bits."""
     model, gap = ROW_GAP_MODEL, OCTAVE + 1
     with pytest.raises(RiccatiError, match="invariant subspace"):
         solve_scheduled_are(model, lattice_rho(gap))
@@ -659,13 +676,9 @@ def test_uncertified_row_reads_as_failing(monkeypatch):
     got = schedule(chi, cache)
     np.testing.assert_array_equal(got[0], lattice_rho(OCTAVE + np.array(
         [3, 5, 0])))
-    want = reference_schedule(chi[:2], model, {})
-    np.testing.assert_array_equal(got[0][:2], want[0])
-    np.testing.assert_array_equal(got[1][:2], want[1])
-    with pytest.raises(RiccatiError, match="invariant subspace"):
-        reference_schedule(chi[2:], model, {})
-    np.testing.assert_array_equal(
-        got[1][2], -(model.B.T @ solve_scheduled_are(model, 0.5).P @ chi[2]))
+    want = reference_schedule(chi, model, {})
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
     assert cache.filled[gap] and not cache.complete[1]
     assert np.isnan(cache.S[gap]).all() and np.isnan(cache.BtP[gap]).all()
     solves = []
@@ -798,50 +811,74 @@ GRID_GAP_MODEL = AgentModel([[0.0, 0.0], [0.0, -0.125]], [[1.0], [1.0]],
                             [[1.0, 0.0]])
 
 
-def test_unsolvable_grid_row_fails_only_states_that_need_it():
-    """`GRID_GAP_MODEL` constructs, with the readable grid ρ = 1, 1/2.  A
-    state with ε ≈ 0.6 keeps the reference's bits of ε and U.  A state that
-    needs level 2, alone or with others, raises the RiccatiError of
-    ρ = 1/4, not a floor error, as the reference does.  A public fill of
-    row 2·2¹⁰ records NaN, which the grid scan never reads: such a state
-    still raises that error."""
+def test_uncertified_grid_row_reads_as_failing(monkeypatch):
+    """`GRID_GAP_MODEL` constructs with all 21 grid rows filled: ρ = 1/4
+    has no certified solve and holds NaN, and each other grid row holds
+    the bits of its direct solve.  States with g = 1 at ρ = 0.6, above the
+    gap, and at 0.3 and 0.26, in octave 2, keep the one-agent-at-a-time
+    reference's bits of ε and U, alone or together.  The two in octave 2
+    fail row 1/4, pass row 1/8 and bisect octave 3, so their ε lies in
+    [1/8, 1/4) with g ≤ 1 there: no control saturates.  A public fill of
+    the grid row 1/4 and a second call solve nothing and keep the bits."""
     model = GRID_GAP_MODEL
-    cache = PCache(model)
-    assert cache.levels == 2
-    chi = gate_i_states([0.6], model)
-    got = schedule(chi, cache)
-    want = reference_schedule(chi, model, {})
-    assert got[0][0] == pytest.approx(0.6, rel=2e-3)
-    np.testing.assert_array_equal(got[0], want[0])
-    np.testing.assert_array_equal(got[1], want[1])
-    deep = gate_i_states([0.6, 0.3], model)
-    for states in (deep, deep[1:]):
-        with pytest.raises(RiccatiError, match="invariant subspace"):
-            schedule(states, cache)
-        with pytest.raises(RiccatiError, match="invariant subspace"):
-            reference_schedule(states, model, {})
-    cache.fill(np.array([2 * OCTAVE]))
-    assert cache.filled[2 * OCTAVE] and cache.levels == 2
-    assert np.isnan(cache.S[2 * OCTAVE]).all()
-    assert np.isnan(cache.BtP[2 * OCTAVE]).all()
     with pytest.raises(RiccatiError, match="invariant subspace"):
-        schedule(deep[1:], cache)
-
-
-def test_out_of_order_grid_fill_changes_no_bits():
-    """A public fill of the grid row ρ = 1/8 of `GRID_GAP_MODEL`, past the
-    unsolvable ρ = 1/4, changes no schedule: ε and U equal a fresh
-    cache's, and a state that needs level 2 still raises."""
-    cache = PCache(GRID_GAP_MODEL)
-    cache.fill(np.array([3 * OCTAVE]))
-    assert cache.filled[3 * OCTAVE] and cache.levels == 2
-    chi = gate_i_states([1.0, 0.97, 0.75, 0.55, 0.52], GRID_GAP_MODEL)
+        solve_scheduled_are(model, 0.25)
+    cache = PCache(model)
+    grid = scheduling.GRID_IDS
+    assert cache.filled[grid].all()
+    assert np.isnan(cache.S[grid]).any(axis=(1, 2)).tolist() == [
+        k == 2 for k in range(len(GRID))]
+    for i in grid:
+        assert_row_matches_direct_solve(cache, i)
+    chi = gate_i_states([0.6, 0.3, 0.26], model)
+    for states in (chi, chi[1:], chi[2:]):
+        got = schedule(states, cache)
+        want = reference_schedule(states, model, {})
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
     got = schedule(chi, cache)
-    want = schedule(chi, PCache(GRID_GAP_MODEL))
-    np.testing.assert_array_equal(got[0], want[0])
-    np.testing.assert_array_equal(got[1], want[1])
-    with pytest.raises(RiccatiError):
-        schedule(gate_i_states([0.3], GRID_GAP_MODEL), cache)
+    assert got[0][0] == pytest.approx(0.6, rel=2e-3)
+    assert ((0.125 <= got[0][1:]) & (got[0][1:] < 0.25)).all()
+    for eps, c, u in zip(got[0], chi, got[1]):
+        assert cache.g(eps, c) <= 1.0 and np.abs(u).max() <= 1.0
+    solves = []
+
+    def counting(model, rho, **kwargs):
+        solves.append(rho)
+        return solve_scheduled_are(model, rho, **kwargs)
+
+    monkeypatch.setattr(scheduling, "solve_scheduled_are", counting)
+    cache.fill(np.array([2 * OCTAVE]))
+    again = schedule(chi, cache)
+    assert solves == []
+    np.testing.assert_array_equal(again[0], got[0])
+    np.testing.assert_array_equal(again[1], got[1])
+
+
+def test_out_of_order_grid_fill_changes_no_bits(monkeypatch):
+    """Construction fills the grid of `GRID_GAP_MODEL` past the unsolvable
+    ρ = 1/4, so a public fill of the grid ids, deepest first, stacks
+    nothing and changes no row.  A public fill that stacks octave 3, grid row 1/8
+    among its rows, before any `schedule` changes no schedule: ε and U
+    equal a fresh cache's and the reference's, for states above the gap
+    and in octave 2."""
+    cache = PCache(GRID_GAP_MODEL)
+    before = cache.S.copy(), cache.BtP.copy(), cache.filled.copy()
+    stacks = counting_stacks(monkeypatch)
+    cache.fill(scheduling.GRID_IDS[::-1])
+    assert stacks == []
+    for was, now in zip(before, (cache.S, cache.BtP, cache.filled)):
+        np.testing.assert_array_equal(now, was)
+    cache.fill(np.array([3 * OCTAVE + 517]))
+    assert stacks == [3]
+    monkeypatch.undo()
+    chi = gate_i_states([1.0, 0.97, 0.75, 0.55, 0.52, 0.3, 0.26],
+                        GRID_GAP_MODEL)
+    got = schedule(chi, cache)
+    for want in (schedule(chi, PCache(GRID_GAP_MODEL)),
+                 reference_schedule(chi, GRID_GAP_MODEL, {})):
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
 
 
 def test_grid_scan_stacks_no_octave(monkeypatch):
