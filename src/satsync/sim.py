@@ -8,32 +8,48 @@ state, and `control_info` must accept a stack of states (T, dim) with their
 times (T,): it is called once per run, on all accepted states at once.
 
 RK45 has one step-size controller and one accept path, and two kernels for
-the stages of an attempted step.  An attempt is a pure function of
-(t, z, k1 = f(t, z), h), and the loop carries nothing else between them.
-The first step is sized by the starting-step rule of Hairer, Nørsett &
-Wanner (Solving ODEs I, §II.4), in the norm of the loop's error test: it
-probes the field once, at t0 + h0 along the slope at t0.
+an attempted step.  An attempt is a pure function of (t, z, k1 = f(t, z),
+h), and the loop carries nothing else between them.  Each kernel returns
+the order of its error estimate, err = O(h^order), and the controller scales
+h by 0.9·(tol/err)^(1/order), within [0.2, 5].  The first step is sized by
+the starting-step rule of Hairer, Nørsett & Wanner (Solving ODEs I, §II.4),
+in the norm of the loop's error test: it probes the field once, at t0 + h0
+along the slope at t0.
 
-- the linear kernel, for a field that declares a `linear_part` (L, F) (the
-  semiglobal protocols) while its controls stay unsaturated.  Each stage
-  point is a fixed polynomial in hL applied to z, so one product of a 9-row
-  polynomial matrix with the attempt's Krylov block
-  [z, k1, L k1, …, L⁶ k1] = [Lᵏ z] gives all of them: rows 0–6 the stage
-  points (row 6 the fifth-order solution z5), row 7 the error estimate and
-  row 8 the FSAL slope L z5.  The powers stack [L; …; L⁶] is formed once
-  per run.  z5 is a stage point, so its controls are checked with the rest,
-  and a finite product certifies the step: the kernel makes no field call.
-  `IntegratorStats.n_linear_steps` counts its steps.
-- the stage loop, one field call per stage, for every other attempt: a
-  field with no linear part (the global protocols), a stage point whose
-  controls F z_s exceed 1 in magnitude (the start point among them), or a
-  product that is not finite.  It runs at the same h.  Apart from the call
-  at t0 and the start-step probe, it is the only caller of the field.
+- the Taylor kernel, for a field that declares a `linear_part` (L, F) (the
+  semiglobal protocols) while its controls stay unsaturated.  There the
+  loop is ż = L z, so z(t + h) = e^{hL} z, and the kernel sums its Taylor
+  polynomial of degree p = 16 (Al-Mohy & Higham, "Computing the action of
+  the matrix exponential", SIAM J. Sci. Comput. 33, 2011).  One product of
+  an 11-row polynomial matrix with the attempt's Krylov block
+  [z, k1, L k1, …, Lᵖ k1] = [Lᵏ z], k ≤ p + 1, gives rows 0–8 the check
+  points z(θh), θ = 0, 1/8, …, 1 (row 8 the result z(h)), row 9 the first
+  omitted term (hL)^(p+1)/(p+1)! z, whose norm is the error estimate (order
+  p + 1 = 17), and row 10 the FSAL slope L z(h).  The controls F z(θh) of
+  every check point are tested, θ = 0 because the step may start from a
+  state the stage loop reached, and a finite product certifies the step:
+  the kernel makes no field call.  A guard rejects an attempt where an
+  entry of a term (hL)ᵏ/k! z exceeds ‖z(h)‖ more than 2¹⁶ times over, so
+  that rounding in the sum could reach 1e-10 of it.  The stack [L; …; Lᵖ]
+  is formed once per field while it holds at most 2²⁰ doubles (8 MiB,
+  dim ≤ 256); a larger field builds the block from p products with L, in
+  O(dim²) memory.
+  `IntegratorStats.n_linear_steps` counts the kernel's steps.  Its steps
+  are longer than Dormand-Prince ones (about 20 per sample against 71 on
+  bundled case 3), so the controls recorded at accepted states sample |u|
+  more coarsely in time than the check points test it.
+- the Dormand-Prince 5(4) stage loop, one field call per stage, for every
+  other attempt: a field with no linear part (the global protocols), a
+  check point whose controls exceed 1 in magnitude (the start point among
+  them), or a product that is not finite.  It runs at the same h, and its
+  error estimate has order 5.  Apart from the call at t0 and the
+  start-step probe, it is the only caller of the field.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -63,27 +79,43 @@ _DP_B4 = np.array(
 _DP_E = _DP_B5 - _DP_B4  # embedded error weights
 
 
-def _dp_polynomials():
+# The Taylor kernel: degree p, and the check points z(θh), θ = 0, 1/8, …, 1,
+# whose controls must stay unsaturated for a step to be linear.
+_P = 16
+_N_CHECKS = 9
+# The stack [L; …; Lᵖ] is formed while it holds at most this many doubles
+# (8 MiB, dim ≤ 256 at p = 16); above, the block takes p products with L.
+_STACK_DOUBLES = 2**20
+# The guard: each entry of the sum z(h) loses about (p + 1)·ε_mach times the
+# largest entry of its terms to rounding, so a step where that exceeds
+# ‖z(h)‖ more than this many times over may lose over 1e-10 of ‖z(h)‖ per
+# entry, a hundredth of the default rtol, and is rejected.
+_TERM_RATIO = 2.0**16
+
+
+def _taylor_polynomials():
     """One step of ż = L z as polynomials in x = hL, applied to z.
 
-    Row s < 7 holds stage point s, z_s = z + x Σ_j a_sj z_j (row 6 is the
-    fifth-order solution); row 7 holds the error estimate h Σ_s e_s L z_s,
-    and row 8 the FSAL slope L z_6 = L z5.  Column k holds the coefficient of
-    Lᵏ z, and the powers table the power of h it carries: k, and k − 1 in
-    row 8, whose extra L is not scaled by h.
+    Row j < 9 holds the check point z(θh) = Σ_{k≤p} (θx)ᵏ/k! z for
+    θ = j/8 (row 8 is the step's result z(h)); row 9 holds the first omitted
+    term x^(p+1)/(p+1)! z, the error estimate, and row 10 the FSAL slope
+    L z(h).  Column k holds the coefficient of Lᵏ z, and the powers table
+    the power of h it carries: k, and k − 1 in row 10, whose extra L is not
+    scaled by h.
     """
-    poly = np.zeros((9, 8))
-    poly[:7, 0] = 1.0
-    for s in range(1, 7):
-        poly[s, 1:] = (_DP_A[s, :s] @ poly[:s])[:-1]
-    poly[7, 1:] = (_DP_E @ poly[:7])[:-1]
-    poly[8, 1:] = poly[6, :-1]
-    powers = np.tile(np.arange(8.0), (9, 1))
-    powers[8, 1:] -= 1.0
+    k = np.arange(_P + 2)
+    inv_fact = np.array([1.0 / math.factorial(j) for j in k])
+    theta = np.arange(_N_CHECKS) / (_N_CHECKS - 1)
+    poly = np.zeros((_N_CHECKS + 2, _P + 2))
+    poly[:_N_CHECKS, :-1] = theta[:, None] ** k[:-1] * inv_fact[:-1]
+    poly[-2, -1] = inv_fact[-1]
+    poly[-1, 1:] = inv_fact[:-1]
+    powers = np.tile(k.astype(float), (poly.shape[0], 1))
+    powers[-1, 1:] -= 1.0
     return poly, powers
 
 
-_DP_POLY, _DP_POWERS = _dp_polynomials()
+_TAYLOR_POLY, _TAYLOR_POWERS = _taylor_polynomials()
 
 
 class IntegrationError(RuntimeError):
@@ -204,31 +236,32 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
     stats.n_field_evals += 1
     h = _initial_step(field_fn, t, z, k1, tf - t0, rtol, atol, stats)
     linear = getattr(field_fn, "linear_part", None)
-    if linear is not None:  # (Fᵀ, [L; …; L⁶])
-        linear = (np.ascontiguousarray(linear[1].T), _powers(linear[0]))
+    if linear is not None:  # (Fᵀ, L, [L; …; Lᵖ] or None)
+        linear = _linear_operator(*linear)
     while t < tf:
         h = min(h, tf - t)
-        step = None if linear is None else _linear_stages(*linear, z, k1, h)
+        step = None if linear is None else _taylor_step(*linear, z, k1, h)
         by_kernel = step is not None
         if not by_kernel:
             step = _field_stages(field_fn, t, z, k1, h, stats)
-        z5, err, k_new = step
+        z_new, err, k_new, order = step
         q = 0.0  # tol/err; stays 0 (reject, h × 0.2) if anything is non-finite
         if math.isfinite(err):
-            tol = atol + rtol * _norm(z5)
+            tol = atol + rtol * _norm(z_new)
             q = tol / err if err > 0 else np.inf
         if q >= 1.0:
             t_new = t + h
             if not by_kernel:  # a kernel step is finite by construction
-                _check_finite(t_new, z5)
-            t, z, k1 = t_new, z5, k_new  # FSAL: k_new is the field at z5
+                _check_finite(t_new, z_new)
+            t, z, k1 = t_new, z_new, k_new  # FSAL: k_new is the field at z_new
             stats.n_steps += 1
             stats.n_linear_steps += by_kernel
             times.append(t)
             states.append(z)
         else:
             stats.n_rejected += 1
-        h *= min(max(0.9 * q**0.2, 0.2), 5.0)
+        # err = O(h^order): aim the next attempt's err at 0.9^order · tol
+        h *= min(max(0.9 * q ** (1.0 / order), 0.2), 5.0)
         if h < DT_MIN and t < tf:
             raise IntegrationError(
                 f"step size underflow (h={h:.3g} < {DT_MIN}) at t={t:.6g}", t, z
@@ -261,8 +294,9 @@ def _initial_step(field_fn, t, z, k1, span, rtol, atol, stats):
 
 
 def _field_stages(field_fn, t, z, k1, h, stats):
-    """Stage loop: (z5, err, f(t + h, z5)) of one step, with one field call
-    per stage; err is nan once a stage is non-finite."""
+    """Stage loop: (z5, err, f(t + h, z5), 5) of one step, with one field
+    call per stage; err is nan once a stage is non-finite.  The embedded
+    error estimate is O(h⁵)."""
     K = np.empty((7, z.size))
     K[0] = k1
     hA = h * _DP_A
@@ -271,36 +305,84 @@ def _field_stages(field_fn, t, z, k1, h, stats):
         k_s = field_fn(t + _DP_C[s] * h, z_s)
         stats.n_field_evals += 1
         if not np.isfinite(k_s).all():
-            return None, np.nan, None
+            return None, np.nan, None, 5
         K[s] = k_s
     # the last stage point is the fifth-order solution, k_s the field there
-    return z_s, h * _norm(_DP_E @ K), k_s
+    return z_s, h * _norm(_DP_E @ K), k_s, 5
 
 
 def _powers(L):
-    """[L; L²; …; L⁶], (6·dim, dim): one product with k1 = L z gives the
+    """[L; L²; …; Lᵖ], (p·dim, dim): one product with k1 = L z gives the
     rest of a step's Krylov block."""
-    powers = np.empty((6, *L.shape))
+    powers = np.empty((_P, *L.shape))
     powers[0] = L
-    for k in range(1, 6):
+    for k in range(1, _P):
         np.matmul(L, powers[k - 1], out=powers[k])
     return powers.reshape(-1, L.shape[1])
 
 
-def _linear_stages(FT, powers, z, k1, h):
-    """Linear kernel: (z5, err, L z5) of one step, with no field call, as one
-    product of the scaled polynomial matrix with the Krylov block
-    [z, k1, L k1, …, L⁶ k1]; None if the product is not finite or the
-    controls F z_s of a stage point (z and z5 among them) saturate.  Rows 6
-    and 8 carry every entry of the block with a nonzero coefficient, so a
-    non-finite block gives a non-finite product."""
-    V = np.empty((8, z.size))
+_operator = None  # the last field's (ref to L, ref to F, Fᵀ, stack)
+
+
+def _linear_operator(L, F):
+    """(Fᵀ, L, stack) of a linear part (L, F): stack is `_powers(L)` while
+    p·dim² ≤ `_STACK_DOUBLES` (8 MiB), else None, and the Taylor kernel then
+    builds its block from p products with L, so a large field holds O(dim²)
+    doubles and not p·dim².
+
+    The last result is kept, with weak references to L and F, and served
+    again while both are the same objects: the runs of one field (the 257
+    samples of an ε* trial) form the stack once.  It is a function of L and
+    F alone, so a run sees the same operator whoever ran before; L and F
+    must not be written in place between runs.
+    """
+    global _operator
+    memo = _operator
+    if memo is None or memo[0]() is not L or memo[1]() is not F:
+        stack = _powers(L) if _P * L.size <= _STACK_DOUBLES else None
+        memo = _operator = (weakref.ref(L), weakref.ref(F),
+                            np.ascontiguousarray(F.T), stack)
+    return memo[2], L, memo[3]
+
+
+def _krylov(L, stack, z, k1):
+    """The Krylov block [z, k1, L k1, …, Lᵖ k1] = [Lᵏ z], k ≤ p + 1, (p + 2,
+    dim): one product of the stack with k1, or p products with L when stack
+    is None."""
+    V = np.empty((_P + 2, z.size))
     V[0], V[1] = z, k1
-    np.matmul(powers, k1, out=V[2:].reshape(-1))
-    Z = (_DP_POLY * h**_DP_POWERS) @ V
-    if not np.isfinite(Z).all() or np.abs(Z[:7] @ FT).max() > 1.0:
+    if stack is None:
+        for k in range(2, _P + 2):
+            np.matmul(L, V[k - 1], out=V[k])
+    else:
+        np.matmul(stack, k1, out=V[2:].reshape(-1))
+    return V
+
+
+def _taylor_step(FT, L, stack, z, k1, h):
+    """Taylor kernel: (z(h), err, L z(h), p + 1) of one step, with no field
+    call, from one product of the scaled polynomial matrix with the Krylov
+    block (rows as in `_taylor_polynomials`); err, the norm of the first
+    omitted term, is O(h^(p+1)).  None if the product is not finite or the
+    controls F z(θh) of a check point (z and z(h) among them) saturate.
+    Rows 8 and 10 carry every entry of the block with a nonzero coefficient,
+    so a non-finite block gives a non-finite product.
+
+    The guard: err is inf (reject, h × 0.2) when an entry of a term
+    (hL)ᵏ/k! z, k ≤ p, exceeds ‖z(h)‖ more than `_TERM_RATIO` times over.
+    """
+    C = _TAYLOR_POLY * h**_TAYLOR_POWERS
+    V = _krylov(L, stack, z, k1)
+    Z = C @ V
+    if not np.isfinite(Z).all() or np.abs(Z[:_N_CHECKS] @ FT).max() > 1.0:
         return None
-    return Z[6].copy(), _norm(Z[7]), Z[8]  # a copy: states keep z5, not Z
+    z_h = Z[_N_CHECKS - 1].copy()  # a copy: states keep z(h), not Z
+    err = _norm(Z[_N_CHECKS])
+    # row θ = 1 of C holds the weights hᵏ/k! of the terms
+    top = np.abs(C[_N_CHECKS - 1, :-1, None] * V[:-1]).max()
+    if top > _TERM_RATIO * _norm(z_h):
+        err = math.inf
+    return z_h, err, Z[-1], _P + 1
 
 
 def _norm(v):
@@ -331,7 +413,11 @@ class SyncMetrics:
 
     max_control_inf_norm is the peak pre-saturation |u| at the accepted
     states only, not over continuous time, so it moves with the step
-    sequence; ε* selection judges SAT_MARGIN on this sampled peak."""
+    sequence; ε* selection judges SAT_MARGIN on this sampled peak.  A
+    semiglobal run's unsaturated steps come from the Taylor kernel, about
+    3.5 times longer than Dormand-Prince steps, so the sample is coarser in
+    time: on bundled case 3 at ε = 1 the peak over the 257 ε* samples reads
+    0.2914, where Dormand-Prince steps gave 0.2943."""
 
     error_series: np.ndarray  # max_i ‖x_i - x_r‖ at each accepted step
     convergence_time: Optional[float]

@@ -256,8 +256,8 @@ class TestClosedLoopField:
                 np.testing.assert_array_equal(eps, eps_ref)
 
     def test_recorded_semiglobal_controls_match_recomputed(self, double, rng):
-        """The linear kernel calls the field once per accepted step, at the
-        new state, and the stage loop at its last stage; the controls
+        """The Taylor kernel computes a step's end point from L alone, and
+        the stage loop calls the field at its last stage; the controls
         recorded either way must equal those recomputed from the recorded
         state.  This start saturates, so both kernels take steps."""
         from satsync import integrate

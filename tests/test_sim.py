@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -20,18 +22,27 @@ from satsync import (
     triple_integrator,
 )
 from satsync.protocols import ClosedLoopField
+from satsync import sim
 from satsync.sim import (
     DivergenceError,
     IntegratorStats,
     _field_stages,
-    _linear_stages,
+    _krylov,
     _powers,
+    _taylor_step,
     sync_error_series,
 )
 
 
 def decay(t, z):
     return -z
+
+
+def taylor_rows(L, stack, z, k1, h):
+    """The Taylor kernel's product: rows 0–8 the check points, row 9 the
+    first omitted term and row 10 the FSAL slope."""
+    scaled = sim._TAYLOR_POLY * h**sim._TAYLOR_POWERS
+    return scaled @ _krylov(L, stack, z, k1)
 
 
 class TestFixedRk4:
@@ -216,6 +227,16 @@ class LinearDecay:
         return -z
 
 
+class LinearField:
+    """ż = L z with a linear part whose controls F z = 0 never saturate."""
+
+    def __init__(self, L):
+        self.linear_part = (L, np.zeros((1, L.shape[0])))
+
+    def __call__(self, t, z):
+        return self.linear_part[0] @ z
+
+
 class TestLinearKernel:
     T = 10.0
 
@@ -233,7 +254,8 @@ class TestLinearKernel:
     def test_nonfinite_krylov_block_takes_the_stage_loop(self):
         L, F = NonFiniteKernel.linear_part
         z = np.array([1.0])
-        assert _linear_stages(F.T, _powers(L), z, -z, 0.1) is None
+        for stack in (_powers(L), None):
+            assert _taylor_step(F.T, L, stack, z, -z, 0.1) is None
         traj = integrate(NonFiniteKernel(), z, (0.0, 2.0))
         stages = integrate(decay, z, (0.0, 2.0))
         assert traj.stats.n_linear_steps == 0
@@ -273,7 +295,8 @@ class TestLinearKernel:
         # at t0 and the start step's probe; the kernel calls none
         assert traj.stats.n_field_evals == 2
         assert stages.stats.n_linear_steps == 0
-        # global error within ten local tolerances (2.4 at most on 200 draws)
+        # global error within ten local tolerances (1.2 at most on 200 seeded
+        # draws, where Dormand-Prince steps gave 4.1)
         tol = 10 * (atol + rtol * np.abs(flow).max())
         assert np.abs(traj.states[-1] - exact).max() <= tol
         assert np.abs(traj.states[-1] - stages.states[-1]).max() <= tol
@@ -283,12 +306,14 @@ class TestLinearKernel:
            partial=st.booleans(), log10_hL=st.floats(-3.0, 0.0))
     def test_one_attempt_is_a_pure_function(self, seed, log2_eps, partial,
                                             log10_hL):
-        """One attempt of either kernel on ż = L z from the same (z, L z, h),
-        with ‖u‖∞ ≤ 0.5 at every stage point: both give the same z5, err
-        and k_new to 1e-12 relative (err relative to h‖k1‖, the size of
-        the slopes it sums).  Repeating an attempt after one at another h
-        gives the same bits, and the arguments are read-only, so no
-        attempt writes into its inputs or into what another returned."""
+        """One Taylor attempt on ż = L z from (z, L z, h), with ‖u‖∞ ≤ 0.5
+        at every check point: its check points and FSAL slope match
+        expm(θhL) z, θ = 0, 1/8, …, 1, and L expm(hL) z, and its error row
+        (hL)¹⁷/17! z, each to 1e-12 relative, from the stack and from p
+        products with L alike.  The step returns rows 8 and 10 and the norm
+        of row 9.  Repeating an attempt of either kernel after one at
+        another h gives the same bits, and the arguments are read-only, so
+        no attempt writes into its inputs or into what another returned."""
         rng = np.random.default_rng(seed)
         model = random_admissible_model(rng, n_max=6)
         net = random_rooted_network(rng, int(rng.integers(1, 7)))
@@ -296,46 +321,71 @@ class TestLinearKernel:
         field = ClosedLoopField(model, net, make(model, 2.0**log2_eps))
         L, F = field.linear_part
         h = 10.0**log10_hL / np.linalg.norm(L, 2)
-        points = []
-
-        def flow(t, y):
-            points.append(y)
-            return L @ y
-
         z = rng.standard_normal(L.shape[0])
-        _field_stages(flow, 0.0, z, L @ z, h, IntegratorStats())
-        z *= 0.5 / np.abs(np.vstack([z] + points) @ F.T).max()
+        flow = np.array([sla.expm(theta * h * L) @ z
+                         for theta in np.arange(9) / 8])
+        scale = 0.5 / np.abs(flow @ F.T).max()
+        z, flow = scale * z, scale * flow
         k1 = L @ z
-        z.flags.writeable = k1.flags.writeable = False
+        weight = h**17 / math.factorial(17)
+        last = weight * np.linalg.matrix_power(L, 17) @ z
+        # the rounding scale of the error row: |L|¹⁷ |z| in place of L¹⁷ z
+        last_scale = weight * (np.linalg.matrix_power(np.abs(L), 17)
+                               @ np.abs(z)).max()
+        stack = _powers(L)
+        for a in (z, k1, L, F, stack):
+            a.flags.writeable = False
 
-        powers, stats = _powers(L), IntegratorStats()
-        powers.flags.writeable = False
-        kernels = (lambda h: _linear_stages(F.T, powers, z, k1, h),
-                   lambda h: _field_stages(flow, 0.0, z, k1, h, stats))
-        linear, stages = (kernel(h) for kernel in kernels)
-        assert linear is not None and stats.n_field_evals == 6
-        z5, _, k_new = linear
-        scales = (np.abs(z5).max(), h * np.linalg.norm(k1),
-                  np.abs(k_new).max())
-        for a, b, scale in zip(linear, stages, scales):
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * scale)
-        for kernel, first in zip(kernels, (linear, stages)):
+        for block in (stack, None):
+            Z = taylor_rows(L, block, z, k1, h)
+            np.testing.assert_allclose(
+                Z[:9], flow, rtol=0, atol=1e-12 * np.abs(flow).max())
+            np.testing.assert_allclose(Z[9], last, rtol=0,
+                                       atol=1e-12 * last_scale)
+            np.testing.assert_allclose(
+                Z[10], L @ flow[-1], rtol=0,
+                atol=1e-12 * np.abs(L @ flow[-1]).max())
+            z_h, err, k_new, order = _taylor_step(F.T, L, block, z, k1, h)
+            np.testing.assert_array_equal(z_h, Z[8])
+            np.testing.assert_array_equal(k_new, Z[10])
+            assert (err, order) == (np.linalg.norm(Z[9]), 17)
+
+        stats = IntegratorStats()
+        kernels = (lambda h: _taylor_step(F.T, L, stack, z, k1, h),
+                   lambda h: _taylor_step(F.T, L, None, z, k1, h),
+                   lambda h: _field_stages(lambda t, y: L @ y, 0.0, z, k1, h,
+                                           stats))
+        for kernel in kernels:
+            first = kernel(h)
             bits = [np.copy(a) for a in first]
             kernel(h / 2)
             for a, b in zip(first, bits):
                 np.testing.assert_array_equal(a, b)
             for a, b in zip(kernel(h), bits):
                 np.testing.assert_array_equal(a, b)
+        assert stats.n_field_evals == 18
 
     @pytest.mark.parametrize("epsilon, half_width", [(0.25, 3.0), (0.5, 4.0)])
-    def test_saturated_steps_take_the_stage_loop(self, epsilon, half_width):
-        """A saturating start: both kernels run, the stage loop takes at
-        least as many steps as start from a state with ‖u‖∞ > 1, and
-        saturation_events reports the same excursions as a run that never
-        takes the linear kernel."""
+    def test_saturated_steps_take_the_stage_loop(self, epsilon, half_width,
+                                                 monkeypatch):
+        """A saturating start: both kernels run, and the stage loop takes at
+        least as many steps as start from a state with ‖u‖∞ > 1.  Up to the
+        first Taylor step the run is the stage loop's own, with the same
+        states and the same saturation_events, and every accepted Taylor
+        step's check points z(θh) keep ‖u‖∞ ≤ 1."""
         model = triple_integrator()
         field = ClosedLoopField(model, chain_net(3),
                                 semiglobal_full(model, epsilon))
+        L, F = field.linear_part
+        returned = []  # (arguments, z(h)) of every attempt the kernel took
+
+        def taylor_step(*args):
+            step = _taylor_step(*args)
+            if step is not None:
+                returned.append((args, step[0]))
+            return step
+
+        monkeypatch.setattr(sim, "_taylor_step", taylor_step)
         z0 = np.random.default_rng(1).uniform(
             -half_width, half_width, field.layout.dim)
         traj = integrate(field, z0, (0.0, 20.0), rtol=1e-6, atol=1e-8)
@@ -346,12 +396,101 @@ class TestLinearKernel:
         assert 0 < traj.stats.n_linear_steps
         assert traj.stats.n_linear_steps <= traj.stats.n_steps - saturated.sum()
 
-        events, reference = saturation_events(traj), saturation_events(stages)
-        assert len(events) == len(reference) > 0
-        assert [e[1:3] for e in events] == [e[1:3] for e in reference]
-        np.testing.assert_allclose([(e[0], e[3]) for e in events],
-                                   [(e[0], e[3]) for e in reference],
-                                   rtol=1e-9)
+        accepted = [(args, k) for args, z_h in returned
+                    for k in np.nonzero((traj.states == z_h).all(axis=1))[0]]
+        assert len(accepted) == traj.stats.n_linear_steps
+        for (FT, L_, stack, z, k1, h), k in accepted:
+            Z = taylor_rows(L_, stack, z, k1, h)
+            np.testing.assert_array_equal(Z[8], traj.states[k])
+            assert np.abs(Z[:9] @ F.T).max() <= 1.0
+
+        first = min(k for _, k in accepted)  # the end of the first Taylor step
+        np.testing.assert_array_equal(traj.states[:first],
+                                      stages.states[:first])
+        t_first = traj.times[first - 1]
+        events = [e for e in saturation_events(traj) if e[0] <= t_first]
+        reference = [e for e in saturation_events(stages) if e[0] <= t_first]
+        assert events == reference
+        assert len(events) > 0
+
+    def test_cancelling_terms_shrink_the_step(self, monkeypatch):
+        """ż = L z with L = [[−1, 1e4], [0, −1]]: eigenvalues −1 and a
+        strongly non-normal L.  From z0 = (−2e4, 1) the first component
+        cancels to 0 at T = 2, where the Taylor terms of a step exceed its
+        result z(h) about 1e5 times over.  The guard rejects such an attempt
+        at least once, and z(T) matches expm(T L) z0 to the run's local
+        tolerance atol + rtol‖z(T)‖."""
+        errors = []
+
+        def taylor_step(*args):
+            step = _taylor_step(*args)
+            if step is not None:
+                errors.append(step[1])
+            return step
+
+        monkeypatch.setattr(sim, "_taylor_step", taylor_step)
+        L = np.array([[-1.0, 1e4], [0.0, -1.0]])
+        z0, T, rtol, atol = np.array([-2e4, 1.0]), 2.0, 1e-6, 1e-8
+        traj = integrate(LinearField(L), z0, (0.0, T), rtol=rtol, atol=atol)
+        exact = sla.expm(T * L) @ z0
+        assert np.inf in errors
+        assert traj.stats.n_linear_steps == traj.stats.n_steps
+        assert (np.linalg.norm(traj.states[-1] - exact)
+                <= atol + rtol * np.linalg.norm(exact))
+
+    def test_stack_is_formed_once_per_field(self, monkeypatch):
+        """Consecutive runs of one field form its stack [L; …; Lᵖ] once, as
+        the 257 runs of an ε* trial do; a field with another L forms its
+        own, and the first field forms its stack again after it."""
+        formed = []
+
+        def powers(L):
+            formed.append(L)
+            return _powers(L)
+
+        monkeypatch.setattr(sim, "_powers", powers)
+        one, other = LinearField(-np.eye(2)), LinearField(-2.0 * np.eye(2))
+        for field in (one, one, one, other, one):
+            integrate(field, [1.0, 1.0], (0.0, 1.0))
+        L1, L2 = one.linear_part[0], other.linear_part[0]
+        assert [L is L1 for L in formed] == [True, False, True]
+        assert formed[1] is L2
+
+    def test_block_from_products_above_the_stack_budget(self):
+        """Two fields on either side of the stack budget p·dim² ≤ 2²⁰
+        doubles: dim 256, whose Taylor block comes from the stack
+        [L; …; Lᵖ], and dim 257, the same L with one more decoupled
+        coordinate that stays 0, whose block comes from p products with L.
+        Their z(T) agree to rounding.  By tracemalloc, the first run
+        allocates the 8 MiB stack, and the second less than one dim² array:
+        it holds O(dim) doubles besides the field's own L."""
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        dim = 256
+        assert sim._P * dim**2 == sim._STACK_DOUBLES
+        inner = (rng.standard_normal((dim, dim)) / np.sqrt(dim)
+                 - 2 * np.eye(dim))
+        outer = sla.block_diag(inner, [[-1.0]])
+        z0 = rng.standard_normal(dim)
+        finals, peaks = [], []
+        for L, start in ((inner, z0), (outer, np.append(z0, 0.0))):
+            field = LinearField(L)
+            tracemalloc.start()
+            try:
+                traj = integrate(field, start, (0.0, 1.0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert traj.stats.n_linear_steps == traj.stats.n_steps > 0
+            finals.append(traj.states[-1])
+        assert finals[1][-1] == 0.0
+        np.testing.assert_allclose(finals[1][:-1], finals[0], rtol=0,
+                                   atol=1e-12 * np.abs(finals[0]).max())
+        np.testing.assert_allclose(finals[0], sla.expm(inner) @ z0, rtol=0,
+                                   atol=1e-7 * np.abs(z0).max())
+        assert peaks[0] >= 8 * sim._STACK_DOUBLES
+        assert peaks[1] < 8 * (dim + 1) ** 2
 
 
 def _make_traj(times, states, controls=None, layout=None):
