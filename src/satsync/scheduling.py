@@ -338,12 +338,10 @@ class CompactSetSpec:
 class EpsilonTrial:
     """Outcome of validating one candidate ε.
 
-    max_control is |u| at the accepted states only (`sim.SyncMetrics`), not
-    over continuous time, so it moves with the step sequence; SAT_MARGIN is
-    judged on that sampled peak.  The unsaturated steps of these runs come
-    from RK45's Taylor kernel and are long (about 20 a sample on bundled
-    case 3), so the sample is coarse in time: case 3 at half-width 0.05
-    reads 0.2914 at ε = 1, where Dormand-Prince steps read 0.2943.
+    max_control is |u| at the accepted states and at the check points of
+    RK45's Taylor kernel, nine a step (`sim.SyncMetrics`), not over
+    continuous time, so it moves with the step sequence; SAT_MARGIN is
+    judged on that sampled peak.
     Validation stops at the first failing sample, so for a failed trial
     max_control and final_sync_error are the worst over the samples checked
     up to and including that one, not over the whole sample set; the true

@@ -28,16 +28,14 @@ along the slope at t0.
   p + 1 = 17), and row 10 the FSAL slope L z(h).  The controls F z(θh) of
   every check point are tested, θ = 0 because the step may start from a
   state the stage loop reached, and a finite product certifies the step:
-  the kernel makes no field call.  A guard rejects an attempt where an
-  entry of a term (hL)ᵏ/k! z exceeds ‖z(h)‖ more than 2¹⁶ times over, so
-  that rounding in the sum could reach 1e-10 of it.  The stack [L; …; Lᵖ]
-  is formed once per field while it holds at most 2²⁰ doubles (8 MiB,
-  dim ≤ 256); a larger field builds the block from p products with L, in
-  O(dim²) memory.
-  `IntegratorStats.n_linear_steps` counts the kernel's steps.  Its steps
-  are longer than Dormand-Prince ones (about 20 per sample against 71 on
-  bundled case 3), so the controls recorded at accepted states sample |u|
-  more coarsely in time than the check points test it.
+  the kernel makes no field call.  The error estimate is at least a bound
+  on the rounding of the sum z(h), so where the terms (hL)ᵏ/k! z cancel
+  the step shrinks until that rounding fits the tolerance.  The block
+  takes p products with L, so the kernel holds O(dim) doubles besides L.
+  `IntegratorStats.n_linear_steps` counts the kernel's steps.  They are
+  long, so the controls recorded at accepted states sample |u| coarsely
+  in time; `Trajectory.check_control_peak` keeps the largest |u| at the
+  check points of the accepted kernel steps, and `sync_metrics` reads it.
 - the Dormand-Prince 5(4) stage loop, one field call per stage, for every
   other attempt: a field with no linear part (the global protocols), a
   check point whose controls exceed 1 in magnitude (the start point among
@@ -49,7 +47,6 @@ along the slope at t0.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -83,14 +80,10 @@ _DP_E = _DP_B5 - _DP_B4  # embedded error weights
 # whose controls must stay unsaturated for a step to be linear.
 _P = 16
 _N_CHECKS = 9
-# The stack [L; …; Lᵖ] is formed while it holds at most this many doubles
-# (8 MiB, dim ≤ 256 at p = 16); above, the block takes p products with L.
-_STACK_DOUBLES = 2**20
-# The guard: each entry of the sum z(h) loses about (p + 1)·ε_mach times the
-# largest entry of its terms to rounding, so a step where that exceeds
-# ‖z(h)‖ more than this many times over may lose over 1e-10 of ‖z(h)‖ per
-# entry, a hundredth of the default rtol, and is rejected.
-_TERM_RATIO = 2.0**16
+# Each entry of a sum of p + 1 terms loses at most (p + 1)·ε_mach times the
+# sum of their magnitudes to rounding (Higham, Accuracy and Stability of
+# Numerical Algorithms, §3.1).
+_ROUNDING = (_P + 1) * np.finfo(float).eps
 
 
 def _taylor_polynomials():
@@ -155,13 +148,16 @@ class Trajectory:
     realized_epsilon: Optional[np.ndarray]  # (T, N) for global kinds
     layout: object = None  # StateLayout when integrating a protocol field
     stats: IntegratorStats = field(default_factory=IntegratorStats)
+    # the largest |u| at the Taylor kernel's check points of accepted
+    # steps; 0 on a run with none
+    check_control_peak: float = 0.0
 
     @property
     def has_controls(self) -> bool:
         return self.controls.size > 0
 
 
-def _finish(field_fn, times, states, stats):
+def _finish(field_fn, times, states, stats, check_control_peak=0.0):
     times, states = np.array(times), np.array(states)
     info = getattr(field_fn, "control_info", None)
     U, eps = ((np.empty((times.size, 0, 0)), None) if info is None
@@ -173,6 +169,7 @@ def _finish(field_fn, times, states, stats):
         realized_epsilon=None if eps is None else np.asarray(eps, dtype=float),
         layout=getattr(field_fn, "layout", None),
         stats=stats,
+        check_control_peak=float(check_control_peak),
     )
 
 
@@ -235,16 +232,15 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
     k1 = field_fn(t, z)
     stats.n_field_evals += 1
     h = _initial_step(field_fn, t, z, k1, tf - t0, rtol, atol, stats)
-    linear = getattr(field_fn, "linear_part", None)
-    if linear is not None:  # (Fᵀ, L, [L; …; Lᵖ] or None)
-        linear = _linear_operator(*linear)
+    linear = getattr(field_fn, "linear_part", None)  # (L, F)
+    u_peak = 0.0  # the largest |u| that an accepted attempt tested
     while t < tf:
         h = min(h, tf - t)
         step = None if linear is None else _taylor_step(*linear, z, k1, h)
         by_kernel = step is not None
         if not by_kernel:
             step = _field_stages(field_fn, t, z, k1, h, stats)
-        z_new, err, k_new, order = step
+        z_new, err, k_new, order, peak = step
         q = 0.0  # tol/err; stays 0 (reject, h × 0.2) if anything is non-finite
         if math.isfinite(err):
             tol = atol + rtol * _norm(z_new)
@@ -256,6 +252,7 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
             t, z, k1 = t_new, z_new, k_new  # FSAL: k_new is the field at z_new
             stats.n_steps += 1
             stats.n_linear_steps += by_kernel
+            u_peak = max(u_peak, peak)
             times.append(t)
             states.append(z)
         else:
@@ -266,7 +263,7 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
             raise IntegrationError(
                 f"step size underflow (h={h:.3g} < {DT_MIN}) at t={t:.6g}", t, z
             )
-    return _finish(field_fn, times, states, stats)
+    return _finish(field_fn, times, states, stats, u_peak)
 
 
 def _initial_step(field_fn, t, z, k1, span, rtol, atol, stats):
@@ -294,9 +291,9 @@ def _initial_step(field_fn, t, z, k1, span, rtol, atol, stats):
 
 
 def _field_stages(field_fn, t, z, k1, h, stats):
-    """Stage loop: (z5, err, f(t + h, z5), 5) of one step, with one field
-    call per stage; err is nan once a stage is non-finite.  The embedded
-    error estimate is O(h⁵)."""
+    """Stage loop: (z5, err, f(t + h, z5), 5, 0.0) of one step, with one
+    field call per stage; err is nan once a stage is non-finite.  The
+    embedded error estimate is O(h⁵), and the loop tests no controls."""
     K = np.empty((7, z.size))
     K[0] = k1
     hA = h * _DP_A
@@ -305,84 +302,50 @@ def _field_stages(field_fn, t, z, k1, h, stats):
         k_s = field_fn(t + _DP_C[s] * h, z_s)
         stats.n_field_evals += 1
         if not np.isfinite(k_s).all():
-            return None, np.nan, None, 5
+            return None, np.nan, None, 5, 0.0
         K[s] = k_s
     # the last stage point is the fifth-order solution, k_s the field there
-    return z_s, h * _norm(_DP_E @ K), k_s, 5
+    return z_s, h * _norm(_DP_E @ K), k_s, 5, 0.0
 
 
-def _powers(L):
-    """[L; L²; …; Lᵖ], (p·dim, dim): one product with k1 = L z gives the
-    rest of a step's Krylov block."""
-    powers = np.empty((_P, *L.shape))
-    powers[0] = L
-    for k in range(1, _P):
-        np.matmul(L, powers[k - 1], out=powers[k])
-    return powers.reshape(-1, L.shape[1])
-
-
-_operator = None  # the last field's (ref to L, ref to F, Fᵀ, stack)
-
-
-def _linear_operator(L, F):
-    """(Fᵀ, L, stack) of a linear part (L, F): stack is `_powers(L)` while
-    p·dim² ≤ `_STACK_DOUBLES` (8 MiB), else None, and the Taylor kernel then
-    builds its block from p products with L, so a large field holds O(dim²)
-    doubles and not p·dim².
-
-    The last result is kept, with weak references to L and F, and served
-    again while both are the same objects: the runs of one field (the 257
-    samples of an ε* trial) form the stack once.  It is a function of L and
-    F alone, so a run sees the same operator whoever ran before; L and F
-    must not be written in place between runs.
-    """
-    global _operator
-    memo = _operator
-    if memo is None or memo[0]() is not L or memo[1]() is not F:
-        stack = _powers(L) if _P * L.size <= _STACK_DOUBLES else None
-        memo = _operator = (weakref.ref(L), weakref.ref(F),
-                            np.ascontiguousarray(F.T), stack)
-    return memo[2], L, memo[3]
-
-
-def _krylov(L, stack, z, k1):
+def _krylov(L, z, k1):
     """The Krylov block [z, k1, L k1, …, Lᵖ k1] = [Lᵏ z], k ≤ p + 1, (p + 2,
-    dim): one product of the stack with k1, or p products with L when stack
-    is None."""
+    dim), from p products with L: no power of L is formed."""
     V = np.empty((_P + 2, z.size))
     V[0], V[1] = z, k1
-    if stack is None:
-        for k in range(2, _P + 2):
-            np.matmul(L, V[k - 1], out=V[k])
-    else:
-        np.matmul(stack, k1, out=V[2:].reshape(-1))
+    for k in range(2, _P + 2):
+        L.dot(V[k - 1], out=V[k])  # half the call cost of np.matmul
     return V
 
 
-def _taylor_step(FT, L, stack, z, k1, h):
-    """Taylor kernel: (z(h), err, L z(h), p + 1) of one step, with no field
-    call, from one product of the scaled polynomial matrix with the Krylov
-    block (rows as in `_taylor_polynomials`); err, the norm of the first
-    omitted term, is O(h^(p+1)).  None if the product is not finite or the
-    controls F z(θh) of a check point (z and z(h) among them) saturate.
-    Rows 8 and 10 carry every entry of the block with a nonzero coefficient,
-    so a non-finite block gives a non-finite product.
+def _taylor_step(L, F, z, k1, h):
+    """Taylor kernel: (z(h), err, L z(h), p + 1, peak) of one step, with no
+    field call, from one product of the scaled polynomial matrix with the
+    Krylov block (rows as in `_taylor_polynomials`).  peak is the largest
+    |u| of the controls F z(θh) at the check points.  None if the product
+    is not finite or a check point's controls saturate (z and z(h) among
+    them).  Rows 8 and 10 carry every entry of the block with a nonzero
+    coefficient, so a non-finite block gives a non-finite product.
 
-    The guard: err is inf (reject, h × 0.2) when an entry of a term
-    (hL)ᵏ/k! z, k ≤ p, exceeds ‖z(h)‖ more than `_TERM_RATIO` times over.
+    err is the larger of the norm of the first omitted term, O(h^(p+1)),
+    and the bound `_ROUNDING`·‖Σₖ |hᵏ/k! Lᵏ z|‖ on the rounding of the sum
+    z(h).  Where the terms cancel, as on a strongly non-normal L, that
+    bound rejects the attempt until the step is short enough for the
+    rounding to fit the tolerance.
     """
     C = _TAYLOR_POLY * h**_TAYLOR_POWERS
-    V = _krylov(L, stack, z, k1)
+    V = _krylov(L, z, k1)
     Z = C @ V
-    if not np.isfinite(Z).all() or np.abs(Z[:_N_CHECKS] @ FT).max() > 1.0:
+    if not np.isfinite(Z).all():
         return None
-    z_h = Z[_N_CHECKS - 1].copy()  # a copy: states keep z(h), not Z
-    err = _norm(Z[_N_CHECKS])
+    peak = np.abs(Z[:_N_CHECKS] @ F.T).max()
+    if peak > 1.0:
+        return None
     # row θ = 1 of C holds the weights hᵏ/k! of the terms
-    top = np.abs(C[_N_CHECKS - 1, :-1, None] * V[:-1]).max()
-    if top > _TERM_RATIO * _norm(z_h):
-        err = math.inf
-    return z_h, err, Z[-1], _P + 1
+    rounding = _ROUNDING * _norm(C[_N_CHECKS - 1, :-1] @ np.abs(V[:-1]))
+    err = max(_norm(Z[_N_CHECKS]), rounding)
+    # a copy: states keep z(h), not Z
+    return Z[_N_CHECKS - 1].copy(), err, Z[-1], _P + 1, peak
 
 
 def _norm(v):
@@ -412,12 +375,10 @@ class SyncMetrics:
     """Per-time synchronization error and derived summary values.
 
     max_control_inf_norm is the peak pre-saturation |u| at the accepted
-    states only, not over continuous time, so it moves with the step
-    sequence; ε* selection judges SAT_MARGIN on this sampled peak.  A
-    semiglobal run's unsaturated steps come from the Taylor kernel, about
-    3.5 times longer than Dormand-Prince steps, so the sample is coarser in
-    time: on bundled case 3 at ε = 1 the peak over the 257 ε* samples reads
-    0.2914, where Dormand-Prince steps gave 0.2943."""
+    states and, on a semiglobal run, at the Taylor kernel's check points of
+    its accepted steps (`Trajectory.check_control_peak`), nine a step.  It
+    is not taken over continuous time, so it moves with the step sequence;
+    ε* selection judges SAT_MARGIN on this sampled peak."""
 
     error_series: np.ndarray  # max_i ‖x_i - x_r‖ at each accepted step
     convergence_time: Optional[float]
@@ -442,6 +403,7 @@ def sync_metrics(traj: Trajectory, tol: float) -> SyncMetrics:
     if hits.size:
         conv_time = float(traj.times[hits[0]])
     max_u = float(np.abs(traj.controls).max()) if traj.has_controls else 0.0
+    max_u = max(max_u, traj.check_control_peak)
     return SyncMetrics(
         error_series=errors,
         convergence_time=conv_time,

@@ -28,7 +28,6 @@ from satsync.sim import (
     IntegratorStats,
     _field_stages,
     _krylov,
-    _powers,
     _taylor_step,
     sync_error_series,
 )
@@ -38,11 +37,11 @@ def decay(t, z):
     return -z
 
 
-def taylor_rows(L, stack, z, k1, h):
+def taylor_rows(L, z, k1, h):
     """The Taylor kernel's product: rows 0–8 the check points, row 9 the
     first omitted term and row 10 the FSAL slope."""
     scaled = sim._TAYLOR_POLY * h**sim._TAYLOR_POWERS
-    return scaled @ _krylov(L, stack, z, k1)
+    return scaled @ _krylov(L, z, k1)
 
 
 class TestFixedRk4:
@@ -254,8 +253,7 @@ class TestLinearKernel:
     def test_nonfinite_krylov_block_takes_the_stage_loop(self):
         L, F = NonFiniteKernel.linear_part
         z = np.array([1.0])
-        for stack in (_powers(L), None):
-            assert _taylor_step(F.T, L, stack, z, -z, 0.1) is None
+        assert _taylor_step(L, F, z, -z, 0.1) is None
         traj = integrate(NonFiniteKernel(), z, (0.0, 2.0))
         stages = integrate(decay, z, (0.0, 2.0))
         assert traj.stats.n_linear_steps == 0
@@ -295,8 +293,7 @@ class TestLinearKernel:
         # at t0 and the start step's probe; the kernel calls none
         assert traj.stats.n_field_evals == 2
         assert stages.stats.n_linear_steps == 0
-        # global error within ten local tolerances (1.2 at most on 200 seeded
-        # draws, where Dormand-Prince steps gave 4.1)
+        # global error within ten local tolerances
         tol = 10 * (atol + rtol * np.abs(flow).max())
         assert np.abs(traj.states[-1] - exact).max() <= tol
         assert np.abs(traj.states[-1] - stages.states[-1]).max() <= tol
@@ -309,11 +306,12 @@ class TestLinearKernel:
         """One Taylor attempt on ż = L z from (z, L z, h), with ‖u‖∞ ≤ 0.5
         at every check point: its check points and FSAL slope match
         expm(θhL) z, θ = 0, 1/8, …, 1, and L expm(hL) z, and its error row
-        (hL)¹⁷/17! z, each to 1e-12 relative, from the stack and from p
-        products with L alike.  The step returns rows 8 and 10 and the norm
-        of row 9.  Repeating an attempt of either kernel after one at
-        another h gives the same bits, and the arguments are read-only, so
-        no attempt writes into its inputs or into what another returned."""
+        (hL)¹⁷/17! z, each to 1e-12 relative.  The step returns rows 8 and
+        10, the larger of row 9's norm and the rounding bound of row 8, and
+        the check points' peak |F z(θh)|.  Repeating an attempt of either
+        kernel after one at another h gives the same bits, and the
+        arguments are read-only, so no attempt writes into its inputs or
+        into what another returned."""
         rng = np.random.default_rng(seed)
         model = random_admissible_model(rng, n_max=6)
         net = random_rooted_network(rng, int(rng.integers(1, 7)))
@@ -332,27 +330,30 @@ class TestLinearKernel:
         # the rounding scale of the error row: |L|¹⁷ |z| in place of L¹⁷ z
         last_scale = weight * (np.linalg.matrix_power(np.abs(L), 17)
                                @ np.abs(z)).max()
-        stack = _powers(L)
-        for a in (z, k1, L, F, stack):
+        for a in (z, k1, L, F):
             a.flags.writeable = False
 
-        for block in (stack, None):
-            Z = taylor_rows(L, block, z, k1, h)
-            np.testing.assert_allclose(
-                Z[:9], flow, rtol=0, atol=1e-12 * np.abs(flow).max())
-            np.testing.assert_allclose(Z[9], last, rtol=0,
-                                       atol=1e-12 * last_scale)
-            np.testing.assert_allclose(
-                Z[10], L @ flow[-1], rtol=0,
-                atol=1e-12 * np.abs(L @ flow[-1]).max())
-            z_h, err, k_new, order = _taylor_step(F.T, L, block, z, k1, h)
-            np.testing.assert_array_equal(z_h, Z[8])
-            np.testing.assert_array_equal(k_new, Z[10])
-            assert (err, order) == (np.linalg.norm(Z[9]), 17)
+        C = sim._TAYLOR_POLY * h**sim._TAYLOR_POWERS
+        V = _krylov(L, z, k1)
+        Z = C @ V
+        np.testing.assert_allclose(
+            Z[:9], flow, rtol=0, atol=1e-12 * np.abs(flow).max())
+        np.testing.assert_allclose(Z[9], last, rtol=0,
+                                   atol=1e-12 * last_scale)
+        np.testing.assert_allclose(
+            Z[10], L @ flow[-1], rtol=0,
+            atol=1e-12 * np.abs(L @ flow[-1]).max())
+        z_h, err, k_new, order, peak = _taylor_step(L, F, z, k1, h)
+        np.testing.assert_array_equal(z_h, Z[8])
+        np.testing.assert_array_equal(k_new, Z[10])
+        # row 8 of C holds the weights hᵏ/k! of the terms of z(h)
+        assert sim._ROUNDING == 17 * np.finfo(float).eps
+        rounding = sim._ROUNDING * np.linalg.norm(C[8, :-1] @ np.abs(V[:-1]))
+        assert (err, order) == (max(np.linalg.norm(Z[9]), rounding), 17)
+        assert peak == np.abs(Z[:9] @ F.T).max()
 
         stats = IntegratorStats()
-        kernels = (lambda h: _taylor_step(F.T, L, stack, z, k1, h),
-                   lambda h: _taylor_step(F.T, L, None, z, k1, h),
+        kernels = (lambda h: _taylor_step(L, F, z, k1, h),
                    lambda h: _field_stages(lambda t, y: L @ y, 0.0, z, k1, h,
                                            stats))
         for kernel in kernels:
@@ -372,7 +373,8 @@ class TestLinearKernel:
         least as many steps as start from a state with ‖u‖∞ > 1.  Up to the
         first Taylor step the run is the stage loop's own, with the same
         states and the same saturation_events, and every accepted Taylor
-        step's check points z(θh) keep ‖u‖∞ ≤ 1."""
+        step's check points z(θh) keep ‖u‖∞ ≤ 1.  The trajectory's
+        check_control_peak is the largest of them."""
         model = triple_integrator()
         field = ClosedLoopField(model, chain_net(3),
                                 semiglobal_full(model, epsilon))
@@ -399,10 +401,13 @@ class TestLinearKernel:
         accepted = [(args, k) for args, z_h in returned
                     for k in np.nonzero((traj.states == z_h).all(axis=1))[0]]
         assert len(accepted) == traj.stats.n_linear_steps
-        for (FT, L_, stack, z, k1, h), k in accepted:
-            Z = taylor_rows(L_, stack, z, k1, h)
+        peaks = []
+        for (L_, F_, z, k1, h), k in accepted:
+            Z = taylor_rows(L_, z, k1, h)
             np.testing.assert_array_equal(Z[8], traj.states[k])
-            assert np.abs(Z[:9] @ F.T).max() <= 1.0
+            peaks.append(np.abs(Z[:9] @ F.T).max())
+        assert max(peaks) <= 1.0
+        assert traj.check_control_peak == max(peaks)
 
         first = min(k for _, k in accepted)  # the end of the first Taylor step
         np.testing.assert_array_equal(traj.states[:first],
@@ -413,84 +418,56 @@ class TestLinearKernel:
         assert events == reference
         assert len(events) > 0
 
-    def test_cancelling_terms_shrink_the_step(self, monkeypatch):
+    @pytest.mark.parametrize("rtol, atol", [(1e-6, 1e-8), (1e-10, 1e-12)])
+    def test_cancelling_terms_shrink_the_step(self, rtol, atol, monkeypatch):
         """ż = L z with L = [[−1, 1e4], [0, −1]]: eigenvalues −1 and a
         strongly non-normal L.  From z0 = (−2e4, 1) the first component
-        cancels to 0 at T = 2, where the Taylor terms of a step exceed its
-        result z(h) about 1e5 times over.  The guard rejects such an attempt
-        at least once, and z(T) matches expm(T L) z0 to the run's local
-        tolerance atol + rtol‖z(T)‖."""
-        errors = []
+        cancels to 0 at T = 2, so the Taylor terms of a step sum to a much
+        smaller z(h).  The rounding bound of that sum, not the first omitted
+        term, sets the error estimate of some attempts, and z(T) matches
+        expm(T L) z0 to the run's local tolerance atol + rtol‖z(T)‖."""
+        rounded = []  # attempts whose err exceeds the first omitted term
 
-        def taylor_step(*args):
-            step = _taylor_step(*args)
+        def taylor_step(L, F, z, k1, h):
+            step = _taylor_step(L, F, z, k1, h)
             if step is not None:
-                errors.append(step[1])
+                omitted = np.linalg.norm(taylor_rows(L, z, k1, h)[9])
+                rounded.append(step[1] > omitted)
             return step
 
         monkeypatch.setattr(sim, "_taylor_step", taylor_step)
         L = np.array([[-1.0, 1e4], [0.0, -1.0]])
-        z0, T, rtol, atol = np.array([-2e4, 1.0]), 2.0, 1e-6, 1e-8
+        z0, T = np.array([-2e4, 1.0]), 2.0
         traj = integrate(LinearField(L), z0, (0.0, T), rtol=rtol, atol=atol)
         exact = sla.expm(T * L) @ z0
-        assert np.inf in errors
+        assert any(rounded)
         assert traj.stats.n_linear_steps == traj.stats.n_steps
         assert (np.linalg.norm(traj.states[-1] - exact)
                 <= atol + rtol * np.linalg.norm(exact))
 
-    def test_stack_is_formed_once_per_field(self, monkeypatch):
-        """Consecutive runs of one field form its stack [L; …; Lᵖ] once, as
-        the 257 runs of an ε* trial do; a field with another L forms its
-        own, and the first field forms its stack again after it."""
-        formed = []
-
-        def powers(L):
-            formed.append(L)
-            return _powers(L)
-
-        monkeypatch.setattr(sim, "_powers", powers)
-        one, other = LinearField(-np.eye(2)), LinearField(-2.0 * np.eye(2))
-        for field in (one, one, one, other, one):
-            integrate(field, [1.0, 1.0], (0.0, 1.0))
-        L1, L2 = one.linear_part[0], other.linear_part[0]
-        assert [L is L1 for L in formed] == [True, False, True]
-        assert formed[1] is L2
-
-    def test_block_from_products_above_the_stack_budget(self):
-        """Two fields on either side of the stack budget p·dim² ≤ 2²⁰
-        doubles: dim 256, whose Taylor block comes from the stack
-        [L; …; Lᵖ], and dim 257, the same L with one more decoupled
-        coordinate that stays 0, whose block comes from p products with L.
-        Their z(T) agree to rounding.  By tracemalloc, the first run
-        allocates the 8 MiB stack, and the second less than one dim² array:
-        it holds O(dim) doubles besides the field's own L."""
+    def test_kernel_holds_no_power_of_L(self):
+        """A dim-256 field whose steps are all linear: z(T) matches
+        expm(T L) z0, and by tracemalloc the run allocates less than one
+        dim² array.  The kernel builds its block from p products with L and
+        holds O(dim) doubles besides the field's own L, where a stack
+        [L; …; Lᵖ] would take 8 MiB."""
         import tracemalloc
 
         rng = np.random.default_rng(5)
         dim = 256
-        assert sim._P * dim**2 == sim._STACK_DOUBLES
-        inner = (rng.standard_normal((dim, dim)) / np.sqrt(dim)
-                 - 2 * np.eye(dim))
-        outer = sla.block_diag(inner, [[-1.0]])
+        L = rng.standard_normal((dim, dim)) / np.sqrt(dim) - 2 * np.eye(dim)
         z0 = rng.standard_normal(dim)
-        finals, peaks = [], []
-        for L, start in ((inner, z0), (outer, np.append(z0, 0.0))):
-            field = LinearField(L)
-            tracemalloc.start()
-            try:
-                traj = integrate(field, start, (0.0, 1.0))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            assert traj.stats.n_linear_steps == traj.stats.n_steps > 0
-            finals.append(traj.states[-1])
-        assert finals[1][-1] == 0.0
-        np.testing.assert_allclose(finals[1][:-1], finals[0], rtol=0,
-                                   atol=1e-12 * np.abs(finals[0]).max())
-        np.testing.assert_allclose(finals[0], sla.expm(inner) @ z0, rtol=0,
+        field = LinearField(L)
+        tracemalloc.start()
+        try:
+            traj = integrate(field, z0, (0.0, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.stats.n_linear_steps == traj.stats.n_steps > 0
+        np.testing.assert_allclose(traj.states[-1], sla.expm(L) @ z0, rtol=0,
                                    atol=1e-7 * np.abs(z0).max())
-        assert peaks[0] >= 8 * sim._STACK_DOUBLES
-        assert peaks[1] < 8 * (dim + 1) ** 2
+        assert peak < 8 * dim**2
 
 
 def _make_traj(times, states, controls=None, layout=None):
@@ -578,3 +555,13 @@ class TestSyncMetrics:
         traj = _make_traj([0.0], np.zeros((1, 3)))
         with pytest.raises(ValueError):
             sync_error_series(traj)
+
+    def test_max_control_reads_the_check_points(self):
+        """max_control_inf_norm is the larger of the recorded controls' peak
+        and the Taylor kernel's check-point peak."""
+        layout = StateLayout(1, 1, partial=False)
+        controls = np.array([[[0.5]], [[-0.25]]])
+        traj = _make_traj([0.0, 1.0], np.zeros((2, 3)), controls, layout)
+        assert sync_metrics(traj, 1e-2).max_control_inf_norm == 0.5
+        traj.check_control_peak = 0.75
+        assert sync_metrics(traj, 1e-2).max_control_inf_norm == 0.75
