@@ -9,19 +9,22 @@ times (T,): it is called once per run, on all accepted states at once.
 
 RK45 has one step-size controller and one accept path, and two kernels for
 an attempted step.  An attempt is a pure function of (t, z, k1 = f(t, z),
-h), and the loop carries nothing else between them.  Each kernel returns
-the order of its error estimate, err = O(h^order), and the controller scales
-h by 0.9·(tol/err)^(1/order), within [0.2, 5].  The first step is sized by
-the starting-step rule of Hairer, Nørsett & Wanner (Solving ODEs I, §II.4),
-in the norm of the loop's error test: it probes the field once, at t0 + h0
-along the slope at t0.
+h) and, for the Taylor kernel, of the Krylov block of z.  The block depends
+on z alone, so a retry at the same z keeps it; the loop carries nothing
+else between attempts.  Each kernel returns the order of its error
+estimate, err = O(h^order), and the controller scales the attempted h by
+0.9·(tol/err)^(1/order), within [0.2, 5].  The first step is sized by the
+starting-step rule of Hairer, Nørsett & Wanner (Solving ODEs I, §II.4), in
+the norm of the loop's error test, for the order of the kernel that takes
+the first attempt: p + 1 = 17 when z0 is unsaturated and its block finite,
+else 5.  The rule probes the field once, at t0 + h0 along the slope at t0.
 
 - the Taylor kernel, for a field that declares a `linear_part` (L, F) (the
   semiglobal protocols) while its controls stay unsaturated.  There the
   loop is ż = L z, so z(t + h) = e^{hL} z, and the kernel sums its Taylor
   polynomial of degree p = 16 (Al-Mohy & Higham, "Computing the action of
   the matrix exponential", SIAM J. Sci. Comput. 33, 2011).  One product of
-  an 11-row polynomial matrix with the attempt's Krylov block
+  an 11-row polynomial matrix with the Krylov block of z,
   [z, k1, L k1, …, Lᵖ k1] = [Lᵏ z], k ≤ p + 1, gives rows 0–8 the check
   points z(θh), θ = 0, 1/8, …, 1 (row 8 the result z(h)), row 9 the first
   omitted term (hL)^(p+1)/(p+1)! z, whose norm is the error estimate (order
@@ -30,8 +33,12 @@ along the slope at t0.
   state the stage loop reached, and a finite product certifies the step:
   the kernel makes no field call.  The error estimate is at least a bound
   on the rounding of the sum z(h), so where the terms (hL)ᵏ/k! z cancel
-  the step shrinks until that rounding fits the tolerance.  The block
-  takes p products with L, so the kernel holds O(dim) doubles besides L.
+  the step shrinks until that rounding fits the tolerance.  An attempt
+  takes at most the block's reach, the h at which the first omitted term,
+  read from the block's last row L^(p+1) z, is 0.9^(p+1) of the tolerance
+  at z, so the controller's growth does not overshoot the step that term
+  allows.  The block takes p products with L, so the kernel holds O(dim)
+  doubles besides L.
   `IntegratorStats.n_linear_steps` counts the kernel's steps.  They are
   long, so the controls recorded at accepted states sample |u| coarsely
   in time; `Trajectory.check_control_peak` keeps the largest |u| at the
@@ -39,8 +46,10 @@ along the slope at t0.
 - the Dormand-Prince 5(4) stage loop, one field call per stage, for every
   other attempt: a field with no linear part (the global protocols), a
   check point whose controls exceed 1 in magnitude (the start point among
-  them), or a product that is not finite.  It runs at the same h, and its
-  error estimate has order 5.  Apart from the call at t0 and the
+  them), or a product that is not finite.  It runs at the controller's h,
+  or, where check point θ_j, j ≥ 1, is the first to saturate, at θ_j times
+  the Taylor attempt's h, so the step ends where the controls saturate.
+  Its error estimate has order 5.  Apart from the call at t0 and the
   start-step probe, it is the only caller of the field.
 """
 
@@ -84,6 +93,7 @@ _N_CHECKS = 9
 # sum of their magnitudes to rounding (Higham, Accuracy and Stability of
 # Numerical Algorithms, §3.1).
 _ROUNDING = (_P + 1) * np.finfo(float).eps
+_FACT_ORDER = float(math.factorial(_P + 1))
 
 
 def _taylor_polynomials():
@@ -231,12 +241,28 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
     t, z = t0, z0
     k1 = field_fn(t, z)
     stats.n_field_evals += 1
-    h = _initial_step(field_fn, t, z, k1, tf - t0, rtol, atol, stats)
     linear = getattr(field_fn, "linear_part", None)  # (L, F)
+    V = None if linear is None else _krylov(linear[0], z, k1)
+    # size the start for the Taylor kernel if z0 is unsaturated and its
+    # block finite, and for the stage loop otherwise
+    order = 5
+    if (V is not None and np.isfinite(V).all()
+            and np.abs(linear[1] @ z).max() <= 1.0):
+        order = _P + 1
+    h = _initial_step(field_fn, t, z, k1, tf - t0, rtol, atol, stats, order)
     u_peak = 0.0  # the largest |u| that an accepted attempt tested
     while t < tf:
         h = min(h, tf - t)
-        step = None if linear is None else _taylor_step(*linear, z, k1, h)
+        step = None
+        if linear is not None:
+            if V is None:  # the block of z; a retry at the same z keeps it
+                V = _krylov(linear[0], z, k1)
+            h_k = min(h, _reach(V, atol + rtol * _norm(z)))
+            step, onset = _taylor_step(linear[1], V, h_k)
+            if step is not None:
+                h = h_k
+            elif onset:  # j ≥ 1: the stage loop stops where u saturates
+                h = onset / (_N_CHECKS - 1) * h_k
         by_kernel = step is not None
         if not by_kernel:
             step = _field_stages(field_fn, t, z, k1, h, stats)
@@ -250,6 +276,7 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
             if not by_kernel:  # a kernel step is finite by construction
                 _check_finite(t_new, z_new)
             t, z, k1 = t_new, z_new, k_new  # FSAL: k_new is the field at z_new
+            V = None
             stats.n_steps += 1
             stats.n_linear_steps += by_kernel
             u_peak = max(u_peak, peak)
@@ -266,14 +293,15 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
     return _finish(field_fn, times, states, stats, u_peak)
 
 
-def _initial_step(field_fn, t, z, k1, span, rtol, atol, stats):
+def _initial_step(field_fn, t, z, k1, span, rtol, atol, stats, order):
     """First step size by the rule of Hairer, Nørsett & Wanner (Solving
-    ODEs I, §II.4), in the loop's norm with s = atol + rtol‖z‖.
+    ODEs I, §II.4), in the loop's norm with s = atol + rtol‖z‖, for a first
+    attempt whose error estimate is O(h^order).
 
     A probe step h0 = 0.01‖z‖/‖k1‖ (1e-6 when either is below 1e-5·s)
     estimates the field's rate of change by d2 = ‖f(t + h0, z + h0 k1) − k1‖
-    / (s h0), one counted field call.  The step is h1 = (0.01/d)^(1/5) with
-    d = max(‖k1‖/s, d2), at most 100·h0 and the span, at least DT_MIN.
+    / (s h0), one counted field call.  The step is h1 = (0.01/d)^(1/order)
+    with d = max(‖k1‖/s, d2), at most 100·h0 and the span, at least DT_MIN.
     """
     norm_z, norm_f = _norm(z), _norm(k1)
     if not (math.isfinite(norm_z) and math.isfinite(norm_f)):
@@ -286,7 +314,7 @@ def _initial_step(field_fn, t, z, k1, span, rtol, atol, stats):
     d2 = _norm(field_fn(t + h0, z + h0 * k1) - k1) / (scale * h0)
     stats.n_field_evals += 1
     d = max(d1, d2)
-    h1 = max(1e-6, 1e-3 * h0) if d <= 1e-15 else (0.01 / d) ** 0.2
+    h1 = max(1e-6, 1e-3 * h0) if d <= 1e-15 else (0.01 / d) ** (1.0 / order)
     return max(min(100 * h0, h1, span), DT_MIN)
 
 
@@ -313,19 +341,35 @@ def _krylov(L, z, k1):
     dim), from p products with L: no power of L is formed."""
     V = np.empty((_P + 2, z.size))
     V[0], V[1] = z, k1
-    for k in range(2, _P + 2):
-        L.dot(V[k - 1], out=V[k])  # half the call cost of np.matmul
+    prev = V[1]
+    for row in V[2:]:  # iterating yields the row views without indexing
+        L.dot(prev, out=row)  # half the call cost of np.matmul
+        prev = row
     return V
 
 
-def _taylor_step(L, F, z, k1, h):
-    """Taylor kernel: (z(h), err, L z(h), p + 1, peak) of one step, with no
-    field call, from one product of the scaled polynomial matrix with the
-    Krylov block (rows as in `_taylor_polynomials`).  peak is the largest
-    |u| of the controls F z(θh) at the check points.  None if the product
-    is not finite or a check point's controls saturate (z and z(h) among
-    them).  Rows 8 and 10 carry every entry of the block with a nonzero
-    coefficient, so a non-finite block gives a non-finite product.
+def _reach(V, tol):
+    """The h at which the first omitted term (hL)^(p+1)/(p+1)! z, read from
+    the block's last row L^(p+1) z, reaches 0.9^(p+1)·tol; inf where that
+    row's norm is 0 or not finite."""
+    last = _norm(V[-1])
+    if not 0.0 < last < math.inf:
+        return math.inf
+    return 0.9 * (tol * _FACT_ORDER / last) ** (1.0 / (_P + 1))
+
+
+def _taylor_step(F, V, h):
+    """Taylor kernel: (step, onset) of one attempt from the Krylov block V
+    of z, with no field call, from one product of the scaled polynomial
+    matrix with V (rows as in `_taylor_polynomials`).
+
+    step is (z(h), err, L z(h), p + 1, peak), peak the largest |u| of the
+    controls F z(θh) at the check points, or None if the product is not
+    finite or a check point's controls saturate (z and z(h) among them).
+    onset is the index j of the first check point θ_j = j/8 whose controls
+    saturate, and None when none does.  Rows 8 and 10 carry every entry of
+    the block with a nonzero coefficient, so a non-finite block gives a
+    non-finite product.
 
     err is the larger of the norm of the first omitted term, O(h^(p+1)),
     and the bound `_ROUNDING`·‖Σₖ |hᵏ/k! Lᵏ z|‖ on the rounding of the sum
@@ -334,18 +378,18 @@ def _taylor_step(L, F, z, k1, h):
     rounding to fit the tolerance.
     """
     C = _TAYLOR_POLY * h**_TAYLOR_POWERS
-    V = _krylov(L, z, k1)
     Z = C @ V
     if not np.isfinite(Z).all():
-        return None
-    peak = np.abs(Z[:_N_CHECKS] @ F.T).max()
+        return None, None
+    U = np.abs(Z[:_N_CHECKS] @ F.T)
+    peak = U.max()
     if peak > 1.0:
-        return None
+        return None, int(np.argmax(U.max(axis=1) > 1.0))
     # row θ = 1 of C holds the weights hᵏ/k! of the terms
     rounding = _ROUNDING * _norm(C[_N_CHECKS - 1, :-1] @ np.abs(V[:-1]))
     err = max(_norm(Z[_N_CHECKS]), rounding)
     # a copy: states keep z(h), not Z
-    return Z[_N_CHECKS - 1].copy(), err, Z[-1], _P + 1, peak
+    return (Z[_N_CHECKS - 1].copy(), err, Z[-1], _P + 1, peak), None
 
 
 def _norm(v):

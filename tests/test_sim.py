@@ -37,11 +37,19 @@ def decay(t, z):
     return -z
 
 
-def taylor_rows(L, z, k1, h):
-    """The Taylor kernel's product: rows 0–8 the check points, row 9 the
-    first omitted term and row 10 the FSAL slope."""
-    scaled = sim._TAYLOR_POLY * h**sim._TAYLOR_POWERS
-    return scaled @ _krylov(L, z, k1)
+def taylor_rows(V, h):
+    """The Taylor kernel's product with the block V: rows 0–8 the check
+    points, row 9 the first omitted term and row 10 the FSAL slope."""
+    return (sim._TAYLOR_POLY * h**sim._TAYLOR_POWERS) @ V
+
+
+def reach(V, rtol, atol):
+    """The reach of the block V of z: the h at which (hL)¹⁷/17! z has norm
+    0.9¹⁷ (atol + rtol‖z‖), and inf where L¹⁷ z = 0."""
+    tol = atol + rtol * np.linalg.norm(V[0])
+    last = np.linalg.norm(V[-1])
+    return math.inf if last == 0 else 0.9 * (
+        tol * math.factorial(17) / last) ** (1 / 17)
 
 
 class TestFixedRk4:
@@ -250,10 +258,25 @@ class TestLinearKernel:
         assert traj.stats.n_linear_steps == traj.stats.n_steps > 0
         assert traj.stats.n_field_evals == 2
 
+    def test_start_step_takes_the_kernels_order(self):
+        """The start step is Hairer's rule h1 = (0.01/d)^(1/order) for the
+        kernel that takes the first attempt: order 17 on LinearDecay, whose
+        first attempt is a Taylor one, and 5 on the same field without its
+        linear part.  From z0 = 1 at rtol 1e-6 both probes give d = 1/s,
+        s = atol + rtol, and the first step is accepted."""
+        rtol, atol = 1e-6, sim.DEFAULT_ATOL
+        scale = atol + rtol
+        h0 = 0.01  # 0.01‖z0‖/‖k1‖
+        d = max(1.0 / scale, abs(-(1.0 - h0) + 1.0) / (scale * h0))
+        for field, order in ((LinearDecay(), 17), (decay, 5)):
+            traj = integrate(field, [1.0], (0.0, 1.0), rtol=rtol, atol=atol)
+            assert traj.times[1] - traj.times[0] == pytest.approx(
+                (0.01 / d) ** (1 / order), rel=1e-14)
+
     def test_nonfinite_krylov_block_takes_the_stage_loop(self):
         L, F = NonFiniteKernel.linear_part
         z = np.array([1.0])
-        assert _taylor_step(L, F, z, -z, 0.1) is None
+        assert _taylor_step(F, _krylov(L, z, -z), 0.1) == (None, None)
         traj = integrate(NonFiniteKernel(), z, (0.0, 2.0))
         stages = integrate(decay, z, (0.0, 2.0))
         assert traj.stats.n_linear_steps == 0
@@ -303,15 +326,16 @@ class TestLinearKernel:
            partial=st.booleans(), log10_hL=st.floats(-3.0, 0.0))
     def test_one_attempt_is_a_pure_function(self, seed, log2_eps, partial,
                                             log10_hL):
-        """One Taylor attempt on ż = L z from (z, L z, h), with ‖u‖∞ ≤ 0.5
-        at every check point: its check points and FSAL slope match
-        expm(θhL) z, θ = 0, 1/8, …, 1, and L expm(hL) z, and its error row
-        (hL)¹⁷/17! z, each to 1e-12 relative.  The step returns rows 8 and
-        10, the larger of row 9's norm and the rounding bound of row 8, and
-        the check points' peak |F z(θh)|.  Repeating an attempt of either
-        kernel after one at another h gives the same bits, and the
-        arguments are read-only, so no attempt writes into its inputs or
-        into what another returned."""
+        """One Taylor attempt on ż = L z from the Krylov block V of z and h,
+        with ‖u‖∞ ≤ 0.5 at every check point: its check points and FSAL
+        slope match expm(θhL) z, θ = 0, 1/8, …, 1, and L expm(hL) z, and its
+        error row (hL)¹⁷/17! z, each to 1e-12 relative.  The step returns
+        rows 8 and 10, the larger of row 9's norm and the rounding bound of
+        row 8, and the check points' peak |F z(θh)|, with no saturation
+        onset.  Repeating an attempt of either kernel after one at another h
+        gives the same bits, and the arguments, the block among them, are
+        read-only, so no attempt writes into its inputs or into what another
+        returned."""
         rng = np.random.default_rng(seed)
         model = random_admissible_model(rng, n_max=6)
         net = random_rooted_network(rng, int(rng.integers(1, 7)))
@@ -330,11 +354,11 @@ class TestLinearKernel:
         # the rounding scale of the error row: |L|¹⁷ |z| in place of L¹⁷ z
         last_scale = weight * (np.linalg.matrix_power(np.abs(L), 17)
                                @ np.abs(z)).max()
-        for a in (z, k1, L, F):
+        V = _krylov(L, z, k1)
+        for a in (z, k1, L, F, V):
             a.flags.writeable = False
 
         C = sim._TAYLOR_POLY * h**sim._TAYLOR_POWERS
-        V = _krylov(L, z, k1)
         Z = C @ V
         np.testing.assert_allclose(
             Z[:9], flow, rtol=0, atol=1e-12 * np.abs(flow).max())
@@ -343,7 +367,9 @@ class TestLinearKernel:
         np.testing.assert_allclose(
             Z[10], L @ flow[-1], rtol=0,
             atol=1e-12 * np.abs(L @ flow[-1]).max())
-        z_h, err, k_new, order, peak = _taylor_step(L, F, z, k1, h)
+        step, onset = _taylor_step(F, V, h)
+        assert onset is None
+        z_h, err, k_new, order, peak = step
         np.testing.assert_array_equal(z_h, Z[8])
         np.testing.assert_array_equal(k_new, Z[10])
         # row 8 of C holds the weights hᵏ/k! of the terms of z(h)
@@ -353,7 +379,7 @@ class TestLinearKernel:
         assert peak == np.abs(Z[:9] @ F.T).max()
 
         stats = IntegratorStats()
-        kernels = (lambda h: _taylor_step(L, F, z, k1, h),
+        kernels = (lambda h: _taylor_step(F, V, h)[0],
                    lambda h: _field_stages(lambda t, y: L @ y, 0.0, z, k1, h,
                                            stats))
         for kernel in kernels:
@@ -366,53 +392,79 @@ class TestLinearKernel:
                 np.testing.assert_array_equal(a, b)
         assert stats.n_field_evals == 18
 
-    @pytest.mark.parametrize("epsilon, half_width", [(0.25, 3.0), (0.5, 4.0)])
+    # onsets: the run has a Taylor attempt from an unsaturated state that
+    # saturates at a later check point (in the first, every failed attempt
+    # starts saturated)
+    @pytest.mark.parametrize("epsilon, half_width, onsets", [
+        pytest.param(0.25, 3.0, False, id="0.25-3.0"),
+        pytest.param(0.5, 4.0, True, id="0.5-4.0"),
+    ])
     def test_saturated_steps_take_the_stage_loop(self, epsilon, half_width,
-                                                 monkeypatch):
+                                                 onsets, monkeypatch):
         """A saturating start: both kernels run, and the stage loop takes at
         least as many steps as start from a state with ‖u‖∞ > 1.  Up to the
-        first Taylor step the run is the stage loop's own, with the same
-        states and the same saturation_events, and every accepted Taylor
-        step's check points z(θh) keep ‖u‖∞ ≤ 1.  The trajectory's
-        check_control_peak is the largest of them."""
+        first attempt from an unsaturated state the run is the stage loop's
+        own, with the same states and the same saturation_events.  Where
+        check point θ_j = j/8, j ≥ 1, is the first of a Taylor attempt at h
+        to saturate, the stage-loop attempt that follows ends there, at
+        θ_j·h.  Every accepted Taylor step's check points z(θh) keep
+        ‖u‖∞ ≤ 1, and the trajectory's check_control_peak is the largest of
+        them."""
         model = triple_integrator()
         field = ClosedLoopField(model, chain_net(3),
                                 semiglobal_full(model, epsilon))
-        L, F = field.linear_part
-        returned = []  # (arguments, z(h)) of every attempt the kernel took
-
-        def taylor_step(*args):
-            step = _taylor_step(*args)
-            if step is not None:
-                returned.append((args, step[0]))
-            return step
-
-        monkeypatch.setattr(sim, "_taylor_step", taylor_step)
+        F = field.linear_part[1]
         z0 = np.random.default_rng(1).uniform(
             -half_width, half_width, field.layout.dim)
-        traj = integrate(field, z0, (0.0, 20.0), rtol=1e-6, atol=1e-8)
         stages = integrate(StageLoopOnly(field), z0, (0.0, 20.0),
                            rtol=1e-6, atol=1e-8)
+        # per attempt: the Taylor kernel's (V, h, step, onset), then the h
+        # of the stage loop when it ran
+        attempts = []
+
+        def taylor_step(F, V, h):
+            step, onset = _taylor_step(F, V, h)
+            attempts.append([V, h, step, onset, None])
+            return step, onset
+
+        def field_stages(field_fn, t, z, k1, h, stats):
+            attempts[-1][-1] = h
+            return _field_stages(field_fn, t, z, k1, h, stats)
+
+        monkeypatch.setattr(sim, "_taylor_step", taylor_step)
+        monkeypatch.setattr(sim, "_field_stages", field_stages)
+        traj = integrate(field, z0, (0.0, 20.0), rtol=1e-6, atol=1e-8)
         saturated = np.abs(traj.controls[:-1]).max(axis=(1, 2)) > 1.0
         assert saturated[0]
         assert 0 < traj.stats.n_linear_steps
         assert traj.stats.n_linear_steps <= traj.stats.n_steps - saturated.sum()
 
-        accepted = [(args, k) for args, z_h in returned
-                    for k in np.nonzero((traj.states == z_h).all(axis=1))[0]]
-        assert len(accepted) == traj.stats.n_linear_steps
-        peaks = []
-        for (L_, F_, z, k1, h), k in accepted:
-            Z = taylor_rows(L_, z, k1, h)
-            np.testing.assert_array_equal(Z[8], traj.states[k])
-            peaks.append(np.abs(Z[:9] @ F.T).max())
+        peaks, n_onsets = [], 0  # peaks of the accepted Taylor steps
+        for V, h, step, onset, h_stages in attempts:
+            Z = taylor_rows(V, h)
+            u = np.abs(Z[:9] @ F.T).max(axis=1)
+            if step is not None:
+                assert onset is None and h_stages is None
+                np.testing.assert_array_equal(Z[8], step[0])
+                if (traj.states == step[0]).all(axis=1).any():
+                    peaks.append(u.max())
+                continue
+            assert u.max() > 1.0 and onset == np.argmax(u > 1.0)
+            if onset >= 1:
+                n_onsets += 1
+                assert h_stages == pytest.approx(onset / 8 * h, rel=1e-15)
+        assert n_onsets > 0 or not onsets
+        assert len(peaks) == traj.stats.n_linear_steps
         assert max(peaks) <= 1.0
         assert traj.check_control_peak == max(peaks)
 
-        first = min(k for _, k in accepted)  # the end of the first Taylor step
-        np.testing.assert_array_equal(traj.states[:first],
-                                      stages.states[:first])
-        t_first = traj.times[first - 1]
+        # the start of the first attempt from an unsaturated state
+        z_first = next(V[0] for V, *_ in attempts
+                       if np.abs(F @ V[0]).max() <= 1.0)
+        first = np.nonzero((traj.states == z_first).all(axis=1))[0][0]
+        np.testing.assert_array_equal(traj.states[:first + 1],
+                                      stages.states[:first + 1])
+        t_first = traj.times[first]
         events = [e for e in saturation_events(traj) if e[0] <= t_first]
         reference = [e for e in saturation_events(stages) if e[0] <= t_first]
         assert events == reference
@@ -428,12 +480,12 @@ class TestLinearKernel:
         expm(T L) z0 to the run's local tolerance atol + rtol‖z(T)‖."""
         rounded = []  # attempts whose err exceeds the first omitted term
 
-        def taylor_step(L, F, z, k1, h):
-            step = _taylor_step(L, F, z, k1, h)
+        def taylor_step(F, V, h):
+            step, onset = _taylor_step(F, V, h)
             if step is not None:
-                omitted = np.linalg.norm(taylor_rows(L, z, k1, h)[9])
+                omitted = np.linalg.norm(taylor_rows(V, h)[9])
                 rounded.append(step[1] > omitted)
-            return step
+            return step, onset
 
         monkeypatch.setattr(sim, "_taylor_step", taylor_step)
         L = np.array([[-1.0, 1e4], [0.0, -1.0]])
@@ -444,6 +496,61 @@ class TestLinearKernel:
         assert traj.stats.n_linear_steps == traj.stats.n_steps
         assert (np.linalg.norm(traj.states[-1] - exact)
                 <= atol + rtol * np.linalg.norm(exact))
+
+    def test_case3_vertices_reject_no_attempt(self, monkeypatch):
+        """select-eps on case 3 at half-width 0.05 runs ε = 1 from 257 box
+        vertices, every step a Taylor one.  On every 16th vertex no attempt
+        is rejected, and every Taylor attempt is at most the reach of its
+        block, where the first omitted term is 0.9¹⁷ of the tolerance."""
+        from satsync import bundled_scenario
+        from satsync.protocols import ProtocolKind
+        from satsync.riccati import design_observer_gain
+        from satsync.scheduling import T_VAL, sample_box_vertices
+
+        scenario = bundled_scenario(3)
+        kind = ProtocolKind("semiglobal", scenario.coupling, epsilon=1.0,
+                            observer_gain=design_observer_gain(scenario.model))
+        field = ClosedLoopField(scenario.model, scenario.net, kind)
+        sets = CompactSetSpec(agent=0.05, exo=0.05, protocol=0.05)
+        samples = sample_box_vertices(sets.halfwidths(field.layout))
+        assert samples.shape[0] == 257
+        rtol, atol = 1e-6, 1e-8
+        attempts = []  # (V, h) of every Taylor attempt
+
+        def taylor_step(F, V, h):
+            attempts.append((V, h))
+            return _taylor_step(F, V, h)
+
+        monkeypatch.setattr(sim, "_taylor_step", taylor_step)
+        n_steps = 0
+        for z0 in samples[::16]:
+            traj = integrate(field, z0, (0.0, T_VAL), rtol=rtol, atol=atol)
+            assert traj.stats.n_rejected == 0
+            assert traj.stats.n_linear_steps == traj.stats.n_steps > 0
+            n_steps += traj.stats.n_steps
+        assert len(attempts) == n_steps
+        for V, h in attempts:
+            assert h <= reach(V, rtol, atol)
+
+    def test_retry_keeps_the_block(self, monkeypatch):
+        """The Krylov block depends on z alone, so a run builds one per
+        state that an attempt starts from, n_steps in all, however many
+        attempts are rejected.  The saturating run rejects some."""
+        blocks = []
+
+        def krylov(L, z, k1):
+            blocks.append(z)
+            return _krylov(L, z, k1)
+
+        monkeypatch.setattr(sim, "_krylov", krylov)
+        model = triple_integrator()
+        field = ClosedLoopField(model, chain_net(3),
+                                semiglobal_full(model, 0.5))
+        z0 = np.random.default_rng(1).uniform(-4.0, 4.0, field.layout.dim)
+        traj = integrate(field, z0, (0.0, 20.0), rtol=1e-6, atol=1e-8)
+        assert traj.stats.n_rejected > 0
+        assert len(blocks) == traj.stats.n_steps
+        np.testing.assert_array_equal(blocks, traj.states[:-1])
 
     def test_kernel_holds_no_power_of_L(self):
         """A dim-256 field whose steps are all linear: z(T) matches
