@@ -503,8 +503,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (RiccatiError, scheduling.SelectionError,
-            scheduling.ScheduleFloorError, sim.IntegrationError,
-            sim.DivergenceError) as exc:
+            scheduling.ScheduleFloorError, sim.IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
 

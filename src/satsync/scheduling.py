@@ -339,7 +339,7 @@ class EpsilonTrial:
     """Outcome of validating one candidate ε.
 
     max_control is |u| at the accepted states and at the check points of
-    RK45's Taylor kernel, nine a step (`sim.SyncMetrics`), not over
+    RK45's Taylor kernel, eight a step (`sim.SyncMetrics`), not over
     continuous time, so it moves with the step sequence; SAT_MARGIN is
     judged on that sampled peak.
     Validation stops at the first failing sample, so for a failed trial

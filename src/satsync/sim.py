@@ -9,48 +9,51 @@ times (T,): it is called once per run, on all accepted states at once.
 
 RK45 has one step-size controller and one accept path, and two kernels for
 an attempted step.  An attempt is a pure function of (t, z, k1 = f(t, z),
-h) and, for the Taylor kernel, of the Krylov block of z.  The block depends
-on z alone, so a retry at the same z keeps it; the loop carries nothing
-else between attempts.  Each kernel returns the order of its error
-estimate, err = O(h^order), and the controller scales the attempted h by
-0.9·(tol/err)^(1/order), within [0.2, 5].  The first step is sized by the
-starting-step rule of Hairer, Nørsett & Wanner (Solving ODEs I, §II.4), in
-the norm of the loop's error test, for the order of the kernel that takes
-the first attempt: p + 1 = 17 when z0 is unsaturated and its block finite,
-else 5.  The rule probes the field once, at t0 + h0 along the slope at t0.
+h) and, for the Taylor kernel, of the Krylov block of z.  The loop decides
+once per state whether attempts from it may be Taylor ones: the field has
+a `linear_part` (L, F) and the controls F z are unsaturated, ‖F z‖∞ ≤ 1.
+It tests this at t0 and after each stage-loop step; a Taylor step ends at
+its own last check point, which passed the same test.  The block is built
+for such states only, and since it depends on z alone, a retry at the same
+z keeps it; the loop carries nothing else between attempts.  Each kernel
+returns the order of its error estimate, err = O(h^order), and the
+controller scales the attempted h by 0.9·(tol/err)^(1/order), within
+[0.2, 5].  The first step is sized by the starting-step rule of Hairer,
+Nørsett & Wanner (Solving ODEs I, §II.4), in the norm of the loop's error
+test, for the order of the kernel that takes the first attempt: p + 1 = 17
+when z0 may take Taylor attempts and its block is finite, else 5.  The
+rule probes the field once, at t0 + h0 along the slope at t0.
 
-- the Taylor kernel, for a field that declares a `linear_part` (L, F) (the
-  semiglobal protocols) while its controls stay unsaturated.  There the
-  loop is ż = L z, so z(t + h) = e^{hL} z, and the kernel sums its Taylor
-  polynomial of degree p = 16 (Al-Mohy & Higham, "Computing the action of
-  the matrix exponential", SIAM J. Sci. Comput. 33, 2011).  One product of
-  an 11-row polynomial matrix with the Krylov block of z,
-  [z, k1, L k1, …, Lᵖ k1] = [Lᵏ z], k ≤ p + 1, gives rows 0–8 the check
-  points z(θh), θ = 0, 1/8, …, 1 (row 8 the result z(h)), row 9 the first
-  omitted term (hL)^(p+1)/(p+1)! z, whose norm is the error estimate (order
-  p + 1 = 17), and row 10 the FSAL slope L z(h).  The controls F z(θh) of
-  every check point are tested, θ = 0 because the step may start from a
-  state the stage loop reached, and a finite product certifies the step:
-  the kernel makes no field call.  The error estimate is at least a bound
-  on the rounding of the sum z(h), so where the terms (hL)ᵏ/k! z cancel
-  the step shrinks until that rounding fits the tolerance.  An attempt
-  takes at most the block's reach, the h at which the first omitted term,
-  read from the block's last row L^(p+1) z, is 0.9^(p+1) of the tolerance
-  at z, so the controller's growth does not overshoot the step that term
-  allows.  The block takes p products with L, so the kernel holds O(dim)
-  doubles besides L.
+- the Taylor kernel, for the semiglobal protocols while their controls
+  stay unsaturated.  There the loop is ż = L z, so z(t + h) = e^{hL} z, and
+  the kernel sums its Taylor polynomial of degree p = 16 (Al-Mohy & Higham,
+  "Computing the action of the matrix exponential", SIAM J. Sci. Comput.
+  33, 2011).  One product of a 10-row polynomial matrix with the Krylov
+  block of z, [z, k1, L k1, …, Lᵖ k1] = [Lᵏ z], k ≤ p + 1, gives rows 0–7
+  the check points z(θh), θ = 1/8, …, 1 (row 7 the result z(h)), row 8 the
+  first omitted term (hL)^(p+1)/(p+1)! z, whose norm is the error estimate
+  (order p + 1 = 17), and row 9 the FSAL slope L z(h).  The controls
+  F z(θh) of every check point are tested, and a finite product certifies
+  the step: the kernel makes no field call.  The error estimate is at
+  least a bound on the rounding of the sum z(h), so where the terms
+  (hL)ᵏ/k! z cancel the step shrinks until that rounding fits the
+  tolerance.  An attempt takes at most the block's reach, the h at which
+  the first omitted term, read from the block's last row L^(p+1) z, is
+  0.9^(p+1) of the tolerance at z, so the controller's growth does not
+  overshoot the step that term allows.  The block takes p products with
+  L, so the kernel holds O(dim) doubles besides L.
   `IntegratorStats.n_linear_steps` counts the kernel's steps.  They are
   long, so the controls recorded at accepted states sample |u| coarsely
   in time; `Trajectory.check_control_peak` keeps the largest |u| at the
   check points of the accepted kernel steps, and `sync_metrics` reads it.
 - the Dormand-Prince 5(4) stage loop, one field call per stage, for every
   other attempt: a field with no linear part (the global protocols), a
-  check point whose controls exceed 1 in magnitude (the start point among
-  them), or a product that is not finite.  It runs at the controller's h,
-  or, where check point θ_j, j ≥ 1, is the first to saturate, at θ_j times
-  the Taylor attempt's h, so the step ends where the controls saturate.
-  Its error estimate has order 5.  Apart from the call at t0 and the
-  start-step probe, it is the only caller of the field.
+  start point whose controls exceed 1 in magnitude, a check point that
+  does, or a product that is not finite.  It runs at the controller's h,
+  or, where check point θ is the first to saturate, at θ times the Taylor
+  attempt's h, so the step ends where the controls saturate.  Its error
+  estimate has order 5.  Apart from the call at t0 and the start-step
+  probe, it is the only caller of the field.
 """
 
 from __future__ import annotations
@@ -85,10 +88,10 @@ _DP_B4 = np.array(
 _DP_E = _DP_B5 - _DP_B4  # embedded error weights
 
 
-# The Taylor kernel: degree p, and the check points z(θh), θ = 0, 1/8, …, 1,
+# The Taylor kernel: degree p, and the check points z(θh), θ = 1/8, …, 1,
 # whose controls must stay unsaturated for a step to be linear.
 _P = 16
-_N_CHECKS = 9
+_N_CHECKS = 8
 # Each entry of a sum of p + 1 terms loses at most (p + 1)·ε_mach times the
 # sum of their magnitudes to rounding (Higham, Accuracy and Stability of
 # Numerical Algorithms, §3.1).
@@ -99,16 +102,16 @@ _FACT_ORDER = float(math.factorial(_P + 1))
 def _taylor_polynomials():
     """One step of ż = L z as polynomials in x = hL, applied to z.
 
-    Row j < 9 holds the check point z(θh) = Σ_{k≤p} (θx)ᵏ/k! z for
-    θ = j/8 (row 8 is the step's result z(h)); row 9 holds the first omitted
-    term x^(p+1)/(p+1)! z, the error estimate, and row 10 the FSAL slope
-    L z(h).  Column k holds the coefficient of Lᵏ z, and the powers table
-    the power of h it carries: k, and k − 1 in row 10, whose extra L is not
-    scaled by h.
+    Row j < 8 holds the check point z(θh) = Σ_{k≤p} (θx)ᵏ/k! z for
+    θ = (j + 1)/8 (row 7 is the step's result z(h)); row 8 holds the first
+    omitted term x^(p+1)/(p+1)! z, the error estimate, and row 9 the FSAL
+    slope L z(h).  Column k holds the coefficient of Lᵏ z, and the powers
+    table the power of h it carries: k, and k − 1 in row 9, whose extra L
+    is not scaled by h.
     """
     k = np.arange(_P + 2)
     inv_fact = np.array([1.0 / math.factorial(j) for j in k])
-    theta = np.arange(_N_CHECKS) / (_N_CHECKS - 1)
+    theta = np.arange(1, _N_CHECKS + 1) / _N_CHECKS
     poly = np.zeros((_N_CHECKS + 2, _P + 2))
     poly[:_N_CHECKS, :-1] = theta[:, None] ** k[:-1] * inv_fact[:-1]
     poly[-2, -1] = inv_fact[-1]
@@ -122,8 +125,9 @@ _TAYLOR_POLY, _TAYLOR_POWERS = _taylor_polynomials()
 
 
 class IntegrationError(RuntimeError):
-    """Step-size underflow or a non-finite step size; carries the time and
-    state where it happened."""
+    """Step-size underflow, a non-finite step size, or a non-finite start
+    state or slope, and, as `DivergenceError`, a non-finite accepted state;
+    carries the time and state where it happened."""
 
     def __init__(self, message, t, z):
         super().__init__(message)
@@ -131,13 +135,8 @@ class IntegrationError(RuntimeError):
         self.z = z
 
 
-class DivergenceError(RuntimeError):
-    """Non-finite state encountered."""
-
-    def __init__(self, message, t, z):
-        super().__init__(message)
-        self.t = t
-        self.z = z
+class DivergenceError(IntegrationError):
+    """Non-finite accepted state."""
 
 
 @dataclass
@@ -242,27 +241,29 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
     k1 = field_fn(t, z)
     stats.n_field_evals += 1
     linear = getattr(field_fn, "linear_part", None)  # (L, F)
-    V = None if linear is None else _krylov(linear[0], z, k1)
-    # size the start for the Taylor kernel if z0 is unsaturated and its
-    # block finite, and for the stage loop otherwise
-    order = 5
-    if (V is not None and np.isfinite(V).all()
-            and np.abs(linear[1] @ z).max() <= 1.0):
-        order = _P + 1
+
+    def unsaturated(z):  # whether attempts from z may be Taylor ones
+        return linear is not None and np.abs(linear[1] @ z).max() <= 1.0
+
+    taylor = unsaturated(z)
+    V = _krylov(linear[0], z, k1) if taylor else None
+    # size the start for the Taylor kernel if z0 may take it and its block
+    # is finite, and for the stage loop otherwise
+    order = _P + 1 if taylor and np.isfinite(V).all() else 5
     h = _initial_step(field_fn, t, z, k1, tf - t0, rtol, atol, stats, order)
     u_peak = 0.0  # the largest |u| that an accepted attempt tested
     while t < tf:
         h = min(h, tf - t)
         step = None
-        if linear is not None:
+        if taylor:
             if V is None:  # the block of z; a retry at the same z keeps it
                 V = _krylov(linear[0], z, k1)
             h_k = min(h, _reach(V, atol + rtol * _norm(z)))
-            step, onset = _taylor_step(linear[1], V, h_k)
+            step, theta = _taylor_step(linear[1], V, h_k)
             if step is not None:
                 h = h_k
-            elif onset:  # j ≥ 1: the stage loop stops where u saturates
-                h = onset / (_N_CHECKS - 1) * h_k
+            elif theta is not None:  # the stage loop stops where u saturates
+                h = theta * h_k
         by_kernel = step is not None
         if not by_kernel:
             step = _field_stages(field_fn, t, z, k1, h, stats)
@@ -273,8 +274,11 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
             q = tol / err if err > 0 else np.inf
         if q >= 1.0:
             t_new = t + h
-            if not by_kernel:  # a kernel step is finite by construction
+            # a kernel step is finite, and unsaturated at its end point z(h),
+            # by construction
+            if not by_kernel:
                 _check_finite(t_new, z_new)
+                taylor = unsaturated(z_new)
             t, z, k1 = t_new, z_new, k_new  # FSAL: k_new is the field at z_new
             V = None
             stats.n_steps += 1
@@ -359,17 +363,17 @@ def _reach(V, tol):
 
 
 def _taylor_step(F, V, h):
-    """Taylor kernel: (step, onset) of one attempt from the Krylov block V
-    of z, with no field call, from one product of the scaled polynomial
-    matrix with V (rows as in `_taylor_polynomials`).
+    """Taylor kernel: (step, theta) of one attempt from the Krylov block V
+    of an unsaturated z, with no field call, from one product of the scaled
+    polynomial matrix with V (rows as in `_taylor_polynomials`).
 
     step is (z(h), err, L z(h), p + 1, peak), peak the largest |u| of the
     controls F z(θh) at the check points, or None if the product is not
-    finite or a check point's controls saturate (z and z(h) among them).
-    onset is the index j of the first check point θ_j = j/8 whose controls
-    saturate, and None when none does.  Rows 8 and 10 carry every entry of
-    the block with a nonzero coefficient, so a non-finite block gives a
-    non-finite product.
+    finite or a check point's controls saturate (z(h) among them).  theta
+    is the fraction θ of the first check point whose controls saturate,
+    and None when none does.  Rows 7 and 9 carry every entry of the block
+    with a nonzero coefficient, so a non-finite block gives a non-finite
+    product.
 
     err is the larger of the norm of the first omitted term, O(h^(p+1)),
     and the bound `_ROUNDING`·‖Σₖ |hᵏ/k! Lᵏ z|‖ on the rounding of the sum
@@ -384,7 +388,7 @@ def _taylor_step(F, V, h):
     U = np.abs(Z[:_N_CHECKS] @ F.T)
     peak = U.max()
     if peak > 1.0:
-        return None, int(np.argmax(U.max(axis=1) > 1.0))
+        return None, (int(np.argmax(U.max(axis=1) > 1.0)) + 1) / _N_CHECKS
     # row θ = 1 of C holds the weights hᵏ/k! of the terms
     rounding = _ROUNDING * _norm(C[_N_CHECKS - 1, :-1] @ np.abs(V[:-1]))
     err = max(_norm(Z[_N_CHECKS]), rounding)
@@ -420,7 +424,7 @@ class SyncMetrics:
 
     max_control_inf_norm is the peak pre-saturation |u| at the accepted
     states and, on a semiglobal run, at the Taylor kernel's check points of
-    its accepted steps (`Trajectory.check_control_peak`), nine a step.  It
+    its accepted steps (`Trajectory.check_control_peak`), eight a step.  It
     is not taken over continuous time, so it moves with the step sequence;
     ε* selection judges SAT_MARGIN on this sampled peak."""
 

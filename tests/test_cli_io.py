@@ -370,6 +370,21 @@ class TestCommandLine:
             assert code == EXIT_ASSERTION
             assert captured.err.startswith("error:")
 
+    def test_divergence_exit_code(self, tmp_path, capsys, monkeypatch):
+        # DivergenceError is an IntegrationError: a run that diverges exits
+        # 3 with an error line, not a traceback
+        def diverge(*args, **kwargs):
+            raise satsync.sim.DivergenceError("non-finite state at t=1", 1.0,
+                                              np.array([np.inf]))
+
+        monkeypatch.setattr(satsync.cli_io, "run_protocol", diverge)
+        path = write_scenario(tmp_path, SCALAR_SCENARIO)
+        code = main(["simulate", "--scenario", str(path),
+                     "--protocol", "semiglobal-full", "--epsilon", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_ASSERTION == 3
+        assert capsys.readouterr().err.startswith("error: non-finite state")
+
     def test_riccati_prints_solution(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SCALAR_SCENARIO)
         code = main(

@@ -38,8 +38,9 @@ def decay(t, z):
 
 
 def taylor_rows(V, h):
-    """The Taylor kernel's product with the block V: rows 0–8 the check
-    points, row 9 the first omitted term and row 10 the FSAL slope."""
+    """The Taylor kernel's product with the block V: rows 0–7 the check
+    points θ = 1/8, …, 1, row 8 the first omitted term and row 9 the FSAL
+    slope."""
     return (sim._TAYLOR_POLY * h**sim._TAYLOR_POWERS) @ V
 
 
@@ -166,6 +167,20 @@ class TestAdaptiveRk45:
 
         with np.errstate(all="ignore"), pytest.raises(IntegrationError):
             integrate(huge, [1e200], (0.0, 1.0))
+
+    def test_divergence_detected_adaptive(self):
+        """ż = 10 from z0 = 1: the stage loop's error estimate is 0, so each
+        step grows five-fold until z overflows near t = 3.5e307.  The
+        accepted state is not finite, and the run raises DivergenceError,
+        an IntegrationError, there."""
+        from satsync.sim import IntegrationError
+
+        assert issubclass(DivergenceError, IntegrationError)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as info:
+            integrate(lambda t, z: np.array([10.0]), [1.0], (0.0, 1e308))
+        assert 1e307 < info.value.t < 1e308
+        assert not np.isfinite(info.value.z).all()
 
     def test_divergence_detected_fixed_step(self):
         with pytest.raises(DivergenceError):
@@ -328,11 +343,11 @@ class TestLinearKernel:
                                             log10_hL):
         """One Taylor attempt on ż = L z from the Krylov block V of z and h,
         with ‖u‖∞ ≤ 0.5 at every check point: its check points and FSAL
-        slope match expm(θhL) z, θ = 0, 1/8, …, 1, and L expm(hL) z, and its
+        slope match expm(θhL) z, θ = 1/8, …, 1, and L expm(hL) z, and its
         error row (hL)¹⁷/17! z, each to 1e-12 relative.  The step returns
-        rows 8 and 10, the larger of row 9's norm and the rounding bound of
-        row 8, and the check points' peak |F z(θh)|, with no saturation
-        onset.  Repeating an attempt of either kernel after one at another h
+        rows 7 and 9, the larger of row 8's norm and the rounding bound of
+        row 7, and the check points' peak |F z(θh)|, with no saturating
+        check point.  Repeating an attempt of either kernel after one at another h
         gives the same bits, and the arguments, the block among them, are
         read-only, so no attempt writes into its inputs or into what another
         returned."""
@@ -345,7 +360,7 @@ class TestLinearKernel:
         h = 10.0**log10_hL / np.linalg.norm(L, 2)
         z = rng.standard_normal(L.shape[0])
         flow = np.array([sla.expm(theta * h * L) @ z
-                         for theta in np.arange(9) / 8])
+                         for theta in np.arange(1, 9) / 8])
         scale = 0.5 / np.abs(flow @ F.T).max()
         z, flow = scale * z, scale * flow
         k1 = L @ z
@@ -360,23 +375,24 @@ class TestLinearKernel:
 
         C = sim._TAYLOR_POLY * h**sim._TAYLOR_POWERS
         Z = C @ V
+        assert Z.shape == (10, z.size)
         np.testing.assert_allclose(
-            Z[:9], flow, rtol=0, atol=1e-12 * np.abs(flow).max())
-        np.testing.assert_allclose(Z[9], last, rtol=0,
+            Z[:8], flow, rtol=0, atol=1e-12 * np.abs(flow).max())
+        np.testing.assert_allclose(Z[8], last, rtol=0,
                                    atol=1e-12 * last_scale)
         np.testing.assert_allclose(
-            Z[10], L @ flow[-1], rtol=0,
+            Z[9], L @ flow[-1], rtol=0,
             atol=1e-12 * np.abs(L @ flow[-1]).max())
-        step, onset = _taylor_step(F, V, h)
-        assert onset is None
+        step, theta = _taylor_step(F, V, h)
+        assert theta is None
         z_h, err, k_new, order, peak = step
-        np.testing.assert_array_equal(z_h, Z[8])
-        np.testing.assert_array_equal(k_new, Z[10])
-        # row 8 of C holds the weights hᵏ/k! of the terms of z(h)
+        np.testing.assert_array_equal(z_h, Z[7])
+        np.testing.assert_array_equal(k_new, Z[9])
+        # row 7 of C holds the weights hᵏ/k! of the terms of z(h)
         assert sim._ROUNDING == 17 * np.finfo(float).eps
-        rounding = sim._ROUNDING * np.linalg.norm(C[8, :-1] @ np.abs(V[:-1]))
-        assert (err, order) == (max(np.linalg.norm(Z[9]), rounding), 17)
-        assert peak == np.abs(Z[:9] @ F.T).max()
+        rounding = sim._ROUNDING * np.linalg.norm(C[7, :-1] @ np.abs(V[:-1]))
+        assert (err, order) == (max(np.linalg.norm(Z[8]), rounding), 17)
+        assert peak == np.abs(Z[:8] @ F.T).max()
 
         stats = IntegratorStats()
         kernels = (lambda h: _taylor_step(F, V, h)[0],
@@ -392,9 +408,8 @@ class TestLinearKernel:
                 np.testing.assert_array_equal(a, b)
         assert stats.n_field_evals == 18
 
-    # onsets: the run has a Taylor attempt from an unsaturated state that
-    # saturates at a later check point (in the first, every failed attempt
-    # starts saturated)
+    # onsets: the run has a Taylor attempt that saturates at a check point
+    # (in the first, every Taylor attempt keeps ‖u‖∞ ≤ 1)
     @pytest.mark.parametrize("epsilon, half_width, onsets", [
         pytest.param(0.25, 3.0, False, id="0.25-3.0"),
         pytest.param(0.5, 4.0, True, id="0.5-4.0"),
@@ -402,14 +417,16 @@ class TestLinearKernel:
     def test_saturated_steps_take_the_stage_loop(self, epsilon, half_width,
                                                  onsets, monkeypatch):
         """A saturating start: both kernels run, and the stage loop takes at
-        least as many steps as start from a state with ‖u‖∞ > 1.  Up to the
-        first attempt from an unsaturated state the run is the stage loop's
-        own, with the same states and the same saturation_events.  Where
-        check point θ_j = j/8, j ≥ 1, is the first of a Taylor attempt at h
-        to saturate, the stage-loop attempt that follows ends there, at
-        θ_j·h.  Every accepted Taylor step's check points z(θh) keep
-        ‖u‖∞ ≤ 1, and the trajectory's check_control_peak is the largest of
-        them."""
+        least as many steps as start from a state with ‖u‖∞ > 1.  Every
+        Taylor attempt starts from a state with ‖u‖∞ ≤ 1, and every
+        stage-loop attempt from such a state follows a Taylor attempt from
+        it that failed.  Up to the first Taylor attempt the run is the
+        stage loop's own, with the same states and the same
+        saturation_events.  Where check point θ of a Taylor attempt at h is
+        the first to saturate, the stage-loop attempt that follows ends
+        there, at θ·h.  Every accepted Taylor step's check points z(θh)
+        keep ‖u‖∞ ≤ 1, and the trajectory's check_control_peak is the
+        largest of them."""
         model = triple_integrator()
         field = ClosedLoopField(model, chain_net(3),
                                 semiglobal_full(model, epsilon))
@@ -418,17 +435,17 @@ class TestLinearKernel:
             -half_width, half_width, field.layout.dim)
         stages = integrate(StageLoopOnly(field), z0, (0.0, 20.0),
                            rtol=1e-6, atol=1e-8)
-        # per attempt: the Taylor kernel's (V, h, step, onset), then the h
-        # of the stage loop when it ran
+        # every attempt in order: (z, h, None) of the stage loop, and
+        # (z, h, (V, step, theta)) of the Taylor kernel
         attempts = []
 
         def taylor_step(F, V, h):
-            step, onset = _taylor_step(F, V, h)
-            attempts.append([V, h, step, onset, None])
-            return step, onset
+            step, theta = _taylor_step(F, V, h)
+            attempts.append((V[0], h, (V, step, theta)))
+            return step, theta
 
         def field_stages(field_fn, t, z, k1, h, stats):
-            attempts[-1][-1] = h
+            attempts.append((z, h, None))
             return _field_stages(field_fn, t, z, k1, h, stats)
 
         monkeypatch.setattr(sim, "_taylor_step", taylor_step)
@@ -440,27 +457,32 @@ class TestLinearKernel:
         assert traj.stats.n_linear_steps <= traj.stats.n_steps - saturated.sum()
 
         peaks, n_onsets = [], 0  # peaks of the accepted Taylor steps
-        for V, h, step, onset, h_stages in attempts:
+        for i, (z, h, taylor) in enumerate(attempts):
+            if taylor is None:
+                if np.abs(F @ z).max() <= 1.0:
+                    z_t, h_t, (_, step, theta) = attempts[i - 1]
+                    assert (z_t == z).all() and step is None
+                    assert h == theta * h_t
+                continue
+            assert np.abs(F @ z).max() <= 1.0
+            V, step, theta = taylor
             Z = taylor_rows(V, h)
-            u = np.abs(Z[:9] @ F.T).max(axis=1)
+            u = np.abs(Z[:8] @ F.T).max(axis=1)
             if step is not None:
-                assert onset is None and h_stages is None
-                np.testing.assert_array_equal(Z[8], step[0])
+                assert theta is None
+                np.testing.assert_array_equal(Z[7], step[0])
                 if (traj.states == step[0]).all(axis=1).any():
                     peaks.append(u.max())
                 continue
-            assert u.max() > 1.0 and onset == np.argmax(u > 1.0)
-            if onset >= 1:
-                n_onsets += 1
-                assert h_stages == pytest.approx(onset / 8 * h, rel=1e-15)
+            assert u.max() > 1.0 and theta == (np.argmax(u > 1.0) + 1) / 8
+            n_onsets += 1
         assert n_onsets > 0 or not onsets
         assert len(peaks) == traj.stats.n_linear_steps
         assert max(peaks) <= 1.0
         assert traj.check_control_peak == max(peaks)
 
-        # the start of the first attempt from an unsaturated state
-        z_first = next(V[0] for V, *_ in attempts
-                       if np.abs(F @ V[0]).max() <= 1.0)
+        # the start of the first Taylor attempt
+        z_first = next(z for z, _, taylor in attempts if taylor is not None)
         first = np.nonzero((traj.states == z_first).all(axis=1))[0][0]
         np.testing.assert_array_equal(traj.states[:first + 1],
                                       stages.states[:first + 1])
@@ -481,11 +503,11 @@ class TestLinearKernel:
         rounded = []  # attempts whose err exceeds the first omitted term
 
         def taylor_step(F, V, h):
-            step, onset = _taylor_step(F, V, h)
+            step, theta = _taylor_step(F, V, h)
             if step is not None:
-                omitted = np.linalg.norm(taylor_rows(V, h)[9])
+                omitted = np.linalg.norm(taylor_rows(V, h)[8])
                 rounded.append(step[1] > omitted)
-            return step, onset
+            return step, theta
 
         monkeypatch.setattr(sim, "_taylor_step", taylor_step)
         L = np.array([[-1.0, 1e4], [0.0, -1.0]])
@@ -533,24 +555,36 @@ class TestLinearKernel:
             assert h <= reach(V, rtol, atol)
 
     def test_retry_keeps_the_block(self, monkeypatch):
-        """The Krylov block depends on z alone, so a run builds one per
-        state that an attempt starts from, n_steps in all, however many
-        attempts are rejected.  The saturating run rejects some."""
-        blocks = []
+        """Only a state whose controls are unsaturated, ‖F z‖∞ ≤ 1, takes
+        Taylor attempts, and the Krylov block depends on z alone.  So a run
+        builds one block at each accepted state with ‖F z‖∞ ≤ 1 that
+        attempts start from, in order, however many of them are rejected:
+        the saturating run takes more Taylor attempts than it builds
+        blocks, and builds none at its saturated states."""
+        blocks, n_attempts = [], []
 
         def krylov(L, z, k1):
             blocks.append(z)
             return _krylov(L, z, k1)
 
+        def taylor_step(F, V, h):
+            n_attempts.append(h)
+            return _taylor_step(F, V, h)
+
         monkeypatch.setattr(sim, "_krylov", krylov)
+        monkeypatch.setattr(sim, "_taylor_step", taylor_step)
         model = triple_integrator()
         field = ClosedLoopField(model, chain_net(3),
                                 semiglobal_full(model, 0.5))
+        F = field.linear_part[1]
         z0 = np.random.default_rng(1).uniform(-4.0, 4.0, field.layout.dim)
         traj = integrate(field, z0, (0.0, 20.0), rtol=1e-6, atol=1e-8)
+        starts = traj.states[:-1]
+        unsaturated = [np.abs(F @ z).max() <= 1.0 for z in starts]
         assert traj.stats.n_rejected > 0
-        assert len(blocks) == traj.stats.n_steps
-        np.testing.assert_array_equal(blocks, traj.states[:-1])
+        assert 0 < len(blocks) < traj.stats.n_steps
+        assert len(n_attempts) > len(blocks)
+        np.testing.assert_array_equal(blocks, starts[unsaturated])
 
     def test_kernel_holds_no_power_of_L(self):
         """A dim-256 field whose steps are all linear: z(T) matches
