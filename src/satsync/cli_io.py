@@ -320,8 +320,10 @@ def run_protocol(
         max_control_inf_norm=metrics.max_control_inf_norm,
         saturation_events=[list(e) for e in events],
         wall_clock_seconds=elapsed,
+        # the step options the method used: RK4's dt, RK45's tolerances
         integrator={"method": method, **asdict(traj.stats),
-                    "rtol": rtol, "atol": atol},
+                    **({"dt": dt} if method == "fixed_rk4"
+                       else {"rtol": rtol, "atol": atol})},
     )
     return traj, report
 

@@ -9,13 +9,15 @@ times (T,): it is called once per run, on all accepted states at once.
 
 RK45 has one step-size controller and one accept path, and two kernels for
 an attempted step.  An attempt is a pure function of (t, z, k1 = f(t, z),
-h) and, for the Taylor kernel, of the Krylov block of z.  The loop decides
-once per state whether attempts from it may be Taylor ones: the field has
-a `linear_part` (L, F) and the controls F z are unsaturated, ‖F z‖∞ ≤ 1.
-It tests this at t0 and after each stage-loop step; a Taylor step ends at
-its own last check point, which passed the same test.  The block is built
-for such states only, and since it depends on z alone, a retry at the same
-z keeps it; the loop carries nothing else between attempts.  Each kernel
+h) and, for the Taylor kernel, of the Krylov block of z and the tolerance
+at z.  The block is the loop's one Taylor state: the block of z when
+attempts from z may be Taylor ones, and None otherwise.  They may when the
+field has a `linear_part` (L, F) and the controls F z are unsaturated,
+‖F z‖∞ ≤ 1.  The loop tests this at t0 and after each stage-loop step; a
+Taylor step ends at its own last check point, which passed the same test.
+It builds the block at t0 and at each accepted state before tf that
+passes, and since the block depends on z alone, a retry at the same z
+keeps it; the loop carries nothing else between attempts.  Each kernel
 returns the order of its error estimate, err = O(h^order), and the
 controller scales the attempted h by 0.9·(tol/err)^(1/order), within
 [0.2, 5].  The first step is sized by the starting-step rule of Hairer,
@@ -37,10 +39,11 @@ rule probes the field once, at t0 + h0 along the slope at t0.
   the step: the kernel makes no field call.  The error estimate is at
   least a bound on the rounding of the sum z(h), so where the terms
   (hL)ᵏ/k! z cancel the step shrinks until that rounding fits the
-  tolerance.  An attempt takes at most the block's reach, the h at which
-  the first omitted term, read from the block's last row L^(p+1) z, is
-  0.9^(p+1) of the tolerance at z, so the controller's growth does not
-  overshoot the step that term allows.  The block takes p products with
+  tolerance.  The kernel caps each attempt at the block's reach, the h at
+  which the first omitted term, read from the block's last row
+  L^(p+1) z, is 0.9^(p+1) of the tolerance at z, so the controller's
+  growth does not overshoot the step that term allows, and returns the h
+  it covers or hands on to the stage loop.  The block takes p products with
   L, so the kernel holds O(dim) doubles besides L.
   `IntegratorStats.n_linear_steps` counts the kernel's steps.  They are
   long, so the controls recorded at accepted states sample |u| coarsely
@@ -49,11 +52,12 @@ rule probes the field once, at t0 + h0 along the slope at t0.
 - the Dormand-Prince 5(4) stage loop, one field call per stage, for every
   other attempt: a field with no linear part (the global protocols), a
   start point whose controls exceed 1 in magnitude, a check point that
-  does, or a product that is not finite.  It runs at the controller's h,
-  or, where check point θ is the first to saturate, at θ times the Taylor
-  attempt's h, so the step ends where the controls saturate.  Its error
-  estimate has order 5.  Apart from the call at t0 and the start-step
-  probe, it is the only caller of the field.
+  does, or a product that is not finite.  After a failed Taylor attempt
+  it runs at the h the kernel hands on, else at the controller's h.
+  Where check point θ is the first to saturate, that h is θ times the
+  attempt's capped h, so the step ends where the controls saturate.  Its
+  error estimate has order 5.  Apart from the call at t0 and the
+  start-step probe, it is the only caller of the field.
 """
 
 from __future__ import annotations
@@ -242,28 +246,21 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
     stats.n_field_evals += 1
     linear = getattr(field_fn, "linear_part", None)  # (L, F)
 
-    def unsaturated(z):  # whether attempts from z may be Taylor ones
-        return linear is not None and np.abs(linear[1] @ z).max() <= 1.0
+    def block(z, k1):  # the Krylov block of z if attempts from z may be Taylor
+        unsaturated = linear is not None and np.abs(linear[1] @ z).max() <= 1.0
+        return _krylov(linear[0], z, k1) if unsaturated else None
 
-    taylor = unsaturated(z)
-    V = _krylov(linear[0], z, k1) if taylor else None
+    V = block(z, k1)
     # size the start for the Taylor kernel if z0 may take it and its block
     # is finite, and for the stage loop otherwise
-    order = _P + 1 if taylor and np.isfinite(V).all() else 5
+    order = _P + 1 if V is not None and np.isfinite(V).all() else 5
     h = _initial_step(field_fn, t, z, k1, tf - t0, rtol, atol, stats, order)
     u_peak = 0.0  # the largest |u| that an accepted attempt tested
     while t < tf:
         h = min(h, tf - t)
         step = None
-        if taylor:
-            if V is None:  # the block of z; a retry at the same z keeps it
-                V = _krylov(linear[0], z, k1)
-            h_k = min(h, _reach(V, atol + rtol * _norm(z)))
-            step, theta = _taylor_step(linear[1], V, h_k)
-            if step is not None:
-                h = h_k
-            elif theta is not None:  # the stage loop stops where u saturates
-                h = theta * h_k
+        if V is not None:  # a retry at the same z keeps the block
+            h, step = _taylor_step(linear[1], V, h, atol + rtol * _norm(z))
         by_kernel = step is not None
         if not by_kernel:
             step = _field_stages(field_fn, t, z, k1, h, stats)
@@ -273,14 +270,13 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
             tol = atol + rtol * _norm(z_new)
             q = tol / err if err > 0 else np.inf
         if q >= 1.0:
-            t_new = t + h
+            t, z, k1 = t + h, z_new, k_new  # FSAL: k_new is the field at z_new
             # a kernel step is finite, and unsaturated at its end point z(h),
             # by construction
             if not by_kernel:
-                _check_finite(t_new, z_new)
-                taylor = unsaturated(z_new)
-            t, z, k1 = t_new, z_new, k_new  # FSAL: k_new is the field at z_new
-            V = None
+                _check_finite(t, z)
+            if t < tf:
+                V = _krylov(linear[0], z, k1) if by_kernel else block(z, k1)
             stats.n_steps += 1
             stats.n_linear_steps += by_kernel
             u_peak = max(u_peak, peak)
@@ -352,28 +348,25 @@ def _krylov(L, z, k1):
     return V
 
 
-def _reach(V, tol):
-    """The h at which the first omitted term (hL)^(p+1)/(p+1)! z, read from
-    the block's last row L^(p+1) z, reaches 0.9^(p+1)·tol; inf where that
-    row's norm is 0 or not finite."""
-    last = _norm(V[-1])
-    if not 0.0 < last < math.inf:
-        return math.inf
-    return 0.9 * (tol * _FACT_ORDER / last) ** (1.0 / (_P + 1))
-
-
-def _taylor_step(F, V, h):
-    """Taylor kernel: (step, theta) of one attempt from the Krylov block V
-    of an unsaturated z, with no field call, from one product of the scaled
+def _taylor_step(F, V, h, tol):
+    """Taylor kernel: (h, step) of one attempt from the Krylov block V of an
+    unsaturated z, with no field call, from one product of the scaled
     polynomial matrix with V (rows as in `_taylor_polynomials`).
+
+    The attempt takes at most the block's reach: the h at which the first
+    omitted term (hL)^(p+1)/(p+1)! z, read from the block's last row
+    L^(p+1) z, is 0.9^(p+1)·tol.  A last row whose norm is 0 or not finite
+    sets no reach.  The returned h is the h the attempt covers: the capped
+    h with a step, and with None the h that the stage loop takes in its
+    place, θ times the capped h where check point θ is the first whose
+    controls saturate, and the capped h where the product is not finite.
+    Rows 7 and 9 carry every entry of the block with a nonzero
+    coefficient, so a non-finite block gives a non-finite product, and it
+    has no reach: the stage loop takes the h asked for.
 
     step is (z(h), err, L z(h), p + 1, peak), peak the largest |u| of the
     controls F z(θh) at the check points, or None if the product is not
-    finite or a check point's controls saturate (z(h) among them).  theta
-    is the fraction θ of the first check point whose controls saturate,
-    and None when none does.  Rows 7 and 9 carry every entry of the block
-    with a nonzero coefficient, so a non-finite block gives a non-finite
-    product.
+    finite or a check point's controls saturate (z(h) among them).
 
     err is the larger of the norm of the first omitted term, O(h^(p+1)),
     and the bound `_ROUNDING`·‖Σₖ |hᵏ/k! Lᵏ z|‖ on the rounding of the sum
@@ -381,19 +374,23 @@ def _taylor_step(F, V, h):
     bound rejects the attempt until the step is short enough for the
     rounding to fit the tolerance.
     """
+    last = _norm(V[-1])
+    if 0.0 < last < math.inf:
+        h = min(h, 0.9 * (tol * _FACT_ORDER / last) ** (1.0 / (_P + 1)))
     C = _TAYLOR_POLY * h**_TAYLOR_POWERS
     Z = C @ V
     if not np.isfinite(Z).all():
-        return None, None
+        return h, None
     U = np.abs(Z[:_N_CHECKS] @ F.T)
     peak = U.max()
-    if peak > 1.0:
-        return None, (int(np.argmax(U.max(axis=1) > 1.0)) + 1) / _N_CHECKS
+    if peak > 1.0:  # the stage loop stops where u saturates
+        theta = (int(np.argmax(U.max(axis=1) > 1.0)) + 1) / _N_CHECKS
+        return theta * h, None
     # row θ = 1 of C holds the weights hᵏ/k! of the terms
     rounding = _ROUNDING * _norm(C[_N_CHECKS - 1, :-1] @ np.abs(V[:-1]))
     err = max(_norm(Z[_N_CHECKS]), rounding)
     # a copy: states keep z(h), not Z
-    return (Z[_N_CHECKS - 1].copy(), err, Z[-1], _P + 1, peak), None
+    return h, (Z[_N_CHECKS - 1].copy(), err, Z[-1], _P + 1, peak)
 
 
 def _norm(v):

@@ -123,6 +123,14 @@ class TestScenarioParsing:
             scenario_from_dict(bad)
         assert any(ptr == "/network/root_set" for ptr, _ in exc.value.problems)
 
+    def test_three_dimensional_matrix_reported(self):
+        bad = json.loads(json.dumps(SCALAR_SCENARIO))
+        bad["model"]["A"] = [bad["model"]["A"]]
+        with pytest.raises(ScenarioValidationError) as exc:
+            scenario_from_dict(bad)
+        assert exc.value.problems == [
+            ("/model/A", "A must be a 2-d array, got ndim=3")]
+
     def test_load_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -240,6 +248,14 @@ class TestTrajectoryCsv:
             data[:, 1 : 1 + N * n], traj.states[:, : N * n], rtol=1e-15
         )
 
+    def test_trajectory_without_layout_rejected(self, tmp_path):
+        # a plain function field gives a trajectory with no stacked layout
+        traj = satsync.integrate(lambda t, z: -z, [1.0], (0.0, 1.0))
+        assert traj.layout is None
+        with pytest.raises(ValueError, match="layout"):
+            write_trajectory_csv(traj, tmp_path / "traj.csv")
+        assert not (tmp_path / "traj.csv").exists()
+
     def test_partial_layout_adds_observer_columns(self, tmp_path):
         sc = bundled_scenario(3)
         from satsync import global_partial
@@ -265,6 +281,24 @@ class TestRunProtocol:
         assert report.protocol == "semiglobal-full"
 
 
+    def test_report_records_the_step_options_of_its_method(self):
+        """An RK4 run's report carries its dt and no tolerances; an RK45
+        run's carries its tolerances, last, and no dt."""
+        sc = scenario_from_dict(SCALAR_SCENARIO)
+        kind = semiglobal_full(sc.model, 1.0)
+        _, rk4 = run_protocol(sc, kind, t_final=1.0, method="fixed_rk4",
+                              dt=0.01)
+        assert rk4.integrator["method"] == "fixed_rk4"
+        assert rk4.integrator["n_steps"] == 100
+        assert rk4.integrator["dt"] == 0.01
+        assert "rtol" not in rk4.integrator and "atol" not in rk4.integrator
+        _, rk45 = run_protocol(sc, kind, t_final=1.0, rtol=1e-6, atol=1e-8)
+        assert list(rk45.integrator)[-2:] == ["rtol", "atol"]
+        assert rk45.integrator["rtol"] == 1e-6
+        assert rk45.integrator["atol"] == 1e-8
+        assert "dt" not in rk45.integrator
+
+
 class TestCommandLine:
     def test_check_ok(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SCALAR_SCENARIO)
@@ -278,6 +312,19 @@ class TestCommandLine:
         with pytest.warns(UserWarning):
             code = main(["check", "--scenario", str(path)])
         assert code == EXIT_VALIDATION
+
+    def test_check_root_beyond_the_last_agent_exit_code(self, tmp_path,
+                                                        capsys):
+        bad = json.loads(json.dumps(SCALAR_SCENARIO))
+        bad["network"]["root_set"] = [3]  # N = 2
+        with pytest.raises(ScenarioValidationError) as exc:
+            scenario_from_dict(bad)
+        assert exc.value.problems == [
+            ("/network", "root_set indices out of range")]
+        path = write_scenario(tmp_path, bad)
+        assert main(["check", "--scenario", str(path)]) == EXIT_VALIDATION
+        assert ("/network: root_set indices out of range"
+                in capsys.readouterr().err)
 
     def test_invalid_scenario_exit_code(self, tmp_path, capsys):
         bad = json.loads(json.dumps(SCALAR_SCENARIO))

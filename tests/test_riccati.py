@@ -345,6 +345,31 @@ class TestStacked:
                 row, fn(*(x[i:i + 1] for x in args))[0])
 
 
+    def test_bartels_stewart_drops_the_rows_whose_solve_fails(self):
+        """On the triple integrator's Schur form T, nilpotent, the shift 0
+        makes T⊗I + I⊗T singular and the shift 1 does not: the mask drops
+        the first row, and W holds the second, which solves
+        TW + WTᵀ + W = I."""
+        T, _ = sla.schur(triple_integrator().A)
+        W, kept = riccati._bartels_stewart(
+            T, np.array([0.0, 1.0])[:, None, None], np.eye(3))
+        assert kept.tolist() == [False, True]
+        assert W.shape == (1, 3, 3)
+        np.testing.assert_allclose(T @ W[0] + W[0] @ T.T + W[0], np.eye(3),
+                                   rtol=0, atol=1e-14)
+
+
+class TestHamiltonianSchur:
+    def test_singular_subspace_basis_raises(self):
+        """A = 1, G = 0, Q = 1: the Hamiltonian [[1, 0], [−1, −1]] has the
+        stable eigenvector (0, 1), whose upper block U1 = 0 cannot give
+        P = U2 U1⁻¹."""
+        with pytest.raises(RiccatiError,
+                           match=r"ill-conditioned \(cond=inf\)"):
+            _care_schur(np.array([[1.0]]), np.array([[0.0]]),
+                        np.array([[1.0]]))
+
+
 class TestCertify:
     # scheduled ARE of A = 0, B = 1 at ρ = 1: 2·(1/2)·P − P² = 0, solved by
     # P = 1 (closed loop −1/2) and by P = 0 (closed loop +1/2)

@@ -182,6 +182,21 @@ class TestAdaptiveRk45:
         assert 1e307 < info.value.t < 1e308
         assert not np.isfinite(info.value.z).all()
 
+    def test_step_size_underflow_raises(self):
+        """A field that is nan everywhere but at t = 0: every attempt is
+        rejected, h shrinks five-fold each time, and the run stops at t = 0
+        once h falls below DT_MIN."""
+        from satsync.sim import IntegrationError
+
+        def nan_after_start(t, z):
+            return z if t == 0.0 else np.full_like(z, np.nan)
+
+        with pytest.raises(IntegrationError,
+                           match="step size underflow") as info:
+            integrate(nan_after_start, [1.0], (0.0, 1.0))
+        assert info.value.t == 0.0
+        np.testing.assert_array_equal(info.value.z, [1.0])
+
     def test_divergence_detected_fixed_step(self):
         with pytest.raises(DivergenceError):
             integrate(
@@ -289,9 +304,11 @@ class TestLinearKernel:
                 (0.01 / d) ** (1 / order), rel=1e-14)
 
     def test_nonfinite_krylov_block_takes_the_stage_loop(self):
+        """A non-finite block sets no reach: the kernel hands the stage loop
+        the h it was asked for."""
         L, F = NonFiniteKernel.linear_part
         z = np.array([1.0])
-        assert _taylor_step(F, _krylov(L, z, -z), 0.1) == (None, None)
+        assert _taylor_step(F, _krylov(L, z, -z), 0.1, 1e-8) == (0.1, None)
         traj = integrate(NonFiniteKernel(), z, (0.0, 2.0))
         stages = integrate(decay, z, (0.0, 2.0))
         assert traj.stats.n_linear_steps == 0
@@ -344,13 +361,14 @@ class TestLinearKernel:
         """One Taylor attempt on ż = L z from the Krylov block V of z and h,
         with ‖u‖∞ ≤ 0.5 at every check point: its check points and FSAL
         slope match expm(θhL) z, θ = 1/8, …, 1, and L expm(hL) z, and its
-        error row (hL)¹⁷/17! z, each to 1e-12 relative.  The step returns
-        rows 7 and 9, the larger of row 8's norm and the rounding bound of
-        row 7, and the check points' peak |F z(θh)|, with no saturating
-        check point.  Repeating an attempt of either kernel after one at another h
-        gives the same bits, and the arguments, the block among them, are
-        read-only, so no attempt writes into its inputs or into what another
-        returned."""
+        error row (hL)¹⁷/17! z, each to 1e-12 relative.  At a tolerance
+        whose reach exceeds h, the kernel takes h itself, and the step
+        returns rows 7 and 9, the larger of row 8's norm and the rounding
+        bound of row 7, and the check points' peak |F z(θh)|, with no
+        saturating check point.  Repeating an attempt of either kernel
+        after one at another h gives the same bits, and the arguments, the
+        block among them, are read-only, so no attempt writes into its
+        inputs or into what another returned."""
         rng = np.random.default_rng(seed)
         model = random_admissible_model(rng, n_max=6)
         net = random_rooted_network(rng, int(rng.integers(1, 7)))
@@ -383,8 +401,11 @@ class TestLinearKernel:
         np.testing.assert_allclose(
             Z[9], L @ flow[-1], rtol=0,
             atol=1e-12 * np.abs(L @ flow[-1]).max())
-        step, theta = _taylor_step(F, V, h)
-        assert theta is None
+        # the reach at tol is 2^(1/17)·h: row 8 is 0.9¹⁷ tol / 2
+        tol = 2 * np.linalg.norm(Z[8]) / 0.9**17
+        assert h < reach(V, 0.0, tol)
+        h_step, step = _taylor_step(F, V, h, tol)
+        assert h_step == h and step is not None
         z_h, err, k_new, order, peak = step
         np.testing.assert_array_equal(z_h, Z[7])
         np.testing.assert_array_equal(k_new, Z[9])
@@ -395,7 +416,7 @@ class TestLinearKernel:
         assert peak == np.abs(Z[:8] @ F.T).max()
 
         stats = IntegratorStats()
-        kernels = (lambda h: _taylor_step(F, V, h)[0],
+        kernels = (lambda h: _taylor_step(F, V, h, tol)[1],
                    lambda h: _field_stages(lambda t, y: L @ y, 0.0, z, k1, h,
                                            stats))
         for kernel in kernels:
@@ -422,11 +443,12 @@ class TestLinearKernel:
         stage-loop attempt from such a state follows a Taylor attempt from
         it that failed.  Up to the first Taylor attempt the run is the
         stage loop's own, with the same states and the same
-        saturation_events.  Where check point θ of a Taylor attempt at h is
-        the first to saturate, the stage-loop attempt that follows ends
-        there, at θ·h.  Every accepted Taylor step's check points z(θh)
-        keep ‖u‖∞ ≤ 1, and the trajectory's check_control_peak is the
-        largest of them."""
+        saturation_events.  A Taylor attempt covers the asked h capped at
+        its block's reach; where check point θ of it is the first to
+        saturate, the kernel returns θ times that h, and the stage-loop
+        attempt that follows takes it, so it ends there.  Every accepted
+        Taylor step's check points z(θh) keep ‖u‖∞ ≤ 1, and the
+        trajectory's check_control_peak is the largest of them."""
         model = triple_integrator()
         field = ClosedLoopField(model, chain_net(3),
                                 semiglobal_full(model, epsilon))
@@ -436,13 +458,15 @@ class TestLinearKernel:
         stages = integrate(StageLoopOnly(field), z0, (0.0, 20.0),
                            rtol=1e-6, atol=1e-8)
         # every attempt in order: (z, h, None) of the stage loop, and
-        # (z, h, (V, step, theta)) of the Taylor kernel
+        # (z, h, (V, step, h_asked)) of the Taylor kernel, h the one it
+        # returned
         attempts = []
 
-        def taylor_step(F, V, h):
-            step, theta = _taylor_step(F, V, h)
-            attempts.append((V[0], h, (V, step, theta)))
-            return step, theta
+        def taylor_step(F, V, h, tol):
+            h_asked = h
+            h, step = _taylor_step(F, V, h, tol)
+            attempts.append((V[0], h, (V, step, h_asked)))
+            return h, step
 
         def field_stages(field_fn, t, z, k1, h, stats):
             attempts.append((z, h, None))
@@ -460,21 +484,23 @@ class TestLinearKernel:
         for i, (z, h, taylor) in enumerate(attempts):
             if taylor is None:
                 if np.abs(F @ z).max() <= 1.0:
-                    z_t, h_t, (_, step, theta) = attempts[i - 1]
+                    z_t, h_t, (_, step, _) = attempts[i - 1]
                     assert (z_t == z).all() and step is None
-                    assert h == theta * h_t
+                    assert h == h_t
                 continue
             assert np.abs(F @ z).max() <= 1.0
-            V, step, theta = taylor
-            Z = taylor_rows(V, h)
+            V, step, h_asked = taylor
+            h_cap = min(h_asked, reach(V, 1e-6, 1e-8))
+            Z = taylor_rows(V, h_cap)
             u = np.abs(Z[:8] @ F.T).max(axis=1)
             if step is not None:
-                assert theta is None
+                assert h == h_cap
                 np.testing.assert_array_equal(Z[7], step[0])
                 if (traj.states == step[0]).all(axis=1).any():
                     peaks.append(u.max())
                 continue
-            assert u.max() > 1.0 and theta == (np.argmax(u > 1.0) + 1) / 8
+            assert u.max() > 1.0
+            assert h == (np.argmax(u > 1.0) + 1) / 8 * h_cap
             n_onsets += 1
         assert n_onsets > 0 or not onsets
         assert len(peaks) == traj.stats.n_linear_steps
@@ -502,12 +528,12 @@ class TestLinearKernel:
         expm(T L) z0 to the run's local tolerance atol + rtol‖z(T)‖."""
         rounded = []  # attempts whose err exceeds the first omitted term
 
-        def taylor_step(F, V, h):
-            step, theta = _taylor_step(F, V, h)
+        def taylor_step(F, V, h, tol):
+            h, step = _taylor_step(F, V, h, tol)
             if step is not None:
                 omitted = np.linalg.norm(taylor_rows(V, h)[8])
                 rounded.append(step[1] > omitted)
-            return step, theta
+            return h, step
 
         monkeypatch.setattr(sim, "_taylor_step", taylor_step)
         L = np.array([[-1.0, 1e4], [0.0, -1.0]])
@@ -522,8 +548,9 @@ class TestLinearKernel:
     def test_case3_vertices_reject_no_attempt(self, monkeypatch):
         """select-eps on case 3 at half-width 0.05 runs ε = 1 from 257 box
         vertices, every step a Taylor one.  On every 16th vertex no attempt
-        is rejected, and every Taylor attempt is at most the reach of its
-        block, where the first omitted term is 0.9¹⁷ of the tolerance."""
+        is rejected, and every Taylor attempt takes the asked h capped at
+        the reach of its block, where the first omitted term is 0.9¹⁷ of
+        the tolerance."""
         from satsync import bundled_scenario
         from satsync.protocols import ProtocolKind
         from satsync.riccati import design_observer_gain
@@ -537,11 +564,12 @@ class TestLinearKernel:
         samples = sample_box_vertices(sets.halfwidths(field.layout))
         assert samples.shape[0] == 257
         rtol, atol = 1e-6, 1e-8
-        attempts = []  # (V, h) of every Taylor attempt
+        attempts = []  # (V, asked h, returned h) of every Taylor attempt
 
-        def taylor_step(F, V, h):
-            attempts.append((V, h))
-            return _taylor_step(F, V, h)
+        def taylor_step(F, V, h, tol):
+            h_step, step = _taylor_step(F, V, h, tol)
+            attempts.append((V, h, h_step))
+            return h_step, step
 
         monkeypatch.setattr(sim, "_taylor_step", taylor_step)
         n_steps = 0
@@ -551,8 +579,8 @@ class TestLinearKernel:
             assert traj.stats.n_linear_steps == traj.stats.n_steps > 0
             n_steps += traj.stats.n_steps
         assert len(attempts) == n_steps
-        for V, h in attempts:
-            assert h <= reach(V, rtol, atol)
+        for V, h, h_step in attempts:
+            assert h_step == min(h, reach(V, rtol, atol))
 
     def test_retry_keeps_the_block(self, monkeypatch):
         """Only a state whose controls are unsaturated, ‖F z‖∞ ≤ 1, takes
@@ -567,9 +595,9 @@ class TestLinearKernel:
             blocks.append(z)
             return _krylov(L, z, k1)
 
-        def taylor_step(F, V, h):
+        def taylor_step(F, V, h, tol):
             n_attempts.append(h)
-            return _taylor_step(F, V, h)
+            return _taylor_step(F, V, h, tol)
 
         monkeypatch.setattr(sim, "_krylov", krylov)
         monkeypatch.setattr(sim, "_taylor_step", taylor_step)
