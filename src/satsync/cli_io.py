@@ -56,6 +56,10 @@ class ScenarioValidationError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
+    """One validated scenario.  Its start arrays are held as read-only
+    float copies, so a scenario built in code from ints or lists hashes
+    the same as the file it was read from."""
+
     model: AgentModel
     net: Network
     x0: np.ndarray  # (N, n)
@@ -63,6 +67,12 @@ class Scenario:
     chi0: np.ndarray  # (N, n)
     xhat0: np.ndarray  # (N, n)
     coupling: str  # "full" | "partial"
+
+    def __post_init__(self):
+        for name in ("x0", "xr0", "chi0", "xhat0"):
+            M = np.array(getattr(self, name), dtype=float)  # a copy: frozen
+            M.setflags(write=False)
+            object.__setattr__(self, name, M)
 
     @property
     def N(self) -> int:
@@ -184,8 +194,8 @@ def scenario_from_dict(data: dict, source_name: str = "<dict>") -> Scenario:
     return Scenario(
         model=model,
         net=net,
-        x0=np.asarray(x0, dtype=float),
-        xr0=np.asarray(xr0, dtype=float).reshape(-1),
+        x0=x0,
+        xr0=xr0.reshape(-1),
         chi0=np.zeros((N, n)) if chi0 is None else chi0,
         xhat0=np.zeros((N, n)) if xhat0 is None else xhat0,
         coupling=coupling,
@@ -288,25 +298,25 @@ def run_protocol(
     kind: protocols.ProtocolKind,
     *,
     t_final: float = scheduling.T_VAL,
-    method: str = "adaptive_rk45",
-    dt: float = 1e-2,
+    dt: Optional[float] = None,
     rtol: float = sim.DEFAULT_RTOL,
     atol: float = sim.DEFAULT_ATOL,
 ):
     """Simulate one protocol on a scenario; returns (Trajectory, RunReport).
 
-    The run converged if its final sync error is below scheduling.TOL_VAL.
+    A given dt runs fixed-step RK4 at that step, and no dt runs adaptive
+    RK45 at rtol and atol (`sim.integrate`).  The run converged if its
+    final sync error is below scheduling.TOL_VAL.
     """
     for name, value in (("t_final", t_final), ("dt", dt)):
-        if not (np.isfinite(value) and value > 0):
+        if value is not None and not (np.isfinite(value) and value > 0):
             raise ParameterError(f"{name} must be positive and finite, got {value}")
     field_fn = protocols.ClosedLoopField(scenario.model, scenario.net, kind)
     z0 = field_fn.layout.pack(scenario.x0, scenario.xr0, scenario.chi0,
                               scenario.xhat0)
     start = time.perf_counter()
-    traj = sim.integrate(
-        field_fn, z0, (0.0, t_final), method=method, dt=dt, rtol=rtol, atol=atol
-    )
+    traj = sim.integrate(field_fn, z0, (0.0, t_final), dt=dt, rtol=rtol,
+                         atol=atol)
     elapsed = time.perf_counter() - start
     metrics = sim.sync_metrics(traj, scheduling.TOL_VAL)
     events = sim.saturation_events(traj)
@@ -320,10 +330,11 @@ def run_protocol(
         max_control_inf_norm=metrics.max_control_inf_norm,
         saturation_events=[list(e) for e in events],
         wall_clock_seconds=elapsed,
-        # the step options the method used: RK4's dt, RK45's tolerances
-        integrator={"method": method, **asdict(traj.stats),
-                    **({"dt": dt} if method == "fixed_rk4"
-                       else {"rtol": rtol, "atol": atol})},
+        # the step options the run read: RK4's dt, RK45's tolerances
+        integrator={"method": "adaptive_rk45" if dt is None else "fixed_rk4",
+                    **asdict(traj.stats),
+                    **({"rtol": rtol, "atol": atol} if dt is None
+                       else {"dt": dt})},
     )
     return traj, report
 
@@ -393,10 +404,8 @@ def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     kind = _build_kind(scenario, args.protocol, args.epsilon)
     out = _out_dir(args.out)
-    method = "fixed_rk4" if args.method == "rk4" else "adaptive_rk45"
-    traj, report = run_protocol(
-        scenario, kind, t_final=args.t_final, method=method, dt=args.dt
-    )
+    traj, report = run_protocol(scenario, kind, t_final=args.t_final,
+                                dt=args.dt)
     _write_run(traj, report, out)
     print(
         f"{kind.name}: final sync error {report.final_sync_error:.3e}, "
@@ -468,8 +477,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", required=True, choices=_PROTOCOL_CHOICES)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--t-final", type=float, default=scheduling.T_VAL)
-    p.add_argument("--dt", type=float, default=1e-2)
-    p.add_argument("--method", choices=("rk4", "rk45"), default="rk45")
+    # a step runs fixed-step RK4; without one the run is adaptive RK45
+    p.add_argument("--dt", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 

@@ -89,23 +89,6 @@ _LATTICE_RHO = np.ldexp(1.0 + np.arange(OCTAVE) / OCTAVE,
 _LATTICE_RHO.setflags(write=False)
 
 
-def _walk(r):
-    """t of an r-depth bisection walk for every pattern of the pass bits of
-    its 2ʳ − 1 rows, bit m − 1 for row m: from t = 0, depth d probes row
-    t + 2^(r − d) and moves t there if that row passes.
-
-    The first depth probes row 2^(r − 1), the middle bit; the rows below
-    it and the rows above it, less 2^(r − 1), are (r − 1)-depth walks on
-    the low and the high bits."""
-    if r == 0:
-        return np.zeros(1, dtype=np.uint16)
-    inner = _walk(r - 1)
-    t = np.empty((inner.size, 2, inner.size), dtype=np.uint16)
-    t[:, 0] = inner  # indexed by the low bits
-    t[:, 1] = inner[:, None] + (1 << (r - 1))  # by the high bits
-    return t.ravel()
-
-
 def _probe_block(done, r):
     """(offsets, weights, path) of the probe block that reads bisection
     depths done + 1 … done + r at once.
@@ -114,11 +97,17 @@ def _probe_block(done, r):
     2ʳ − 1, h = 2¹⁰ / 2^(done + r): `offsets` holds m·h.  The inner product
     of the rows' pass bits with `weights` is their pattern, bit m − 1 for
     row m, and `path[pattern]` is the offset t·h at which those depths
-    leave lo, for the t of `_walk(r)`."""
+    leave lo.  The table runs the bisection on every pattern at once: from
+    t = 0, depth d = 0 … r − 1 probes row t + 2^(r − 1 − d) and moves t
+    there if that row's bit is set."""
     h = OCTAVE >> (done + r)
     m = np.arange(1, 2**r)
-    path = _walk(r)
-    path *= h
+    patterns = np.arange(2**m.size)
+    t = np.zeros_like(patterns)
+    for d in range(r):
+        row = t + (1 << (r - 1 - d))
+        t = np.where((patterns >> (row - 1)) & 1, row, t)
+    path = (t * h).astype(np.uint16)
     path.setflags(write=False)
     return h * m, 1 << (m - 1), path
 
@@ -442,10 +431,8 @@ def _validate_epsilon(model, net, kind, samples, horizon) -> EpsilonTrial:
     field_fn = protocols.ClosedLoopField(model, net, kind)
     max_u = worst_err = 0.0
     for z0 in samples:
-        traj = sim.integrate(
-            field_fn, z0, (0.0, horizon), method="adaptive_rk45",
-            rtol=1e-6, atol=1e-8,
-        )
+        traj = sim.integrate(field_fn, z0, (0.0, horizon), rtol=1e-6,
+                             atol=1e-8)
         metrics = sim.sync_metrics(traj, TOL_VAL)
         u_inf = metrics.max_control_inf_norm
         err = float(metrics.error_series[-1])

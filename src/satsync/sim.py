@@ -1,11 +1,13 @@
 """ODE integration of closed-loop fields and trajectory diagnostics.
 
-Two explicit Runge-Kutta methods: classic fixed-step RK4 and adaptive
-Dormand-Prince RK45.  A field exposing a `control_info(t, z)` method gets
-the pre-saturation controls (and realized schedule values, when present) of
-every accepted state recorded.  The field must be a pure function of the
-state, and `control_info` must accept a stack of states (T, dim) with their
-times (T,): it is called once per run, on all accepted states at once.
+Two explicit Runge-Kutta methods, chosen by whether a step is given:
+classic RK4 at a fixed step dt, and otherwise adaptive Dormand-Prince RK45
+at the tolerances rtol and atol.  A field exposing a `control_info(t, z)`
+method gets the pre-saturation controls (and realized schedule values,
+when present) of every accepted state recorded.  The field must be a pure
+function of the state, and `control_info` must accept a stack of states
+(T, dim) with their times (T,): it is called once per run, on all
+accepted states at once.
 
 RK45 has one step-size controller and one accept path, and two kernels for
 an attempted step.  An attempt is a pure function of (t, z, k1 = f(t, z),
@@ -196,25 +198,24 @@ def integrate(
     z0,
     t_span,
     *,
-    method: str = "adaptive_rk45",
-    dt: float = 1e-2,
+    dt: Optional[float] = None,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> Trajectory:
-    """Integrate ż = field_fn(t, z) over t_span, recording accepted steps."""
+    """Integrate ż = field_fn(t, z) over t_span, recording accepted steps:
+    by fixed-step RK4 at step dt when dt is given, else by adaptive RK45 at
+    the tolerances rtol and atol, which RK4 does not read."""
     t0, tf = float(t_span[0]), float(t_span[1])
     if not -math.inf < t0 < tf < math.inf:  # also false for a nan
         raise ValueError("t_span must be finite and increasing")
     z0 = np.asarray(z0, dtype=float).reshape(-1)
-    if method == "fixed_rk4":
+    if dt is not None:
         if not 0 < dt < math.inf:
             raise ValueError("dt must be finite and positive")
         return _integrate_rk4(field_fn, z0, t0, tf, dt)
-    if method == "adaptive_rk45":
-        if not (0 < rtol < math.inf and 0 < atol < math.inf):
-            raise ValueError("tolerances must be finite and positive")
-        return _integrate_rk45(field_fn, z0, t0, tf, rtol, atol)
-    raise ValueError(f"unknown method {method!r}")
+    if not (0 < rtol < math.inf and 0 < atol < math.inf):
+        raise ValueError("tolerances must be finite and positive")
+    return _integrate_rk45(field_fn, z0, t0, tf, rtol, atol)
 
 
 def _integrate_rk4(field_fn, z0, t0, tf, dt):
@@ -242,6 +243,12 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
     stats = IntegratorStats()
     times, states = [t0], [z0]
     t, z = t0, z0
+    # a z0 whose norm overflows fails before the field sees it, with no
+    # numpy warning from the field or the norm
+    with np.errstate(over="ignore"):
+        if not math.isfinite(_norm(z)):
+            raise IntegrationError(
+                f"non-finite initial state norm at t={t:.6g}", t, z)
     k1 = field_fn(t, z)
     stats.n_field_evals += 1
     linear = getattr(field_fn, "linear_part", None)  # (L, F)
@@ -304,10 +311,9 @@ def _initial_step(field_fn, t, z, k1, span, rtol, atol, stats, order):
     with d = max(‖k1‖/s, d2), at most 100·h0 and the span, at least DT_MIN.
     """
     norm_z, norm_f = _norm(z), _norm(k1)
-    if not (math.isfinite(norm_z) and math.isfinite(norm_f)):
-        # z0 or f(t0, z0) overflowed or holds a nan
+    if not math.isfinite(norm_f):  # f(t0, z0) overflowed or holds a nan
         raise IntegrationError(
-            f"non-finite initial state or slope at t={t:.6g}", t, z)
+            f"non-finite initial slope at t={t:.6g}", t, z)
     scale = atol + rtol * norm_z
     d0, d1 = norm_z / scale, norm_f / scale
     h0 = min(1e-6 if min(d0, d1) < 1e-5 else 0.01 * d0 / d1, span)

@@ -266,9 +266,7 @@ def test_criterion_8_integrator_order_and_determinism(tmp_path):
         exact = 1.0 / (1.0 + 9.0 * np.exp(-2.0))
 
         def err(dt):
-            traj = integrate(
-                logistic, [0.1], (0.0, 2.0), method="fixed_rk4", dt=dt
-            )
+            traj = integrate(logistic, [0.1], (0.0, 2.0), dt=dt)
             return abs(traj.states[-1, 0] - exact)
 
         ratio = err(0.02) / err(0.01)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -144,7 +145,8 @@ class TestScenarioParsing:
 
     def test_fingerprint_hashes_the_validated_scenario(self, tmp_path):
         # integer literals, the same file with float literals, reordered
-        # keys and a written-out default, and the Scenario built in code
+        # keys and a written-out default, and the Scenario built in code,
+        # also from an integer array and from a list
         ints = {
             "model": {"A": [[0]], "B": [[1]], "C": [[1]]},
             "network": {"adjacency": [[0, 0], [1, 0]], "root_set": [1]},
@@ -170,7 +172,10 @@ class TestScenarioParsing:
         )
         loaded = [load_scenario(write_scenario(tmp_path, d, f"{i}.json"))
                   for i, d in enumerate((ints, floats))]
-        assert len({sc.fingerprint() for sc in loaded + [built]}) == 1
+        built_from = [dataclasses.replace(built, x0=built.x0.astype(int)),
+                      dataclasses.replace(built, xr0=[0.0])]
+        assert len({sc.fingerprint()
+                    for sc in loaded + [built] + built_from}) == 1
 
 
 JSON_VALUES = st.recursive(
@@ -286,8 +291,7 @@ class TestRunProtocol:
         run's carries its tolerances, last, and no dt."""
         sc = scenario_from_dict(SCALAR_SCENARIO)
         kind = semiglobal_full(sc.model, 1.0)
-        _, rk4 = run_protocol(sc, kind, t_final=1.0, method="fixed_rk4",
-                              dt=0.01)
+        _, rk4 = run_protocol(sc, kind, t_final=1.0, dt=0.01)
         assert rk4.integrator["method"] == "fixed_rk4"
         assert rk4.integrator["n_steps"] == 100
         assert rk4.integrator["dt"] == 0.01
@@ -367,7 +371,7 @@ class TestCommandLine:
         ["select-eps", "--half-width", "inf"],
         ["simulate", "--t-final", "0"],
         ["simulate", "--t-final", "inf"],
-        ["simulate", "--method", "rk4", "--dt", "0"],
+        ["simulate", "--dt", "0"],
         ["simulate", "--dt", "nan"],
         ["simulate", "--protocol", "global-full"],
     ], ids=" ".join)
@@ -473,6 +477,25 @@ class TestCommandLine:
         assert ("eps[1]" in header) == protocol.startswith("global")
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["protocol"] == protocol
+
+    def test_simulate_with_dt_runs_fixed_step_rk4(self, tmp_path, capsys):
+        """--dt selects fixed-step RK4, which runs to the end at that step
+        and reports it; simulate has no --method flag."""
+        path = Path(satsync.__file__).parent / "data" / "case1.json"
+        argv = ["simulate", "--scenario", str(path),
+                "--protocol", "global-partial", "--t-final", "1",
+                "--out", str(tmp_path / "o")]
+        assert main(argv + ["--dt", "0.01"]) == EXIT_OK
+        capsys.readouterr()
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        integrator = report["integrator"]
+        assert integrator["method"] == "fixed_rk4"
+        assert integrator["n_steps"] == 100
+        assert integrator["dt"] == 0.01
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--method", "rk4"])
+        assert info.value.code == 2  # argparse's usage error
+        assert "unrecognized arguments: --method" in capsys.readouterr().err
 
     def test_simulate_global_on_a_model_with_a_stable_mode(self, tmp_path,
                                                             capsys):
