@@ -1,26 +1,20 @@
 """State-dependent gain schedule ε(χ) and semi-global ε* selection.
 
-The schedule picks the largest ρ ∈ (0,1] for which
+The global protocols use ε(χ), the largest ρ ∈ (0,1] with
 
     g(ρ, χ) = χᵀP_ρχ · trace(BᵀP_ρB) = χᵀS_ρχ = ⟨vec S_ρ, χ⊗χ⟩ ≤ 1,
 
-which keeps ‖BᵀP_ρχ‖ ≤ 1 so the control never saturates.  g is nondecreasing
-in ρ, so the maximizer is found by scanning a dyadic grid and bisecting the
-bracketing interval.  Every ρ probed or returned lies on the dyadic lattice
-
-    ρ(k, j) = 2⁻ᵏ + 2⁻ᵏ·j/2¹⁰,   octave k ∈ [0, 20], index j ∈ [0, 2¹⁰),
-
-whose points are exact binary floats.  `PCache` holds one row per lattice
-point, at its id k·2¹⁰ + j, so ARE solves are shared across calls and all
-agents are scheduled together as array operations: χ⊗χ is formed once per
-call, and each g is one inner product of it with a table row read as vec S.
-The grid rows j = 0 are solved with the table, so the grid scan only reads;
-an octave is filled when the bisection first probes it.  The bisection
-reads its 10 steps in three probe blocks: each gathers, per agent, the
-2ʳ − 1 rows its next r steps could probe (r = 4, 3, 3), filled first unless
-every octave read is complete, and a table reads the path of those steps
-from the rows' pass bits.  A row no solver certifies, on the grid or off
-it, holds NaN and reads as failing.
+which keeps ‖BᵀP_ρχ‖ ≤ 1 so the control never saturates.  g is
+nondecreasing in ρ, so ε(χ) is the root of g = 1 and moves continuously
+with χ.  `PCache` solves the scheduled ARE at the 641 values of
+`TABLE_RHO` when it is built: ρ = 1, then 32 rows per octave down to
+2⁻²⁰.  `schedule` reads the whole table in one scan per call: it takes the
+certified row of largest ρ with g ≤ 1 and interpolates the quadratic form S
+toward the next larger row, to where g reaches 1 − 2⁻⁴⁰.  At 32 rows per
+octave, ε on 3,000 random states of the triple integrator (scales 10⁻¹ …
+10⁵) agrees with the largest g ≤ 1 point of a lattice of 2¹⁰ points per
+octave, found by bisection, to −3.9e-4 … +9.1e-4 relative.  A row no
+solver certifies holds NaN and reads as failing.
 
 The semi-global ε* has no constructive formula; it is selected by validating
 candidate ε values on closed-loop simulations from a deterministic sample of
@@ -46,12 +40,19 @@ from .riccati import (
 
 RHO_MIN = 2.0**-20
 GRID = tuple(2.0**-k for k in range(21))  # 1, 1/2, ..., 2^-20
-BISECTION_DEPTH = 10  # relative interval width 2^-10 < 1e-3
-OCTAVE = 2**BISECTION_DEPTH  # lattice points per grid interval
-GRID_IDS = np.arange(len(GRID)) * OCTAVE  # lattice ids k·2¹⁰ of the grid
-# the bisection depths read per probe block: (4, 3, 3)
-BLOCK_DEPTHS = tuple(BISECTION_DEPTH // 3 + (i < BISECTION_DEPTH % 3)
-                     for i in range(3))
+ROWS_PER_OCTAVE = 32
+# ρ of each table row, largest first: 1, then 2⁻ᵏ(1 + j/32) for octaves
+# k = 1 … 20 and j = 31 … 0, all exact binary floats; row 32k is 2⁻ᵏ
+TABLE_RHO = np.concatenate(([1.0], np.ldexp(
+    1.0 + np.arange(ROWS_PER_OCTAVE - 1, -1, -1) / ROWS_PER_OCTAVE,
+    -np.arange(1, len(GRID))[:, None]).ravel()))
+TABLE_RHO.setflags(write=False)
+# the value of g the interpolation aims at: 2¹² ulps below 1, room for the
+# rounding of g between two rows
+ONE_MINUS = 1.0 - 2.0**-40
+# states per scan: the scan's g array is then at most 128 × 641 doubles
+_PART = 128
+_TINY = np.finfo(float).tiny
 
 # Semi-global search parameters (validated by direct simulation, not by the
 # existential constants of the convergence analysis).
@@ -65,7 +66,7 @@ MAX_VERTEX_SAMPLES = 256
 
 
 class ScheduleFloorError(RuntimeError):
-    """g > 1 at every certified grid row, ρ_min among them: the state left
+    """g > 1 at every certified table row, ρ_min among them: the state left
     the region the schedule can serve."""
 
     def __init__(self, chi_norm):
@@ -83,201 +84,136 @@ class SelectionError(RuntimeError):
         self.trials = trials
 
 
-# ρ of every lattice id k·2¹⁰ + j, evaluated once (168 KB)
-_LATTICE_RHO = np.ldexp(1.0 + np.arange(OCTAVE) / OCTAVE,
-                        -np.arange(len(GRID))[:, None]).ravel()
-_LATTICE_RHO.setflags(write=False)
-
-
-def _probe_block(done, r):
-    """(offsets, weights, path) of the probe block that reads bisection
-    depths done + 1 … done + r at once.
-
-    From lo, those depths can probe only the 2ʳ − 1 rows lo + m·h, m = 1 …
-    2ʳ − 1, h = 2¹⁰ / 2^(done + r): `offsets` holds m·h.  The inner product
-    of the rows' pass bits with `weights` is their pattern, bit m − 1 for
-    row m, and `path[pattern]` is the offset t·h at which those depths
-    leave lo.  The table runs the bisection on every pattern at once: from
-    t = 0, depth d = 0 … r − 1 probes row t + 2^(r − 1 − d) and moves t
-    there if that row's bit is set."""
-    h = OCTAVE >> (done + r)
-    m = np.arange(1, 2**r)
-    patterns = np.arange(2**m.size)
-    t = np.zeros_like(patterns)
-    for d in range(r):
-        row = t + (1 << (r - 1 - d))
-        t = np.where((patterns >> (row - 1)) & 1, row, t)
-    path = (t * h).astype(np.uint16)
-    path.setflags(write=False)
-    return h * m, 1 << (m - 1), path
-
-
-# one probe block per entry of BLOCK_DEPTHS; their path tables take 65 KB
-_BLOCKS = tuple(_probe_block(sum(BLOCK_DEPTHS[:i]), r)
-                for i, r in enumerate(BLOCK_DEPTHS))
-# agents per pass through the blocks: a block then gathers at most 2¹⁰ rows,
-# one octave of the table, however many states a call schedules
-_BLOCK_AGENTS = OCTAVE // len(_BLOCKS[0][0])
-
-
-def lattice_rho(ids):
-    """ρ(k, j) = ldexp(1 + j/2¹⁰, −k) of the lattice ids k·2¹⁰ + j, exactly,
-    read from a table evaluated once.  ids must be lattice ids, integers in
-    [0, 21·2¹⁰)."""
-    return _LATTICE_RHO[ids]
-
-
 class PCache:
-    """Scheduled-ARE solutions in one table indexed by lattice id.
+    """The scheduled ARE solved at every ρ of `TABLE_RHO`, when it is built.
 
-    Row i = k·2¹⁰ + j holds what the schedule reads of P at ρ =
-    `lattice_rho(i)`: the quadratic form S = tr(BᵀPB)·P of g and the gain
-    BᵀP, and `filled[i]` says whether it has been solved.  `complete[k]`
-    says that octave k's stacked solve certified, and so filled, every row
-    of it.  The arrays are allocated empty for the whole lattice, so only
-    the pages of filled rows become resident.  Construction solves ρ = 1
-    into row 0, which checks that the model is admissible, then the grid
-    rows k·2¹⁰ from one stacked Lyapunov solve, and `fill`s the grid ids:
-    each grid row the stack does not certify is solved alone.  `fill`
-    solves the other rows as the schedule asks for them.  Every filled row
-    holds exactly the bits of `solve_scheduled_are(model, ρ)`, or NaN where
-    it raises RiccatiError, whatever was filled before.
+    Row i holds what the schedule reads of P at ρ = TABLE_RHO[i]: the
+    quadratic form S = t·P of g, with t = tr(BᵀPB), and the record
+    (ρ, t², vec BᵀS) that the schedule interpolates, BᵀS = t·BᵀP.  Row 0
+    is the checked `solve_scheduled_are(model, 1.0)`, which raises
+    RiccatiError unless the model is admissible.  Rows 1–640 come from one
+    stacked Lyapunov solve (`riccati.scheduled_lyapunov`), and each row it
+    does not certify from a lone `solution`, by the Hamiltonian method, or
+    holds NaN where no solver certifies.  So every row is that of
+    `solve_scheduled_are(model, ρ)`, bit for bit, or NaN.  On the triple
+    integrator the stack certifies every row and a build takes about
+    10 ms; rows that fall to the Hamiltonian method cost about 0.3 ms each,
+    so a table on a random test model takes 0.2–0.6 s.
+
+    `table` holds vec S of every row as the columns of one (n², 641) array,
+    the layout the schedule's scan reads, and `S` (641, n, n) is a view of
+    it; `gain` holds the records as its rows (641, 2 + m·n).
     """
 
     def __init__(self, model: AgentModel):
         self.model = model
-        size, n, m = len(GRID) * OCTAVE, model.n, model.m
-        self.S = np.empty((size, n, n))
-        self.BtP = np.empty((size, m, n))
-        self.filled = np.zeros(size, dtype=bool)
-        self.complete = np.zeros(len(GRID), dtype=bool)
-        self._fill(0, solve_scheduled_are(model, 1.0).P)
-        P, _, certified = scheduled_lyapunov(model, lattice_rho(GRID_IDS[1:]))
-        self._fill(GRID_IDS[1:][certified], P)
-        self.fill(GRID_IDS)
+        P = np.full((len(TABLE_RHO), model.n, model.n), np.nan)
+        P[0] = solve_scheduled_are(model, 1.0).P
+        stacked, _, certified = scheduled_lyapunov(model, TABLE_RHO[1:])
+        P[1:][certified] = stacked
+        for i in np.flatnonzero(~certified) + 1:
+            try:
+                P[i] = self.solution(float(TABLE_RHO[i])).P
+            except RiccatiError:  # no solver certifies the row: NaN
+                pass
+        S, BtS, t2 = _rows(model.B, P)
+        self.table = np.ascontiguousarray(S.reshape(len(P), -1).T)
+        self.S = self.table.T.reshape(S.shape)
+        self.gain = np.column_stack((TABLE_RHO, t2, BtS.reshape(len(P), -1)))
 
     def solution(self, rho: float) -> RiccatiSolution:
         """The certified solve at ρ, cold: the table is not consulted."""
         return solve_scheduled_are(self.model, rho)
 
     def g(self, rho: float, chi: np.ndarray) -> float:
-        S, _ = _row(self.model.B, self.solution(rho).P)
-        return float(_g(_kron(np.asarray(chi, dtype=float)), S.reshape(-1)))
-
-    def fill(self, ids: np.ndarray) -> None:
-        """Solve the rows of the lattice ids that are not filled yet.
-
-        An octave k ≥ 1 with a missing non-grid id and no filled non-grid
-        row gets one stacked Lyapunov solve (`riccati.scheduled_lyapunov`),
-        which fills every row of it that the Lyapunov form certifies, and
-        is complete if that is every row.  Every missing id left, grid ids
-        among them, is then solved on its own, by the Hamiltonian method
-        where the Lyapunov form does not certify, and holds NaN where no
-        solver certifies.  A fill that returns has filled every id it was
-        asked for, so an octave with a filled non-grid row has been
-        stacked.  Octave 0, whose only ρ in (0, 1] is row 0, never is.
-        """
-        missing = ~self.filled[ids]
-        if not missing.any():
-            return
-        new = np.unique(ids[missing])
-        for k in np.unique(new[new % OCTAVE > 0] // OCTAVE):
-            rows = np.arange(k * OCTAVE, (k + 1) * OCTAVE)
-            if k == 0 or self.filled[rows[1:]].any():
-                continue
-            P, _, certified = scheduled_lyapunov(self.model,
-                                                 lattice_rho(rows))
-            self._fill(rows[certified], P)
-            self.complete[k] = certified.all()
-        new = new[~self.filled[new]]
-        for i, rho in zip(new.tolist(), lattice_rho(new).tolist()):
-            try:
-                P = self.solution(rho).P
-            except RiccatiError:  # no solver certifies the row
-                P = np.full_like(self.S[i], np.nan)
-            self._fill(i, P)
-
-    def _fill(self, i, P):
-        """Rows i from P: one row from (n, n), or rows from a stack."""
-        self.S[i], self.BtP[i] = _row(self.model.B, P)
-        self.filled[i] = True
+        """g(ρ, χ) = ⟨vec S_ρ, χ⊗χ⟩ of a cold solve at ρ."""
+        S = _rows(self.model.B, self.solution(rho).P)[0]
+        kron = _kron(np.asarray(chi, dtype=float).reshape(1, -1))
+        return float(_g(kron, S.reshape(-1, 1))[0, 0])
 
 
-def _row(B, P):
-    """(S, BᵀP) with S = tr(BᵀPB)·P: the table rows of P (…, n, n)."""
+def _rows(B, P):
+    """(S, BᵀS, t²) with t = tr(BᵀPB) and S = t·P: the table rows of P
+    (…, n, n)."""
     BtP = B.T @ P
-    return np.trace(BtP @ B, axis1=-2, axis2=-1)[..., None, None] * P, BtP
+    t = np.trace(BtP @ B, axis1=-2, axis2=-1)
+    return t[..., None, None] * P, t[..., None, None] * BtP, t * t
 
 
 def _kron(chi):
-    """χ⊗χ of states chi (…, n), as (…, n²) in the order of vec S."""
-    return (chi[..., :, None] * chi[..., None, :]).reshape(
-        chi.shape[:-1] + (-1,))
+    """χ⊗χ of states chi (N, n), as (N, n²) in the order of vec S."""
+    return (chi[:, :, None] * chi[:, None, :]).reshape(len(chi), -1)
 
 
-def _g(kron, vec_S):
-    """g = ⟨vec S, χ⊗χ⟩ over broadcast stacks of χ⊗χ (…, n²) and of table
-    rows read as vec S (…, n²).
-
-    `PCache.g` evaluates this same expression, so it and the schedule give
-    the same bits."""
-    return np.vecdot(kron, vec_S)
+def _g(kron, table):
+    """g = ⟨vec S, χ⊗χ⟩ of each χ⊗χ of kron (N, n²) with each column vec S
+    of table (n², R): (N, R).  It is a stack of N one-row products, each
+    made by the same BLAS call, so a state's g has the same bits whatever
+    other states are in the call; one (N, n²) product would not."""
+    return (kron[:, None, :] @ table)[:, 0]
 
 
 def schedule(chi: np.ndarray, cache: PCache):
-    """ε(χᵢ) and uᵢ = −BᵀP_ε χᵢ for the agent states chi (N, n).
+    """ε(χᵢ) and the controls uᵢ of the agent states chi (N, n); returns
+    (eps (N,), U (N, m)).
 
-    εᵢ is the largest ρ ∈ (0,1] with g(ρ, χᵢ) ≤ 1, to 1e-3 relative
-    bisection width; returns (eps (N,), U (N, m)).  Raises
-    ScheduleFloorError for the lowest-index agent with g > 1 at every
-    certified grid row.
+    One scan takes g at every row of the table, and j is the certified row
+    of largest ρ with g ≤ 1.  Raises ScheduleFloorError for the
+    lowest-index state with g > 1 at every certified row.  The next larger
+    row j⁺ has g > 1 or holds NaN.  S_λ = (1 − λ)S_j + λS_{j⁺} makes g
+    linear in λ, so
 
-    The grid scan is one inner product of χ⊗χ with each of the 21 grid
-    rows.  A grid row no solver certifies holds NaN and fails: an agent
-    that passes a deeper certified grid row bisects that row's octave, so
-    it gets a certified row with g ≤ 1, if not the largest, and an
-    unsaturated control.
-    The bisection is three probe blocks of `BLOCK_DEPTHS` steps.  A block
-    gathers, per agent, the rows its steps could probe, takes their inner
-    products with χ⊗χ in one call, and reads the steps' path from the pass
-    bits, for at most `_BLOCK_AGENTS` agents at a time: at most 2¹⁰ rows,
-    one octave, however many states are asked for.  If a bisecting agent's
-    octave is not complete, each block `cache.fill`s its rows first.  The
-    path's comparisons are those of a step-by-step bisection, at the same
-    rows, so ε and U keep their bits.  A row no solver certifies holds NaN
-    and fails: an agent whose path probes it gets the last row it passed.
+        λ = (1⁻ − g_j)/(g_{j⁺} − g_j),  1⁻ = `ONE_MINUS`,
+
+    clipped at 0, gives g_λ = 1⁻.  λ = 0 at row 0 and where row j⁺ holds
+    NaN.  Then ε = ρ_j + λ(ρ_{j⁺} − ρ_j), at least ρ_j, and u = −BᵀP̃χ
+    with P̃ = S_λ/τ and τ² = (1 − λ)t_j² + λt_{j⁺}².  P̃ is PSD and
+    tr(BᵀP̃B) = τ, so g(P̃, χ) = χᵀS_λχ = g_λ ≤ 1, and Cauchy–Schwarz gives
+    ‖u‖² ≤ χᵀP̃χ·tr(BᵀP̃B) ≤ 1.  P̃ is not itself an ARE solution, and ε is
+    in general not a table row: no ARE is solved at ε.
+
+    States are scanned in parts of at most 128, so a call on a whole
+    trajectory's states holds at most 128 × 641 values of g at once.
     """
     chi = np.asarray(chi, dtype=float)
-    kron = _kron(chi)
-    grid = cache.S.reshape(len(GRID), OCTAVE, -1)[:, 0]
-    ok = _g(kron[:, None, :], grid) <= 1.0
-    passed = ok.any(axis=1)
+    if len(chi) <= _PART:
+        return _scan(chi, cache)
+    eps, U = zip(*(_scan(chi[first:first + _PART], cache)
+                   for first in range(0, len(chi), _PART)))
+    return np.concatenate(eps), np.concatenate(U)
+
+
+def _scan(chi, cache):
+    """`schedule` of at most `_PART` states."""
+    g = _g(_kron(chi), cache.table)
+    j = (g <= 1.0).argmax(axis=1)  # rows run from the largest ρ down
+    agents = np.arange(len(chi))
+    g_j = g[agents, j]
+    passed = g_j <= 1.0
     # count_nonzero: on a few dozen agents, a third of the cost of .all()
     if np.count_nonzero(passed) < passed.size:
         raise ScheduleFloorError(float(np.linalg.norm(chi[passed.argmin()])))
-    k = ok.argmax(axis=1)
-    ids = k * OCTAVE
-    b = k.nonzero()[0]
-    if b.size:  # bisect [2⁻ᵏ, 2⁻ᵏ⁺¹] on its lattice; ρ(k, lo) always passes
-        lo, kron_b = ids[b], kron[b][:, None, :]
-        vec_S = cache.S.reshape(len(cache.S), -1)
-        fill = np.count_nonzero(cache.complete[k[b]]) < b.size
-        for first in range(0, b.size, _BLOCK_AGENTS):
-            part = slice(first, first + _BLOCK_AGENTS)
-            lo_p, kron_p = lo[part], kron_b[part]  # views: lo_p moves lo
-            for offsets, weights, path in _BLOCKS:
-                probes = lo_p[:, None] + offsets
-                if fill:
-                    cache.fill(probes.ravel())
-                rows = vec_S.take(probes, axis=0)
-                lo_p += path[(_g(kron_p, rows) <= 1.0) @ weights]
-        ids[b] = lo
-    U = -(cache.BtP.take(ids, axis=0) @ chi[:, :, None])[:, :, 0]
-    return lattice_rho(ids), U
+    up = np.maximum(j - 1, 0)
+    g_up = g[agents, up]
+    toward = g_up > 1.0  # j > 0 and row j⁺ is certified
+    up = np.where(toward, up, j)
+    # λ = 0 where the rule does not interpolate: finite/inf, no 0/0
+    lam = np.fmax((ONE_MINUS - g_j) / np.where(toward, g_up - g_j, np.inf),
+                  0.0)
+    row = cache.gain[j]  # (ρ, τ², vec BᵀS_λ) at λ, in place
+    row += lam[:, None] * (cache.gain[up] - row)
+    # τ² is 0 only where S_λ is, as on the rows P = 0 of a Hurwitz A: then
+    # u = 0
+    tau = np.sqrt(np.fmax(row[:, 1], _TINY))
+    U = (row[:, 2:].reshape(chi.shape[0], -1, chi.shape[1])
+         @ chi[:, :, None])[:, :, 0]
+    U /= -tau[:, None]
+    return row[:, 0], U
 
 
 def epsilon_of_state(chi, cache: PCache) -> float:
-    """Largest ρ ∈ (0,1] with g(ρ, χ) ≤ 1: `schedule` of the one state χ."""
+    """ε(χ), the root of g(ρ, χ) = 1 in (0, 1] as `schedule` interpolates
+    it, of the one state χ."""
     eps, _ = schedule(np.asarray(chi, dtype=float).reshape(1, -1), cache)
     return float(eps[0])
 

@@ -132,8 +132,9 @@ _TAYLOR_POLY, _TAYLOR_POWERS = _taylor_polynomials()
 
 class IntegrationError(RuntimeError):
     """Step-size underflow, a non-finite step size, or a non-finite start
-    state or slope, and, as `DivergenceError`, a non-finite accepted state;
-    carries the time and state where it happened."""
+    state or slope, and, as `DivergenceError`, a state that is not finite
+    or whose norm is not, where a step would accept it; carries the time
+    and state where it happened."""
 
     def __init__(self, message, t, z):
         super().__init__(message)
@@ -142,7 +143,7 @@ class IntegrationError(RuntimeError):
 
 
 class DivergenceError(IntegrationError):
-    """Non-finite accepted state."""
+    """A state, or its norm, that is not finite where a step ends."""
 
 
 @dataclass
@@ -215,7 +216,11 @@ def integrate(
         return _integrate_rk4(field_fn, z0, t0, tf, dt)
     if not (0 < rtol < math.inf and 0 < atol < math.inf):
         raise ValueError("tolerances must be finite and positive")
-    return _integrate_rk45(field_fn, z0, t0, tf, rtol, atol)
+    # RK45 runs with numpy's overflow warnings off: `_norm` rescales where
+    # v·v overflows, and a norm or value that overflows reads as inf, which
+    # the loop rejects or raises on like any other non-finite value
+    with np.errstate(over="ignore"):
+        return _integrate_rk45(field_fn, z0, t0, tf, rtol, atol)
 
 
 def _integrate_rk4(field_fn, z0, t0, tf, dt):
@@ -243,12 +248,12 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
     stats = IntegratorStats()
     times, states = [t0], [z0]
     t, z = t0, z0
-    # a z0 whose norm overflows fails before the field sees it, with no
-    # numpy warning from the field or the norm
-    with np.errstate(over="ignore"):
-        if not math.isfinite(_norm(z)):
-            raise IntegrationError(
-                f"non-finite initial state norm at t={t:.6g}", t, z)
+    # a z0 whose squared norm overflows fails before the field sees it;
+    # past it, `_norm` rescales, so a run that grows beyond 2⁵¹² goes on
+    # until its norms themselves overflow
+    if not math.isfinite(z.dot(z)):
+        raise IntegrationError(
+            f"non-finite initial state norm at t={t:.6g}", t, z)
     k1 = field_fn(t, z)
     stats.n_field_evals += 1
     linear = getattr(field_fn, "linear_part", None)  # (L, F)
@@ -272,16 +277,18 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
         if not by_kernel:
             step = _field_stages(field_fn, t, z, k1, h, stats)
         z_new, err, k_new, order, peak = step
-        q = 0.0  # tol/err; stays 0 (reject, h × 0.2) if anything is non-finite
+        q = 0.0  # tol/err; stays 0 (reject, h × 0.2) if err is non-finite
         if math.isfinite(err):
             tol = atol + rtol * _norm(z_new)
+            if not math.isfinite(tol):  # z_new, or its norm, overflowed
+                raise DivergenceError(
+                    f"non-finite state norm at t={t + h:.6g}", t + h, z_new)
             q = tol / err if err > 0 else np.inf
         if q >= 1.0:
-            t, z, k1 = t + h, z_new, k_new  # FSAL: k_new is the field at z_new
-            # a kernel step is finite, and unsaturated at its end point z(h),
-            # by construction
-            if not by_kernel:
-                _check_finite(t, z)
+            # FSAL: k_new is the field at z_new, which is finite, and a
+            # kernel step is unsaturated at its end point z(h), by
+            # construction
+            t, z, k1 = t + h, z_new, k_new
             if t < tf:
                 V = _krylov(linear[0], z, k1) if by_kernel else block(z, k1)
             stats.n_steps += 1
@@ -311,11 +318,13 @@ def _initial_step(field_fn, t, z, k1, span, rtol, atol, stats, order):
     with d = max(‖k1‖/s, d2), at most 100·h0 and the span, at least DT_MIN.
     """
     norm_z, norm_f = _norm(z), _norm(k1)
-    if not math.isfinite(norm_f):  # f(t0, z0) overflowed or holds a nan
-        raise IntegrationError(
-            f"non-finite initial slope at t={t:.6g}", t, z)
     scale = atol + rtol * norm_z
     d0, d1 = norm_z / scale, norm_f / scale
+    # f(t0, z0) overflowed or holds a nan, or its norm overflows in the
+    # tolerance's units
+    if not math.isfinite(d1):
+        raise IntegrationError(
+            f"non-finite initial slope at t={t:.6g}", t, z)
     h0 = min(1e-6 if min(d0, d1) < 1e-5 else 0.01 * d0 / d1, span)
     d2 = _norm(field_fn(t + h0, z + h0 * k1) - k1) / (scale * h0)
     stats.n_field_evals += 1
@@ -400,8 +409,18 @@ def _taylor_step(F, V, h, tol):
 
 
 def _norm(v):
-    """‖v‖₂ as np.linalg.norm computes it, without its argument handling."""
-    return math.sqrt(v.dot(v))
+    """‖v‖₂ as np.linalg.norm computes it, without its argument handling.
+
+    Where v·v overflows, which RK45 runs without a numpy warning, the norm
+    is taken of v scaled by its largest magnitude, so it reads as inf only
+    when ‖v‖₂ itself passes the largest float or v holds an inf."""
+    s = v.dot(v)
+    if s == math.inf:
+        a = np.abs(v).max()
+        if a < math.inf:
+            w = v / a
+            return float(a) * math.sqrt(w.dot(w))
+    return math.sqrt(s)
 
 
 def saturation_events(traj: Trajectory) -> list[tuple[float, int, int, float]]:

@@ -34,7 +34,15 @@ from satsync.riccati import (
     residual_tolerance,
     scheduled_lyapunov,
 )
-from satsync.scheduling import OCTAVE, lattice_rho
+
+OCTAVE = 2**10  # ρ per octave in the stacks these tests solve
+
+
+def lattice_rho(ids):
+    """ρ = ldexp(1 + j/2¹⁰, −k) of the ids k·2¹⁰ + j, exact binary floats:
+    2¹⁰ stacked rows per octave k, 32 times the schedule table's density."""
+    k, j = np.divmod(np.asarray(ids), OCTAVE)
+    return np.ldexp(1.0 + j / OCTAVE, -k)
 
 
 def scheduled_residual(model, P, rho):

@@ -16,29 +16,34 @@ from hypothesis import strategies as st
 from conftest import integrator_chain, random_admissible_model
 from satsync import (
     AgentModel,
+    ClosedLoopField,
     CompactSetSpec,
     Network,
     PCache,
     StateLayout,
     epsilon_of_state,
-    reproduce,
+    global_full,
+    integrate,
+    load_scenario,
     select_semiglobal_epsilon,
     solve_scheduled_are,
     triple_integrator,
 )
 import satsync
 from satsync import riccati, scheduling
-from satsync.riccati import ParameterError, RiccatiError, scheduled_lyapunov
+from satsync.riccati import RiccatiError, scheduled_lyapunov
 from satsync.scheduling import (
-    BISECTION_DEPTH,
     GRID,
-    OCTAVE,
+    ONE_MINUS,
     RHO_MIN,
+    ROWS_PER_OCTAVE,
+    TABLE_RHO,
     ScheduleFloorError,
-    lattice_rho,
     sample_box_vertices,
     schedule,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +77,8 @@ class TestPCache:
         assert scalar_cache.solution(0.3).P[0, 0] == pytest.approx(0.3, rel=1e-9)
 
     def test_construction_solves_only_unit_rho(self, monkeypatch):
-        # the other grid rows come from one stack, which certifies each of
-        # them on the triple integrator, and the rest from the schedule
+        # the other 640 rows come from one stack, which certifies each of
+        # them on the triple integrator; the schedule solves nothing
         calls = []
 
         def counting(model, rho, **kwargs):
@@ -84,14 +89,16 @@ class TestPCache:
             stacks.append(rho.size)
             return scheduled_lyapunov(model, rho)
 
-        # row 0's stack of one, inside its solve, then the grid's of 20
+        # row 0's stack of one, inside its solve, then the table's of 640
         stacks = []
         monkeypatch.setattr(scheduling, "solve_scheduled_are", counting)
         monkeypatch.setattr(scheduling, "scheduled_lyapunov", stacking)
         monkeypatch.setattr(riccati, "scheduled_lyapunov", stacking)
         cache = PCache(triple_integrator())
         assert calls == [1.0]
-        assert stacks == [1, len(GRID) - 1]
+        assert stacks == [1, len(TABLE_RHO) - 1]
+        schedule(np.outer([0.1, 30.0, 7e3], [1.0, -0.5, 0.25]), cache)
+        assert calls == [1.0] and stacks == [1, len(TABLE_RHO) - 1]
         cache.g(0.25, np.ones(3))
         assert calls == [1.0, 0.25]
 
@@ -109,6 +116,11 @@ class TestPCache:
             np.testing.assert_array_equal(backward.solution(rho).P, P)
 
 
+def control_norms(chi, cache):
+    """‖u‖₂ of each state's scheduled control."""
+    return np.linalg.norm(schedule(chi, cache)[1], axis=1)
+
+
 class TestEpsilonOfState:
     def test_small_state_gives_one(self, scalar_cache):
         # g(1, 0.5) = 0.25 <= 1
@@ -118,18 +130,22 @@ class TestEpsilonOfState:
         assert epsilon_of_state([0.0], scalar_cache) == 1.0
 
     def test_scalar_boundary(self, scalar_cache):
-        # largest rho with (2 rho)^2 <= 1 is exactly 0.5
+        # largest rho with (2 rho)^2 <= 1 is exactly 0.5, a table row where
+        # g = 1 > 1⁻, so the rule takes no step above it
         eps = epsilon_of_state([2.0], scalar_cache)
         assert eps <= 0.5
         assert eps == pytest.approx(0.5, rel=2e-3)
 
     def test_never_saturates_by_construction(self, scalar_cache):
+        # here g = χ²ρ² is convex in ρ, so even P at ε itself keeps
+        # ‖BᵀP_ε χ‖ ≤ 1; the scheduled control does by Cauchy–Schwarz
         model = scalar_cache.model
         for chi_val in (0.1, 1.0, 7.5, 300.0):
             chi = np.array([chi_val])
             eps = epsilon_of_state(chi, scalar_cache)
             P = scalar_cache.solution(eps).P
             assert np.linalg.norm(model.B.T @ P @ chi) <= 1.0 + 1e-12
+            assert control_norms(chi[None], scalar_cache)[0] <= 1.0
 
     def test_monotone_along_ray(self, scalar_cache):
         values = [
@@ -149,148 +165,106 @@ class TestEpsilonOfState:
         chi = np.array([5.0, -3.0])
         eps = epsilon_of_state(chi, cache)
         assert cache.g(eps, chi) <= 1.0
-        # a grid-resolution step up must violate the constraint
-        assert cache.g(min(1.0, eps * 2.01), chi) > 1.0
+        # a step of one table row up must violate the constraint
+        assert cache.g(min(1.0, eps * (1 + 2 / ROWS_PER_OCTAVE)), chi) > 1.0
 
 
 def table_row(model, P):
-    """(tr(BᵀPB)·P, BᵀP), computed here from a solved P (…, n, n)."""
+    """(S, BᵀS, t²) of a solved P (…, n, n), t = tr(BᵀPB) and S = t·P,
+    computed here as the table computes them."""
     BtP = model.B.T @ P
-    S = np.trace(BtP @ model.B, axis1=-2, axis2=-1)[..., None, None] * P
-    return S, BtP
+    t = np.trace(BtP @ model.B, axis1=-2, axis2=-1)
+    return t[..., None, None] * P, t[..., None, None] * BtP, t * t
 
 
 def octave_rows(k):
-    """The lattice ids of octave k, [k·2¹⁰, (k+1)·2¹⁰)."""
-    return np.arange(k * OCTAVE, (k + 1) * OCTAVE)
+    """The table rows of octave k ≥ 1, ρ = 2⁻ᵏ(1 + j/32) for j = 31 … 0."""
+    return np.arange(ROWS_PER_OCTAVE * (k - 1) + 1, ROWS_PER_OCTAVE * k + 1)
 
 
 def octave_of(rho):
-    """The octave k of a lattice ρ ∈ [2⁻ᵏ, 2⁻ᵏ⁺¹)."""
+    """The octave k of ρ ∈ [2⁻ᵏ, 2⁻ᵏ⁺¹)."""
     return 1 - int(np.frexp(rho)[1])
 
 
-def lattice_id(rho):
-    """The id k·2¹⁰ + j of the lattice ρ = 2⁻ᵏ(1 + j/2¹⁰)."""
-    k = octave_of(rho)
-    return k * OCTAVE + int((rho * 2.0**k - 1) * OCTAVE)
-
-
-def stacked_octaves(asked):
-    """The octaves k ≥ 1 that hold a non-grid lattice id asked: the octaves
-    a cache asked for those ids stacks."""
-    asked = np.asarray(list(asked), dtype=int)
-    octaves = np.unique(asked[asked % OCTAVE > 0] // OCTAVE)
-    return octaves[octaves > 0].tolist()
-
-
-def probe_block_rows(eps):
-    """Per probe block, the set of lattice ids it reads for the ε below 1
-    that a schedule returned.  The block of r depths after `done` reads
-    the 2ʳ − 1 rows lo + m·2¹⁰/2^(done + r), where lo is the bisection's id
-    after `done` depths: the returned id with its 10 − done low bits
-    cleared."""
-    blocks = [set() for _ in scheduling.BLOCK_DEPTHS]
-    for i in (lattice_id(rho) for rho in eps if rho < 1.0):
-        done = 0
-        for rows, r in zip(blocks, scheduling.BLOCK_DEPTHS):
-            lo, step = i & -(OCTAVE >> done), OCTAVE >> (done + r)
-            rows.update(range(lo + step, lo + (OCTAVE >> done), step))
-            done += r
-    return blocks
-
-
-def assert_row_matches_direct_solve(cache, i):
-    """Row i holds the bits of its direct solve, or NaN where that raises."""
+def direct_P(model, rho):
+    """P of `solve_scheduled_are(model, ρ)`, or NaN where it raises."""
     try:
-        P = solve_scheduled_are(cache.model, lattice_rho(i)).P
+        return solve_scheduled_are(model, rho).P
     except RiccatiError:
-        P = np.full_like(cache.S[i], np.nan)
-    S, BtP = table_row(cache.model, P)
-    np.testing.assert_array_equal(cache.S[i], S)
-    np.testing.assert_array_equal(cache.BtP[i], BtP)
+        return np.full((model.n, model.n), np.nan)
 
 
-def assert_octave_matches_direct_solve(cache, k):
-    """The rows of octave k that one direct stacked solve certifies are
-    filled and hold its bits; returns the certified mask (2¹⁰,)."""
-    rows = octave_rows(k)
-    P, _, certified = scheduled_lyapunov(cache.model, lattice_rho(rows))
-    S, BtP = table_row(cache.model, P)
-    assert cache.filled[rows[certified]].all()
-    np.testing.assert_array_equal(cache.S[rows[certified]], S)
-    np.testing.assert_array_equal(cache.BtP[rows[certified]], BtP)
-    return certified
+# a stable mode at −0.3: gate (i) fails for ρ ≤ 0.6 + 2·HURWITZ_TOL
+GATE_I_MODEL = AgentModel([[0.0, 0.0], [0.0, -0.3]], [[1.0], [1.0]],
+                          [[1.0, 0.0]])
+# a stable mode at −ρ₃₁/2: A + (ρ/2)I is singular at ρ₃₁ = 2⁻¹(1 + 1/32),
+# table row 31 in octave 1, which no solver certifies; the rows around it do
+ROW_GAP_MODEL = AgentModel([[0.0, 0.0], [0.0, -0.25 * (1 + 2.0**-5)]],
+                           [[1.0], [1.0]], [[1.0, 0.0]])
+# a stable mode at −1/8: A + (ρ/2)I is singular at ρ = 1/4, the grid row 64,
+# where no stabilizing P exists; the rows around it certify
+GRID_GAP_MODEL = AgentModel([[0.0, 0.0], [0.0, -0.125]], [[1.0], [1.0]],
+                            [[1.0, 0.0]])
 
 
 @functools.cache
 def named_model(name):
-    """The triple integrator or the 6-chain, one instance per name, so that
-    direct solves of it can be cached by name.  The 6-chain's octave stacks
-    certify 801 and 1,011 of the 1,024 rows of octaves 1 and 2 and every
-    row of octaves 3 and up."""
+    """One instance per name, so that direct solves of it can be cached by
+    name.  The 6-chain's stack leaves 9 rows of octave 1 to lone solves,
+    `GATE_I_MODEL`'s 615 rows, `ROW_GAP_MODEL`'s 610 and `GRID_GAP_MODEL`'s
+    577."""
     return {"triple": triple_integrator,
-            "6-chain": lambda: integrator_chain(6)}[name]()
+            "6-chain": lambda: integrator_chain(6),
+            "gate_i": lambda: GATE_I_MODEL,
+            "row_gap": lambda: ROW_GAP_MODEL,
+            "grid_gap": lambda: GRID_GAP_MODEL}[name]()
 
 
 @functools.cache
-def direct_solve(name, rho):
-    """`solve_scheduled_are` on `named_model(name)`, once per ρ."""
-    return solve_scheduled_are(named_model(name), rho)
-
-
-triple_solve = functools.partial(direct_solve, "triple")
+def named_cache(name):
+    """One table per named model, shared by the tests that only read it."""
+    return PCache(named_model(name))
 
 
 @functools.cache
-def direct_octave(name, k):
-    """Table rows (S, BᵀP) of octave k ≥ 1 of `named_model(name)` from one
-    direct stacked solve, one for each row it certifies, and the mask of
-    those rows."""
+def direct_table(name):
+    """(S, gain) of every row of `named_model(name)` from a direct
+    `solve_scheduled_are` at each ρ of the table, NaN where it raises:
+    S (641, n, n) and the records (ρ, t², vec BᵀS) (641, 2 + m·n)."""
     model = named_model(name)
-    P, _, certified = scheduled_lyapunov(model, lattice_rho(octave_rows(k)))
-    return (*table_row(model, P), certified)
+    S, BtS, t2 = table_row(model, np.array([direct_P(model, rho)
+                                            for rho in TABLE_RHO.tolist()]))
+    return S, np.column_stack((TABLE_RHO, t2, BtS.reshape(len(S), -1)))
 
 
-def reference_schedule(chi, model, solved, solve=solve_scheduled_are):
-    """One agent at a time: grid scan, then bisection, with g and
-    u = −(BᵀP)χ from one cold `solve(model, ρ)` per probed ρ, its P kept in
-    the dict solved; a ρ whose solve raises RiccatiError gets a NaN P and
-    fails.  Stops at the first agent that fails every grid row."""
-    B = model.B
-
-    def P(rho):
-        if rho not in solved:
-            try:
-                solved[rho] = solve(model, rho).P
-            except RiccatiError:  # no solver certifies ρ
-                solved[rho] = np.full((model.n, model.n), np.nan)
-        return solved[rho]
-
-    def g(rho, c):  # the expression of PCache.g
-        S = table_row(model, P(rho))[0]
-        return float(scheduling._g(scheduling._kron(c), S.reshape(-1)))
-
+def reference_schedule(chi, S, gain):
+    """The direct rule, one state at a time, on rows S (641, n, n) and gain
+    records (641, 2 + m·n): j is the first row, largest ρ first, with
+    g ≤ 1 (`ScheduleFloorError` if there is none); λ = (1⁻ − g_j)/(g_{j⁺}
+    − g_j), clipped at 0, toward j⁺ = j − 1 where that row has g > 1, else
+    λ = 0; then (ρ, τ², BᵀS) at λ gives ε and u = −BᵀS_λχ/τ.  g is the
+    one-state `scheduling._g` of each χ⊗χ with the rows, so a state's bits
+    are those of `schedule`."""
+    table = np.ascontiguousarray(S.reshape(len(S), -1).T)
+    m, n = (gain.shape[1] - 2) // S.shape[-1], S.shape[-1]
     eps, U = [], []
-    for c in chi:
-        k = next((k for k in range(len(GRID)) if g(GRID[k], c) <= 1.0), None)
-        if k is None:
+    for c in np.asarray(chi, dtype=float):
+        g = scheduling._g(scheduling._kron(c[None]), table)[0]
+        passing = np.flatnonzero(g <= 1.0)
+        if passing.size == 0:
             raise ScheduleFloorError(float(np.linalg.norm(c)))
-        rho = GRID[k]
-        if k > 0:
-            width = GRID[k - 1] - GRID[k]
-            j_lo, j_hi = 0, 2**BISECTION_DEPTH
-            for _ in range(BISECTION_DEPTH):
-                j_mid = (j_lo + j_hi) // 2
-                mid = GRID[k] + width * (j_mid / 2**BISECTION_DEPTH)
-                if g(mid, c) <= 1.0:
-                    j_lo = j_mid
-                else:
-                    j_hi = j_mid
-            rho = GRID[k] + width * (j_lo / 2**BISECTION_DEPTH)
-        eps.append(rho)
-        U.append(-(B.T @ P(rho) @ c))
-    return np.array(eps), np.array(U).reshape(len(chi), B.shape[1])
+        j = up = int(passing[0])
+        lam = 0.0
+        if j > 0 and g[j - 1] > 1.0:
+            up = j - 1
+            lam = max((ONE_MINUS - g[j]) / (g[up] - g[j]), 0.0)
+        row = gain[j] + lam * (gain[up] - gain[j])
+        tau = np.sqrt(max(row[1], np.finfo(float).tiny))
+        u = (row[2:].reshape(1, m, n) @ c[None, :, None])[0, :, 0]
+        eps.append(row[0])
+        U.append(u / -tau)
+    return np.array(eps), np.array(U).reshape(len(eps), m)
 
 
 def floor_norm_or(fn, *args):
@@ -301,64 +275,31 @@ def floor_norm_or(fn, *args):
         return err.chi_norm
 
 
+def assert_table_is_direct(name):
+    """Every row of the table of `named_model(name)` holds the bits of its
+    direct solve, or NaN where that raises."""
+    cache, (S, gain) = named_cache(name), direct_table(name)
+    np.testing.assert_array_equal(cache.S, S)
+    np.testing.assert_array_equal(cache.gain, gain)
+
+
 def assert_schedule_matches_reference(chi, name="triple"):
-    """`schedule` of chi on a fresh cache of `named_model(name)`, cold and
-    then warm, against the one-agent-at-a-time reference: same bits of ε
-    and U, or the same floor error.  The cold call fills, per probe block,
-    the rows that block reads (`probe_block_rows`), which hold every row
-    the reference solves.  The warm call fills no row: it calls no `fill`
-    when every bisecting agent's octave is complete, and otherwise asks
-    for the same rows again, one call per block.  The table fills exactly
-    the 21 grid rows and, bar a floor error, the rows of the probe blocks
-    read and, of each octave k ≥ 1 holding such a row, every row one
-    direct stacked solve certifies, with its bits; each grid row, row the
-    reference solved and block row the stack does not certify holds the
-    bits of its direct solve, or NaN where that raises.  Returns those
-    octaves."""
-    model = named_model(name)
-    cache, solved = PCache(model), {}
-    calls = counting_fills(cache)
+    """`schedule` of chi on the table of `named_model(name)`, twice, against
+    the direct rule on rows from direct solves: the same bits of ε and U,
+    or the same floor error.  Every control has ‖u‖ ≤ 1.  Returns the
+    octaves of the rows j the states read."""
+    cache, (S, gain) = named_cache(name), direct_table(name)
     got = floor_norm_or(schedule, chi, cache)
-    cold, asked = cache.filled.copy(), calls[:]
-    calls.clear()
-    warm = floor_norm_or(schedule, chi, cache)
-    want = floor_norm_or(reference_schedule, chi, model, solved,
-                         lambda _, rho: direct_solve(name, rho))
-    filled = {lattice_id(rho) for rho in GRID}
+    again = floor_norm_or(schedule, chi, cache)
+    want = floor_norm_or(reference_schedule, chi, S, gain)
     if isinstance(want, float):
-        assert got == warm == want
-        per_block = []
-    else:
-        for eps, U in (got, warm):
-            np.testing.assert_array_equal(eps, want[0])
-            np.testing.assert_array_equal(U, want[1])
-        per_block = [rows for rows in probe_block_rows(want[0]) if rows]
-        assert {lattice_id(rho) for rho in solved} <= filled.union(*per_block)
-    blocks = set().union(*per_block)
-    filled |= blocks
-    octaves = stacked_octaves(blocks)
-    assert [set(c.tolist()) for c in asked] == per_block
-    np.testing.assert_array_equal(cache.filled, cold)
-    if cache.complete[octaves].all():
-        assert calls == []
-    else:
-        assert [c.tolist() for c in calls] == [c.tolist() for c in asked]
-    for k in octaves:
-        S, BtP, certified = direct_octave(name, k)
-        rows = octave_rows(k)[certified]
-        filled.update(rows.tolist())
-        np.testing.assert_array_equal(cache.S[rows], S)
-        np.testing.assert_array_equal(cache.BtP[rows], BtP)
-        for i in set(octave_rows(k)[~certified].tolist()) & blocks:
-            assert_row_matches_direct_solve(cache, i)
-    assert set(np.flatnonzero(cache.filled).tolist()) == filled
-    for rho in {*GRID, *solved}:
-        i = lattice_id(rho)
-        if cache.filled[i]:
-            S, BtP = table_row(model, direct_solve(name, rho).P)
-            np.testing.assert_array_equal(cache.S[i], S)
-            np.testing.assert_array_equal(cache.BtP[i], BtP)
-    return octaves
+        assert got == again == want
+        return set()
+    for eps, U in (got, again):
+        np.testing.assert_array_equal(eps, want[0])
+        np.testing.assert_array_equal(U, want[1])
+    assert (np.linalg.norm(got[1], axis=1) <= 1.0).all()
+    return {octave_of(e) for e in got[0] if e < 1.0}
 
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=40)
@@ -374,9 +315,11 @@ def test_schedule_matches_one_agent_at_a_time(agents):
 
 
 def test_every_probed_octave_is_stacked():
-    """Sixty agents spread over two octaves of ε ask for many rows of each;
-    like every octave k ≥ 1 holding a non-grid row asked for, those octaves
-    are filled whole, and ε and U keep the reference's bits."""
+    """Construction solves every row of every octave: each of the triple
+    integrator's 641 rows holds the bits of its direct solve, from the one
+    stack.  Sixty agents spread over two octaves of ε keep the direct
+    rule's bits of ε and U."""
+    assert_table_is_direct("triple")
     rng = np.random.default_rng(3)
     chi = 10.0 ** rng.uniform(1.0, 1.6, (60, 1)) * rng.uniform(-1, 1, (60, 3))
     assert len(assert_schedule_matches_reference(chi)) >= 2
@@ -385,151 +328,134 @@ def test_every_probed_octave_is_stacked():
 @pytest.mark.parametrize("scales, mixed", [((-0.8, 0.8), True),
                                             ((0.6, 1.2), False)])
 def test_schedule_matches_reference_on_the_6_chain(scales, mixed):
-    """`assert_schedule_matches_reference` on the 6-chain, whose octaves 1
-    and 2 stay incomplete once stacked.  Agents at scales 10^-0.8 … 10^0.8
-    bisect in octaves 1 and 2 and in complete ones, so the warm call fills
-    each probe block's rows again; at 10^0.6 … 10^1.2 they bisect in
-    complete octaves only, so the warm call makes no fill."""
+    """`assert_schedule_matches_reference` on the 6-chain, whose stack
+    leaves 9 rows of octave 1 to lone solves; every row holds the bits of
+    its direct solve.  Agents at scales 10^-0.8 … 10^0.8 read rows of
+    octaves 1 and 2 and deeper ones; at 10^0.6 … 10^1.2 deeper ones
+    only."""
+    assert_table_is_direct("6-chain")
     rng = np.random.default_rng(5)
     chi = 10.0 ** rng.uniform(*scales, (12, 1)) * rng.uniform(-1, 1, (12, 6))
-    octaves = set(assert_schedule_matches_reference(chi, "6-chain"))
+    octaves = assert_schedule_matches_reference(chi, "6-chain")
     assert bool(octaves & {1, 2}) == mixed and octaves - {1, 2}
 
 
-@pytest.mark.parametrize("block", range(len(scheduling.BLOCK_DEPTHS)))
-def test_probe_block_reads_the_bisection_path(block):
-    """For every pass pattern of a probe block's rows, the offset the
-    schedule adds to lo, `path[bits @ weights]`, is where the per-depth
-    walk of the bisection over those bits leaves lo.  The blocks read the
-    bisection's depths in order, and each reads every row its depths can
-    probe."""
-    depths = scheduling.BLOCK_DEPTHS
-    assert sum(depths) == BISECTION_DEPTH
-    done, r = sum(depths[:block]), depths[block]
-    offsets, weights, path = scheduling._BLOCKS[block]
-    step = OCTAVE >> (done + r)
-    assert offsets.tolist() == list(range(step, OCTAVE >> done, step))
-    position = {m: i for i, m in enumerate(offsets.tolist())}
-    patterns = np.arange(2**offsets.size)
-    bits = (patterns[:, None] >> np.arange(offsets.size)) & 1 == 1
-    decoded = path[bits @ weights].tolist()
-    for row, offset in zip(bits.tolist(), decoded):
-        lo = 0
-        for depth in range(done + 1, done + r + 1):
-            mid = lo + (OCTAVE >> depth)
-            if row[position[mid]]:
-                lo = mid
-        assert offset == lo
-
-
-def counting_fills(cache):
-    """Wrap `cache.fill` to record the ids of each call; returns the list."""
-    calls, fill = [], cache.fill
-
-    def asking(ids):
-        calls.append(np.array(ids))
-        fill(ids)
-
-    cache.fill = asking
-    return calls
-
-
 def counting_stacks(monkeypatch):
-    """Wrap the octave stack `scheduling.scheduled_lyapunov` to record the
-    octave of each call; returns the list."""
-    octaves, stack = [], scheduled_lyapunov
+    """Wrap the table's stack `scheduling.scheduled_lyapunov` to record the
+    ρ of each call; returns the list."""
+    stacks, stack = [], scheduled_lyapunov
 
     def stacking(model, rho):
-        octaves.append(octave_of(rho[0]))
+        stacks.append(np.array(rho))
         return stack(model, rho)
 
     monkeypatch.setattr(scheduling, "scheduled_lyapunov", stacking)
-    return octaves
+    return stacks
+
+
+def forbid_solves(monkeypatch):
+    """Make every ARE solve the schedule could reach raise."""
+    def solving(*args, **kwargs):
+        raise AssertionError("the schedule solved an ARE")
+
+    for module, name in ((scheduling, "solve_scheduled_are"),
+                         (scheduling, "scheduled_lyapunov"),
+                         (riccati, "scheduled_lyapunov"),
+                         (riccati, "_care_schur")):
+        monkeypatch.setattr(module, name, solving)
+
+
+# one table per seed of `test_table_rows_on_random_admissible_models`,
+# shared by the examples that draw it again
+_RANDOM_TABLES = {}
+
+
+def random_table(seed):
+    """(model, its PCache or the RiccatiError construction raised) of
+    `random_admissible_model` from seed."""
+    if seed not in _RANDOM_TABLES:
+        model = random_admissible_model(np.random.default_rng(seed),
+                                        n_max=6, io_max=2)
+        try:
+            _RANDOM_TABLES[seed] = model, PCache(model)
+        except RiccatiError as err:
+            _RANDOM_TABLES[seed] = model, err
+    return _RANDOM_TABLES[seed]
 
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=20)
 @given(seed=st.integers(0, 2**32 - 1), log10_scale=st.floats(-2.0, 4.0))
 def test_table_rows_on_random_admissible_models(seed, log10_scale):
-    """On random admissible models (n ≤ 6, m ≤ 2), after `schedule` of a
-    few random states and a fill of every 16th row of the first state's
-    octave, the table holds exactly the rows asked for, the 21 grid rows
-    and, of each octave k ≥ 1 asked for a non-grid row, every row one
-    direct stacked solve certifies, with its bits.  Only construction may
-    raise RiccatiError; it fills every grid row, with NaN exactly where
-    the row's direct solve raises.  Every grid row, every row holding NaN
-    and sampled filled rows, among them rows the stacked solve does not
-    certify, hold the bits of S = tr(BᵀPB)·P and BᵀP of a direct
-    `solve_scheduled_are`, or NaN where it raises, and `_g` as the
-    schedule calls it gives the bits of `PCache.g` on each, or NaN."""
-    rng = np.random.default_rng(seed)
-    model = random_admissible_model(rng, n_max=6, io_max=2)
+    """On random admissible models (n ≤ 6, m ≤ 2), only construction may
+    raise RiccatiError, at row 0.  The rows one direct stacked solve of ρ <
+    1 certifies hold its bits; every row it does not certify that holds
+    NaN, and 16 sampled others, hold the bits of a direct
+    `solve_scheduled_are`, or NaN exactly where it raises.  Row 0 holds the
+    bits of the solve at ρ = 1.  g from the table agrees with `PCache.g` of
+    a cold solve to rounding, and `schedule` of a few random states keeps
+    the direct rule's bits on the table's rows, with ‖u‖ ≤ 1."""
+    model, cache = random_table(seed)
+    if isinstance(cache, RiccatiError):  # row 0: the model is not admissible
+        with pytest.raises(RiccatiError):
+            solve_scheduled_are(model, 1.0)
+        return
+    rng = np.random.default_rng([seed, 1])
     chi = 10.0**log10_scale * rng.standard_normal((3, model.n))
-    try:
-        cache = PCache(model)
-    except RiccatiError:  # row 0: the model is not admissible
+    P, _, certified = scheduled_lyapunov(model, TABLE_RHO[1:])
+    S, BtS, t2 = table_row(model, P)
+    rows = np.flatnonzero(certified) + 1
+    np.testing.assert_array_equal(cache.S[rows], S)
+    np.testing.assert_array_equal(cache.gain[rows, 1], t2)
+    np.testing.assert_array_equal(cache.gain[rows, 2:],
+                                  BtS.reshape(len(rows), model.m * model.n))
+    lone = np.flatnonzero(~certified) + 1
+    nan = np.isnan(cache.gain).any(axis=1)
+    assert not nan[0] and (np.isnan(cache.S).any(axis=(1, 2)) == nan).all()
+    sample = np.union1d(lone[nan[lone]], lone[np.linspace(
+        0, lone.size - 1, min(16, lone.size)).astype(int)])
+    for i in [0, *sample.tolist()]:
+        S_i, BtS_i, t2_i = table_row(model, direct_P(model, TABLE_RHO[i]))
+        np.testing.assert_array_equal(cache.S[i], S_i)
+        np.testing.assert_array_equal(cache.gain[i],
+                                      [TABLE_RHO[i], t2_i, *BtS_i.ravel()])
+    kron = scheduling._kron(chi)
+    g = scheduling._g(kron, cache.table)
+    for i in (0, 32 * int(rng.integers(1, 21)), len(TABLE_RHO) - 1):
+        if nan[i]:
+            assert np.isnan(g[:, i]).all()
+            continue
+        scale = np.abs(kron) @ np.abs(cache.S[i]).reshape(-1)
+        cold = [cache.g(TABLE_RHO[i], c) for c in chi]
+        assert (np.abs(g[:, i] - cold) <= 1e-13 * scale).all()
+    got = floor_norm_or(schedule, chi, cache)
+    want = floor_norm_or(reference_schedule, chi, cache.S, cache.gain)
+    if isinstance(want, float):
+        assert got == want
         return
-    grid = scheduling.GRID_IDS
-    assert cache.filled[grid].all()
-    for i in grid:
-        assert_row_matches_direct_solve(cache, i)
-    calls = counting_fills(cache)
-    try:
-        eps, _ = schedule(chi, cache)
-    except ScheduleFloorError:
-        return
-    cache.fill(octave_rows(max(1, octave_of(eps[0])))[::16])
-    asked = {0, *np.concatenate(calls).tolist()}
-    want = np.zeros_like(cache.filled)
-    want[list(asked)] = True
-    want[grid] = True
-    for k in stacked_octaves(asked):
-        want[octave_rows(k)] |= assert_octave_matches_direct_solve(cache, k)
-    np.testing.assert_array_equal(cache.filled, want)
-    ids = np.flatnonzero(cache.filled)
-    rho = lattice_rho(ids)
-    failing = np.flatnonzero(~scheduled_lyapunov(model, rho)[2])
-    sample = np.union1d(np.linspace(0, ids.size - 1, 16).astype(int),
-                        failing[np.linspace(0, failing.size - 1,
-                                            min(16, failing.size)).astype(int)])
-    nan = np.isnan(cache.S[ids]).any(axis=(1, 2))
-    sample = np.union1d(sample, np.flatnonzero((ids % OCTAVE == 0) | nan))
-    g = scheduling._g(scheduling._kron(chi)[:, None, :],
-                      cache.S[ids[sample]].reshape(sample.size, -1))
-    for i, r, g_row, no_solve in zip(ids[sample], rho[sample].tolist(), g.T,
-                                     nan[sample]):
-        assert_row_matches_direct_solve(cache, i)
-        if no_solve:
-            assert np.isnan(g_row).all()
-        else:
-            assert g_row.tolist() == [cache.g(r, c) for c in chi]
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    assert (np.linalg.norm(got[1], axis=1) <= 1.0).all()
 
 
-# a stable mode at −0.3: gate (i) fails for ρ ≤ 0.6 + 2·HURWITZ_TOL
-GATE_I_MODEL = AgentModel([[0.0, 0.0], [0.0, -0.3]], [[1.0], [1.0]],
-                          [[1.0, 0.0]])
-
-
-def gate_i_states(rhos, model=GATE_I_MODEL):
-    """States along (1, 0.2) of the model scaled to g = 1 at each ρ."""
-    v, cache = np.array([1.0, 0.2]), PCache(model)
-    return np.array([v / np.sqrt(cache.g(rho, v)) for rho in rhos])
+def states_at(rhos, model):
+    """States along (1, 0.2) scaled to g(ρ, χ) = 1 at each ρ, from direct
+    solves."""
+    v = np.array([1.0, 0.2])
+    out = []
+    for rho in rhos:
+        S = table_row(model, solve_scheduled_are(model, rho).P)[0]
+        out.append(v / np.sqrt(v @ S @ v))
+    return np.array(out)
 
 
 def test_octave_split_by_gate_i(monkeypatch):
-    """A stable mode at −0.3 fails gate (i) for ρ ≤ 0.6 + 2·HURWITZ_TOL,
-    rows j ≤ 204 of octave 1 and all deeper octaves, so construction solves
-    the 20 grid rows k ≥ 1 by the Hamiltonian method.  Once octave 1 is
-    stacked, its gate-(i) rows stay unfilled unless a probe asks for them,
-    and a row of a probe block among them is solved by the Hamiltonian
-    method; the octave's other rows come from its stacked solve.  The
-    blocks hold every row the one-agent-at-a-time reference probes, and ε
-    and U equal the reference's.  The states have g = 1 at 40 ρ across
-    octave 1, bisected on both sides of the gate, and at ρ = 0.1, in octave
-    4, where no row passes gate (i).  Exactly the octaves holding a probe
-    block, 1 and 4, are stacked, each once: the grid scan's levels 2 and 3
-    stack nothing."""
-    model, chi = GATE_I_MODEL, gate_i_states(
-        [*np.linspace(0.51, 0.99, 40), 0.1])
+    """A stable mode at −0.3 fails gate (i) for ρ ≤ 0.6 + 2·HURWITZ_TOL:
+    rows 26–32 of octave 1 (ρ = 2⁻¹(1 + j/32), j ≤ 6) and every deeper
+    row.  Construction solves exactly those 615 rows alone, by the
+    Hamiltonian method, and the stack certifies the 25 rows above them.
+    Every row holds the bits of its direct solve.  States with g = 1 at
+    40 ρ across octave 1, on both sides of the gate, and at ρ = 0.1 keep
+    the direct rule's bits of ε and U."""
     hamiltonian = []
 
     def counting(A, G, Q):
@@ -538,78 +464,64 @@ def test_octave_split_by_gate_i(monkeypatch):
 
     care_schur = riccati._care_schur
     monkeypatch.setattr(riccati, "_care_schur", counting)
-    cache = PCache(model)
-    assert cache.filled[scheduling.GRID_IDS].all()
-    assert not np.isnan(cache.S[scheduling.GRID_IDS]).any()
-    assert hamiltonian == list(GRID[1:])
-    hamiltonian.clear()
-    stacks = counting_stacks(monkeypatch)
-    got = schedule(chi, cache)
+    cache = PCache(GATE_I_MODEL)
     monkeypatch.undo()
-    solved = {}
-    want = reference_schedule(chi, model, solved)
-    np.testing.assert_array_equal(got[0], want[0])
-    np.testing.assert_array_equal(got[1], want[1])
-    gate_i = lattice_rho(np.arange(cache.filled.size)) <= 0.6 + 2e-9
-    grid = np.zeros_like(cache.filled)
-    grid[scheduling.GRID_IDS] = True
-    read = np.zeros_like(cache.filled)
-    read[list(set().union(*probe_block_rows(got[0])))] = True
-    assert (read | grid)[[lattice_id(rho) for rho in solved]].all()
-    assert stacks == stacked_octaves(np.flatnonzero(read)) == [1, 4]
-    assert read[octave_rows(1)][:205].any()  # a probe fails gate (i)
-    np.testing.assert_array_equal(cache.filled[gate_i],
-                                  (read | grid)[gate_i])
-    assert cache.filled[octave_rows(1)][205:].all()
-    assert cache.filled[~gate_i].sum() == OCTAVE - 205 + 1
-    assert sorted(hamiltonian) == sorted(
-        lattice_rho(np.flatnonzero(read & gate_i & ~grid)).tolist())
-    assert_octave_matches_direct_solve(cache, 1)
+    gate_i = TABLE_RHO <= 0.6 + 2e-9
+    assert np.flatnonzero(gate_i)[:7].tolist() == list(range(26, 33))
+    assert hamiltonian == TABLE_RHO[gate_i].tolist()
+    np.testing.assert_array_equal(cache.S, direct_table("gate_i")[0])
+    np.testing.assert_array_equal(cache.gain, direct_table("gate_i")[1])
+    chi = states_at([*np.linspace(0.51, 0.99, 40), 0.1], GATE_I_MODEL)
+    assert_schedule_matches_reference(chi, "gate_i")
 
 
-def test_complete_octaves_are_bisected_without_fill():
-    """On the triple integrator every stacked octave certifies every row,
-    so exactly the stacked octaves are complete.  A warm `schedule` whose
-    bisecting agents all lie in complete octaves calls no `fill` and keeps
-    the bits of ε and U."""
+def test_complete_octaves_are_bisected_without_fill(monkeypatch):
+    """Every octave is complete once the table is built, so `schedule`
+    solves nothing: with every solver made to raise, 61 states over three
+    octaves, one at ε = 1, keep the bits they had before."""
     rng = np.random.default_rng(3)
     chi = 10.0 ** rng.uniform(1.0, 1.6, (60, 1)) * rng.uniform(-1, 1, (60, 3))
     chi = np.vstack([chi, [[0.1, 0.0, 0.0]]])  # one agent at ε = 1
     cache = PCache(triple_integrator())
     eps, U = schedule(chi, cache)
-    whole = cache.filled.reshape(len(GRID), OCTAVE).all(axis=1)
-    assert whole[1:].sum() >= 2
-    assert cache.complete.tolist() == [False] + whole[1:].tolist()
-    octave = np.array([octave_of(e) for e in eps])
-    warm = cache.complete[octave] | (eps == 1.0)
-    assert (warm & (eps < 1.0)).sum() >= 20 and eps[warm].max() == 1.0
-    calls = counting_fills(cache)
-    got = schedule(chi[warm], cache)
-    assert calls == []
-    np.testing.assert_array_equal(got[0], eps[warm])
-    np.testing.assert_array_equal(got[1], U[warm])
+    assert eps.max() == 1.0 and len({octave_of(e) for e in eps}) >= 3
+    forbid_solves(monkeypatch)
+    got = schedule(chi, cache)
+    np.testing.assert_array_equal(got[0], eps)
+    np.testing.assert_array_equal(got[1], U)
 
 
-def test_many_states_read_probe_blocks_in_parts():
-    """A warm call with 2,000 bisecting states, as when a run's controls
-    are recorded, reads the probe blocks for `_BLOCK_AGENTS` of them at a
-    time: it calls no `fill`, keeps the bits of calls of 50 states, and
-    its traced peak stays under 1 MB, where one block gathering the rows
-    of all 2,000 states would take 2.2 MB alone."""
+def scanned_sizes(monkeypatch):
+    """Wrap `scheduling._scan` to record the number of states of each
+    call; returns the list."""
+    sizes, scan = [], scheduling._scan
+
+    def scanning(chi, cache):
+        sizes.append(len(chi))
+        return scan(chi, cache)
+
+    monkeypatch.setattr(scheduling, "_scan", scanning)
+    return sizes
+
+
+def test_many_states_read_probe_blocks_in_parts(monkeypatch):
+    """A call with 2,000 states, as when a run's controls are recorded,
+    scans them in parts of 128: its traced peak stays under 1 MB, where one
+    scan of all 2,000 states would hold 10 MB of g alone, and it keeps the
+    bits of 40 calls of 50 states."""
     rng = np.random.default_rng(3)
     chi = 10.0 ** rng.uniform(1.0, 3.0, (2000, 1)) * rng.uniform(-1, 1,
                                                                    (2000, 3))
-    cache = PCache(triple_integrator())
-    eps, _ = schedule(chi, cache)
-    assert eps.max() < 1.0
-    calls = counting_fills(cache)
+    cache = named_cache("triple")
+    sizes = scanned_sizes(monkeypatch)
     tracemalloc.start()
     try:
         got = schedule(chi, cache)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert calls == [] and peak < 2**20
+    assert sizes == [128] * 15 + [80] and peak < 2**20
+    assert got[0].max() < 1.0
     for part in np.split(np.arange(2000), 40):
         want = schedule(chi[part], cache)
         np.testing.assert_array_equal(got[0][part], want[0])
@@ -617,70 +529,138 @@ def test_many_states_read_probe_blocks_in_parts():
 
 
 def test_many_states_fill_probe_blocks_in_parts():
-    """A cold call with 2,000 states on the 6-chain, some bisecting in its
-    incomplete octaves 1 and 2, reads the probe blocks for `_BLOCK_AGENTS`
-    of them at a time and fills each block's rows first: one `fill` a
-    block and part, of the block's rows for that part's states.  ε, U and
-    the table equal those of 40 calls of 50 states on another fresh
-    cache."""
+    """One call with 2,000 states on the 6-chain, some reading its lone
+    rows in octave 1, equals 40 calls of 50 states on another fresh table
+    bit for bit, and leaves both tables as built."""
     rng = np.random.default_rng(5)
     chi = 10.0 ** rng.uniform(-0.8, 0.0, (2000, 1)) * rng.uniform(-1, 1,
                                                                   (2000, 6))
     model = named_model("6-chain")
     cache, parted = PCache(model), PCache(model)
-    calls = counting_fills(cache)
+    built = cache.table.copy(), cache.gain.copy()
     got = schedule(chi, cache)
-    bisecting = np.flatnonzero(got[0] < 1.0)
-    assert {octave_of(e) for e in got[0][bisecting]} >= {1, 2}
-    assert not cache.complete[[1, 2]].any()
-    parts = [bisecting[first:first + scheduling._BLOCK_AGENTS]
-             for first in range(0, bisecting.size, scheduling._BLOCK_AGENTS)]
-    assert len(parts) > 1
-    want = [rows for part in parts for rows in probe_block_rows(got[0][part])]
-    assert [set(c.tolist()) for c in calls] == want
-    assert max(c.size for c in calls) <= OCTAVE
+    assert 1 in {octave_of(e) for e in got[0]}
     for part in np.split(np.arange(2000), 40):
         eps, U = schedule(chi[part], parted)
         np.testing.assert_array_equal(got[0][part], eps)
         np.testing.assert_array_equal(got[1][part], U)
-    np.testing.assert_array_equal(cache.filled, parted.filled)
-    np.testing.assert_array_equal(cache.S[cache.filled],
-                                  parted.S[parted.filled])
-    np.testing.assert_array_equal(cache.BtP[cache.filled],
-                                  parted.BtP[parted.filled])
-
-
-# a stable mode at −ρ(1, 1)/2: A + (ρ/2)I is singular at ρ(1, 1) = 1/2 +
-# 2⁻¹¹, row 2¹⁰ + 1, which no solver certifies; the rows around it certify
-ROW_GAP_MODEL = AgentModel([[0.0, 0.0], [0.0, -0.25 * (1 + 2.0**-10)]],
-                           [[1.0], [1.0]], [[1.0, 0.0]])
+    for table in (cache, parted):
+        np.testing.assert_array_equal(table.table, built[0])
+        np.testing.assert_array_equal(table.gain, built[1])
 
 
 def test_uncertified_row_reads_as_failing(monkeypatch):
-    """Row 2¹⁰ + 1 of `ROW_GAP_MODEL` has no certified solve, and the
-    third probe block of a bisection ending at row 2¹⁰ + j, j < 8, reads
-    it.  One call fills it with NaN.  States with g = 1 between rows
-    2¹⁰ + 3 and + 4 and between + 5 and + 6, whose bisection path never
-    probes row 2¹⁰ + 1, and a state with g = 1 between rows 2¹⁰ + 1 and
-    + 2, which probes it and gets row 2¹⁰, ρ = 1/2, the last row its path
-    passed, keep the bits of ε and U of the one-agent-at-a-time reference,
-    in which that row fails too.  A second call solves nothing and keeps
-    the bits."""
-    model, gap = ROW_GAP_MODEL, OCTAVE + 1
+    """Row 31 of `ROW_GAP_MODEL`, ρ₃₁ = 2⁻¹(1 + 1/32), has no certified
+    solve and holds NaN; every other row is finite.  States with g = 1 at
+    ρ between rows 32 (ρ = 1/2) and 31, and between rows 31 and 30, fail
+    row 31, pass row 32 and take no step toward the NaN row: ε = 1/2,
+    λ = 0, with finite controls.  A state above row 30 interpolates as
+    usual.  All keep the direct rule's bits, and a second call solves
+    nothing."""
+    model, gap = ROW_GAP_MODEL, 31
     with pytest.raises(RiccatiError, match="invariant subspace"):
-        solve_scheduled_are(model, lattice_rho(gap))
-    half_row = 2.0**-12  # half the lattice spacing of octave 1
-    chi = gate_i_states(lattice_rho(OCTAVE + np.array([3, 5, 1])) + half_row,
-                        model)
+        solve_scheduled_are(model, TABLE_RHO[gap])
+    cache = named_cache("row_gap")
+    nan = np.isnan(cache.gain).any(axis=1)
+    assert np.flatnonzero(nan).tolist() == [gap]
+    assert np.isnan(cache.S[gap]).all() and np.isnan(cache.gain[gap, 1:]).all()
+    assert_table_is_direct("row_gap")
+    rho = TABLE_RHO[[32, 31, 30]]
+    chi = states_at([(rho[0] + rho[1]) / 2, (rho[1] + rho[2]) / 2,
+                     rho[2] * 1.005], model)
+    assert_schedule_matches_reference(chi, "row_gap")
+    eps, U = schedule(chi, cache)
+    assert eps[:2].tolist() == [0.5, 0.5] and eps[2] > rho[2]
+    assert np.isfinite(U).all()
+    forbid_solves(monkeypatch)
+    again = schedule(chi, cache)
+    np.testing.assert_array_equal(again[0], eps)
+    np.testing.assert_array_equal(again[1], U)
+
+
+def test_nan_row_above_gives_no_step_and_finite_controls():
+    """Where row j⁺ holds NaN, λ = 0: ε is ρ_j exactly and U is that of row
+    j alone, −BᵀS_jχ/t_j, finite and within the bound.  On
+    `GRID_GAP_MODEL` row 64 (ρ = 1/4) holds NaN, so states with g = 1 at
+    ρ ∈ (1/4, ρ₆₃) get row 65, ρ = 2⁻³(1 + 31/32)."""
+    cache = named_cache("grid_gap")
+    chi = states_at(np.linspace(0.2501, 0.2577, 5), GRID_GAP_MODEL)
+    eps, U = schedule(chi, cache)
+    assert (eps == TABLE_RHO[65]).all()
+    t = np.sqrt(cache.gain[65, 1])
+    B_S = cache.gain[65, 2:].reshape(1, 2)
+    np.testing.assert_allclose(U, -(chi @ B_S.T) / t, rtol=1e-15)
+    assert np.isfinite(U).all() and (np.abs(U) <= 1.0).all()
+
+
+def test_incomplete_octave_rows_are_filled_when_probed():
+    """On `GATE_I_MODEL` the stack leaves rows 26–32 of octave 1 to lone
+    solves at construction, and each holds the bits of its direct solve.
+    A state whose ρ lies among them, 0.5165, reads them: it interpolates
+    between two lone rows and keeps the direct rule's bits."""
+    cache, (S, gain) = named_cache("gate_i"), direct_table("gate_i")
+    rows = np.arange(26, 33)
+    np.testing.assert_array_equal(cache.S[rows], S[rows])
+    np.testing.assert_array_equal(cache.gain[rows], gain[rows])
+    later = states_at([0.5165], GATE_I_MODEL)
+    eps, _ = schedule(later, cache)
+    j = np.flatnonzero(TABLE_RHO <= eps[0])[0]
+    assert j in rows and j - 1 in rows
+    assert TABLE_RHO[j] < eps[0] < TABLE_RHO[j - 1]
+    assert_schedule_matches_reference(later, "gate_i")
+
+
+@pytest.mark.parametrize("k", [1, 9, 20])
+def test_one_row_fill_stacks_its_octave(k):
+    """There is no fill: construction solves every octave.  The 32 rows of
+    octave k hold the bits of one direct stacked solve of their ρ alone,
+    2⁻ᵏ(1 + j/32) for j = 31 … 0, which the stack certifies whole, and the
+    last of them is the grid row 2⁻ᵏ."""
+    cache, model = named_cache("triple"), named_model("triple")
+    rows = octave_rows(k)
+    rho = TABLE_RHO[rows]
+    assert rho.tolist() == [2.0**-k * (1 + j / 32) for j in range(31, -1, -1)]
+    P, _, certified = scheduled_lyapunov(model, rho)
+    assert certified.all() and rho[-1] == GRID[k]
+    S, BtS, t2 = table_row(model, P)
+    np.testing.assert_array_equal(cache.S[rows], S)
+    np.testing.assert_array_equal(cache.gain[rows, 1], t2)
+    np.testing.assert_array_equal(cache.gain[rows, 2:], BtS.reshape(32, -1))
+
+
+@pytest.mark.parametrize("case", ["triple", "gate_i"])
+def test_each_octave_is_stacked_at_most_once(monkeypatch, case):
+    """Construction makes one stack, of all 640 rows below ρ = 1; two
+    `schedule` calls make none.  On the gate-(i) model the stack certifies
+    25 rows, and the rest are solved alone."""
+    model = named_model(case)
+    stacks = counting_stacks(monkeypatch)
     cache = PCache(model)
-    got = schedule(chi, cache)
-    np.testing.assert_array_equal(got[0], lattice_rho(OCTAVE + np.array(
-        [3, 5, 0])))
-    want = reference_schedule(chi, model, {})
-    np.testing.assert_array_equal(got[0], want[0])
-    np.testing.assert_array_equal(got[1], want[1])
-    assert cache.filled[gap] and not cache.complete[1]
-    assert np.isnan(cache.S[gap]).all() and np.isnan(cache.BtP[gap]).all()
+    chi = (np.outer([2.0, 30.0, 500.0], [1.0, -0.5, 0.25]) if case == "triple"
+           else states_at([0.1, 0.07, 0.12], model))
+    schedule(chi, cache)
+    schedule(chi[::-1], cache)
+    assert len(stacks) == 1
+    np.testing.assert_array_equal(stacks[0], TABLE_RHO[1:])
+
+
+def test_lattice_rho_table_matches_ldexp():
+    """`TABLE_RHO` holds 1 and then ldexp(1 + j/32, −k), octave k = 1 … 20
+    and j = 31 … 0, bit for bit: strictly decreasing, with row 32k the
+    grid value 2⁻ᵏ and the last row `RHO_MIN`."""
+    k = np.repeat(np.arange(1, 21), 32)
+    j = np.tile(np.arange(31, -1, -1), 20)
+    want = np.concatenate(([1.0], np.ldexp(1.0 + j / 32, -k)))
+    np.testing.assert_array_equal(TABLE_RHO.view(np.int64),
+                                  want.view(np.int64))
+    assert len(TABLE_RHO) == 641 and (np.diff(TABLE_RHO) < 0).all()
+    assert TABLE_RHO[::32].tolist() == list(GRID)
+    assert TABLE_RHO[-1] == RHO_MIN and not TABLE_RHO.flags.writeable
+
+
+def test_octave_zero_is_never_stacked(monkeypatch):
+    """Only row 0 of octave 0 is a ρ in (0, 1]: it is the lone checked
+    solve at ρ = 1, and the stack holds only ρ < 1, the other 640 rows."""
     solves = []
 
     def counting(model, rho, **kwargs):
@@ -688,113 +668,11 @@ def test_uncertified_row_reads_as_failing(monkeypatch):
         return solve_scheduled_are(model, rho, **kwargs)
 
     monkeypatch.setattr(scheduling, "solve_scheduled_are", counting)
-    again = schedule(chi, cache)
-    assert solves == []
-    np.testing.assert_array_equal(again[0], got[0])
-    np.testing.assert_array_equal(again[1], got[1])
-
-
-def test_incomplete_octave_rows_are_filled_when_probed():
-    """On the gate-(i) model of `test_octave_split_by_gate_i`, octave 1 is
-    stacked but stays incomplete.  A later `schedule` that bisects into its
-    gate-(i) rows still fills each probe block's rows, one `fill` a block:
-    rows missing before are filled with the bits of their direct solve,
-    and ε and U equal the one-agent-at-a-time reference's."""
-    model = GATE_I_MODEL
-    cache = PCache(model)
-    schedule(gate_i_states([*np.linspace(0.51, 0.99, 40), 0.1]), cache)
-    assert cache.filled[octave_rows(1)][205:].all()
-    assert not cache.complete.any()
-    later = gate_i_states([0.5165])
-    before = cache.filled.copy()
-    calls = counting_fills(cache)
-    got = schedule(later, cache)
-    asked = np.concatenate(calls)
-    assert [set(c.tolist()) for c in calls] == probe_block_rows(got[0])
-    assert (~before[asked]).any()
-    assert cache.filled[asked].all()
-    for i in asked[~before[asked]]:
-        S, BtP = table_row(model,
-                           solve_scheduled_are(model, lattice_rho(i)).P)
-        np.testing.assert_array_equal(cache.S[i], S)
-        np.testing.assert_array_equal(cache.BtP[i], BtP)
-    want = reference_schedule(later, model, {})
-    np.testing.assert_array_equal(got[0], want[0])
-    np.testing.assert_array_equal(got[1], want[1])
-
-
-@pytest.mark.parametrize("k", [1, 9, 20])
-def test_one_row_fill_stacks_its_octave(k):
-    """A public fill of one row of octave k on the triple integrator fills
-    every row of octave k, and no other beside the grid, with the bits of
-    one direct stacked solve, and marks the octave complete."""
-    cache = PCache(triple_integrator())
-    cache.fill(octave_rows(k)[[517]])
-    want = np.zeros_like(cache.filled)
-    want[scheduling.GRID_IDS] = True
-    want[octave_rows(k)] = True
-    np.testing.assert_array_equal(cache.filled, want)
-    S, BtP, _ = direct_octave("triple", k)
-    np.testing.assert_array_equal(cache.S[octave_rows(k)], S)
-    np.testing.assert_array_equal(cache.BtP[octave_rows(k)], BtP)
-    assert cache.complete.tolist() == [i == k for i in range(len(GRID))]
-
-
-STACKING_CASES = {  # model, states of two `schedule` calls, ids of a fill
-    "triple": lambda: (
-        triple_integrator(),
-        (np.outer([2.0, 30.0, 500.0], [1.0, -0.5, 0.25]),
-         np.outer([3.0, 45.0, 7e3], [-0.2, 1.0, 0.5])),
-        np.array([2 * OCTAVE + 3, 11 * OCTAVE + 700])),
-    # octave 4 certifies no row, so the rows solved alone mark it stacked
-    "gate_i": lambda: (
-        GATE_I_MODEL, (gate_i_states([0.1]), gate_i_states([0.07, 0.12])),
-        octave_rows(4)[::8]),
-}
-
-
-@pytest.mark.parametrize("case", STACKING_CASES)
-def test_each_octave_is_stacked_at_most_once(monkeypatch, case):
-    """Across two `schedule` calls and a public fill, each octave k ≥ 1
-    that holds a row asked for is stacked exactly once."""
-    model, states, extra = STACKING_CASES[case]()
-    cache = PCache(model)
-    calls = counting_fills(cache)
     stacks = counting_stacks(monkeypatch)
-    for chi in states:
-        schedule(chi, cache)
-    cache.fill(extra)
-    asked = np.concatenate(calls)
-    assert sorted(stacks) == stacked_octaves(asked)
-    assert len(set(stacks)) == len(stacks)
-
-
-def test_lattice_rho_table_matches_ldexp():
-    """The lattice table holds ldexp(1 + j/2¹⁰, −k) bit for bit at every
-    id k·2¹⁰ + j."""
-    ids = np.arange(len(GRID) * OCTAVE)
-    k, j = np.divmod(ids, OCTAVE)
-    want = np.ldexp(1.0 + j / OCTAVE, -k)
-    np.testing.assert_array_equal(lattice_rho(ids).view(np.int64),
-                                  want.view(np.int64))
-
-
-def test_octave_zero_is_never_stacked(monkeypatch):
-    """Only row 0 of octave 0 is a ρ in (0, 1]: scheduling leaves its other
-    rows unfilled, and a public fill of them raises rather than stack
-    them."""
     cache = PCache(triple_integrator())
-    rng = np.random.default_rng(3)
-    chi = 10.0 ** rng.uniform(-1.0, 1.6, (60, 1)) * rng.uniform(-1, 1, (60, 3))
-    eps, _ = schedule(chi, cache)
-    assert eps.max() == 1.0
-    whole = cache.filled.reshape(len(GRID), OCTAVE).all(axis=1)
-    assert whole[1:].any()
-    stacks = counting_stacks(monkeypatch)
-    with pytest.raises(ParameterError):
-        cache.fill(np.arange(1, OCTAVE))
-    assert stacks == []
-    assert cache.filled[:OCTAVE].tolist() == [True] + [False] * (OCTAVE - 1)
+    assert solves == [1.0] and stacks[0].max() < 1.0
+    np.testing.assert_array_equal(
+        cache.S[0], table_row(cache.model, direct_P(cache.model, 1.0))[0])
 
 
 def test_floor_error_names_first_agent_past_floor(scalar_cache):
@@ -803,104 +681,145 @@ def test_floor_error_names_first_agent_past_floor(scalar_cache):
     with pytest.raises(ScheduleFloorError) as err:
         schedule(chi, scalar_cache)
     assert err.value.chi_norm == 4.0 / RHO_MIN
-
-
-# a stable mode at −1/8: A + (ρ/2)I is singular at ρ = 1/4, grid level 2,
-# where no stabilizing P exists; ρ = 1/2 and 1/8 certify
-GRID_GAP_MODEL = AgentModel([[0.0, 0.0], [0.0, -0.125]], [[1.0], [1.0]],
-                            [[1.0, 0.0]])
+    # across parts of 128 states: the first past the floor is state 200
+    many = np.ones((300, 1))
+    many[[200, 250]] = [[5.0 / RHO_MIN], [3.0 / RHO_MIN]]
+    with pytest.raises(ScheduleFloorError) as err:
+        schedule(many, scalar_cache)
+    assert err.value.chi_norm == 5.0 / RHO_MIN
 
 
 def test_uncertified_grid_row_reads_as_failing(monkeypatch):
-    """`GRID_GAP_MODEL` constructs with all 21 grid rows filled: ρ = 1/4
-    has no certified solve and holds NaN, and each other grid row holds
-    the bits of its direct solve.  States with g = 1 at ρ = 0.6, above the
-    gap, and at 0.3 and 0.26, in octave 2, keep the one-agent-at-a-time
-    reference's bits of ε and U, alone or together.  The two in octave 2
-    fail row 1/4, pass row 1/8 and bisect octave 3, so their ε lies in
-    [1/8, 1/4) with g ≤ 1 there: no control saturates.  A public fill of
-    the grid row 1/4 and a second call solve nothing and keep the bits."""
+    """`GRID_GAP_MODEL`: ρ = 1/4, row 64, has no certified solve and holds
+    NaN; every other row holds the bits of its direct solve.  States with
+    g = 1 at ρ = 0.6, above the gap, and at 0.3 and 0.26, in octave 2 above
+    it, keep the direct rule's bits of ε and U, alone or together.  Each ε
+    is at least the largest certified row with g ≤ 1 and within 2⁻⁵ of its
+    target, and g ≤ 1 there, so no control saturates: the NaN row costs
+    nothing to states above it.  A second call solves nothing and keeps
+    the bits."""
     model = GRID_GAP_MODEL
     with pytest.raises(RiccatiError, match="invariant subspace"):
         solve_scheduled_are(model, 0.25)
-    cache = PCache(model)
-    grid = scheduling.GRID_IDS
-    assert cache.filled[grid].all()
-    assert np.isnan(cache.S[grid]).any(axis=(1, 2)).tolist() == [
-        k == 2 for k in range(len(GRID))]
-    for i in grid:
-        assert_row_matches_direct_solve(cache, i)
-    chi = gate_i_states([0.6, 0.3, 0.26], model)
+    cache = named_cache("grid_gap")
+    assert np.isnan(cache.S).any(axis=(1, 2)).nonzero()[0].tolist() == [64]
+    assert_table_is_direct("grid_gap")
+    targets = [0.6, 0.3, 0.26]
+    chi = states_at(targets, model)
     for states in (chi, chi[1:], chi[2:]):
-        got = schedule(states, cache)
-        want = reference_schedule(states, model, {})
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
-    got = schedule(chi, cache)
-    assert got[0][0] == pytest.approx(0.6, rel=2e-3)
-    assert ((0.125 <= got[0][1:]) & (got[0][1:] < 0.25)).all()
-    for eps, c, u in zip(got[0], chi, got[1]):
-        assert cache.g(eps, c) <= 1.0 and np.abs(u).max() <= 1.0
-    solves = []
-
-    def counting(model, rho, **kwargs):
-        solves.append(rho)
-        return solve_scheduled_are(model, rho, **kwargs)
-
-    monkeypatch.setattr(scheduling, "solve_scheduled_are", counting)
-    cache.fill(np.array([2 * OCTAVE]))
+        assert_schedule_matches_reference(states, "grid_gap")
+    eps, U = schedule(chi, cache)
+    g = scheduling._g(scheduling._kron(chi), cache.table)
+    for e, target, g_rows, c, u in zip(eps, targets, g, chi, U):
+        best = TABLE_RHO[np.flatnonzero(g_rows <= 1.0)[0]]
+        assert best <= e < target * (1 + 2.0**-5) and e > 0.25
+        assert cache.g(e, c) <= 1.0 and np.abs(u).max() <= 1.0
+    forbid_solves(monkeypatch)
     again = schedule(chi, cache)
-    assert solves == []
-    np.testing.assert_array_equal(again[0], got[0])
-    np.testing.assert_array_equal(again[1], got[1])
+    np.testing.assert_array_equal(again[0], eps)
+    np.testing.assert_array_equal(again[1], U)
 
 
-def test_out_of_order_grid_fill_changes_no_bits(monkeypatch):
-    """Construction fills the grid of `GRID_GAP_MODEL` past the unsolvable
-    ρ = 1/4, so a public fill of the grid ids, deepest first, stacks
-    nothing and changes no row.  A public fill that stacks octave 3, grid row 1/8
-    among its rows, before any `schedule` changes no schedule: ε and U
-    equal a fresh cache's and the reference's, for states above the gap
-    and in octave 2."""
-    cache = PCache(GRID_GAP_MODEL)
-    before = cache.S.copy(), cache.BtP.copy(), cache.filled.copy()
-    stacks = counting_stacks(monkeypatch)
-    cache.fill(scheduling.GRID_IDS[::-1])
-    assert stacks == []
-    for was, now in zip(before, (cache.S, cache.BtP, cache.filled)):
-        np.testing.assert_array_equal(now, was)
-    cache.fill(np.array([3 * OCTAVE + 517]))
-    assert stacks == [3]
-    monkeypatch.undo()
-    chi = gate_i_states([1.0, 0.97, 0.75, 0.55, 0.52, 0.3, 0.26],
-                        GRID_GAP_MODEL)
-    got = schedule(chi, cache)
-    for want in (schedule(chi, PCache(GRID_GAP_MODEL)),
-                 reference_schedule(chi, GRID_GAP_MODEL, {})):
+def test_out_of_order_grid_fill_changes_no_bits():
+    """A row's bits do not depend on the order its stack is solved in: on
+    `GRID_GAP_MODEL` a direct stack of the table's ρ in reverse order
+    certifies the same rows, with the table's bits.  Two fresh tables give
+    the same schedule as the direct rule, for states above the gap and in
+    octave 2."""
+    model, cache = GRID_GAP_MODEL, named_cache("grid_gap")
+    P, _, certified = scheduled_lyapunov(model, TABLE_RHO[:0:-1])
+    rows = (np.flatnonzero(certified[::-1]) + 1)[::-1]
+    np.testing.assert_array_equal(cache.S[rows], table_row(model, P)[0])
+    chi = states_at([1.0, 0.97, 0.75, 0.55, 0.52, 0.3, 0.26], model)
+    got = schedule(chi, PCache(model))
+    for want in (schedule(chi, cache),
+                 reference_schedule(chi, *direct_table("grid_gap"))):
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
 
 
 def test_grid_scan_stacks_no_octave(monkeypatch):
-    """The grid is solved with the table: on a fresh triple-integrator
-    cache, one state whose first passing grid level is 13 stacks only the
-    octave its bisection probes, and all 21 grid rows are filled.  ε and U
-    keep the one-agent-at-a-time reference's bits."""
-    model = triple_integrator()
-    cache = PCache(model)
+    """The table is solved when it is built: on the triple integrator one
+    state whose ε lies in octave 13 stacks nothing and solves nothing.  ε
+    and U keep the direct rule's bits."""
     chi = 1e4 * np.array([[1.0, -0.5, 0.25]])
+    cache = named_cache("triple")
     stacks = counting_stacks(monkeypatch)
     got = schedule(chi, cache)
-    assert octave_of(got[0][0]) == 13
-    assert stacks == [13]
-    assert cache.filled[scheduling.GRID_IDS].all()
-    want = reference_schedule(chi, model, {}, lambda _, rho: triple_solve(rho))
-    np.testing.assert_array_equal(got[0], want[0])
-    np.testing.assert_array_equal(got[1], want[1])
+    assert octave_of(got[0][0]) == 13 and stacks == []
+    monkeypatch.undo()
+    assert_schedule_matches_reference(chi)
+
+
+def test_closed_form_lambda_solves_g_to_one_minus():
+    """λ read back from ε, (ε − ρ_j)/(ρ_{j⁺} − ρ_j), matches a bisection
+    of g_λ = χᵀ((1 − λ)S_j + λS_{j⁺})χ = 1⁻ to 1e-9, and P̃ = S_λ/τ has
+    g(P̃, χ) = 1⁻ to 1e-12 with ‖−BᵀP̃χ‖ = ‖u‖ ≤ 1, on 200 states of the
+    triple integrator."""
+    cache = named_cache("triple")
+    B = cache.model.B
+    rng = np.random.default_rng(11)
+    chi = 10.0 ** rng.uniform(-0.5, 5.0, (200, 1)) * rng.standard_normal(
+        (200, 3))
+    eps, U = schedule(chi, cache)
+    for e, c, u in zip(eps, chi, U):
+        j = int(np.flatnonzero(TABLE_RHO <= e)[0])
+        if j == 0 or TABLE_RHO[j] == e:
+            continue
+        S_j, S_up = cache.S[j], cache.S[j - 1]
+        lam = (e - TABLE_RHO[j]) / (TABLE_RHO[j - 1] - TABLE_RHO[j])
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            if c @ ((1 - mid) * S_j + mid * S_up) @ c <= ONE_MINUS:
+                lo = mid
+            else:
+                hi = mid
+        assert lam == pytest.approx(lo, abs=1e-9)
+        S_lam = (1 - lam) * S_j + lam * S_up
+        P_tilde = S_lam / np.sqrt(np.trace(B.T @ S_lam @ B))
+        g = (c @ P_tilde @ c) * np.trace(B.T @ P_tilde @ B)
+        assert g == pytest.approx(ONE_MINUS, rel=1e-12)
+        np.testing.assert_allclose(u, -(B.T @ P_tilde @ c), rtol=1e-12,
+                                   atol=1e-15)
+        assert np.linalg.norm(u) <= 1.0
+
+
+def test_controls_stay_within_the_bound_on_stable_mode(monkeypatch):
+    """`tests/data/stable_mode.json` global-full to t = 50 at the default
+    rtol: m = 1, so ‖u‖ ≤ 1 is |u| ≤ 1, and Cauchy–Schwarz is tight where
+    P̃^(1/2)χ is parallel to P̃^(1/2)B.  Every state the field evaluates
+    has |u| ≤ 1, the largest reaching past 0.9, and the run takes fewer
+    than 5,000 field calls."""
+    scenario = load_scenario(DATA / "stable_mode.json")
+    peaks, scan = [], scheduling._scan
+
+    def scanning(chi, cache):
+        eps, U = scan(chi, cache)
+        peaks.append(np.abs(U).max())
+        return eps, U
+
+    monkeypatch.setattr(scheduling, "_scan", scanning)
+    field = ClosedLoopField(scenario.model, scenario.net,
+                            global_full(scenario.model))
+    z0 = field.layout.pack(scenario.x0, scenario.xr0, scenario.chi0)
+    traj = integrate(field, z0, (0.0, scheduling.T_VAL))
+    assert traj.stats.n_field_evals < 5000
+    assert max(peaks) <= 1.0 and max(peaks) > 0.9
+    assert np.abs(traj.controls).max() <= 1.0
+
+
+def test_hurwitz_model_schedules_zero_control():
+    """A Hurwitz A has P = 0 at every ρ, so every row has S = 0 and t = 0:
+    every state gets ε = 1 and u = 0, with no NaN from τ = 0."""
+    cache = PCache(AgentModel([[-1.0]], [[1.0]], [[1.0]]))
+    assert (cache.S == 0.0).all()
+    eps, U = schedule(np.array([[0.0], [3.0], [1e9]]), cache)
+    assert eps.tolist() == [1.0] * 3 and (U == 0.0).all()
 
 
 def test_discarded_cache_is_freed_at_once():
-    # no reference cycle: the last reference going frees the packed rows
+    # no reference cycle: the last reference going frees the table
     cache = PCache(triple_integrator())
     schedule(np.outer(10.0 ** np.arange(-2, 5), [1.0, -0.5, 0.25]), cache)
     ref = weakref.ref(cache)
@@ -913,19 +832,24 @@ def test_discarded_cache_is_freed_at_once():
 
 
 def test_filling_rows_allocates_nothing():
-    # rows live in the table allocated at construction: filling 612 of
-    # them keeps no per-row object or copy
-    cache = PCache(triple_integrator())
-    chi = np.outer(np.logspace(-2, 5, 100), [1.0, -0.5, 0.25])
+    """The table is filled when it is built and keeps only its arrays, about
+    71 KB on the triple integrator.  A `schedule` of 10,000 states, in
+    parts of 128, peaks under 1.5 MB traced and leaves nothing live but
+    its two 80 KB results."""
     tracemalloc.start()
     try:
+        cache = PCache(triple_integrator())
+        built = tracemalloc.get_traced_memory()[0]
+        chi = np.outer(np.logspace(-2, 5, 10_000), [1.0, -0.5, 0.25])
+        tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        schedule(chi, cache)
-        grown = tracemalloc.get_traced_memory()[0] - before
+        eps, U = schedule(chi, cache)
+        now, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert cache.filled.sum() > 500
-    assert grown < 16 * 1024
+    assert built < 120 * 1024
+    assert peak - before < 1.5 * 2**20
+    assert now - before - eps.nbytes - U.nbytes < 16 * 1024
 
 
 # Rounds of reproduce cases 1-3 in a fresh interpreter: resident memory
@@ -965,7 +889,8 @@ def test_repeated_reproduce_keeps_memory_flat(tmp_path):
     # sees only reproduce.  Traced memory counts live Python and numpy
     # blocks, so a leak too small for the resident bound still fails: a
     # round leaves about 5 KiB (scipy's Schur callbacks), one leaked set of
-    # trajectories is about 150 KiB and one leaked PCache about 2 MB.
+    # trajectories is about 150 KiB and one leaked round of three tables
+    # about 210 KiB.
     src = str(Path(satsync.__file__).parents[1])
     run = subprocess.run(
         [sys.executable, "-W", "error", "-c", _MEMORY_ROUNDS, str(tmp_path)],
@@ -985,11 +910,14 @@ def triple_cache():
 @settings(database=None, derandomize=True, deadline=None, max_examples=100)
 @given(chi=st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3))
 def test_scheduled_control_within_saturation_bound(triple_cache, chi):
-    """g(ε(χ), χ) ≤ 1 keeps the scheduled control ‖BᵀP_ε χ‖ within 1."""
+    """The scheduled control has ‖u‖ ≤ 1, and on the triple integrator,
+    where g is convex in ρ between rows, so does ‖BᵀP_ε χ‖ of a cold solve
+    at ε itself."""
     chi = np.array(chi)
     eps = epsilon_of_state(chi, triple_cache)
     u = triple_cache.model.B.T @ triple_cache.solution(eps).P @ chi
     assert np.linalg.norm(u) <= 1.0 + 1e-12
+    assert control_norms(chi[None], triple_cache)[0] <= 1.0
 
 
 class TestCompactSetSpec:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -226,6 +227,67 @@ class TestAdaptiveRk45:
         with pytest.raises(ValueError):
             select_semiglobal_epsilon(model, chain_net(2), sets, "full",
                                       horizon=inf)
+
+
+def test_norm_rescales_only_where_the_square_overflows():
+    """`sim._norm` is sqrt(v·v), bit for bit, wherever v·v is finite.  Where
+    it overflows, inside a run whose overflow warnings are off, the norm of
+    v scaled by its largest magnitude gives ‖v‖₂, and only a norm past the
+    largest float, or an inf entry, reads as inf."""
+    rng = np.random.default_rng(4)
+    for v in (rng.standard_normal(7), 1e150 * rng.standard_normal(7)):
+        assert sim._norm(v) == math.sqrt(v.dot(v))
+    with np.errstate(over="ignore"):
+        assert sim._norm(np.array([3e200, -4e200])) == pytest.approx(5e200)
+        assert sim._norm(np.array([1.5e308, 1.5e308])) == math.inf
+        assert sim._norm(np.array([1.0, -np.inf])) == math.inf
+    assert math.isnan(sim._norm(np.array([1.0, np.nan])))
+
+
+@functools.cache
+def case3_field(family):
+    """Case 3's partial-coupling field, semiglobal at ε = 1 or global on its
+    own table."""
+    from satsync import PCache, bundled_scenario
+    from satsync.protocols import ProtocolKind
+    from satsync.riccati import design_observer_gain
+
+    scenario = bundled_scenario(3)
+    gain = design_observer_gain(scenario.model)
+    kind = (ProtocolKind("semiglobal", "partial", epsilon=1.0,
+                         observer_gain=gain) if family == "semiglobal"
+            else ProtocolKind("global", "partial", observer_gain=gain,
+                              cache=PCache(scenario.model)))
+    return ClosedLoopField(scenario.model, scenario.net, kind)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=40)
+@given(k=st.integers(0, 308), family=st.sampled_from(["semiglobal",
+                                                      "global"]))
+@example(k=152, family="semiglobal")
+@example(k=153, family="global")
+def test_huge_states_run_or_raise_without_a_warning(k, family):
+    """Case 3 from agents synchronized with the reference at ±10^k in every
+    entry, with small χ and x̂, on [0, 20]: RK45 returns a trajectory whose
+    accepted states have finite norms, or raises IntegrationError
+    (ScheduleFloorError for the global field once χ passes its floor).  No
+    numpy warning leaks (tier-1 turns warnings into errors); at the parent
+    of this test, k = 152 and 153 leaked an overflow from a norm."""
+    from satsync.scheduling import ScheduleFloorError
+    from satsync.sim import IntegrationError
+
+    field = case3_field(family)
+    layout = field.layout
+    rng = np.random.default_rng(k)
+    w = 10.0**k * rng.choice([-1.0, 1.0], layout.n)
+    small = rng.uniform(-1.0, 1.0, (layout.N, layout.n))
+    z0 = layout.pack(np.tile(w, (layout.N, 1)), w, small, small)
+    try:
+        traj = integrate(field, z0, (0.0, 20.0), rtol=1e-6, atol=1e-8)
+    except (IntegrationError, ScheduleFloorError):
+        return
+    with np.errstate(over="ignore"):
+        assert all(math.isfinite(sim._norm(z)) for z in traj.states)
 
 
 class StageLoopOnly:
