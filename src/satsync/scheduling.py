@@ -169,8 +169,9 @@ def schedule(chi: np.ndarray, cache: PCache):
     NaN.  Then ε = ρ_j + λ(ρ_{j⁺} − ρ_j), at least ρ_j, and u = −BᵀP̃χ
     with P̃ = S_λ/τ and τ² = (1 − λ)t_j² + λt_{j⁺}².  P̃ is PSD and
     tr(BᵀP̃B) = τ, so g(P̃, χ) = χᵀS_λχ = g_λ ≤ 1, and Cauchy–Schwarz gives
-    ‖u‖² ≤ χᵀP̃χ·tr(BᵀP̃B) ≤ 1.  P̃ is not itself an ARE solution, and ε is
-    in general not a table row: no ARE is solved at ε.
+    ‖u‖² ≤ χᵀP̃χ·tr(BᵀP̃B) ≤ 1.  P̃ is not itself an ARE solution, and
+    neither is a table row's P at ε: no ARE is solved at ε, which is in
+    general not a table row.
 
     States are scanned in parts of at most 128, so a call on a whole
     trajectory's states holds at most 128 × 641 values of g at once.
