@@ -271,8 +271,8 @@ def test_huge_states_run_or_raise_without_a_warning(k, family):
     entry, with small χ and x̂, on [0, 20]: RK45 returns a trajectory whose
     accepted states have finite norms, or raises IntegrationError
     (ScheduleFloorError for the global field once χ passes its floor).  No
-    numpy warning leaks (tier-1 turns warnings into errors); at the parent
-    of this test, k = 152 and 153 leaked an overflow from a norm."""
+    numpy warning leaks (tier-1 turns warnings into errors); a norm taken
+    as sqrt(v·v) with overflow warnings on leaked one at k = 152 and 153."""
     from satsync.scheduling import ScheduleFloorError
     from satsync.sim import IntegrationError
 
