@@ -86,21 +86,24 @@ class Scenario:
 
 
 def _scenario_dict(sc: Scenario) -> dict:
+    def values(a):  # + 0.0 makes −0.0 the 0.0 that it equals
+        return (a + 0.0).tolist()
+
     return {
         "model": {
-            "A": sc.model.A.tolist(),
-            "B": sc.model.B.tolist(),
-            "C": sc.model.C.tolist(),
+            "A": values(sc.model.A),
+            "B": values(sc.model.B),
+            "C": values(sc.model.C),
         },
         "network": {
-            "adjacency": sc.net.adjacency.tolist(),
+            "adjacency": values(sc.net.adjacency),
             "root_set": [i + 1 for i in sorted(sc.net.root_set)],
         },
         "coupling": sc.coupling,
-        "x0": sc.x0.tolist(),
-        "xr0": sc.xr0.tolist(),
-        "chi0": sc.chi0.tolist(),
-        "xhat0": sc.xhat0.tolist(),
+        "x0": values(sc.x0),
+        "xr0": values(sc.xr0),
+        "chi0": values(sc.chi0),
+        "xhat0": values(sc.xhat0),
     }
 
 
@@ -285,7 +288,7 @@ class RunReport:
 def _kind_parameters(kind: protocols.ProtocolKind) -> dict:
     params = {}
     if kind.is_global:
-        params["rho_grid"] = [scheduling.GRID[0], scheduling.RHO_MIN]
+        params["rho_grid"] = scheduling.TABLE_RHO[[0, -1]].tolist()
     else:
         params["epsilon"] = kind.epsilon
     if kind.is_partial:

@@ -30,46 +30,44 @@ class ProtocolError(ValueError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class ProtocolKind:
-    """Protocol family/coupling selection plus its design parameters.
-    Kinds compare and hash by identity (an ndarray gain has no ==)."""
+    """A protocol kind, held as its design values: a global kind schedules
+    ε(χ) from its scheduled-ARE `cache`, a semiglobal kind fixes `epsilon`,
+    and an observer gain makes the coupling partial.  Kinds compare and
+    hash by identity (an ndarray gain has no ==)."""
 
-    family: str  # "global" | "semiglobal"
-    coupling: str  # "full" | "partial"
-    epsilon: Optional[float] = None
-    cache: Optional[PCache] = None
+    epsilon: Optional[float] = None  # the semiglobal low-gain ε, in (0, 1]
+    cache: Optional[PCache] = None  # the global kinds' scheduled-ARE table
     observer_gain: Optional[np.ndarray] = None  # K, with A - KC Hurwitz
 
     def __post_init__(self):
-        if self.family not in ("global", "semiglobal"):
-            raise ProtocolError(f"unknown family {self.family!r}")
-        if self.coupling not in ("full", "partial"):
-            raise ProtocolError(f"unknown coupling {self.coupling!r}")
-        if self.family == "semiglobal":
-            if self.epsilon is None or not (0.0 < self.epsilon <= 1.0):
-                raise ProtocolError("semiglobal kinds need epsilon in (0, 1]")
-        else:
-            if self.cache is None:
-                raise ProtocolError("global kinds need a scheduled-ARE cache")
-        if self.coupling == "partial" and self.observer_gain is None:
-            raise ProtocolError("partial kinds need an observer gain")
+        if (self.epsilon is None) == (self.cache is None):
+            raise ProtocolError(
+                "a kind holds exactly one of epsilon and cache")
+        if self.cache is None and not (0.0 < self.epsilon <= 1.0):
+            raise ProtocolError("semiglobal kinds need epsilon in (0, 1]")
 
     @property
     def is_global(self) -> bool:
-        return self.family == "global"
+        return self.cache is not None
 
     @property
     def is_partial(self) -> bool:
-        return self.coupling == "partial"
+        return self.observer_gain is not None
+
+    @property
+    def coupling(self) -> str:
+        return "partial" if self.is_partial else "full"
 
     @property
     def name(self) -> str:
-        return f"{self.family}-{self.coupling}"
+        family = "global" if self.is_global else "semiglobal"
+        return f"{family}-{self.coupling}"
 
 
 def global_full(model: AgentModel, cache: Optional[PCache] = None) -> ProtocolKind:
-    return ProtocolKind("global", "full", cache=cache or PCache(model))
+    return ProtocolKind(cache=cache or PCache(model))
 
 
 def global_partial(
@@ -79,15 +77,12 @@ def global_partial(
 ) -> ProtocolKind:
     if observer_gain is None:
         observer_gain = design_observer_gain(model)
-    return ProtocolKind(
-        "global", "partial",
-        cache=cache or PCache(model),
-        observer_gain=observer_gain,
-    )
+    return ProtocolKind(cache=cache or PCache(model),
+                        observer_gain=observer_gain)
 
 
 def semiglobal_full(model: AgentModel, epsilon: float) -> ProtocolKind:
-    return ProtocolKind("semiglobal", "full", epsilon=epsilon)
+    return ProtocolKind(epsilon=epsilon)
 
 
 def semiglobal_partial(
@@ -97,9 +92,7 @@ def semiglobal_partial(
 ) -> ProtocolKind:
     if observer_gain is None:
         observer_gain = design_observer_gain(model)
-    return ProtocolKind(
-        "semiglobal", "partial", epsilon=epsilon, observer_gain=observer_gain,
-    )
+    return ProtocolKind(epsilon=epsilon, observer_gain=observer_gain)
 
 
 @dataclass(frozen=True)

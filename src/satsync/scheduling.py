@@ -39,13 +39,12 @@ from .riccati import (
 )
 
 RHO_MIN = 2.0**-20
-GRID = tuple(2.0**-k for k in range(21))  # 1, 1/2, ..., 2^-20
 ROWS_PER_OCTAVE = 32
 # ρ of each table row, largest first: 1, then 2⁻ᵏ(1 + j/32) for octaves
 # k = 1 … 20 and j = 31 … 0, all exact binary floats; row 32k is 2⁻ᵏ
 TABLE_RHO = np.concatenate(([1.0], np.ldexp(
     1.0 + np.arange(ROWS_PER_OCTAVE - 1, -1, -1) / ROWS_PER_OCTAVE,
-    -np.arange(1, len(GRID))[:, None]).ravel()))
+    -np.arange(1, 21)[:, None]).ravel()))
 TABLE_RHO.setflags(write=False)
 # the value of g the interpolation aims at: 2¹² ulps below 1, room for the
 # rounding of g between two rows
@@ -335,6 +334,8 @@ def select_semiglobal_epsilon(
     """
     from . import protocols  # late import: protocols depends on this module
 
+    if coupling not in ("full", "partial"):
+        raise protocols.ProtocolError(f"unknown coupling {coupling!r}")
     partial = coupling == "partial"
     observer_gain = riccati.design_observer_gain(model) if partial else None
     layout = protocols.StateLayout(net.N, model.n, partial)
@@ -342,9 +343,7 @@ def select_semiglobal_epsilon(
     trials = []
     eps = EPS0
     while eps >= EPS_FLOOR:
-        kind = protocols.ProtocolKind(
-            "semiglobal", coupling, epsilon=eps, observer_gain=observer_gain,
-        )
+        kind = protocols.ProtocolKind(epsilon=eps, observer_gain=observer_gain)
         trials.append(_validate_epsilon(model, net, kind, samples, horizon))
         if trials[-1].passed:
             return SelectionReport(

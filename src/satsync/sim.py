@@ -210,16 +210,17 @@ def integrate(
     if not -math.inf < t0 < tf < math.inf:  # also false for a nan
         raise ValueError("t_span must be finite and increasing")
     z0 = np.asarray(z0, dtype=float).reshape(-1)
-    if dt is not None:
-        if not 0 < dt < math.inf:
-            raise ValueError("dt must be finite and positive")
-        return _integrate_rk4(field_fn, z0, t0, tf, dt)
-    if not (0 < rtol < math.inf and 0 < atol < math.inf):
+    if dt is not None and not 0 < dt < math.inf:
+        raise ValueError("dt must be finite and positive")
+    if dt is None and not (0 < rtol < math.inf and 0 < atol < math.inf):
         raise ValueError("tolerances must be finite and positive")
-    # RK45 runs with numpy's overflow warnings off: `_norm` rescales where
-    # v·v overflows, and a norm or value that overflows reads as inf, which
-    # the loop rejects or raises on like any other non-finite value
-    with np.errstate(over="ignore"):
+    # both loops run with numpy's overflow and invalid-value warnings off:
+    # `_norm` rescales where v·v overflows, and a value that overflows, or
+    # an inf − inf or 0 · inf that follows, reads as inf or nan, which the
+    # loops reject or raise on like any other non-finite value
+    with np.errstate(over="ignore", invalid="ignore"):
+        if dt is not None:
+            return _integrate_rk4(field_fn, z0, t0, tf, dt)
         return _integrate_rk45(field_fn, z0, t0, tf, rtol, atol)
 
 

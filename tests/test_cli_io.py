@@ -15,12 +15,16 @@ import satsync
 from conftest import SKEWED_DOUBLE_INTEGRATOR
 from satsync import (
     AgentModel,
+    CompactSetSpec,
     Network,
     Scenario,
     bundled_scenario,
     global_full,
+    global_partial,
     run_protocol,
+    scheduling,
     semiglobal_full,
+    semiglobal_partial,
     write_trajectory_csv,
 )
 from satsync.cli_io import (
@@ -28,6 +32,8 @@ from satsync.cli_io import (
     EXIT_OK,
     EXIT_VALIDATION,
     ScenarioValidationError,
+    _build_kind,
+    _kind_parameters,
     load_scenario,
     main,
     read_trajectory_csv,
@@ -145,8 +151,8 @@ class TestScenarioParsing:
 
     def test_fingerprint_hashes_the_validated_scenario(self, tmp_path):
         # integer literals, the same file with float literals, reordered
-        # keys and a written-out default, and the Scenario built in code,
-        # also from an integer array and from a list
+        # keys and a written-out default, or with −0.0 for 0.0, and the
+        # Scenario built in code, also from an integer array and from a list
         ints = {
             "model": {"A": [[0]], "B": [[1]], "C": [[1]]},
             "network": {"adjacency": [[0, 0], [1, 0]], "root_set": [1]},
@@ -171,7 +177,8 @@ class TestScenarioParsing:
             chi0=np.zeros((2, 1)), xhat0=np.zeros((2, 1)), coupling="full",
         )
         loaded = [load_scenario(write_scenario(tmp_path, d, f"{i}.json"))
-                  for i, d in enumerate((ints, floats))]
+                  for i, d in enumerate((ints, floats, dict(
+                      floats, xr0=[-0.0], chi0=[[0.0], [-0.0]])))]
         built_from = [dataclasses.replace(built, x0=built.x0.astype(int)),
                       dataclasses.replace(built, xr0=[0.0])]
         assert len({sc.fingerprint()
@@ -301,6 +308,47 @@ class TestRunProtocol:
         assert rk45.integrator["rtol"] == 1e-6
         assert rk45.integrator["atol"] == 1e-8
         assert "dt" not in rk45.integrator
+
+
+def test_every_kind_reports_each_value_it_holds(monkeypatch):
+    """The kinds that the factories, `_build_kind` and
+    `select_semiglobal_epsilon` make report each value they hold, and
+    nothing else, in a run report's parameters: ε as itself, the cache as
+    the ρ range of its table and K as its entries."""
+    scenario = bundled_scenario(1)
+    kinds = [global_full(scenario.model), global_partial(scenario.model),
+             semiglobal_full(scenario.model, 0.5),
+             semiglobal_partial(scenario.model, 0.5)]
+    kinds += [_build_kind(scenario, name,
+                          0.25 if name.startswith("semiglobal") else None)
+              for name in ("global-full", "global-partial", "semiglobal-full",
+                           "semiglobal-partial")]
+    validate = scheduling._validate_epsilon
+
+    def recording(model, net, kind, samples, horizon):
+        kinds.append(kind)
+        return validate(model, net, kind, samples, horizon)
+
+    monkeypatch.setattr(scheduling, "_validate_epsilon", recording)
+    sets = CompactSetSpec(agent=0.0, exo=0.0, protocol=0.0)
+    for coupling in ("full", "partial"):
+        scheduling.select_semiglobal_epsilon(scenario.model, scenario.net,
+                                             sets, coupling)
+    assert [kind.name for kind in kinds[-2:]] == ["semiglobal-full",
+                                                  "semiglobal-partial"]
+    reported_as = {"epsilon": "epsilon", "cache": "rho_grid",
+                   "observer_gain": "observer_gain"}
+    for kind in kinds:
+        held = [f.name for f in dataclasses.fields(kind)
+                if getattr(kind, f.name) is not None]
+        params = _kind_parameters(kind)
+        assert sorted(params) == sorted(reported_as[name] for name in held)
+        if kind.is_global:
+            assert params["rho_grid"] == [1.0, scheduling.RHO_MIN]
+        else:
+            assert params["epsilon"] == kind.epsilon
+        if kind.is_partial:
+            assert params["observer_gain"] == kind.observer_gain.tolist()
 
 
 class TestCommandLine:

@@ -34,28 +34,51 @@ def double_cache(double):
 
 class TestProtocolKind:
     def test_names(self, double, double_cache):
+        gain = design_observer_gain(double)
+        assert [ProtocolKind(**values).name for values in (
+            dict(cache=double_cache),
+            dict(cache=double_cache, observer_gain=gain),
+            dict(epsilon=0.5), dict(epsilon=0.5, observer_gain=gain),
+        )] == ["global-full", "global-partial", "semiglobal-full",
+               "semiglobal-partial"]
         assert global_full(double, double_cache).name == "global-full"
         assert semiglobal_partial(double, 0.5).name == "semiglobal-partial"
 
-    def test_semiglobal_requires_epsilon(self):
-        with pytest.raises(ProtocolError):
+    def test_semiglobal_requires_epsilon(self, double):
+        # a kind without a cache is semiglobal, and needs an ε in (0, 1]
+        gain = design_observer_gain(double)
+        for values in (dict(), dict(observer_gain=gain), dict(epsilon=0.0),
+                       dict(epsilon=1.5), dict(epsilon=float("nan"))):
+            with pytest.raises(ProtocolError):
+                ProtocolKind(**values)
+        assert not ProtocolKind(epsilon=1.0).is_global
+
+    def test_global_requires_cache(self, double, double_cache):
+        # a kind is global when it holds a cache, and then holds no ε
+        gain = design_observer_gain(double)
+        assert ProtocolKind(cache=double_cache).is_global
+        for values in (dict(epsilon=0.5, cache=double_cache),
+                       dict(epsilon=0.5, cache=double_cache,
+                            observer_gain=gain)):
+            with pytest.raises(ProtocolError, match="exactly one"):
+                ProtocolKind(**values)
+
+    def test_partial_requires_observer_gain(self, double, double_cache):
+        # the coupling is partial exactly when the kind holds a gain
+        gain = design_observer_gain(double)
+        for design in (dict(epsilon=0.5), dict(cache=double_cache)):
+            full = ProtocolKind(**design)
+            partial = ProtocolKind(**design, observer_gain=gain)
+            assert (full.is_partial, full.coupling) == (False, "full")
+            assert (partial.is_partial, partial.coupling) == (True, "partial")
+
+    def test_fields_are_keyword_only(self):
+        # a positional call, as when the kind held family and coupling
+        # strings, would put "semiglobal" into epsilon
+        with pytest.raises(TypeError):
             ProtocolKind("semiglobal", "full")
-
-    def test_global_requires_cache(self):
-        with pytest.raises(ProtocolError):
-            ProtocolKind("global", "full")
-
-    def test_partial_requires_observer_gain(self):
-        with pytest.raises(ProtocolError):
-            ProtocolKind("semiglobal", "partial", epsilon=0.5)
-
-    def test_unknown_family_rejected(self, double_cache):
-        with pytest.raises(ProtocolError):
-            ProtocolKind("local", "full", cache=double_cache)
-
-    def test_unknown_coupling_rejected(self, double_cache):
-        with pytest.raises(ProtocolError, match="unknown coupling"):
-            ProtocolKind("global", "output", cache=double_cache)
+        with pytest.raises(TypeError):
+            ProtocolKind(0.5)
 
     def test_partial_kind_hashes_by_identity(self, double, double_cache):
         kind = global_partial(double, double_cache)
@@ -381,11 +404,11 @@ def test_control_info_of_a_stack_matches_each_state(seed, family, coupling,
     net = random_rooted_network(rng, int(rng.integers(1, 9)))
     gain = design_observer_gain(model) if coupling == "partial" else None
     if family == "global":
-        kind = ProtocolKind(family, coupling, cache=PCache(model),
-                            observer_gain=gain)
+        kind = ProtocolKind(cache=PCache(model), observer_gain=gain)
     else:
-        kind = ProtocolKind(family, coupling, observer_gain=gain,
+        kind = ProtocolKind(observer_gain=gain,
                             epsilon=float(2.0 ** -rng.integers(0, 21)))
+    assert kind.name == f"{family}-{coupling}"
     field = ClosedLoopField(model, net, kind)
     Z = rng.standard_normal((T, field.layout.dim)) * 10 ** rng.uniform(-2, 2)
     times = np.linspace(0.0, 1.0, T)

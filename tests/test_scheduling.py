@@ -31,9 +31,9 @@ from satsync import (
 )
 import satsync
 from satsync import riccati, scheduling
+from satsync.protocols import ProtocolError
 from satsync.riccati import RiccatiError, scheduled_lyapunov
 from satsync.scheduling import (
-    GRID,
     ONE_MINUS,
     RHO_MIN,
     ROWS_PER_OCTAVE,
@@ -56,7 +56,7 @@ class TestPCache:
     def test_grid_solutions_match_closed_form(self, scalar_cache):
         # the residual certificate |P(rho - P)| <= tol only pins P down to
         # about tol/rho, so the check loosens as rho shrinks
-        for rho in GRID:
+        for rho in TABLE_RHO[::ROWS_PER_OCTAVE]:
             P = scalar_cache.solution(rho).P[0, 0]
             assert abs(P - rho) <= 2e-9 / rho
 
@@ -70,7 +70,8 @@ class TestPCache:
             AgentModel([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]])
         )
         chi = np.array([1.0, -0.5])
-        values = [cache.g(rho, chi) for rho in reversed(GRID)]
+        values = [cache.g(rho, chi)
+                  for rho in reversed(TABLE_RHO[::ROWS_PER_OCTAVE])]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_off_grid_solution_closed_form(self, scalar_cache):
@@ -621,7 +622,7 @@ def test_one_row_fill_stacks_its_octave(k):
     rho = TABLE_RHO[rows]
     assert rho.tolist() == [2.0**-k * (1 + j / 32) for j in range(31, -1, -1)]
     P, _, certified = scheduled_lyapunov(model, rho)
-    assert certified.all() and rho[-1] == GRID[k]
+    assert certified.all() and rho[-1] == 2.0**-k
     S, BtS, t2 = table_row(model, P)
     np.testing.assert_array_equal(cache.S[rows], S)
     np.testing.assert_array_equal(cache.gain[rows, 1], t2)
@@ -654,7 +655,7 @@ def test_lattice_rho_table_matches_ldexp():
     np.testing.assert_array_equal(TABLE_RHO.view(np.int64),
                                   want.view(np.int64))
     assert len(TABLE_RHO) == 641 and (np.diff(TABLE_RHO) < 0).all()
-    assert TABLE_RHO[::32].tolist() == list(GRID)
+    assert TABLE_RHO[::32].tolist() == [2.0**-k for k in range(21)]
     assert TABLE_RHO[-1] == RHO_MIN and not TABLE_RHO.flags.writeable
 
 
@@ -1014,6 +1015,13 @@ class TestSelectSemiglobalEpsilon:
         assert report.n_samples == 1
         assert report.trials[-1].max_control == 0.0
 
+    def test_unknown_coupling_rejected(self):
+        model = AgentModel([[0.0]], [[1.0]], [[1.0]])
+        net = Network(adjacency=np.zeros((1, 1)), root_set=frozenset([0]))
+        sets = CompactSetSpec(agent=0.0, exo=0.0, protocol=0.0)
+        with pytest.raises(ProtocolError, match="unknown coupling"):
+            select_semiglobal_epsilon(model, net, sets, "output")
+
     def test_report_round_trips_to_dict(self):
         model = AgentModel([[0.0]], [[1.0]], [[1.0]])
         net = Network(adjacency=np.zeros((1, 1)), root_set=frozenset([0]))
@@ -1033,7 +1041,7 @@ class TestSelectSemiglobalEpsilon:
         from satsync.riccati import design_observer_gain
 
         scenario = bundled_scenario(3)
-        kind = ProtocolKind("semiglobal", scenario.coupling, epsilon=1.0,
+        kind = ProtocolKind(epsilon=1.0,
                             observer_gain=design_observer_gain(scenario.model))
         field = ClosedLoopField(scenario.model, scenario.net, kind)
         sets = CompactSetSpec(agent=0.05, exo=0.05, protocol=0.05)

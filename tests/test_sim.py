@@ -178,8 +178,7 @@ class TestAdaptiveRk45:
         from satsync.sim import IntegrationError
 
         assert issubclass(DivergenceError, IntegrationError)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(DivergenceError) as info:
+        with pytest.raises(DivergenceError) as info:
             integrate(lambda t, z: np.array([10.0]), [1.0], (0.0, 1e308))
         assert 1e307 < info.value.t < 1e308
         assert not np.isfinite(info.value.z).all()
@@ -254,25 +253,29 @@ def case3_field(family):
 
     scenario = bundled_scenario(3)
     gain = design_observer_gain(scenario.model)
-    kind = (ProtocolKind("semiglobal", "partial", epsilon=1.0,
-                         observer_gain=gain) if family == "semiglobal"
-            else ProtocolKind("global", "partial", observer_gain=gain,
-                              cache=PCache(scenario.model)))
+    design = ({"epsilon": 1.0} if family == "semiglobal"
+              else {"cache": PCache(scenario.model)})
+    kind = ProtocolKind(**design, observer_gain=gain)
     return ClosedLoopField(scenario.model, scenario.net, kind)
 
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=40)
 @given(k=st.integers(0, 308), family=st.sampled_from(["semiglobal",
-                                                      "global"]))
-@example(k=152, family="semiglobal")
-@example(k=153, family="global")
-def test_huge_states_run_or_raise_without_a_warning(k, family):
+                                                      "global"]),
+       dt=st.sampled_from([None, 0.05]))
+@example(k=152, family="semiglobal", dt=None)
+@example(k=153, family="global", dt=None)
+@example(k=307, family="semiglobal", dt=0.05)
+@example(k=306, family="global", dt=0.05)
+def test_huge_states_run_or_raise_without_a_warning(k, family, dt):
     """Case 3 from agents synchronized with the reference at ±10^k in every
-    entry, with small χ and x̂, on [0, 20]: RK45 returns a trajectory whose
-    accepted states have finite norms, or raises IntegrationError
-    (ScheduleFloorError for the global field once χ passes its floor).  No
-    numpy warning leaks (tier-1 turns warnings into errors); a norm taken
-    as sqrt(v·v) with overflow warnings on leaked one at k = 152 and 153."""
+    entry, with small χ and x̂, on [0, 20]: RK45, or RK4 at a given dt,
+    returns a trajectory whose accepted states have finite norms, or raises
+    IntegrationError (ScheduleFloorError for the global field once χ passes
+    its floor).  No numpy warning leaks (tier-1 turns warnings into
+    errors); a norm taken as sqrt(v·v) with overflow warnings on leaked one
+    at k = 152 and 153, and RK4's stages leaked overflow warnings at
+    k = 306 … 308."""
     from satsync.scheduling import ScheduleFloorError
     from satsync.sim import IntegrationError
 
@@ -283,7 +286,8 @@ def test_huge_states_run_or_raise_without_a_warning(k, family):
     small = rng.uniform(-1.0, 1.0, (layout.N, layout.n))
     z0 = layout.pack(np.tile(w, (layout.N, 1)), w, small, small)
     try:
-        traj = integrate(field, z0, (0.0, 20.0), rtol=1e-6, atol=1e-8)
+        traj = integrate(field, z0, (0.0, 20.0), dt=dt, rtol=1e-6,
+                         atol=1e-8)
     except (IntegrationError, ScheduleFloorError):
         return
     with np.errstate(over="ignore"):
@@ -329,6 +333,27 @@ class LinearField:
 
     def __call__(self, t, z):
         return self.linear_part[0] @ z
+
+
+@pytest.mark.parametrize("field, z0, t_final, options, t_range", [
+    # RK45's stage loop: the stage terms overflow to ±inf and cancel
+    (lambda t, z: z, [1.0, 1.0], 800.0, {"rtol": 1e-6, "atol": 1e-8},
+     (700.0, 720.0)),
+    # the Taylor kernel: h¹⁷ overflows, times a zero coefficient
+    (LinearField(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0],
+                           [0.0, 0.0, 0.0]])),
+     [0.0, 0.0, 9e153], 1e160, {}, (1e154, 2e154)),
+    # RK4: the stage sum overflows
+    (lambda t, z: z, [1.0], 800.0, {"dt": 1.0}, (700.0, 720.0)),
+], ids=["stage_loop", "taylor", "rk4"])
+def test_overflowing_run_raises_divergence_without_a_warning(
+        field, z0, t_final, options, t_range):
+    """A run whose state overflows raises DivergenceError where it does,
+    and no numpy overflow or invalid-value warning leaks on the way
+    (tier-1 turns warnings into errors)."""
+    with pytest.raises(DivergenceError) as info:
+        integrate(field, z0, (0.0, t_final), **options)
+    assert t_range[0] < info.value.t < t_range[1]
 
 
 class TestLinearKernel:
@@ -614,7 +639,7 @@ class TestLinearKernel:
         from satsync.scheduling import T_VAL, sample_box_vertices
 
         scenario = bundled_scenario(3)
-        kind = ProtocolKind("semiglobal", scenario.coupling, epsilon=1.0,
+        kind = ProtocolKind(epsilon=1.0,
                             observer_gain=design_observer_gain(scenario.model))
         field = ClosedLoopField(scenario.model, scenario.net, kind)
         sets = CompactSetSpec(agent=0.05, exo=0.05, protocol=0.05)
