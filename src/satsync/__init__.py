@@ -36,8 +36,6 @@ from .protocols import (
     StateLayout,
     global_full,
     global_partial,
-    semiglobal_full,
-    semiglobal_partial,
 )
 from .sim import (
     SyncMetrics,

@@ -386,21 +386,22 @@ _PROTOCOL_CHOICES = (
 
 
 def _build_kind(scenario: Scenario, name: str, epsilon: Optional[float]):
+    """The kind a --protocol name names, built from its design values: the
+    given ε or a schedule table, and an observer gain when it is partial."""
     family, coupling = name.split("-")
     if family == "semiglobal":
         if epsilon is None:
             raise ParameterError("--epsilon is required for semiglobal protocols")
-        if coupling == "full":
-            return protocols.semiglobal_full(scenario.model, epsilon)
-        return protocols.semiglobal_partial(scenario.model, epsilon)
-    if epsilon is not None:
+    elif epsilon is not None:
         raise ParameterError(
             "--epsilon applies to semiglobal protocols only; global ones "
             "schedule ε from the protocol state"
         )
-    if coupling == "full":
-        return protocols.global_full(scenario.model)
-    return protocols.global_partial(scenario.model)
+    return protocols.ProtocolKind(
+        epsilon=epsilon,
+        observer_gain=(protocols.design_observer_gain(scenario.model)
+                       if coupling == "partial" else None),
+        cache=scheduling.PCache(scenario.model) if family == "global" else None)
 
 
 def _cmd_simulate(args) -> int:

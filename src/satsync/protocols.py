@@ -81,20 +81,6 @@ def global_partial(
                         observer_gain=observer_gain)
 
 
-def semiglobal_full(model: AgentModel, epsilon: float) -> ProtocolKind:
-    return ProtocolKind(epsilon=epsilon)
-
-
-def semiglobal_partial(
-    model: AgentModel,
-    epsilon: float,
-    observer_gain: Optional[np.ndarray] = None,
-) -> ProtocolKind:
-    if observer_gain is None:
-        observer_gain = design_observer_gain(model)
-    return ProtocolKind(epsilon=epsilon, observer_gain=observer_gain)
-
-
 @dataclass(frozen=True)
 class StateLayout:
     """Index arithmetic for the stacked state vector."""

@@ -403,8 +403,16 @@ def solve_scheduled_are(model: AgentModel, rho: float) -> RiccatiSolution:
     _check_inputs(model, "rho", rho)
     P, residual, certified = scheduled_lyapunov(model, np.array([rho]))
     if not certified[0]:
-        return _hamiltonian(model, "scheduled", rho, rho / 2, 0.0)
+        return scheduled_hamiltonian(model, rho)
     return _solution(P[0], "scheduled", rho, residual[0])
+
+
+def scheduled_hamiltonian(model: AgentModel, rho: float) -> RiccatiSolution:
+    """The scheduled ARE at ρ by the Hamiltonian method, which
+    `solve_scheduled_are` falls back to where `scheduled_lyapunov` does not
+    certify ρ.  It checks neither ρ nor the model; raises RiccatiError when
+    the solve fails a certificate."""
+    return _hamiltonian(model, "scheduled", rho, rho / 2, 0.0)
 
 
 def solve_lowgain_are(model: AgentModel, eps: float) -> RiccatiSolution:

@@ -34,6 +34,7 @@ from .riccati import (
     ParameterError,
     RiccatiError,
     RiccatiSolution,
+    scheduled_hamiltonian,
     scheduled_lyapunov,
     solve_scheduled_are,
 )
@@ -91,13 +92,15 @@ class PCache:
     (ρ, t², vec BᵀS) that the schedule interpolates, BᵀS = t·BᵀP.  Row 0
     is the checked `solve_scheduled_are(model, 1.0)`, which raises
     RiccatiError unless the model is admissible.  Rows 1–640 come from one
-    stacked Lyapunov solve (`riccati.scheduled_lyapunov`), and each row it
-    does not certify from a lone `solution`, by the Hamiltonian method, or
-    holds NaN where no solver certifies.  So every row is that of
-    `solve_scheduled_are(model, ρ)`, bit for bit, or NaN.  On the triple
-    integrator the stack certifies every row and a build takes about
-    10 ms; rows that fall to the Hamiltonian method cost about 0.3 ms each,
-    so a table on a random test model takes 0.2–0.6 s.
+    stacked Lyapunov solve (`riccati.scheduled_lyapunov`).  A row it does
+    not certify, which a lone Lyapunov solve would not certify either,
+    comes from the Hamiltonian solve that `solve_scheduled_are` falls back
+    to (`riccati.scheduled_hamiltonian`), or holds NaN where no solver
+    certifies.  So every row is that of `solve_scheduled_are(model, ρ)`,
+    bit for bit, or NaN.  On the triple integrator the stack certifies
+    every row and a build takes about 10 ms; rows that fall to the
+    Hamiltonian method cost about 0.3 ms each, so a table on a random test
+    model takes 0.05–0.3 s.
 
     `table` holds vec S of every row as the columns of one (n², 641) array,
     the layout the schedule's scan reads, and `S` (641, n, n) is a view of
@@ -112,7 +115,7 @@ class PCache:
         P[1:][certified] = stacked
         for i in np.flatnonzero(~certified) + 1:
             try:
-                P[i] = self.solution(float(TABLE_RHO[i])).P
+                P[i] = scheduled_hamiltonian(model, float(TABLE_RHO[i])).P
             except RiccatiError:  # no solver certifies the row: NaN
                 pass
         S, BtS, t2 = _rows(model.B, P)
@@ -192,7 +195,8 @@ def _scan(chi, cache):
     passed = g_j <= 1.0
     # count_nonzero: on a few dozen agents, a third of the cost of .all()
     if np.count_nonzero(passed) < passed.size:
-        raise ScheduleFloorError(float(np.linalg.norm(chi[passed.argmin()])))
+        from .sim import _norm  # rescaled where χ·χ overflows
+        raise ScheduleFloorError(_norm(chi[passed.argmin()]))
     up = np.maximum(j - 1, 0)
     g_up = g[agents, up]
     toward = g_up > 1.0  # j > 0 and row j⁺ is certified

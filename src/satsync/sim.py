@@ -460,7 +460,12 @@ def sync_error_series(traj: Trajectory) -> np.ndarray:
     if traj.layout is None:
         raise ValueError("trajectory has no stacked-state layout")
     x, x_r, _, _ = traj.layout.split(traj.states)
-    return np.linalg.norm(x - x_r[:, None, :], axis=2).max(axis=1)
+    with np.errstate(over="ignore"):
+        d = x - x_r[:, None, :]
+        e = np.linalg.norm(d, axis=2)
+        for k, i in zip(*np.nonzero(e == math.inf)):  # the squares overflow
+            e[k, i] = _norm(d[k, i])
+    return e.max(axis=1)
 
 
 def sync_metrics(traj: Trajectory, tol: float) -> SyncMetrics:

@@ -18,6 +18,7 @@ from satsync import (
     CompactSetSpec,
     Network,
     PCache,
+    ProtocolKind,
     bundled_scenario,
     design_observer_gain,
     expanded_laplacian,
@@ -31,7 +32,6 @@ from satsync import (
     run_protocol,
     saturation_events,
     select_semiglobal_epsilon,
-    semiglobal_full,
     solve_lowgain_are,
     solve_scheduled_are,
     target_dynamics_stable,
@@ -246,7 +246,7 @@ def test_criterion_7_semiglobal_selection():
         from satsync.scheduling import sample_box_vertices
         from satsync import sync_metrics
 
-        kind = semiglobal_full(model, eps_star)
+        kind = ProtocolKind(epsilon=eps_star)
         field = ClosedLoopField(model, net, kind)
         for z0 in sample_box_vertices(sets.halfwidths(field.layout)):
             traj = integrate(

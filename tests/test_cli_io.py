@@ -17,14 +17,14 @@ from satsync import (
     AgentModel,
     CompactSetSpec,
     Network,
+    ProtocolKind,
     Scenario,
     bundled_scenario,
+    design_observer_gain,
     global_full,
     global_partial,
     run_protocol,
     scheduling,
-    semiglobal_full,
-    semiglobal_partial,
     write_trajectory_csv,
 )
 from satsync.cli_io import (
@@ -32,6 +32,7 @@ from satsync.cli_io import (
     EXIT_OK,
     EXIT_VALIDATION,
     ScenarioValidationError,
+    _PROTOCOL_CHOICES,
     _build_kind,
     _kind_parameters,
     load_scenario,
@@ -285,7 +286,7 @@ class TestTrajectoryCsv:
 class TestRunProtocol:
     def test_scalar_pair_synchronizes(self):
         sc = scenario_from_dict(SCALAR_SCENARIO)
-        kind = semiglobal_full(sc.model, 1.0)
+        kind = ProtocolKind(epsilon=1.0)
         traj, report = run_protocol(sc, kind, t_final=20.0)
         assert report.converged
         assert report.final_sync_error < 1e-2
@@ -297,7 +298,7 @@ class TestRunProtocol:
         """An RK4 run's report carries its dt and no tolerances; an RK45
         run's carries its tolerances, last, and no dt."""
         sc = scenario_from_dict(SCALAR_SCENARIO)
-        kind = semiglobal_full(sc.model, 1.0)
+        kind = ProtocolKind(epsilon=1.0)
         _, rk4 = run_protocol(sc, kind, t_final=1.0, dt=0.01)
         assert rk4.integrator["method"] == "fixed_rk4"
         assert rk4.integrator["n_steps"] == 100
@@ -310,19 +311,37 @@ class TestRunProtocol:
         assert "dt" not in rk45.integrator
 
 
+@pytest.mark.parametrize("name", _PROTOCOL_CHOICES)
+def test_build_kind_holds_the_design_values_of_its_name(name):
+    """`_build_kind` gives a kind a schedule table of the scenario's model
+    exactly for the global names, the given ε exactly for the semiglobal
+    ones, and the gain `design_observer_gain` designs exactly for the
+    partial ones."""
+    scenario = bundled_scenario(1)
+    family, coupling = name.split("-")
+    epsilon = 0.25 if family == "semiglobal" else None
+    kind = _build_kind(scenario, name, epsilon)
+    assert kind.name == name
+    assert kind.epsilon == epsilon
+    assert (kind.cache is not None) == (family == "global")
+    if kind.cache is not None:
+        assert kind.cache.model is scenario.model
+    assert (kind.observer_gain is not None) == (coupling == "partial")
+    if kind.observer_gain is not None:
+        np.testing.assert_array_equal(kind.observer_gain,
+                                      design_observer_gain(scenario.model))
+
+
 def test_every_kind_reports_each_value_it_holds(monkeypatch):
-    """The kinds that the factories, `_build_kind` and
+    """The kinds that the global factories, `_build_kind` and
     `select_semiglobal_epsilon` make report each value they hold, and
     nothing else, in a run report's parameters: ε as itself, the cache as
     the ρ range of its table and K as its entries."""
     scenario = bundled_scenario(1)
-    kinds = [global_full(scenario.model), global_partial(scenario.model),
-             semiglobal_full(scenario.model, 0.5),
-             semiglobal_partial(scenario.model, 0.5)]
+    kinds = [global_full(scenario.model), global_partial(scenario.model)]
     kinds += [_build_kind(scenario, name,
                           0.25 if name.startswith("semiglobal") else None)
-              for name in ("global-full", "global-partial", "semiglobal-full",
-                           "semiglobal-partial")]
+              for name in _PROTOCOL_CHOICES]
     validate = scheduling._validate_epsilon
 
     def recording(model, net, kind, samples, horizon):
@@ -577,6 +596,36 @@ class TestCommandLine:
         assert ((eps > 0.0) & (eps <= 1.0)).all()
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["saturation_events"] == []
+
+    def test_simulate_from_a_start_whose_squares_overflow(self, tmp_path,
+                                                          capsys):
+        """Case 1 with every x0 entry at scale 1e200: the squares of the sync
+        error overflow, so it is taken rescaled by its largest magnitude.
+        The semiglobal RK4 run reports a finite sync error at every step,
+        and the global run stops at the schedule floor with the state norm
+        it reached, not inf; no warning escapes either."""
+        data = json.loads((Path(satsync.__file__).parent / "data"
+                           / "case1.json").read_text())
+        data["x0"] = [[1e200 * v if v else 1e200 for v in row]
+                      for row in data["x0"]]
+        argv = ["simulate", "--scenario", str(write_scenario(tmp_path, data)),
+                "--dt", "0.01", "--t-final", "1"]
+        assert main(argv + ["--protocol", "semiglobal-full", "--epsilon",
+                            "0.25", "--out", str(tmp_path / "s")]) == EXIT_OK
+        header, rows = read_trajectory_csv(tmp_path / "s" / "trajectory.csv")
+        x = rows[:, [header.index(f"x[{i}][{k}]") for i in range(1, 6)
+                     for k in range(1, 4)]].reshape(-1, 5, 3)
+        x_r = rows[:, [header.index(f"xr[{k}]") for k in range(1, 4)]]
+        scaled = np.linalg.norm((x - x_r[:, None]) / 1e200, axis=2)
+        np.testing.assert_allclose(rows[:, -1], 1e200 * scaled.max(axis=1),
+                                   rtol=1e-14)
+        report = json.loads((tmp_path / "s" / "report.json").read_text())
+        assert report["final_sync_error"] == rows[-1, -1]
+        capsys.readouterr()
+        code = main(argv + ["--protocol", "global-full",
+                            "--out", str(tmp_path / "g")])
+        assert code == EXIT_ASSERTION
+        assert "state norm 1.22474e+198" in capsys.readouterr().err
 
     def test_simulate_semiglobal_requires_epsilon(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SCALAR_SCENARIO)

@@ -15,8 +15,6 @@ from satsync import (
     global_partial,
     laplacian,
     random_rooted_network,
-    semiglobal_full,
-    semiglobal_partial,
     solve_lowgain_are,
 )
 from satsync.protocols import ClosedLoopField, ProtocolError
@@ -42,7 +40,7 @@ class TestProtocolKind:
         )] == ["global-full", "global-partial", "semiglobal-full",
                "semiglobal-partial"]
         assert global_full(double, double_cache).name == "global-full"
-        assert semiglobal_partial(double, 0.5).name == "semiglobal-partial"
+        assert global_partial(double, double_cache).name == "global-partial"
 
     def test_semiglobal_requires_epsilon(self, double):
         # a kind without a cache is semiglobal, and needs an ε in (0, 1]
@@ -184,7 +182,7 @@ class TestClosedLoopField:
         if family == "global":
             kind = global_partial(model, PCache(model), gain)
         else:
-            kind = semiglobal_partial(model, 0.5, gain)
+            kind = ProtocolKind(epsilon=0.5, observer_gain=gain)
         field = ClosedLoopField(model, net, kind)
         z = 0.5 * rng.standard_normal(field.layout.dim)
         x, x_r, chi, xhat = field.layout.split(z)
@@ -235,7 +233,7 @@ class TestClosedLoopField:
         if family == "global":
             kind = global_full(model, PCache(model))
         else:
-            kind = semiglobal_full(model, 0.5)
+            kind = ProtocolKind(epsilon=0.5)
         field = ClosedLoopField(model, net, kind)
         z = 2.0 * rng.standard_normal(field.layout.dim)
         x, x_r, chi, _ = field.layout.split(z)
@@ -286,7 +284,7 @@ class TestClosedLoopField:
         from satsync import integrate
 
         field = ClosedLoopField(double, chain_net(3),
-                                semiglobal_full(double, 0.25))
+                                ProtocolKind(epsilon=0.25))
         z0 = rng.uniform(-2.0, 2.0, size=field.layout.dim)
         traj = integrate(field, z0, (0.0, 5.0), rtol=1e-6, atol=1e-8)
         assert 0 < traj.stats.n_linear_steps < traj.stats.n_steps
@@ -302,8 +300,9 @@ class TestClosedLoopField:
         """Semiglobal kinds: F z = vec U, and f(t, z) = L z where ‖F z‖∞ ≤ 1.
         Global kinds declare no linear part."""
         net = chain_net(3)
-        make = semiglobal_partial if coupling == "partial" else semiglobal_full
-        field = ClosedLoopField(double, net, make(double, 0.5))
+        gain = design_observer_gain(double) if coupling == "partial" else None
+        field = ClosedLoopField(double, net,
+                                ProtocolKind(epsilon=0.5, observer_gain=gain))
         L, F = field.linear_part
         z = rng.standard_normal(field.layout.dim)
         U, _ = field.controls(field.layout.split(z)[2])
@@ -319,7 +318,7 @@ class TestClosedLoopField:
         """A call changes no attribute of the field, so a state edited in
         place after a call gets the controls of its new value."""
         kind = (global_full(double, double_cache) if family == "global"
-                else semiglobal_full(double, 0.5))
+                else ProtocolKind(epsilon=0.5))
         field = ClosedLoopField(double, chain_net(3), kind)
         before = dict(vars(field))
         z = rng.uniform(-1.0, 1.0, size=field.layout.dim)
@@ -350,13 +349,13 @@ class TestClosedLoopField:
             shape = {"gain_n_plus_1_rows": (n + 1, q),
                      "gain_n_minus_1_rows": (n - 1, q),
                      "gain_1d": (n,), "gain_transposed": (q, n)}[design]
-            kind = semiglobal_partial(double, 0.5, np.ones(shape))
+            kind = ProtocolKind(epsilon=0.5, observer_gain=np.ones(shape))
         with pytest.raises(ProtocolError):
             ClosedLoopField(double, chain_net(2), kind)
 
     def test_semiglobal_controls_are_fixed_gain(self, double, rng):
         net = chain_net(3)
-        kind = semiglobal_full(double, 0.25)
+        kind = ProtocolKind(epsilon=0.25)
         field = ClosedLoopField(double, net, kind)
         P = solve_lowgain_are(double, 0.25).P
         chi = rng.standard_normal((3, 2))
@@ -376,7 +375,7 @@ class TestClosedLoopField:
             root_set=frozenset(int(np.nonzero(perm == r)[0][0])
                                for r in net.root_set),
         )
-        kind = semiglobal_full(double, 0.5)
+        kind = ProtocolKind(epsilon=0.5)
         f = ClosedLoopField(double, net, kind)
         f_p = ClosedLoopField(double, net_p, kind)
         x = rng.standard_normal((N, 2))

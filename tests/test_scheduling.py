@@ -103,6 +103,30 @@ class TestPCache:
         cache.g(0.25, np.ones(3))
         assert calls == [1.0, 0.25]
 
+    def test_rows_the_stack_leaves_take_one_hamiltonian_solve(
+            self, monkeypatch):
+        """`stable_mode.json` has a mode at −0.3, so the table's stack
+        leaves 615 rows uncertified.  Each goes straight to the Hamiltonian
+        solve that `solve_scheduled_are` falls back to, with no second
+        Lyapunov solve on a stack of one: the build makes two stacks, row
+        0's and the table's, under either module's name."""
+        stacks, rows = [], []
+
+        def stacking(model, rho):
+            stacks.append(rho.size)
+            return scheduled_lyapunov(model, rho)
+
+        def hamiltonian(model, rho):
+            rows.append(rho)
+            return riccati.scheduled_hamiltonian(model, rho)
+
+        monkeypatch.setattr(scheduling, "scheduled_lyapunov", stacking)
+        monkeypatch.setattr(riccati, "scheduled_lyapunov", stacking)
+        monkeypatch.setattr(scheduling, "scheduled_hamiltonian", hamiltonian)
+        PCache(load_scenario(DATA / "stable_mode.json").model)
+        assert stacks == [1, len(TABLE_RHO) - 1]
+        assert len(rows) == 615 and len(set(rows)) == 615
+
     def test_solution_independent_of_cache_history(self):
         # every entry is a cold solve: the same bits as a direct solve,
         # whatever order the off-grid probes were requested in
@@ -688,6 +712,19 @@ def test_floor_error_names_first_agent_past_floor(scalar_cache):
     with pytest.raises(ScheduleFloorError) as err:
         schedule(many, scalar_cache)
     assert err.value.chi_norm == 5.0 / RHO_MIN
+
+
+def test_floor_error_norm_of_a_state_whose_squares_overflow(scalar_cache):
+    """The floor error reports the norm of a state whose χ·χ overflows
+    rescaled by its largest magnitude, not as inf.  The scan runs with
+    overflow and invalid-value warnings off, as `sim.integrate` calls it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ScheduleFloorError) as err:
+            schedule(np.array([[1e200], [-3e200]]), scalar_cache)
+        assert err.value.chi_norm == 1e200
+        with pytest.raises(ScheduleFloorError) as err:
+            schedule(np.array([[3e200, -4e200, 0.0]]), named_cache("triple"))
+        assert err.value.chi_norm == pytest.approx(5e200, rel=1e-14)
 
 
 def test_uncertified_grid_row_reads_as_failing(monkeypatch):

@@ -11,14 +11,14 @@ from scipy.integrate import solve_ivp
 from conftest import chain_net, random_admissible_model
 from satsync import (
     CompactSetSpec,
+    ProtocolKind,
     StateLayout,
     Trajectory,
+    design_observer_gain,
     integrate,
     random_rooted_network,
     saturation_events,
     select_semiglobal_epsilon,
-    semiglobal_full,
-    semiglobal_partial,
     sync_metrics,
     triple_integrator,
 )
@@ -248,8 +248,6 @@ def case3_field(family):
     """Case 3's partial-coupling field, semiglobal at ε = 1 or global on its
     own table."""
     from satsync import PCache, bundled_scenario
-    from satsync.protocols import ProtocolKind
-    from satsync.riccati import design_observer_gain
 
     scenario = bundled_scenario(3)
     gain = design_observer_gain(scenario.model)
@@ -409,8 +407,9 @@ class TestLinearKernel:
         rng = np.random.default_rng(seed)
         model = random_admissible_model(rng, n_max=6)
         net = random_rooted_network(rng, int(rng.integers(1, 7)))
-        make = semiglobal_partial if partial else semiglobal_full
-        field = ClosedLoopField(model, net, make(model, 2.0**log2_eps))
+        gain = design_observer_gain(model) if partial else None
+        field = ClosedLoopField(model, net, ProtocolKind(
+            epsilon=2.0**log2_eps, observer_gain=gain))
         L, F = field.linear_part
         z0 = rng.standard_normal(field.layout.dim)
         flow = [z0]  # the exact flow on a grid of 400 steps
@@ -454,8 +453,9 @@ class TestLinearKernel:
         rng = np.random.default_rng(seed)
         model = random_admissible_model(rng, n_max=6)
         net = random_rooted_network(rng, int(rng.integers(1, 7)))
-        make = semiglobal_partial if partial else semiglobal_full
-        field = ClosedLoopField(model, net, make(model, 2.0**log2_eps))
+        gain = design_observer_gain(model) if partial else None
+        field = ClosedLoopField(model, net, ProtocolKind(
+            epsilon=2.0**log2_eps, observer_gain=gain))
         L, F = field.linear_part
         h = 10.0**log10_hL / np.linalg.norm(L, 2)
         z = rng.standard_normal(L.shape[0])
@@ -533,7 +533,7 @@ class TestLinearKernel:
         trajectory's check_control_peak is the largest of them."""
         model = triple_integrator()
         field = ClosedLoopField(model, chain_net(3),
-                                semiglobal_full(model, epsilon))
+                                ProtocolKind(epsilon=epsilon))
         F = field.linear_part[1]
         z0 = np.random.default_rng(1).uniform(
             -half_width, half_width, field.layout.dim)
@@ -634,8 +634,6 @@ class TestLinearKernel:
         the reach of its block, where the first omitted term is 0.9¹⁷ of
         the tolerance."""
         from satsync import bundled_scenario
-        from satsync.protocols import ProtocolKind
-        from satsync.riccati import design_observer_gain
         from satsync.scheduling import T_VAL, sample_box_vertices
 
         scenario = bundled_scenario(3)
@@ -685,7 +683,7 @@ class TestLinearKernel:
         monkeypatch.setattr(sim, "_taylor_step", taylor_step)
         model = triple_integrator()
         field = ClosedLoopField(model, chain_net(3),
-                                semiglobal_full(model, 0.5))
+                                ProtocolKind(epsilon=0.5))
         F = field.linear_part[1]
         z0 = np.random.default_rng(1).uniform(-4.0, 4.0, field.layout.dim)
         traj = integrate(field, z0, (0.0, 20.0), rtol=1e-6, atol=1e-8)
@@ -780,6 +778,28 @@ class TestSyncMetrics:
             x, x_r, _, _ = layout.split(z)
             expected.append(np.linalg.norm(x - x_r[None, :], axis=1).max())
         np.testing.assert_array_equal(sync_error_series(traj), expected)
+
+    def test_error_series_rescales_where_the_squares_overflow(self, rng):
+        """A row whose squares of x_i − x_r overflow reads as the norm of
+        the difference scaled by its largest magnitude; a difference that
+        overflows or holds inf reads as inf, and no warning escapes.  The
+        other rows keep their bits in a stack with such rows."""
+        layout = StateLayout(3, 2, partial=False)
+        plain = rng.standard_normal((4, layout.dim))
+        huge = np.zeros((3, layout.dim))
+        huge[0, 0] = 1.5e308  # the squares overflow, ‖x_1 − x_r‖ does not
+        huge[1, :2] = 1.5e308  # ‖x_1 − x_r‖ = 2.1e308 > the largest float
+        huge[2, 0], huge[2, 6] = 1.5e308, -1.5e308  # x_1 − x_r overflows
+        states = np.vstack((plain, 1e200 * plain, huge))
+        traj = _make_traj(np.arange(len(states), dtype=float), states,
+                          layout=layout)
+        errors = sync_error_series(traj)
+        expected = sync_error_series(_make_traj(np.arange(4.0), plain,
+                                                layout=layout))
+        np.testing.assert_array_equal(errors[:4], expected)
+        np.testing.assert_allclose(errors[4:8], 1e200 * expected, rtol=1e-14)
+        assert errors[8] == 1.5e308
+        np.testing.assert_array_equal(errors[9:], np.inf)
 
     def test_convergence_time_log_ratio(self):
         traj, times = self._decay_traj()
