@@ -413,7 +413,7 @@ def _cmd_simulate(args) -> int:
     _write_run(traj, report, out)
     print(
         f"{kind.name}: final sync error {report.final_sync_error:.3e}, "
-        f"max ‖u‖∞ {report.max_control_inf_norm:.3f}, "
+        f"max ‖u‖∞ {report.max_control_inf_norm:.4g}, "
         f"{report.integrator['n_steps']} steps"
     )
     return EXIT_OK

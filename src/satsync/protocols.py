@@ -23,7 +23,8 @@ from .graph import Network, laplacian
 from .model import AgentModel, saturate
 from .riccati import design_observer_gain
 # protocols.epsilon_of_state stays resolvable: perfbench's tracer wraps it
-from .scheduling import PCache, epsilon_of_state, schedule  # noqa: F401
+from .scheduling import (  # noqa: F401
+    PCache, _schedule, at_full_gain, epsilon_of_state)
 
 
 class ProtocolError(ValueError):
@@ -186,11 +187,20 @@ class ClosedLoopField:
     kinds) the realized schedule values from the states it is given, one
     state or a whole trajectory at once.
 
-    `linear_part` is the pair of matrices (L, F) of a semiglobal kind,
-    whose controls vec U = F z are linear in the state: f(t, z) = L z
-    wherever ‖F z‖∞ ≤ 1, with L = M + (G_u + G_sat) F.  RK45 takes the
-    steps that stay in that regime from L alone, without calling the field.
-    Global kinds schedule their gain, so theirs is None.
+    `linear_part` is the pair (L, inside) of every kind.  On a cell of
+    states the controls are linear, vec U = F z with F = blockdiag(−BᵀP) on
+    the χ blocks, and no control saturates, so f(t, z) = L z there, with
+    L = M + (G_u + G_sat) F.  RK45 takes the steps that stay in the cell
+    from L alone, without calling the field.
+    - Semiglobal kinds: P is the low-gain solution at their ε, and the cell
+      is ‖F z‖∞ ≤ 1.
+    - Global kinds: P = P₁, read from row 0 of the schedule table as
+      `schedule` reads it at j = 0, λ = 0, and the cell is every agent at
+      ε = 1 (`scheduling.at_full_gain`): there ‖uᵢ‖² ≤ g(1, χᵢ) ≤ 1.
+    `inside(Z)` takes a state (dim,) or a stack of them (…, dim) and returns
+    |F z| (…, N·m), set to inf across a global kind's state whose |u| are
+    at most 1 but which is outside the cell, so a state is inside where
+    all of its entries are at most 1.
     """
 
     def __init__(self, model: AgentModel, net: Network, kind: ProtocolKind):
@@ -207,22 +217,48 @@ class ClosedLoopField:
         self.kind = kind
         self.layout = StateLayout(net.N, model.n, kind.is_partial)
         self.W = _closed_loop_operator(model, net, kind, self.layout)
-        self._chi = self.layout.slices()[2]
-        self.linear_part = None
-        if not kind.is_global:
-            P = riccati.solve_lowgain_are(model, kind.epsilon).P
-            self._gain_T = -(model.B.T @ P).T  # U = χ·gain_T: u_i = −BᵀP χ_i
-            dim, Nm = self.layout.dim, net.N * model.m
-            F = np.zeros((Nm, dim))
-            F[:, self._chi] = np.kron(np.eye(net.N), self._gain_T.T)
-            M, G_u, G_sat = np.split(self.W, [dim, dim + Nm], axis=1)
-            self.linear_part = (M + (G_u + G_sat) @ F, F)
+        dim, Nm = self.layout.dim, net.N * model.m
+        x, _, c, h = self.layout.slices()
+        self._chi = c
+        if kind.is_global:  # row 0: (1, t², vec BᵀS₀), with S₀ = t·P₁
+            rho_one = kind.cache.gain[0]
+            gain = -rho_one[2:].reshape(model.m, model.n) / np.sqrt(rho_one[1])
+        else:
+            gain = -(model.B.T @ riccati.solve_lowgain_are(
+                model, kind.epsilon).P)
+        self._gain_T = gain.T  # U = χ·gain_T: u_i = −BᵀP χ_i
+        self.F = F = np.zeros((Nm, dim))
+        F[:, c] = np.kron(np.eye(net.N), gain)
+        # L = M + (G_u + G_sat) F: its χ columns take I⊗(B·gain) in the x
+        # and χ rows and (L̃⊗B)(I⊗gain) in the x̂ rows
+        L = self.W[:, :dim].copy()
+        B_gain = np.kron(np.eye(net.N), model.B @ gain)
+        L[x, c] += B_gain
+        L[c, c] += B_gain
+        if kind.is_partial:
+            LB = self.W[h, dim:dim + Nm]  # L̃⊗B
+            L[h, c] += (LB.reshape(-1, model.m) @ gain).reshape(len(LB), -1)
+        cache, agents = kind.cache, (net.N, model.n)
+
+        # a closure, not a bound method, which would make the field that
+        # holds it a reference cycle
+        def inside(Z):
+            U = np.abs(Z @ F.T)
+            # a state with some |u| > 1 already reads as outside
+            if cache is None or not (U.max(axis=-1) <= 1.0).any():
+                return U
+            chi = Z[..., c].reshape(Z.shape[:-1] + agents)
+            full = at_full_gain(chi, cache).all(axis=-1)
+            return np.where(full[..., None], U, np.inf)
+
+        self.linear_part = (L, inside)
 
     def controls(self, chi: np.ndarray):
         """Pre-saturation controls (…, N, m) and realized ε (…, N) or None
         of agent states chi (…, N, n)."""
         if self.kind.is_global:
-            eps, U = schedule(chi.reshape(-1, self.model.n), self.kind.cache)
+            eps, U = _schedule(chi.reshape(-1, self.model.n),
+                               self.kind.cache)
             agents = chi.shape[:-1]
             return U.reshape(agents + (self.model.m,)), eps.reshape(agents)
         return chi @ self._gain_T, None

@@ -53,6 +53,7 @@ ONE_MINUS = 1.0 - 2.0**-40
 # states per scan: the scan's g array is then at most 128 × 641 doubles
 _PART = 128
 _TINY = np.finfo(float).tiny
+_U = np.finfo(float).eps / 2  # unit roundoff
 
 # Semi-global search parameters (validated by direct simulation, not by the
 # existential constants of the convergence analysis).
@@ -104,7 +105,8 @@ class PCache:
 
     `table` holds vec S of every row as the columns of one (n², 641) array,
     the layout the schedule's scan reads, and `S` (641, n, n) is a view of
-    it; `gain` holds the records as its rows (641, 2 + m·n).
+    it; `gain` holds the records as its rows (641, 2 + m·n).  `cell` (n², 1)
+    is vec(S₀ + cI), the form `at_full_gain` tests.
     """
 
     def __init__(self, model: AgentModel):
@@ -122,6 +124,10 @@ class PCache:
         self.table = np.ascontiguousarray(S.reshape(len(P), -1).T)
         self.S = self.table.T.reshape(S.shape)
         self.gain = np.column_stack((TABLE_RHO, t2, BtS.reshape(len(P), -1)))
+        terms = model.n**2  # of each product ⟨vec S, χ⊗χ⟩
+        gamma = terms * _U / (1.0 - terms * _U)
+        cell = S[0] + 8.0 * gamma * np.linalg.norm(S[0]) * np.eye(model.n)
+        self.cell = cell.reshape(-1, 1)
 
     def solution(self, rho: float) -> RiccatiSolution:
         """The certified solve at ρ, cold: the table is not consulted."""
@@ -176,14 +182,46 @@ def schedule(chi: np.ndarray, cache: PCache):
     general not a table row.
 
     States are scanned in parts of at most 128, so a call on a whole
-    trajectory's states holds at most 128 × 641 values of g at once.
+    trajectory's states holds at most 128 × 641 values of g at once.  A
+    state whose χ⊗χ overflows has g = inf or nan at every row, so it is
+    past the floor; the scan runs with numpy's overflow and invalid-value
+    warnings off, so it raises no warning on the way.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _schedule(chi, cache)
+
+
+def _schedule(chi, cache):
+    """`schedule` with numpy's warnings as the caller set them.  The
+    closed-loop field calls it, and `sim.integrate` runs the field with
+    them off; entering `np.errstate` would cost a warm call about 2 µs."""
     chi = np.asarray(chi, dtype=float)
     if len(chi) <= _PART:
         return _scan(chi, cache)
     eps, U = zip(*(_scan(chi[first:first + _PART], cache)
                    for first in range(0, len(chi), _PART)))
     return np.concatenate(eps), np.concatenate(U)
+
+
+def at_full_gain(chi, cache: PCache):
+    """Whether each agent state of chi (…, n) is in the cell where
+    `schedule` gives it ε = 1.0 exactly: ⟨vec S₀⁺, χ⊗χ⟩ ≤ 1, with S₀⁺ =
+    `cache.cell` = S₀ + cI, c = 8γ‖S₀‖_F and γ = n²u/(1 − n²u), u the unit
+    roundoff.
+
+    Any evaluation of a product ⟨s, κ⟩ of n² terms is within γ‖s‖‖κ‖ of its
+    exact value (Higham, Accuracy and Stability of Numerical Algorithms,
+    §3.1), whatever the order of its sum, and ‖χ⊗χ‖ ≤ (1 + 3u)·Σᵢ χᵢ², so
+    the added c‖χ‖² exceeds the rounding of both products.  This test's g
+    is then at least the scan's g at row 0, so a state it passes gets j = 0
+    and λ = 0 there, however the BLAS orders either sum.  The cell is g ≤ 1
+    shrunk by at most c/λ_min(S₀) relative, about 5e-13 on the triple
+    integrator.  It is a stack of one-row products, as in `_g`, so a state
+    reads the same whatever other states are in the call; a state whose
+    χ⊗χ overflows reads as outside, with numpy's warnings as the caller
+    set them."""
+    g = _g(_kron(chi.reshape(-1, chi.shape[-1])), cache.cell)
+    return (g <= 1.0).reshape(chi.shape[:-1])
 
 
 def _scan(chi, cache):

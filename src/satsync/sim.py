@@ -14,51 +14,54 @@ an attempted step.  An attempt is a pure function of (t, z, k1 = f(t, z),
 h) and, for the Taylor kernel, of the Krylov block of z and the tolerance
 at z.  The block is the loop's one Taylor state: the block of z when
 attempts from z may be Taylor ones, and None otherwise.  They may when the
-field has a `linear_part` (L, F) and the controls F z are unsaturated,
-‖F z‖∞ ≤ 1.  The loop tests this at t0 and after each stage-loop step; a
-Taylor step ends at its own last check point, which passed the same test.
-It builds the block at t0 and at each accepted state before tf that
-passes, and since the block depends on z alone, a retry at the same z
-keeps it; the loop carries nothing else between attempts.  Each kernel
-returns the order of its error estimate, err = O(h^order), and the
-controller scales the attempted h by 0.9·(tol/err)^(1/order), within
-[0.2, 5].  The first step is sized by the starting-step rule of Hairer,
-Nørsett & Wanner (Solving ODEs I, §II.4), in the norm of the loop's error
-test, for the order of the kernel that takes the first attempt: p + 1 = 17
-when z0 may take Taylor attempts and its block is finite, else 5.  The
-rule probes the field once, at t0 + h0 along the slope at t0.
+field has a `linear_part` (L, inside) and z is in its cell, where
+ż = L z: `inside(z)` returns the magnitudes |u| of the linear controls,
+or inf, and z is in the cell where they are all at most 1.  The loop
+tests this at t0 and after each stage-loop step; a Taylor step ends at its
+own last check point, which passed the same test.  It builds the block at
+t0 and at each accepted state before tf that passes, and since the block
+depends on z alone, a retry at the same z keeps it; the loop carries
+nothing else between attempts.  Each kernel returns the order of its error
+estimate, err = O(h^order), and the controller scales the attempted h by
+0.9·(tol/err)^(1/order), within [0.2, 5].  The first step is sized by the
+starting-step rule of Hairer, Nørsett & Wanner (Solving ODEs I, §II.4), in
+the norm of the loop's error test, for the order of the kernel that takes
+the first attempt: p + 1 = 17 when z0 may take Taylor attempts and its
+block is finite, else 5.  The rule probes the field once, at t0 + h0 along
+the slope at t0.
 
-- the Taylor kernel, for the semiglobal protocols while their controls
-  stay unsaturated.  There the loop is ż = L z, so z(t + h) = e^{hL} z, and
-  the kernel sums its Taylor polynomial of degree p = 16 (Al-Mohy & Higham,
+- the Taylor kernel, while the state stays in the cell: for the semiglobal
+  protocols while their controls are unsaturated, and for the global ones
+  while every agent is at ε = 1.  There z(t + h) = e^{hL} z, and the
+  kernel sums its Taylor polynomial of degree p = 16 (Al-Mohy & Higham,
   "Computing the action of the matrix exponential", SIAM J. Sci. Comput.
   33, 2011).  One product of a 10-row polynomial matrix with the Krylov
   block of z, [z, k1, L k1, …, Lᵖ k1] = [Lᵏ z], k ≤ p + 1, gives rows 0–7
   the check points z(θh), θ = 1/8, …, 1 (row 7 the result z(h)), row 8 the
   first omitted term (hL)^(p+1)/(p+1)! z, whose norm is the error estimate
-  (order p + 1 = 17), and row 9 the FSAL slope L z(h).  The controls
-  F z(θh) of every check point are tested, and a finite product certifies
-  the step: the kernel makes no field call.  The error estimate is at
-  least a bound on the rounding of the sum z(h), so where the terms
-  (hL)ᵏ/k! z cancel the step shrinks until that rounding fits the
-  tolerance.  The kernel caps each attempt at the block's reach, the h at
-  which the first omitted term, read from the block's last row
-  L^(p+1) z, is 0.9^(p+1) of the tolerance at z, so the controller's
-  growth does not overshoot the step that term allows, and returns the h
-  it covers or hands on to the stage loop.  The block takes p products with
-  L, so the kernel holds O(dim) doubles besides L.
-  `IntegratorStats.n_linear_steps` counts the kernel's steps.  They are
-  long, so the controls recorded at accepted states sample |u| coarsely
-  in time; `Trajectory.check_control_peak` keeps the largest |u| at the
-  check points of the accepted kernel steps, and `sync_metrics` reads it.
+  (order p + 1 = 17), and row 9 the FSAL slope L z(h).  Every check point
+  is tested with `inside`, and a finite product certifies the step: the
+  kernel makes no field call.  The error estimate is at least a bound on
+  the rounding of the sum z(h), so where the terms (hL)ᵏ/k! z cancel the
+  step shrinks until that rounding fits the tolerance.  The kernel caps
+  each attempt at the block's reach, the h at which the first omitted
+  term, read from the block's last row L^(p+1) z, is 0.9^(p+1) of the
+  tolerance at z, so the controller's growth does not overshoot the step
+  that term allows, and returns the h it covers or hands on to the stage
+  loop.  The block takes p products with L, so the kernel holds O(dim)
+  doubles besides L.  `IntegratorStats.n_linear_steps` counts the
+  kernel's steps.  They are long, so the controls recorded at accepted
+  states sample |u| coarsely in time; `Trajectory.check_control_peak`
+  keeps the largest |u| at the check points of the accepted kernel steps,
+  and `sync_metrics` reads it.
 - the Dormand-Prince 5(4) stage loop, one field call per stage, for every
-  other attempt: a field with no linear part (the global protocols), a
-  start point whose controls exceed 1 in magnitude, a check point that
-  does, or a product that is not finite.  After a failed Taylor attempt
-  it runs at the h the kernel hands on, else at the controller's h.
-  Where check point θ is the first to saturate, that h is θ times the
-  attempt's capped h, so the step ends where the controls saturate.  Its
-  error estimate has order 5.  Apart from the call at t0 and the
+  other attempt: a field with no linear part, a start point outside the
+  cell, a check point outside it, or a product that is not finite.  After
+  a failed Taylor attempt it runs at the h the kernel hands on, else at
+  the controller's h.  Where check point θ is the first outside the cell,
+  that h is θ times the attempt's capped h, so the step ends near the
+  cell's edge: where the controls saturate, or where an agent's ε leaves
+  1.  Its error estimate has order 5.  Apart from the call at t0 and the
   start-step probe, it is the only caller of the field.
 """
 
@@ -257,11 +260,11 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
             f"non-finite initial state norm at t={t:.6g}", t, z)
     k1 = field_fn(t, z)
     stats.n_field_evals += 1
-    linear = getattr(field_fn, "linear_part", None)  # (L, F)
+    linear = getattr(field_fn, "linear_part", None)  # (L, inside)
 
     def block(z, k1):  # the Krylov block of z if attempts from z may be Taylor
-        unsaturated = linear is not None and np.abs(linear[1] @ z).max() <= 1.0
-        return _krylov(linear[0], z, k1) if unsaturated else None
+        in_cell = linear is not None and linear[1](z).max() <= 1.0
+        return _krylov(linear[0], z, k1) if in_cell else None
 
     V = block(z, k1)
     # size the start for the Taylor kernel if z0 may take it and its block
@@ -287,8 +290,7 @@ def _integrate_rk45(field_fn, z0, t0, tf, rtol, atol):
             q = tol / err if err > 0 else np.inf
         if q >= 1.0:
             # FSAL: k_new is the field at z_new, which is finite, and a
-            # kernel step is unsaturated at its end point z(h), by
-            # construction
+            # kernel step's end point z(h) is in the cell, by construction
             t, z, k1 = t + h, z_new, k_new
             if t < tf:
                 V = _krylov(linear[0], z, k1) if by_kernel else block(z, k1)
@@ -364,25 +366,26 @@ def _krylov(L, z, k1):
     return V
 
 
-def _taylor_step(F, V, h, tol):
-    """Taylor kernel: (h, step) of one attempt from the Krylov block V of an
-    unsaturated z, with no field call, from one product of the scaled
-    polynomial matrix with V (rows as in `_taylor_polynomials`).
+def _taylor_step(inside, V, h, tol):
+    """Taylor kernel: (h, step) of one attempt from the Krylov block V of a
+    z in the linear part's cell, with no field call, from one product of
+    the scaled polynomial matrix with V (rows as in `_taylor_polynomials`).
 
     The attempt takes at most the block's reach: the h at which the first
     omitted term (hL)^(p+1)/(p+1)! z, read from the block's last row
     L^(p+1) z, is 0.9^(p+1)·tol.  A last row whose norm is 0 or not finite
     sets no reach.  The returned h is the h the attempt covers: the capped
     h with a step, and with None the h that the stage loop takes in its
-    place, θ times the capped h where check point θ is the first whose
-    controls saturate, and the capped h where the product is not finite.
+    place, θ times the capped h where check point θ is the first outside
+    the cell, and the capped h where the product is not finite.
     Rows 7 and 9 carry every entry of the block with a nonzero
     coefficient, so a non-finite block gives a non-finite product, and it
     has no reach: the stage loop takes the h asked for.
 
     step is (z(h), err, L z(h), p + 1, peak), peak the largest |u| of the
-    controls F z(θh) at the check points, or None if the product is not
-    finite or a check point's controls saturate (z(h) among them).
+    controls |F z(θh)| = inside(z(θh)) at the check points, or None if the
+    product is not finite or a check point is outside the cell (z(h) among
+    them).
 
     err is the larger of the norm of the first omitted term, O(h^(p+1)),
     and the bound `_ROUNDING`·‖Σₖ |hᵏ/k! Lᵏ z|‖ on the rounding of the sum
@@ -397,10 +400,11 @@ def _taylor_step(F, V, h, tol):
     Z = C @ V
     if not np.isfinite(Z).all():
         return h, None
-    U = np.abs(Z[:_N_CHECKS] @ F.T)
+    U = inside(Z[:_N_CHECKS])
     peak = U.max()
-    if peak > 1.0:  # the stage loop stops where u saturates
-        theta = (int(np.argmax(U.max(axis=1) > 1.0)) + 1) / _N_CHECKS
+    # the stage loop stops where z leaves the cell; a nan |u| reads as out
+    if not peak <= 1.0:
+        theta = (int(np.argmax(~(U.max(axis=1) <= 1.0))) + 1) / _N_CHECKS
         return theta * h, None
     # row θ = 1 of C holds the weights hᵏ/k! of the terms
     rounding = _ROUNDING * _norm(C[_N_CHECKS - 1, :-1] @ np.abs(V[:-1]))
@@ -446,10 +450,10 @@ class SyncMetrics:
     """Per-time synchronization error and derived summary values.
 
     max_control_inf_norm is the peak pre-saturation |u| at the accepted
-    states and, on a semiglobal run, at the Taylor kernel's check points of
-    its accepted steps (`Trajectory.check_control_peak`), eight a step.  It
-    is not taken over continuous time, so it moves with the step sequence;
-    ε* selection judges SAT_MARGIN on this sampled peak."""
+    states and at the Taylor kernel's check points of its accepted steps
+    (`Trajectory.check_control_peak`), eight a step.  It is not taken over
+    continuous time, so it moves with the step sequence; ε* selection
+    judges SAT_MARGIN on this sampled peak."""
 
     error_series: np.ndarray  # max_i ‖x_i - x_r‖ at each accepted step
     convergence_time: Optional[float]

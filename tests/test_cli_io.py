@@ -310,6 +310,18 @@ class TestRunProtocol:
         assert rk45.integrator["atol"] == 1e-8
         assert "dt" not in rk45.integrator
 
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    def test_reproduce_keeps_its_work_budget(self, case, tmp_path):
+        """A work budget for `reproduce`, in counts rather than times: each
+        case takes some of its steps with every agent at ε = 1 from the
+        Taylor kernel, and makes at most 600 field calls.  Cases 1–3 make
+        524, 548 and 524 with numpy 2.4 on OpenBLAS; the bound leaves room
+        for another numpy or BLAS.  Taking every step by the stage loop
+        makes 680, 716 and 764."""
+        report = satsync.reproduce(case, tmp_path)
+        assert report.integrator["n_linear_steps"] > 0
+        assert report.integrator["n_field_evals"] <= 600
+
 
 @pytest.mark.parametrize("name", _PROTOCOL_CHOICES)
 def test_build_kind_holds_the_design_values_of_its_name(name):
@@ -603,7 +615,8 @@ class TestCommandLine:
         error overflow, so it is taken rescaled by its largest magnitude.
         The semiglobal RK4 run reports a finite sync error at every step,
         and the global run stops at the schedule floor with the state norm
-        it reached, not inf; no warning escapes either."""
+        it reached, not inf; no warning escapes either.  The semiglobal
+        summary line prints its max ‖u‖∞ of about 1e200 in a few digits."""
         data = json.loads((Path(satsync.__file__).parent / "data"
                            / "case1.json").read_text())
         data["x0"] = [[1e200 * v if v else 1e200 for v in row]
@@ -612,6 +625,8 @@ class TestCommandLine:
                 "--dt", "0.01", "--t-final", "1"]
         assert main(argv + ["--protocol", "semiglobal-full", "--epsilon",
                             "0.25", "--out", str(tmp_path / "s")]) == EXIT_OK
+        summary = capsys.readouterr().out
+        assert "e+200" in summary and len(summary) < 120
         header, rows = read_trajectory_csv(tmp_path / "s" / "trajectory.csv")
         x = rows[:, [header.index(f"x[{i}][{k}]") for i in range(1, 6)
                      for k in range(1, 4)]].reshape(-1, 5, 3)

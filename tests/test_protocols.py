@@ -16,6 +16,7 @@ from satsync import (
     laplacian,
     random_rooted_network,
     solve_lowgain_are,
+    solve_scheduled_are,
 )
 from satsync.protocols import ClosedLoopField, ProtocolError
 
@@ -297,21 +298,49 @@ class TestClosedLoopField:
     @pytest.mark.parametrize("coupling", ["full", "partial"])
     def test_linear_part_is_the_unsaturated_field(self, double, double_cache,
                                                   coupling, rng):
-        """Semiglobal kinds: F z = vec U, and f(t, z) = L z where ‖F z‖∞ ≤ 1.
-        Global kinds declare no linear part."""
+        """Every kind has a linear part (L, inside), with F the block-diagonal
+        −BᵀP on χ: in its cell F z = vec U and f(t, z) = L z, to 1e-12, and
+        inside(z) = |F z|.  Semiglobal kinds: P at their ε, and the cell is
+        ‖F z‖∞ ≤ 1.  Global kinds: P = P₁, and the cell is every agent at
+        g(1, χᵢ) ≤ 1, where `controls` gives ε = 1 to every agent.  A state
+        scaled 1e-9 past the edge reads as outside: |u| > 1, or inf across
+        the state, alone and in a stack with one inside."""
         net = chain_net(3)
         gain = design_observer_gain(double) if coupling == "partial" else None
-        field = ClosedLoopField(double, net,
-                                ProtocolKind(epsilon=0.5, observer_gain=gain))
-        L, F = field.linear_part
-        z = rng.standard_normal(field.layout.dim)
-        U, _ = field.controls(field.layout.split(z)[2])
-        np.testing.assert_allclose(F @ z, U.ravel(), atol=1e-13)
-        z *= 0.9 / np.abs(U).max()
-        np.testing.assert_allclose(field(0.0, z), L @ z, atol=1e-12)
-        kind = (global_partial(double, double_cache) if coupling == "partial"
-                else global_full(double, double_cache))
-        assert ClosedLoopField(double, net, kind).linear_part is None
+        for kind, P in (
+                (ProtocolKind(epsilon=0.5, observer_gain=gain),
+                 solve_lowgain_are(double, 0.5).P),
+                (ProtocolKind(cache=double_cache, observer_gain=gain),
+                 solve_scheduled_are(double, 1.0).P)):
+            field = ClosedLoopField(double, net, kind)
+            L, inside = field.linear_part
+            F = field.F
+            np.testing.assert_allclose(
+                F[:, field.layout.slices()[2]],
+                np.kron(np.eye(net.N), -double.B.T @ P), rtol=1e-12)
+            z = rng.standard_normal(field.layout.dim)
+            chi = field.layout.split(z)[2]
+            if kind.is_global:  # the largest g(1, χᵢ) = χᵢᵀS₀χᵢ, to 0.9
+                edge = np.sqrt(np.einsum("ij,jk,ik->i", chi,
+                                         double_cache.S[0], chi).max())
+            else:  # the largest |u| to 0.9
+                edge = np.abs(F @ z).max()
+            z_in, z_out = (0.9 / edge) * z, (1.0 + 1e-9) / edge * z
+            U, eps = field.control_info(0.0, z_in)
+            np.testing.assert_allclose(F @ z_in, U.ravel(), rtol=0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(field(0.0, z_in), L @ z_in, rtol=0,
+                                       atol=1e-12)
+            np.testing.assert_array_equal(inside(z_in), np.abs(z_in @ F.T))
+            assert inside(z_in).max() <= 1.0
+            assert inside(z_out).max() > 1.0
+            both = inside(np.stack([z_in, z_out]))
+            np.testing.assert_allclose(both[0], inside(z_in), rtol=1e-15)
+            assert both[1].max() > 1.0
+            if kind.is_global:
+                assert (eps == 1.0).all()
+                assert (both[1] == np.inf).all()
+                assert field.control_info(0.0, z_out)[1].min() < 1.0
 
     @pytest.mark.parametrize("family", ["global", "semiglobal"])
     def test_call_keeps_no_state(self, double, double_cache, family, rng):

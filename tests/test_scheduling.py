@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import gc
 import json
@@ -716,15 +717,64 @@ def test_floor_error_names_first_agent_past_floor(scalar_cache):
 
 def test_floor_error_norm_of_a_state_whose_squares_overflow(scalar_cache):
     """The floor error reports the norm of a state whose χ·χ overflows
-    rescaled by its largest magnitude, not as inf.  The scan runs with
-    overflow and invalid-value warnings off, as `sim.integrate` calls it."""
+    rescaled by its largest magnitude, not as inf, whether the caller runs
+    with overflow and invalid-value warnings off, as `sim.integrate` does,
+    or as tier-1 sets them, where a warning is an error: no numpy warning
+    escapes `schedule` or `epsilon_of_state`."""
+    triple = named_cache("triple")
+    for quiet in (np.errstate(over="ignore", invalid="ignore"),
+                  contextlib.nullcontext()):
+        with quiet:
+            with pytest.raises(ScheduleFloorError) as err:
+                schedule(np.array([[1e200], [-3e200]]), scalar_cache)
+            assert err.value.chi_norm == 1e200
+            with pytest.raises(ScheduleFloorError) as err:
+                schedule(np.array([[3e200, -4e200, 0.0]]), triple)
+            assert err.value.chi_norm == pytest.approx(5e200, rel=1e-14)
+            with pytest.raises(ScheduleFloorError) as err:
+                epsilon_of_state([1e200, 0.0, 0.0], triple)
+            assert err.value.chi_norm == 1e200
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=12)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_full_gain_cell_gets_epsilon_one(seed):
+    """`at_full_gain` and `schedule` agree: every state the cell test
+    passes gets ε = 1.0 exactly, tested one at a time and batched.  The
+    states are scaled to 1 ± a few ulps of g(1, χ) = χᵀS₀χ, the scan's
+    edge, and of the cell's own form χᵀS₀⁺χ, and each edge is straddled:
+    some states get ε < 1 and some ε = 1, and some read inside and some
+    outside.  A state reads the same alone and in the stack, so do its ε
+    and U.  States at g = 1 − 1e-9 are inside, at 1 + 1e-9 outside, and a
+    state whose χ⊗χ overflows reads as outside with no warning where they
+    are off, as in `sim.integrate`."""
+    rng = np.random.default_rng(seed)
+    model = (triple_integrator() if seed == 0
+             else random_admissible_model(rng, n_max=6))
+    cache = PCache(model)
+    chi = rng.standard_normal((24, model.n))
+    ulps = 1.0 + np.arange(-8, 9)[:, None, None] * np.finfo(float).eps
+    edges = []
+    for S in (cache.S[0], cache.cell.reshape(model.n, model.n)):
+        g = np.einsum("ij,jk,ik->i", chi, S, chi)
+        edges.append((ulps * (chi / np.sqrt(g)[:, None])).reshape(-1, model.n))
+    states = np.concatenate(edges)
+    inside = scheduling.at_full_gain(states, cache)
+    eps, U = schedule(states, cache)
+    for k, state in enumerate(states):
+        assert scheduling.at_full_gain(state[None], cache)[0] == inside[k]
+        eps_k, U_k = schedule(state[None], cache)
+        assert eps_k[0] == eps[k] and (U_k[0] == U[k]).all()
+    assert (eps[inside] == 1.0).all()
+    scan_edge, cell_edge = np.split(np.arange(len(states)), 2)
+    assert (eps[scan_edge] < 1.0).any() and (eps[scan_edge] == 1.0).any()
+    assert inside[cell_edge].any() and not inside[cell_edge].all()
+    assert scheduling.at_full_gain((1.0 - 1e-9) * edges[0], cache).all()
+    assert not scheduling.at_full_gain((1.0 + 1e-9) * edges[0], cache).any()
+    huge = np.zeros((2, model.n))
+    huge[0, 0], huge[1, -1] = 1e200, -3e200
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ScheduleFloorError) as err:
-            schedule(np.array([[1e200], [-3e200]]), scalar_cache)
-        assert err.value.chi_norm == 1e200
-        with pytest.raises(ScheduleFloorError) as err:
-            schedule(np.array([[3e200, -4e200, 0.0]]), named_cache("triple"))
-        assert err.value.chi_norm == pytest.approx(5e200, rel=1e-14)
+        assert not scheduling.at_full_gain(huge, cache).any()
 
 
 def test_uncertified_grid_row_reads_as_failing(monkeypatch):

@@ -305,10 +305,16 @@ class StageLoopOnly:
         return self.field(t, z)
 
 
+def never_saturated(Z):
+    """The `inside` of a linear part whose one control F z = 0 never
+    saturates: every state is in its cell."""
+    return np.zeros(np.shape(Z)[:-1] + (1,))
+
+
 class NonFiniteKernel:
     """ż = −z with a linear part whose Krylov block is not finite."""
 
-    linear_part = (np.array([[np.nan]]), np.zeros((1, 1)))
+    linear_part = (np.array([[np.nan]]), never_saturated)
 
     def __call__(self, t, z):
         return -z
@@ -317,7 +323,7 @@ class NonFiniteKernel:
 class LinearDecay:
     """ż = −z with a linear part whose controls never saturate."""
 
-    linear_part = (np.array([[-1.0]]), np.zeros((1, 1)))
+    linear_part = (np.array([[-1.0]]), never_saturated)
 
     def __call__(self, t, z):
         return -z
@@ -327,7 +333,7 @@ class LinearField:
     """ż = L z with a linear part whose controls F z = 0 never saturate."""
 
     def __init__(self, L):
-        self.linear_part = (L, np.zeros((1, L.shape[0])))
+        self.linear_part = (L, never_saturated)
 
     def __call__(self, t, z):
         return self.linear_part[0] @ z
@@ -386,9 +392,10 @@ class TestLinearKernel:
     def test_nonfinite_krylov_block_takes_the_stage_loop(self):
         """A non-finite block sets no reach: the kernel hands the stage loop
         the h it was asked for."""
-        L, F = NonFiniteKernel.linear_part
+        L, inside = NonFiniteKernel.linear_part
         z = np.array([1.0])
-        assert _taylor_step(F, _krylov(L, z, -z), 0.1, 1e-8) == (0.1, None)
+        assert _taylor_step(inside, _krylov(L, z, -z), 0.1,
+                            1e-8) == (0.1, None)
         traj = integrate(NonFiniteKernel(), z, (0.0, 2.0))
         stages = integrate(decay, z, (0.0, 2.0))
         assert traj.stats.n_linear_steps == 0
@@ -410,7 +417,7 @@ class TestLinearKernel:
         gain = design_observer_gain(model) if partial else None
         field = ClosedLoopField(model, net, ProtocolKind(
             epsilon=2.0**log2_eps, observer_gain=gain))
-        L, F = field.linear_part
+        L, F = field.linear_part[0], field.F
         z0 = rng.standard_normal(field.layout.dim)
         flow = [z0]  # the exact flow on a grid of 400 steps
         step = sla.expm(self.T / 400 * L)
@@ -430,6 +437,48 @@ class TestLinearKernel:
         assert traj.stats.n_field_evals == 2
         assert stages.stats.n_linear_steps == 0
         # global error within ten local tolerances
+        tol = 10 * (atol + rtol * np.abs(flow).max())
+        assert np.abs(traj.states[-1] - exact).max() <= tol
+        assert np.abs(traj.states[-1] - stages.states[-1]).max() <= tol
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=20)
+    @given(seed=st.integers(0, 2**32 - 1), partial=st.booleans())
+    @example(seed=0, partial=True)
+    def test_global_matches_stage_loop_and_exact_flow(self, seed, partial):
+        """A global kind from a start whose exact flow keeps every agent's
+        g(1, χᵢ) ≤ 0.25 up to T, so ε = 1 throughout: every step is linear,
+        and the final state agrees with expm(T·L₁) z0 and with the stage
+        loop's to the tolerance of the run.  Every recorded ε is 1."""
+        from satsync import PCache
+
+        rng = np.random.default_rng(seed)
+        model = random_admissible_model(rng, n_max=4)
+        net = random_rooted_network(rng, int(rng.integers(1, 6)))
+        gain = design_observer_gain(model) if partial else None
+        cache = PCache(model)
+        field = ClosedLoopField(model, net, ProtocolKind(
+            cache=cache, observer_gain=gain))
+        L = field.linear_part[0]
+        z0 = rng.standard_normal(field.layout.dim)
+        flow = [z0]  # the exact flow on a grid of 400 steps
+        step = sla.expm(self.T / 400 * L)
+        for _ in range(400):
+            flow.append(step @ flow[-1])
+        chi = field.layout.split(np.array(flow))[2]
+        g = np.einsum("tij,jk,tik->ti", chi, cache.S[0], chi)
+        scale = np.sqrt(0.25 / g.max())
+        z0, flow = scale * z0, scale * np.array(flow)
+        exact = sla.expm(self.T * L) @ z0
+
+        rtol, atol = 1e-8, 1e-10
+        traj = integrate(field, z0, (0.0, self.T), rtol=rtol, atol=atol)
+        stages = integrate(StageLoopOnly(field), z0, (0.0, self.T),
+                           rtol=rtol, atol=atol)
+        assert traj.stats.n_linear_steps == traj.stats.n_steps > 0
+        # at t0 and the start step's probe; the kernel calls none
+        assert traj.stats.n_field_evals == 2
+        assert stages.stats.n_linear_steps == 0
+        assert (traj.realized_epsilon == 1.0).all()
         tol = 10 * (atol + rtol * np.abs(flow).max())
         assert np.abs(traj.states[-1] - exact).max() <= tol
         assert np.abs(traj.states[-1] - stages.states[-1]).max() <= tol
@@ -456,7 +505,7 @@ class TestLinearKernel:
         gain = design_observer_gain(model) if partial else None
         field = ClosedLoopField(model, net, ProtocolKind(
             epsilon=2.0**log2_eps, observer_gain=gain))
-        L, F = field.linear_part
+        (L, inside), F = field.linear_part, field.F
         h = 10.0**log10_hL / np.linalg.norm(L, 2)
         z = rng.standard_normal(L.shape[0])
         flow = np.array([sla.expm(theta * h * L) @ z
@@ -486,7 +535,7 @@ class TestLinearKernel:
         # the reach at tol is 2^(1/17)·h: row 8 is 0.9¹⁷ tol / 2
         tol = 2 * np.linalg.norm(Z[8]) / 0.9**17
         assert h < reach(V, 0.0, tol)
-        h_step, step = _taylor_step(F, V, h, tol)
+        h_step, step = _taylor_step(inside, V, h, tol)
         assert h_step == h and step is not None
         z_h, err, k_new, order, peak = step
         np.testing.assert_array_equal(z_h, Z[7])
@@ -498,7 +547,7 @@ class TestLinearKernel:
         assert peak == np.abs(Z[:8] @ F.T).max()
 
         stats = IntegratorStats()
-        kernels = (lambda h: _taylor_step(F, V, h, tol)[1],
+        kernels = (lambda h: _taylor_step(inside, V, h, tol)[1],
                    lambda h: _field_stages(lambda t, y: L @ y, 0.0, z, k1, h,
                                            stats))
         for kernel in kernels:
@@ -534,7 +583,7 @@ class TestLinearKernel:
         model = triple_integrator()
         field = ClosedLoopField(model, chain_net(3),
                                 ProtocolKind(epsilon=epsilon))
-        F = field.linear_part[1]
+        F = field.F
         z0 = np.random.default_rng(1).uniform(
             -half_width, half_width, field.layout.dim)
         stages = integrate(StageLoopOnly(field), z0, (0.0, 20.0),
@@ -544,9 +593,9 @@ class TestLinearKernel:
         # returned
         attempts = []
 
-        def taylor_step(F, V, h, tol):
+        def taylor_step(inside, V, h, tol):
             h_asked = h
-            h, step = _taylor_step(F, V, h, tol)
+            h, step = _taylor_step(inside, V, h, tol)
             attempts.append((V[0], h, (V, step, h_asked)))
             return h, step
 
@@ -610,8 +659,8 @@ class TestLinearKernel:
         expm(T L) z0 to the run's local tolerance atol + rtol‖z(T)‖."""
         rounded = []  # attempts whose err exceeds the first omitted term
 
-        def taylor_step(F, V, h, tol):
-            h, step = _taylor_step(F, V, h, tol)
+        def taylor_step(inside, V, h, tol):
+            h, step = _taylor_step(inside, V, h, tol)
             if step is not None:
                 omitted = np.linalg.norm(taylor_rows(V, h)[8])
                 rounded.append(step[1] > omitted)
@@ -646,8 +695,8 @@ class TestLinearKernel:
         rtol, atol = 1e-6, 1e-8
         attempts = []  # (V, asked h, returned h) of every Taylor attempt
 
-        def taylor_step(F, V, h, tol):
-            h_step, step = _taylor_step(F, V, h, tol)
+        def taylor_step(inside, V, h, tol):
+            h_step, step = _taylor_step(inside, V, h, tol)
             attempts.append((V, h, h_step))
             return h_step, step
 
@@ -675,16 +724,16 @@ class TestLinearKernel:
             blocks.append(z)
             return _krylov(L, z, k1)
 
-        def taylor_step(F, V, h, tol):
+        def taylor_step(inside, V, h, tol):
             n_attempts.append(h)
-            return _taylor_step(F, V, h, tol)
+            return _taylor_step(inside, V, h, tol)
 
         monkeypatch.setattr(sim, "_krylov", krylov)
         monkeypatch.setattr(sim, "_taylor_step", taylor_step)
         model = triple_integrator()
         field = ClosedLoopField(model, chain_net(3),
                                 ProtocolKind(epsilon=0.5))
-        F = field.linear_part[1]
+        F = field.F
         z0 = np.random.default_rng(1).uniform(-4.0, 4.0, field.layout.dim)
         traj = integrate(field, z0, (0.0, 20.0), rtol=1e-6, atol=1e-8)
         starts = traj.states[:-1]
