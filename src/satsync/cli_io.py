@@ -12,6 +12,10 @@ Scenario JSON schema (matrices row-major, agent indices 1-based):
       "xhat0": [[...], ...]         # optional (partial coupling), default zeros
     }
 
+The scenario's "coupling" names what its network exchanges, states or
+outputs, so it picks a kind's full or partial coupling; `simulate
+--protocol` names only the family, global or semiglobal.
+
 Exit codes: 0 success, 2 validation failure, 3 assertion failure.
 """
 
@@ -80,7 +84,10 @@ class Scenario:
 
     def fingerprint(self) -> str:
         """SHA-256 of the validated scenario: number formatting, key order
-        and omitted defaults in the file do not change it."""
+        and omitted defaults in the file do not change it.  It hashes the
+        coupling, which every run on the scenario uses, so the fingerprint
+        and the protocol family (with ε for a semiglobal one) identify a
+        run."""
         blob = json.dumps(_scenario_dict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
@@ -307,10 +314,16 @@ def run_protocol(
 ):
     """Simulate one protocol on a scenario; returns (Trajectory, RunReport).
 
-    A given dt runs fixed-step RK4 at that step, and no dt runs adaptive
+    The kind's coupling must be the scenario's, or ProtocolError is raised,
+    so a report's fingerprint names the coupling its run used.  A given dt
+    runs fixed-step RK4 at that step, and no dt runs adaptive
     RK45 at rtol and atol (`sim.integrate`).  The run converged if its
     final sync error is below scheduling.TOL_VAL.
     """
+    if kind.coupling != scenario.coupling:
+        raise protocols.ProtocolError(
+            f"a {kind.name} kind cannot run on a scenario with "
+            f"{scenario.coupling} coupling")
     for name, value in (("t_final", t_final), ("dt", dt)):
         if value is not None and not (np.isfinite(value) and value > 0):
             raise ParameterError(f"{name} must be positive and finite, got {value}")
@@ -343,17 +356,17 @@ def run_protocol(
 
 
 def reproduce(case: int, out_dir):
-    """Run the scheduled output-feedback protocol on a bundled example case.
+    """Run the global protocol on a bundled example case to t = T_VAL,
+    with the scenario's coupling (partial in all three cases), built as
+    `simulate --protocol global` builds it.
 
     One fixed protocol configuration serves all three cases; only the graph,
     the number of agents, and the initial conditions change.
     """
     out = _out_dir(out_dir)
     scenario = bundled_scenario(case)
-    kind = protocols.global_partial(scenario.model)
-    traj, report = run_protocol(
-        scenario, kind, t_final=scheduling.T_VAL, rtol=1e-6, atol=1e-8
-    )
+    kind = _build_kind(scenario, "global", None)
+    traj, report = run_protocol(scenario, kind, rtol=1e-6, atol=1e-8)
     _write_run(traj, report, out, f"case{case}_")
     return report
 
@@ -380,27 +393,21 @@ def _write_run(traj, report, out: Path, prefix=""):
 # --- command line -----------------------------------------------------------
 
 
-_PROTOCOL_CHOICES = (
-    "global-full", "global-partial", "semiglobal-full", "semiglobal-partial"
-)
-
-
-def _build_kind(scenario: Scenario, name: str, epsilon: Optional[float]):
-    """The kind a --protocol name names, built from its design values: the
-    given ε or a schedule table, and an observer gain when it is partial."""
-    family, coupling = name.split("-")
+def _build_kind(scenario: Scenario, family: str, epsilon: Optional[float]):
+    """The kind of a protocol family on a scenario, built from its design
+    values: a schedule table for "global" or the given ε for "semiglobal",
+    and an observer gain exactly when the scenario's coupling is partial."""
     if family == "semiglobal":
         if epsilon is None:
             raise ParameterError("--epsilon is required for semiglobal protocols")
     elif epsilon is not None:
         raise ParameterError(
             "--epsilon applies to semiglobal protocols only; global ones "
-            "schedule ε from the protocol state"
-        )
+            "schedule ε from the protocol state")
     return protocols.ProtocolKind(
         epsilon=epsilon,
         observer_gain=(protocols.design_observer_gain(scenario.model)
-                       if coupling == "partial" else None),
+                       if scenario.coupling == "partial" else None),
         cache=scheduling.PCache(scenario.model) if family == "global" else None)
 
 
@@ -478,7 +485,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate one protocol on a scenario")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--protocol", required=True, choices=_PROTOCOL_CHOICES)
+    p.add_argument("--protocol", required=True,
+                   choices=("global", "semiglobal"),
+                   help="the protocol family; the scenario's coupling "
+                   "picks full or partial")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--t-final", type=float, default=scheduling.T_VAL)
     # a step runs fixed-step RK4; without one the run is adaptive RK45

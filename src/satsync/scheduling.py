@@ -53,7 +53,6 @@ ONE_MINUS = 1.0 - 2.0**-40
 # states per scan: the scan's g array is then at most 128 × 641 doubles
 _PART = 128
 _TINY = np.finfo(float).tiny
-_U = np.finfo(float).eps / 2  # unit roundoff
 
 # Semi-global search parameters (validated by direct simulation, not by the
 # existential constants of the convergence analysis).
@@ -124,8 +123,7 @@ class PCache:
         self.table = np.ascontiguousarray(S.reshape(len(P), -1).T)
         self.S = self.table.T.reshape(S.shape)
         self.gain = np.column_stack((TABLE_RHO, t2, BtS.reshape(len(P), -1)))
-        terms = model.n**2  # of each product ⟨vec S, χ⊗χ⟩
-        gamma = terms * _U / (1.0 - terms * _U)
+        gamma = riccati._gamma(model.n**2)  # n² terms of ⟨vec S, χ⊗χ⟩
         cell = S[0] + 8.0 * gamma * np.linalg.norm(S[0]) * np.eye(model.n)
         self.cell = cell.reshape(-1, 1)
 

@@ -132,8 +132,9 @@ def test_criterion_4_no_saturation_under_scheduling(rng):
             net = random_rooted_network(rng, N)
             x0 = rng.uniform(-10, 10, size=(N, 3))
             xr0 = rng.uniform(-10, 10, size=3)
-            scenario = make_scenario(model, net, x0, xr0)
             kind = kinds[int(rng.integers(2))]
+            scenario = make_scenario(model, net, x0, xr0,
+                                     coupling=kind.coupling)
             traj, _ = run_protocol(
                 scenario, kind, t_final=5.0, rtol=1e-6, atol=1e-8
             )

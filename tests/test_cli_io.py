@@ -32,7 +32,6 @@ from satsync.cli_io import (
     EXIT_OK,
     EXIT_VALIDATION,
     ScenarioValidationError,
-    _PROTOCOL_CHOICES,
     _build_kind,
     _kind_parameters,
     load_scenario,
@@ -40,6 +39,7 @@ from satsync.cli_io import (
     read_trajectory_csv,
     scenario_from_dict,
 )
+from satsync.protocols import ProtocolError
 
 SCALAR_SCENARIO = {
     "model": {"A": [[0.0]], "B": [[1.0]], "C": [[1.0]]},
@@ -48,6 +48,8 @@ SCALAR_SCENARIO = {
     "x0": [[0.4], [-0.3]],
     "xr0": [0.2],
 }
+KIND_PAIRS = [(family, coupling) for family in ("global", "semiglobal")
+              for coupling in ("full", "partial")]
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -310,6 +312,18 @@ class TestRunProtocol:
         assert rk45.integrator["atol"] == 1e-8
         assert "dt" not in rk45.integrator
 
+    @pytest.mark.parametrize("data, kind", [
+        (dict(SCALAR_SCENARIO, coupling="partial"),
+         lambda model: ProtocolKind(epsilon=1.0)),
+        (SCALAR_SCENARIO, global_partial),
+    ], ids=["full_kind_on_partial", "partial_kind_on_full"])
+    def test_kind_of_another_coupling_rejected(self, data, kind):
+        """A kind runs only on a scenario of its own coupling, so a
+        report's fingerprint names the coupling its run used."""
+        sc = scenario_from_dict(data)
+        with pytest.raises(ProtocolError, match="coupling"):
+            run_protocol(sc, kind(sc.model), t_final=1.0)
+
     @pytest.mark.parametrize("case", [1, 2, 3])
     def test_reproduce_keeps_its_work_budget(self, case, tmp_path):
         """A work budget for `reproduce`, in counts rather than times: each
@@ -323,17 +337,16 @@ class TestRunProtocol:
         assert report.integrator["n_field_evals"] <= 600
 
 
-@pytest.mark.parametrize("name", _PROTOCOL_CHOICES)
-def test_build_kind_holds_the_design_values_of_its_name(name):
+@pytest.mark.parametrize("family, coupling", KIND_PAIRS)
+def test_build_kind_holds_the_design_values_of_its_name(family, coupling):
     """`_build_kind` gives a kind a schedule table of the scenario's model
-    exactly for the global names, the given ε exactly for the semiglobal
-    ones, and the gain `design_observer_gain` designs exactly for the
-    partial ones."""
-    scenario = bundled_scenario(1)
-    family, coupling = name.split("-")
+    exactly for the global family, the given ε exactly for the semiglobal
+    one, and the gain `design_observer_gain` designs exactly when the
+    scenario's coupling is partial."""
+    scenario = dataclasses.replace(bundled_scenario(1), coupling=coupling)
     epsilon = 0.25 if family == "semiglobal" else None
-    kind = _build_kind(scenario, name, epsilon)
-    assert kind.name == name
+    kind = _build_kind(scenario, family, epsilon)
+    assert kind.name == f"{family}-{coupling}"
     assert kind.epsilon == epsilon
     assert (kind.cache is not None) == (family == "global")
     if kind.cache is not None:
@@ -351,9 +364,9 @@ def test_every_kind_reports_each_value_it_holds(monkeypatch):
     the ρ range of its table and K as its entries."""
     scenario = bundled_scenario(1)
     kinds = [global_full(scenario.model), global_partial(scenario.model)]
-    kinds += [_build_kind(scenario, name,
-                          0.25 if name.startswith("semiglobal") else None)
-              for name in _PROTOCOL_CHOICES]
+    kinds += [_build_kind(dataclasses.replace(scenario, coupling=coupling),
+                          family, 0.25 if family == "semiglobal" else None)
+              for family, coupling in KIND_PAIRS]
     validate = scheduling._validate_epsilon
 
     def recording(model, net, kind, samples, horizon):
@@ -434,7 +447,7 @@ class TestCommandLine:
         ["check"],
         ["riccati", "--kind", "lowgain", "--param", "0.5"],
         ["select-eps", "--half-width", "0.1"],
-        ["simulate", "--protocol", "semiglobal-full", "--epsilon", "1",
+        ["simulate", "--protocol", "semiglobal", "--epsilon", "1",
          "--out", "o"],
     ], ids=lambda c: c[0])
     def test_missing_scenario_file_exit_code(self, tmp_path, capsys, command):
@@ -452,13 +465,13 @@ class TestCommandLine:
         ["simulate", "--t-final", "inf"],
         ["simulate", "--dt", "0"],
         ["simulate", "--dt", "nan"],
-        ["simulate", "--protocol", "global-full"],
+        ["simulate", "--protocol", "global"],
     ], ids=" ".join)
     def test_bad_numeric_argument_exit_code(self, tmp_path, capsys, arguments):
         path = write_scenario(tmp_path, SCALAR_SCENARIO)
         extra = []
         if arguments[0] == "simulate":
-            extra = ["--protocol", "semiglobal-full", "--epsilon", "1",
+            extra = ["--protocol", "semiglobal", "--epsilon", "1",
                      "--out", str(tmp_path / "o")]
         code = main(arguments[:1] + ["--scenario", str(path)] + extra
                     + arguments[1:])
@@ -477,7 +490,7 @@ class TestCommandLine:
         else:
             path = write_scenario(tmp_path, SCALAR_SCENARIO)
             argv = ["simulate", "--scenario", str(path),
-                    "--protocol", "semiglobal-full", "--epsilon", "1"]
+                    "--protocol", "semiglobal", "--epsilon", "1"]
         regular_file = tmp_path / "file"
         regular_file.write_text("")
         code = main(argv + ["--out", str(regular_file / "out")])
@@ -510,7 +523,7 @@ class TestCommandLine:
         monkeypatch.setattr(satsync.cli_io, "run_protocol", diverge)
         path = write_scenario(tmp_path, SCALAR_SCENARIO)
         code = main(["simulate", "--scenario", str(path),
-                     "--protocol", "semiglobal-full", "--epsilon", "1",
+                     "--protocol", "semiglobal", "--epsilon", "1",
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_ASSERTION == 3
         assert capsys.readouterr().err.startswith("error: non-finite state")
@@ -528,7 +541,7 @@ class TestCommandLine:
         path = write_scenario(tmp_path, SCALAR_SCENARIO)
         argv = [
             "simulate", "--scenario", str(path),
-            "--protocol", "semiglobal-full", "--epsilon", "1.0",
+            "--protocol", "semiglobal", "--epsilon", "1.0",
             "--t-final", "5.0",
         ]
         assert main(argv + ["--out", str(tmp_path / "a")]) == EXIT_OK
@@ -538,31 +551,48 @@ class TestCommandLine:
         csv_b = (tmp_path / "b" / "trajectory.csv").read_bytes()
         assert csv_a == csv_b
 
-    @pytest.mark.parametrize("protocol, epsilon", [
-        ("global-full", None),
-        ("global-partial", None),
-        ("semiglobal-partial", "1.0"),
-    ])
-    def test_simulate_protocol(self, tmp_path, capsys, protocol, epsilon):
-        path = write_scenario(tmp_path, SCALAR_SCENARIO)
-        argv = ["simulate", "--scenario", str(path), "--protocol", protocol,
+    @pytest.mark.parametrize("family, coupling, epsilon", [
+        (family, coupling, "1.0" if family == "semiglobal" else None)
+        for family, coupling in KIND_PAIRS])
+    def test_simulate_protocol(self, tmp_path, capsys, family, coupling,
+                               epsilon):
+        """--protocol names the family and the scenario the coupling."""
+        data = dict(SCALAR_SCENARIO, coupling=coupling)
+        path = write_scenario(tmp_path, data)
+        argv = ["simulate", "--scenario", str(path), "--protocol", family,
                 "--t-final", "1.0", "--out", str(tmp_path / "o")]
         if epsilon is not None:
             argv += ["--epsilon", epsilon]
         assert main(argv) == EXIT_OK
-        assert capsys.readouterr().out.startswith(f"{protocol}: ")
+        name = f"{family}-{coupling}"
+        assert capsys.readouterr().out.startswith(f"{name}: ")
         header, _ = read_trajectory_csv(tmp_path / "o" / "trajectory.csv")
-        assert ("xhat[1][1]" in header) == protocol.endswith("partial")
-        assert ("eps[1]" in header) == protocol.startswith("global")
+        assert ("xhat[1][1]" in header) == (coupling == "partial")
+        assert ("eps[1]" in header) == (family == "global")
         report = json.loads((tmp_path / "o" / "report.json").read_text())
-        assert report["protocol"] == protocol
+        assert report["protocol"] == name
+        fingerprint = scenario_from_dict(data).fingerprint()
+        assert report["scenario_fingerprint"] == fingerprint
+
+    def test_simulate_rejects_a_protocol_name_with_a_coupling(
+            self, tmp_path, capsys):
+        """The coupling is the scenario's alone: a four-part name is a usage
+        error (exit 2, no traceback) and nothing runs."""
+        path = write_scenario(tmp_path, SCALAR_SCENARIO)
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--scenario", str(path), "--protocol",
+                  "global-full", "--out", str(tmp_path / "o")])
+        assert info.value.code == EXIT_VALIDATION == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_simulate_with_dt_runs_fixed_step_rk4(self, tmp_path, capsys):
         """--dt selects fixed-step RK4, which runs to the end at that step
         and reports it; simulate has no --method flag."""
         path = Path(satsync.__file__).parent / "data" / "case1.json"
         argv = ["simulate", "--scenario", str(path),
-                "--protocol", "global-partial", "--t-final", "1",
+                "--protocol", "global", "--t-final", "1",
                 "--out", str(tmp_path / "o")]
         assert main(argv + ["--dt", "0.01"]) == EXIT_OK
         capsys.readouterr()
@@ -583,7 +613,7 @@ class TestCommandLine:
         # method
         path = Path(__file__).parent / "data" / "stable_mode.json"
         code = main(["simulate", "--scenario", str(path),
-                     "--protocol", "global-partial", "--t-final", "1.0",
+                     "--protocol", "global", "--t-final", "1.0",
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_OK
         capsys.readouterr()
@@ -596,10 +626,13 @@ class TestCommandLine:
             self, tmp_path, capsys):
         # A has a mode at −1/8, so the scheduled ARE has no certified
         # solution at the grid row ρ = 1/4; that row reads as failing and
-        # the states that need it bisect the next octave down
-        path = Path(__file__).parent / "data" / "grid_gap.json"
+        # the states that need it bisect the next octave down; a full
+        # coupling copy of the (partial) file runs the global-full kind
+        data = json.loads((Path(__file__).parent / "data"
+                           / "grid_gap.json").read_text())
+        path = write_scenario(tmp_path, dict(data, coupling="full"))
         code = main(["simulate", "--scenario", str(path),
-                     "--protocol", "global-full", "--t-final", "0.1",
+                     "--protocol", "global", "--t-final", "0.1",
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_OK
         capsys.readouterr()
@@ -621,9 +654,10 @@ class TestCommandLine:
                            / "case1.json").read_text())
         data["x0"] = [[1e200 * v if v else 1e200 for v in row]
                       for row in data["x0"]]
+        data["coupling"] = "full"
         argv = ["simulate", "--scenario", str(write_scenario(tmp_path, data)),
                 "--dt", "0.01", "--t-final", "1"]
-        assert main(argv + ["--protocol", "semiglobal-full", "--epsilon",
+        assert main(argv + ["--protocol", "semiglobal", "--epsilon",
                             "0.25", "--out", str(tmp_path / "s")]) == EXIT_OK
         summary = capsys.readouterr().out
         assert "e+200" in summary and len(summary) < 120
@@ -637,7 +671,7 @@ class TestCommandLine:
         report = json.loads((tmp_path / "s" / "report.json").read_text())
         assert report["final_sync_error"] == rows[-1, -1]
         capsys.readouterr()
-        code = main(argv + ["--protocol", "global-full",
+        code = main(argv + ["--protocol", "global",
                             "--out", str(tmp_path / "g")])
         assert code == EXIT_ASSERTION
         assert "state norm 1.22474e+198" in capsys.readouterr().err
@@ -646,7 +680,7 @@ class TestCommandLine:
         path = write_scenario(tmp_path, SCALAR_SCENARIO)
         code = main(
             ["simulate", "--scenario", str(path),
-             "--protocol", "semiglobal-full",
+             "--protocol", "semiglobal",
              "--out", str(tmp_path / "o")]
         )
         assert code == EXIT_VALIDATION
