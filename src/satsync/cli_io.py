@@ -58,11 +58,18 @@ class ScenarioValidationError(ValueError):
         super().__init__(f"invalid scenario:\n{lines}")
 
 
+def _coupling_problems(coupling) -> list:
+    """The loader's entry for a coupling other than "full" or "partial"."""
+    return ([] if coupling in ("full", "partial") else
+            [("/coupling", f"must be 'full' or 'partial', got {coupling!r}")])
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One validated scenario.  Its start arrays are held as read-only
     float copies, so a scenario built in code from ints or lists hashes
-    the same as the file it was read from."""
+    the same as the file it was read from.  A coupling other than "full"
+    or "partial" raises ScenarioValidationError with the loader's entry."""
 
     model: AgentModel
     net: Network
@@ -73,6 +80,8 @@ class Scenario:
     coupling: str  # "full" | "partial"
 
     def __post_init__(self):
+        if problems := _coupling_problems(self.coupling):
+            raise ScenarioValidationError(problems)
         for name in ("x0", "xr0", "chi0", "xhat0"):
             M = np.array(getattr(self, name), dtype=float)  # a copy: frozen
             M.setflags(write=False)
@@ -170,8 +179,7 @@ def scenario_from_dict(data: dict, source_name: str = "<dict>") -> Scenario:
                 problems.append(("/network", str(exc)))
 
     coupling = "full" if data.get("coupling") is None else data["coupling"]
-    if coupling not in ("full", "partial"):
-        problems.append(("/coupling", f"must be 'full' or 'partial', got {coupling!r}"))
+    problems += _coupling_problems(coupling)
 
     x0 = matrix("/x0", data, "x0")
     xr0 = matrix("/xr0", data, "xr0")

@@ -9,6 +9,13 @@ with an extra communicated pair (χ_j, u_j).
 Stacked-state layout (fixed so CSV columns and oracles are deterministic):
 
     [x_1 … x_N | x_r | χ_1 … χ_N | x̂_1 … x̂_N (partial kinds only)]
+
+The protocol equations are stated once, by `_closed_loop_terms`, as a list
+of Kronecker terms (rows, cols, P, Q) over these blocks and the input
+blocks vec U and vec sat(U).  `_place` adds each P⊗Q at its blocks: placing
+every term gives the closed-loop operator W, and the linear part L is W's
+state block plus P⊗(Q·gain) in the χ columns for each input term, by the
+mixed-product rule (P⊗Q)(I⊗gain) = P⊗(Q·gain).
 """
 
 from __future__ import annotations
@@ -132,11 +139,11 @@ class StateLayout:
         return z
 
 
-def _closed_loop_operator(model: AgentModel, net: Network, kind: ProtocolKind,
-                          layout: StateLayout) -> np.ndarray:
-    """W = [M | G_u | G_sat] with f(z) = W · (z, vec U, vec sat(U)).
-
-    Kronecker form of the per-agent protocol equations, with L̃ = L + diag ι:
+def _closed_loop_terms(model: AgentModel, net: Network, kind: ProtocolKind):
+    """The closed loop as terms (rows, cols, P, Q): f gains P⊗Q from block
+    cols of (z, vec U, vec sat(U)) in block rows, with blocks x, r (x_r),
+    c (χ), h (x̂), u (vec U) and s (vec sat U).  Summed per block, they are
+    the per-agent protocol equations, with L̃ = L + diag ι:
 
         ẋ   = (I⊗A) x + (I⊗B) sat(U)
         ẋ_r = A x_r
@@ -146,41 +153,37 @@ def _closed_loop_operator(model: AgentModel, net: Network, kind: ProtocolKind,
 
     where ζ̄ = (L̃⊗C) x − (ι⊗C) x_r, with C = I for full-state coupling.
     """
-    N, n, m = net.N, model.n, model.m
-    A, B = model.A, model.B
+    A, B, I_n, I_N = model.A, model.B, np.eye(model.n), np.eye(net.N)
     iota = net.indicator[:, None]
     Ltilde = laplacian(net) + np.diag(net.indicator)
-    I_N = np.eye(N)
-    x, r, c, h = layout.slices()
-    dim = layout.dim
-    u = slice(dim, dim + N * m)
-    s = slice(dim + N * m, dim + 2 * N * m)
-    W = np.zeros((dim, dim + 2 * N * m))
-    W[x, x] = np.kron(I_N, A)
-    W[x, s] = np.kron(I_N, B)
-    W[r, r] = A
-    W[c, c] = np.kron(I_N, A) - np.kron(Ltilde, np.eye(n))
-    W[c, u] = np.kron(I_N, B)
-    if kind.is_partial:
-        KC = kind.observer_gain @ model.C
-        W[c, h] = np.eye(N * n)
-        W[h, x] = np.kron(Ltilde, KC)
-        W[h, r] = -np.kron(iota, KC)
-        W[h, h] = np.kron(I_N, A - KC)
-        W[h, u] = np.kron(Ltilde, B)
-    else:
-        W[c, x] = np.kron(Ltilde, np.eye(n))
-        W[c, r] = -np.kron(iota, np.eye(n))
-    return W
+    terms = [("x", "x", I_N, A), ("x", "s", I_N, B), ("r", "r", np.eye(1), A),
+             ("c", "c", I_N, A), ("c", "c", -Ltilde, I_n), ("c", "u", I_N, B)]
+    if not kind.is_partial:
+        return terms + [("c", "x", Ltilde, I_n), ("c", "r", -iota, I_n)]
+    KC = kind.observer_gain @ model.C
+    return terms + [("c", "h", I_N, I_n), ("h", "x", Ltilde, KC),
+                    ("h", "r", -iota, KC), ("h", "h", I_N, A - KC),
+                    ("h", "u", Ltilde, B)]
+
+
+def _place(out: np.ndarray, terms, blocks) -> np.ndarray:
+    """Add each term's P⊗Q to `out` at its (rows, cols) blocks.  P⊗Q is
+    formed as the products P[i, j]·Q[k, l] that np.kron forms, by one
+    broadcast, which costs less than np.kron's own reshapes."""
+    for rows, cols, P, Q in terms:
+        PQ = P[:, None, :, None] * Q[:, None]  # PQ[i, k, j, l]
+        out[blocks[rows], blocks[cols]] += PQ.reshape(len(P) * len(Q), -1)
+    return out
 
 
 class ClosedLoopField:
     """Vector field f(t, z) of one protocol kind on one network.
 
     Every protocol is linear in (z, u, sat(u)); only the saturation and the
-    global kinds' schedule are not.  The constructor therefore assembles the
-    whole closed loop once as one operator W, and a call evaluates the
-    controls U at z and returns W · (z, vec U, vec sat(U)).
+    global kinds' schedule are not.  The constructor therefore places the
+    whole closed loop once as one operator W from the Kronecker terms of
+    `_closed_loop_terms`, and a call evaluates the controls U at z and
+    returns W · (z, vec U, vec sat(U)).
 
     The field keeps no per-call state: a call only evaluates f, and
     `control_info` recomputes the pre-saturation controls and (for global
@@ -190,8 +193,11 @@ class ClosedLoopField:
     `linear_part` is the pair (L, inside) of every kind.  On a cell of
     states the controls are linear, vec U = F z with F = blockdiag(−BᵀP) on
     the χ blocks, and no control saturates, so f(t, z) = L z there, with
-    L = M + (G_u + G_sat) F.  RK45 takes the steps that stay in the cell
-    from L alone, without calling the field.
+    L = M + (G_u + G_sat) F for W = [M | G_u | G_sat].  L is placed from
+    the same terms as W: M, plus P⊗(Q·gain) in the χ columns for each input
+    term (rows, u or s, P, Q), since (P⊗Q)(I⊗gain) = P⊗(Q·gain).  RK45 takes
+    the steps that stay in the cell from L alone, without calling the
+    field.
     - Semiglobal kinds: P is the low-gain solution at their ε, and the cell
       is ‖F z‖∞ ≤ 1.
     - Global kinds: P = P₁, read from row 0 of the schedule table as
@@ -216,10 +222,12 @@ class ClosedLoopField:
         self.net = net
         self.kind = kind
         self.layout = StateLayout(net.N, model.n, kind.is_partial)
-        self.W = _closed_loop_operator(model, net, kind, self.layout)
         dim, Nm = self.layout.dim, net.N * model.m
-        x, _, c, h = self.layout.slices()
-        self._chi = c
+        blocks = dict(zip("xrch", self.layout.slices()),
+                      u=slice(dim, dim + Nm), s=slice(dim + Nm, dim + 2 * Nm))
+        self._chi = c = blocks["c"]
+        terms = _closed_loop_terms(model, net, kind)
+        self.W = _place(np.zeros((dim, dim + 2 * Nm)), terms, blocks)
         if kind.is_global:  # row 0: (1, t², vec BᵀS₀), with S₀ = t·P₁
             rho_one = kind.cache.gain[0]
             gain = -rho_one[2:].reshape(model.m, model.n) / np.sqrt(rho_one[1])
@@ -229,15 +237,10 @@ class ClosedLoopField:
         self._gain_T = gain.T  # U = χ·gain_T: u_i = −BᵀP χ_i
         self.F = F = np.zeros((Nm, dim))
         F[:, c] = np.kron(np.eye(net.N), gain)
-        # L = M + (G_u + G_sat) F: its χ columns take I⊗(B·gain) in the x
-        # and χ rows and (L̃⊗B)(I⊗gain) in the x̂ rows
-        L = self.W[:, :dim].copy()
-        B_gain = np.kron(np.eye(net.N), model.B @ gain)
-        L[x, c] += B_gain
-        L[c, c] += B_gain
-        if kind.is_partial:
-            LB = self.W[h, dim:dim + Nm]  # L̃⊗B
-            L[h, c] += (LB.reshape(-1, model.m) @ gain).reshape(len(LB), -1)
+        # an input term's (P⊗Q)(I⊗gain) = P⊗(Q·gain) lands in the χ columns
+        L = _place(self.W[:, :dim].copy(), [
+            (rows, "c", P, Q @ gain) for rows, cols, P, Q in terms
+            if cols in ("u", "s")], blocks)
         cache, agents = kind.cache, (net.N, model.n)
 
         # a closure, not a bound method, which would make the field that

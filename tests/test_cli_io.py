@@ -141,6 +141,19 @@ class TestScenarioParsing:
         assert exc.value.problems == [
             ("/model/A", "A must be a 2-d array, got ndim=3")]
 
+    def test_unknown_coupling_refused_where_it_is_held(self):
+        """A Scenario built in code refuses a coupling other than "full" or
+        "partial" with the loader's entry, so no kind is built for it; a
+        file still reports it together with its other problems."""
+        entry = ("/coupling", "must be 'full' or 'partial', got 'Partial'")
+        with pytest.raises(ScenarioValidationError) as exc:
+            dataclasses.replace(bundled_scenario(3), coupling="Partial")
+        assert exc.value.problems == [entry]
+        with pytest.raises(ScenarioValidationError) as exc:
+            scenario_from_dict(dict(SCALAR_SCENARIO, coupling="Partial",
+                                    xr0=[0.0, 0.0]))
+        assert exc.value.problems == [entry, ("/xr0", "must be an 1-vector")]
+
     def test_load_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -451,3 +451,40 @@ def test_control_info_of_a_stack_matches_each_state(seed, family, coupling,
         assert eps.tobytes() == eps_rows.tobytes()
     else:
         assert eps is None
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=16)
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 6))
+def test_linear_part_beyond_zero_one_inputs(seed, N):
+    """L is placed term by term as P⊗(Q·gain), not as W's input columns
+    times F, so on a general B (m ≥ 1) the two agree only to rounding:
+    L = M + (G_u + G_sat) F to 1e-13 of max |L|, for every kind.  At a
+    state scaled into the cell, f(t, z) = L z to 1e-12 of the largest sum
+    |W|·|(z, vec U, vec sat U)| the field call rounds."""
+    rng = np.random.default_rng(seed)
+    model = random_admissible_model(rng)
+    net = random_rooted_network(rng, N)
+    cache, gain = PCache(model), design_observer_gain(model)
+    for kind in (ProtocolKind(cache=cache),
+                 ProtocolKind(cache=cache, observer_gain=gain),
+                 ProtocolKind(epsilon=0.5),
+                 ProtocolKind(epsilon=0.5, observer_gain=gain)):
+        field = ClosedLoopField(model, net, kind)
+        (L, inside), W, F = field.linear_part, field.W, field.F
+        dim, Nm = field.layout.dim, N * model.m
+        inputs = W[:, dim:dim + Nm] + W[:, dim + Nm:]
+        np.testing.assert_allclose(L, W[:, :dim] + inputs @ F, rtol=0,
+                                   atol=1e-13 * np.abs(L).max())
+        z = rng.standard_normal(dim)
+        if kind.is_global:  # the largest g(1, χᵢ), to 0.9
+            chi = field.layout.split(z)[2]
+            edge = np.sqrt(np.einsum("ij,jk,ik->i", chi, cache.S[0],
+                                     chi).max())
+        else:  # the largest |u|, to 0.9
+            edge = np.abs(F @ z).max()
+        z *= 0.9 / edge
+        assert inside(z).max() <= 1.0
+        U = field.controls(field.layout.split(z)[2])[0].ravel()
+        terms = np.abs(W) @ np.abs(np.concatenate((z, U, U)))
+        np.testing.assert_allclose(field(0.0, z), L @ z, rtol=0,
+                                   atol=1e-12 * terms.max())
