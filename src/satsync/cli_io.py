@@ -69,7 +69,10 @@ class Scenario:
     """One validated scenario.  Its start arrays are held as read-only
     float copies, so a scenario built in code from ints or lists hashes
     the same as the file it was read from.  A coupling other than "full"
-    or "partial" raises ScenarioValidationError with the loader's entry."""
+    or "partial", a start array with a non-finite entry, or one of another
+    shape than x0, chi0, xhat0 (N, n) and xr0 (n,) raises one
+    ScenarioValidationError with the loader's entries: a scenario built in
+    code passes the loader's checks."""
 
     model: AgentModel
     net: Network
@@ -80,12 +83,22 @@ class Scenario:
     coupling: str  # "full" | "partial"
 
     def __post_init__(self):
-        if problems := _coupling_problems(self.coupling):
-            raise ScenarioValidationError(problems)
-        for name in ("x0", "xr0", "chi0", "xhat0"):
+        problems = _coupling_problems(self.coupling)
+        N, n = self.net.N, self.model.n
+        agents = f"an {N}×{n} array"
+        for name, shape, what in (
+                ("x0", (N, n), f"{agents} of agent initial states"),
+                ("xr0", (n,), f"an {n}-vector"),
+                ("chi0", (N, n), agents), ("xhat0", (N, n), agents)):
             M = np.array(getattr(self, name), dtype=float)  # a copy: frozen
+            if not np.all(np.isfinite(M)):
+                problems.append((f"/{name}", "contains non-finite entries"))
+            elif M.shape != shape:
+                problems.append((f"/{name}", f"must be {what}"))
             M.setflags(write=False)
             object.__setattr__(self, name, M)
+        if problems:
+            raise ScenarioValidationError(problems)
 
     @property
     def N(self) -> int:
@@ -185,19 +198,19 @@ def scenario_from_dict(data: dict, source_name: str = "<dict>") -> Scenario:
     xr0 = matrix("/xr0", data, "xr0")
     chi0, xhat0 = (None if data.get(key) is None else
                    matrix(f"/{key}", data, key) for key in ("chi0", "xhat0"))
-
     if model is not None and net is not None:
-        N, n = net.N, model.n
-        if x0 is not None and x0.shape != (N, n):
-            problems.append(
-                ("/x0", f"must be an {N}×{n} array of agent initial states")
-            )
-        if xr0 is not None and xr0.reshape(-1).shape != (n,):
-            problems.append(("/xr0", f"must be an {n}-vector"))
-        for name, M in (("chi0", chi0), ("xhat0", xhat0)):
-            if M is not None and M.shape != (N, n):
-                problems.append((f"/{name}", f"must be an {N}×{n} array"))
-
+        # the Scenario checks the start arrays' shapes; zeros stand in for
+        # the defaults and for an array that did not parse, listed already
+        zeros = np.zeros((net.N, model.n))
+        try:
+            scenario = Scenario(
+                model, net, zeros if x0 is None else x0,
+                zeros[0] if xr0 is None else xr0.reshape(-1),
+                zeros if chi0 is None else chi0,
+                zeros if xhat0 is None else xhat0, coupling)
+        except ScenarioValidationError as exc:
+            # less the coupling entry, which is listed already
+            problems += [p for p in exc.problems if p not in problems]
     if problems:
         raise ScenarioValidationError(problems)
 
@@ -207,17 +220,7 @@ def scenario_from_dict(data: dict, source_name: str = "<dict>") -> Scenario:
             "regulated synchronization is not guaranteed",
             stacklevel=2,
         )
-
-    N, n = net.N, model.n
-    return Scenario(
-        model=model,
-        net=net,
-        x0=x0,
-        xr0=xr0.reshape(-1),
-        chi0=np.zeros((N, n)) if chi0 is None else chi0,
-        xhat0=np.zeros((N, n)) if xhat0 is None else xhat0,
-        coupling=coupling,
-    )
+    return scenario
 
 
 def load_scenario(path) -> Scenario:

@@ -26,7 +26,8 @@ class NetworkError(ValueError):
 class Network:
     """Weighted digraph on N agents with a (possibly empty) root set.
 
-    root_set holds 0-based agent indices.
+    root_set holds 0-based agent indices, each an int or a numpy integer;
+    a bool, a float or a string is refused, not read as an index.
     """
 
     adjacency: np.ndarray
@@ -43,6 +44,8 @@ class Network:
         if np.any(np.diag(adj) != 0):
             bad = int(np.nonzero(np.diag(adj))[0][0])
             raise NetworkError(f"self-loop at node {bad} (a_ii must be 0)")
+        if not all(np.issubdtype(type(i), np.integer) for i in self.root_set):
+            raise NetworkError("root_set must hold integer agent indices")
         roots = frozenset(int(i) for i in self.root_set)
         if any(i < 0 or i >= adj.shape[0] for i in roots):
             raise NetworkError("root_set indices out of range")

@@ -200,9 +200,9 @@ class ClosedLoopField:
     field.
     - Semiglobal kinds: P is the low-gain solution at their ε, and the cell
       is ‖F z‖∞ ≤ 1.
-    - Global kinds: P = P₁, read from row 0 of the schedule table as
-      `schedule` reads it at j = 0, λ = 0, and the cell is every agent at
-      ε = 1 (`scheduling.at_full_gain`): there ‖uᵢ‖² ≤ g(1, χᵢ) ≤ 1.
+    - Global kinds: −BᵀP is the table's `PCache.full_gain`, the gain that
+      `schedule` gives every agent at ε = 1, and the cell is every agent
+      at ε = 1 (`scheduling.at_full_gain`): there ‖uᵢ‖² ≤ g(1, χᵢ) ≤ 1.
     `inside(Z)` takes a state (dim,) or a stack of them (…, dim) and returns
     |F z| (…, N·m), set to inf across a global kind's state whose |u| are
     at most 1 but which is outside the cell, so a state is inside where
@@ -228,12 +228,8 @@ class ClosedLoopField:
         self._chi = c = blocks["c"]
         terms = _closed_loop_terms(model, net, kind)
         self.W = _place(np.zeros((dim, dim + 2 * Nm)), terms, blocks)
-        if kind.is_global:  # row 0: (1, t², vec BᵀS₀), with S₀ = t·P₁
-            rho_one = kind.cache.gain[0]
-            gain = -rho_one[2:].reshape(model.m, model.n) / np.sqrt(rho_one[1])
-        else:
-            gain = -(model.B.T @ riccati.solve_lowgain_are(
-                model, kind.epsilon).P)
+        gain = kind.cache.full_gain if kind.is_global else -(
+            model.B.T @ riccati.solve_lowgain_are(model, kind.epsilon).P)
         self._gain_T = gain.T  # U = χ·gain_T: u_i = −BᵀP χ_i
         self.F = F = np.zeros((Nm, dim))
         F[:, c] = np.kron(np.eye(net.N), gain)

@@ -105,7 +105,10 @@ class PCache:
     `table` holds vec S of every row as the columns of one (n², 641) array,
     the layout the schedule's scan reads, and `S` (641, n, n) is a view of
     it; `gain` holds the records as its rows (641, 2 + m·n).  `cell` (n², 1)
-    is vec(S₀ + cI), the form `at_full_gain` tests.
+    is vec(S₀ + cI), the form `at_full_gain` tests, and `full_gain` (m, n)
+    is the gain K₁ = −BᵀS₀/τ₀ that `schedule` gives a state in that cell,
+    u = K₁χ, with its rule τ₀ = √max(t², tiny), so K₁ = 0 where P₁ = 0, as
+    where A + I/2 is Hurwitz.
     """
 
     def __init__(self, model: AgentModel):
@@ -126,6 +129,7 @@ class PCache:
         gamma = riccati._gamma(model.n**2)  # n² terms of ⟨vec S, χ⊗χ⟩
         cell = S[0] + 8.0 * gamma * np.linalg.norm(S[0]) * np.eye(model.n)
         self.cell = cell.reshape(-1, 1)
+        self.full_gain = -BtS[0] / np.sqrt(max(t2[0], _TINY))
 
     def solution(self, rho: float) -> RiccatiSolution:
         """The certified solve at ρ, cold: the table is not consulted."""
@@ -178,6 +182,11 @@ def schedule(chi: np.ndarray, cache: PCache):
     ‖u‖² ≤ χᵀP̃χ·tr(BᵀP̃B) ≤ 1.  P̃ is not itself an ARE solution, and
     neither is a table row's P at ε: no ARE is solved at ε, which is in
     general not a table row.
+
+    A state's g and ε have the same bits whatever other states are in the
+    call (`_g`).  Its u does per BLAS kernel: u is one stacked
+    (m×n)·(n×1) product, whose bits under OpenBLAS's Prescott kernel can
+    differ from a call on the state alone (ROADMAP item 24).
 
     States are scanned in parts of at most 128, so a call on a whole
     trajectory's states holds at most 128 × 641 values of g at once.  A

@@ -154,6 +154,26 @@ class TestScenarioParsing:
                                     xr0=[0.0, 0.0]))
         assert exc.value.problems == [entry, ("/xr0", "must be an 1-vector")]
 
+    @pytest.mark.parametrize("changes", [
+        {"x0": [[0.4, -0.3]]},  # transposed: 2 agents of n = 1
+        {"chi0": [0.0, 0.0]},  # flat
+        {"xr0": [0.2, 0.0]},  # one entry too many
+        {"x0": [[float("nan")], [-0.3]]},
+        {"coupling": "Partial", "xhat0": [[0.0]], "x0": [[0.4, -0.3]]},
+    ])
+    def test_scenario_built_in_code_refused_as_its_file(self, changes):
+        """A Scenario built in code refuses the start arrays the loader
+        refuses, with the same entries, the coupling's among them."""
+        with pytest.raises(ScenarioValidationError) as loaded:
+            scenario_from_dict(dict(SCALAR_SCENARIO, **changes))
+        with pytest.raises(ScenarioValidationError) as built:
+            dataclasses.replace(scenario_from_dict(SCALAR_SCENARIO),
+                                **changes)
+        assert built.value.problems == loaded.value.problems
+        assert [ptr for ptr, _ in built.value.problems] == [
+            f"/{key}" for key in ("coupling", "x0", "xr0", "chi0", "xhat0")
+            if key in changes]
+
     def test_load_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -47,6 +47,14 @@ class TestNetwork:
         with pytest.raises(NetworkError, match="non-finite"):
             Network(adjacency=adj, root_set=frozenset([0]))
 
+    def test_root_index_that_is_not_an_integer_rejected(self):
+        # int() would read each as agent 1; the loader refuses them too
+        for root in (True, 1.5, "1", np.bool_(True)):
+            with pytest.raises(NetworkError, match="integer"):
+                Network(adjacency=chain(2), root_set=frozenset([root]))
+        net = Network(adjacency=chain(2), root_set=frozenset([np.int64(1)]))
+        assert net.root_set == {1} and type(next(iter(net.root_set))) is int
+
     def test_indicator(self):
         net = Network(adjacency=chain(3), root_set=frozenset([0, 2]))
         np.testing.assert_array_equal(net.indicator, [1, 0, 1])

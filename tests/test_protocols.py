@@ -9,12 +9,14 @@ from satsync import (
     Network,
     PCache,
     ProtocolKind,
+    Scenario,
     StateLayout,
     design_observer_gain,
     global_full,
     global_partial,
     laplacian,
     random_rooted_network,
+    run_protocol,
     solve_lowgain_are,
     solve_scheduled_are,
 )
@@ -417,6 +419,24 @@ class TestClosedLoopField:
         np.testing.assert_allclose(dz_p[0], dz[0][perm], atol=1e-12)
         np.testing.assert_allclose(dz_p[1], dz[1], atol=1e-12)
         np.testing.assert_allclose(dz_p[2], dz[2][perm], atol=1e-12)
+
+
+@pytest.mark.parametrize("coupling", ["full", "partial"])
+def test_global_field_whose_full_gain_is_zero(coupling):
+    """On A = [[−1]], A + I/2 is Hurwitz, so P₁ = 0 and the table's row 0
+    has t = 0; by `schedule`'s rule τ = √max(t², tiny) the gain at ε = 1
+    is 0.  The field builds without a warning, with F = 0 and a finite L,
+    and a run stays in the cell, so RK45 takes every step from L."""
+    model, net = AgentModel([[-1.0]], [[1.0]], [[1.0]]), chain_net(2)
+    gain = design_observer_gain(model) if coupling == "partial" else None
+    kind = ProtocolKind(cache=PCache(model), observer_gain=gain)
+    field = ClosedLoopField(model, net, kind)
+    assert (field.F == 0).all() and np.isfinite(field.linear_part[0]).all()
+    scenario = Scenario(model=model, net=net, x0=[[0.4], [-0.3]], xr0=[0.2],
+                        chi0=np.zeros((2, 1)), xhat0=np.zeros((2, 1)),
+                        coupling=coupling)
+    integrator = run_protocol(scenario, kind)[1].integrator
+    assert integrator["n_linear_steps"] == integrator["n_steps"]
 
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=40)

@@ -16,6 +16,7 @@ import satsync
 from satsync import (
     AgentModel,
     PCache,
+    check_assumption,
     design_observer_gain,
     is_hurwitz,
     riccati,
@@ -198,8 +199,16 @@ class TestScheduledAre:
     def test_stacked_rows_with_complex_schur_blocks(self):
         # three 2×2 Schur blocks (rotations on the axis): each stacked row
         # that certifies has the bits of its stack of one and agrees with
-        # the Hamiltonian solve
-        model = random_axis_spectrum_model(np.random.default_rng(0))
+        # the Hamiltonian solve.  The model is built, not drawn by
+        # rejection, so every BLAS kernel gets its three blocks
+        rng = np.random.default_rng(0)
+        J = np.zeros((6, 6))
+        for i, w in zip(range(0, 6, 2), rng.uniform(0.1, 3.0, size=3)):
+            J[i, i + 1], J[i + 1, i] = w, -w
+        Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        model = AgentModel(Q @ J @ Q.T, rng.standard_normal((6, 2)),
+                           rng.standard_normal((2, 6)))
+        assert check_assumption(model).passed
         T, _ = model.schur
         assert (np.diagonal(T, -1) != 0).sum() == 3
         rho = lattice_rho(np.arange(3 * OCTAVE, 4 * OCTAVE))
