@@ -85,16 +85,16 @@ class Scenario:
     def __post_init__(self):
         problems = _coupling_problems(self.coupling)
         N, n = self.net.N, self.model.n
-        agents = f"an {N}×{n} array"
+        agents = f"have shape {N}×{n}"
         for name, shape, what in (
-                ("x0", (N, n), f"{agents} of agent initial states"),
-                ("xr0", (n,), f"an {n}-vector"),
+                ("x0", (N, n), f"{agents}, one initial state per agent"),
+                ("xr0", (n,), f"have length {n}"),
                 ("chi0", (N, n), agents), ("xhat0", (N, n), agents)):
             M = np.array(getattr(self, name), dtype=float)  # a copy: frozen
             if not np.all(np.isfinite(M)):
                 problems.append((f"/{name}", "contains non-finite entries"))
             elif M.shape != shape:
-                problems.append((f"/{name}", f"must be {what}"))
+                problems.append((f"/{name}", f"must {what}"))
             M.setflags(write=False)
             object.__setattr__(self, name, M)
         if problems:
@@ -304,11 +304,8 @@ class RunReport:
 
 
 def _kind_parameters(kind: protocols.ProtocolKind) -> dict:
-    params = {}
-    if kind.is_global:
-        params["rho_grid"] = scheduling.TABLE_RHO[[0, -1]].tolist()
-    else:
-        params["epsilon"] = kind.epsilon
+    params = ({"rho_grid": scheduling.TABLE_RHO[[0, -1]].tolist()}
+              if kind.is_global else {"epsilon": kind.epsilon})
     if kind.is_partial:
         params["observer_gain"] = kind.observer_gain.tolist()
     return params
@@ -423,10 +420,9 @@ def _build_kind(scenario: Scenario, family: str, epsilon: Optional[float]):
 
 
 def _cmd_simulate(args) -> int:
-    scenario = load_scenario(args.scenario)
-    kind = _build_kind(scenario, args.protocol, args.epsilon)
+    kind = _build_kind(args.scenario, args.protocol, args.epsilon)
     out = _out_dir(args.out)
-    traj, report = run_protocol(scenario, kind, t_final=args.t_final,
+    traj, report = run_protocol(args.scenario, kind, t_final=args.t_final,
                                 dt=args.dt)
     _write_run(traj, report, out)
     print(
@@ -438,10 +434,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    scenario = load_scenario(args.scenario)
-    report = check_assumption(scenario.model)
-    rooted = in_rooted_family(scenario.net)
-    spec_ok = expanded_laplacian(scenario.net).positive_real_parts
+    report = check_assumption(args.scenario.model)
+    rooted = in_rooted_family(args.scenario.net)
+    spec_ok = expanded_laplacian(args.scenario.net).positive_real_parts
     print(f"model admissible: {report.passed}")
     print(f"  max Re eig(A) = {report.max_real_part:.3e}")
     print(f"  stabilizable  = {report.stabilizable}")
@@ -452,11 +447,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_riccati(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if args.kind == "scheduled":
-        sol = solve_scheduled_are(scenario.model, args.param)
-    else:
-        sol = solve_lowgain_are(scenario.model, args.param)
+    solve = (solve_scheduled_are if args.kind == "scheduled"
+             else solve_lowgain_are)
+    sol = solve(args.scenario.model, args.param)
     print(f"P ({sol.kind}, parameter={sol.parameter}):")
     print(np.array2string(sol.P, precision=12))
     print(f"residual Frobenius norm: {sol.residual_norm:.3e}")
@@ -465,12 +458,11 @@ def _cmd_riccati(args) -> int:
 
 
 def _cmd_select_eps(args) -> int:
-    scenario = load_scenario(args.scenario)
     sets = scheduling.CompactSetSpec(
         agent=args.half_width, exo=args.half_width, protocol=args.half_width
     )
     report = scheduling.select_semiglobal_epsilon(
-        scenario.model, scenario.net, sets, scenario.coupling
+        args.scenario.model, args.scenario.net, sets, args.scenario.coupling
     )
     print(json.dumps(report.to_dict(), indent=2))
     return EXIT_OK
@@ -493,9 +485,12 @@ def make_parser() -> argparse.ArgumentParser:
         "linear multi-agent systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the scenario commands' one argument, which `main` loads
+    on_file = argparse.ArgumentParser(add_help=False)
+    on_file.add_argument("--scenario", required=True)
 
-    p = sub.add_parser("simulate", help="simulate one protocol on a scenario")
-    p.add_argument("--scenario", required=True)
+    p = sub.add_parser("simulate", parents=[on_file],
+                       help="simulate one protocol on a scenario")
     p.add_argument("--protocol", required=True,
                    choices=("global", "semiglobal"),
                    help="the protocol family; the scenario's coupling "
@@ -507,18 +502,18 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("check", help="validate a scenario file")
-    p.add_argument("--scenario", required=True)
+    p = sub.add_parser("check", parents=[on_file],
+                       help="validate a scenario file")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("riccati", help="solve one of the design AREs")
-    p.add_argument("--scenario", required=True)
+    p = sub.add_parser("riccati", parents=[on_file],
+                       help="solve one of the design AREs")
     p.add_argument("--kind", required=True, choices=("scheduled", "lowgain"))
     p.add_argument("--param", required=True, type=float)
     p.set_defaults(func=_cmd_riccati)
 
-    p = sub.add_parser("select-eps", help="search a validated semi-global epsilon")
-    p.add_argument("--scenario", required=True)
+    p = sub.add_parser("select-eps", parents=[on_file],
+                       help="search a validated semi-global epsilon")
     p.add_argument("--half-width", required=True, type=float)
     p.set_defaults(func=_cmd_select_eps)
 
@@ -531,17 +526,20 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a scenario command gets its file as a loaded
+    `Scenario` in args.scenario.  An error of the package prints one line
+    and exits by its class: a validation error is a ValueError (exit 2), an
+    assertion failure a RuntimeError (exit 3)."""
     args = make_parser().parse_args(argv)
     try:
+        if "scenario" in args:
+            args.scenario = load_scenario(args.scenario)
         return args.func(args)
     except (ScenarioValidationError, ModelError, NetworkError, ParameterError,
-            protocols.ProtocolError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (RiccatiError, scheduling.SelectionError,
+            protocols.ProtocolError, RiccatiError, scheduling.SelectionError,
             scheduling.ScheduleFloorError, sim.IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ASSERTION
+        return EXIT_VALIDATION if isinstance(exc, ValueError) else EXIT_ASSERTION
 
 
 if __name__ == "__main__":

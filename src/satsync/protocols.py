@@ -42,8 +42,10 @@ class ProtocolError(ValueError):
 class ProtocolKind:
     """A protocol kind, held as its design values: a global kind schedules
     ε(χ) from its scheduled-ARE `cache`, a semiglobal kind fixes `epsilon`,
-    and an observer gain makes the coupling partial.  Kinds compare and
-    hash by identity (an ndarray gain has no ==)."""
+    and an observer gain makes the coupling partial.  The kind holds ε as a
+    float, refusing a bool, and the gain as a read-only float copy, so a
+    gain given as a list or changed later in place reaches no run.  Kinds
+    compare and hash by identity (an ndarray gain has no ==)."""
 
     epsilon: Optional[float] = None  # the semiglobal low-gain ε, in (0, 1]
     cache: Optional[PCache] = None  # the global kinds' scheduled-ARE table
@@ -53,8 +55,15 @@ class ProtocolKind:
         if (self.epsilon is None) == (self.cache is None):
             raise ProtocolError(
                 "a kind holds exactly one of epsilon and cache")
-        if self.cache is None and not (0.0 < self.epsilon <= 1.0):
-            raise ProtocolError("semiglobal kinds need epsilon in (0, 1]")
+        if self.cache is None:
+            if (isinstance(self.epsilon, (bool, np.bool_))
+                    or not 0.0 < self.epsilon <= 1.0):
+                raise ProtocolError("semiglobal kinds need epsilon in (0, 1]")
+            object.__setattr__(self, "epsilon", float(self.epsilon))
+        if self.observer_gain is not None:
+            K = np.array(self.observer_gain, dtype=float)  # a copy: frozen
+            K.setflags(write=False)
+            object.__setattr__(self, "observer_gain", K)
 
     @property
     def is_global(self) -> bool:

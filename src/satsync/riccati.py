@@ -22,7 +22,9 @@ then W = LLᵀ and P = UL⁻ᵀL⁻¹Uᵀ.  A row's P is kept only when
   (iii) it passes the certificates every returned P passes, with the
         residual bound tightened to rounding level relative to the terms,
         ‖R‖_F ≤ 512·ε_mach·(2‖A_sᵀP‖_F + ‖PBBᵀP‖_F), which the absolute
-        tolerance below does not enforce when ‖P‖ ≪ 1.
+        tolerance below does not enforce when ‖P‖ ≪ 1.  `_certificates`
+        applies this bar to the rows it is given a Lyapunov candidate for,
+        which are exactly these.
 
 The gates apply to each row on its own, and a row that fails one reaches no
 later stage.  `solve_scheduled_are` is the stack of one, and each stage
@@ -140,17 +142,17 @@ def _stacked(fn, *X):
         return fn(*(x[ok] for x in X)), ok
 
 
-def _certificates(A, G, Q, P, rounding=False, candidate=None):
+def _certificates(A, G, Q, P, candidate=None):
     """Certificates of each P in the stack (r, n, n) as a solution of
     AᵀP + PA - PGP + Q = 0, for A of shape (r, n, n).
 
     Returns the Frobenius norm of each residual (never below its 2-norm),
     λmin(P) and the first certificate each row fails: 0 none, 1 PSD to
-    PSD_TOL, 2 the residual tolerance (with rounding, also gate (iii)'s
-    bound), 3 a closed loop A - GP with every eigenvalue below -τ, τ =
-    HURWITZ_TOL.  Rows that pass 1 and 2 get certificate 3 from a Lyapunov
-    bound where it decides, and from the eigenvalues of A - GP (`_hurwitz`)
-    only where it does not.
+    PSD_TOL, 2 the residual tolerance (and, for the rows given a Lyapunov
+    candidate, gate (iii)'s bound), 3 a closed loop A - GP with every
+    eigenvalue below -τ, τ = HURWITZ_TOL.  Rows that pass 1 and 2 get
+    certificate 3 from a Lyapunov bound where it decides, and from the
+    eigenvalues of A - GP (`_hurwitz`) only where it does not.
 
     The bound reads R = AᵀP + PA - PGP + Q, the exact residual of the
     stored P, and needs P ≻ 0 and P bitwise symmetric (a row whose P is not
@@ -202,7 +204,7 @@ def _certificates(A, G, Q, P, rounding=False, candidate=None):
     # P is symmetric, so ‖P‖₂ = max|λ(P)|
     p_norm = np.maximum(-eig_min, eig_max)
     bound = _tolerance_for_norm(p_norm)
-    if rounding:
+    if candidate is not None:  # gate (iii): a Lyapunov-path row
         bound = np.minimum(bound, ROUNDING_RTOL
                            * (2 * _frobenius(AP) + _frobenius(PGP)))
     failed = np.where(eig_min < -PSD_TOL, 1, np.where(residual > bound, 2, 0))
@@ -290,12 +292,12 @@ def _check_inputs(model, name, parameter):
         )
 
 
-def _hamiltonian(model, kind, parameter, shift, weight):
+def _hamiltonian(A, B, kind, parameter, shift, weight):
     """Certified solution of (A + sI)ᵀP + P(A + sI) - PBBᵀP + wI = 0 by the
     Hamiltonian Schur method."""
-    I = np.eye(model.n)
-    A = model.A + shift * I
-    G = model.B @ model.B.T
+    I = np.eye(len(A))
+    A = A + shift * I
+    G = B @ B.T
     Q = weight * I
     return _certify(A, G, Q, _care_schur(A, G, Q), kind, parameter)
 
@@ -383,8 +385,7 @@ def scheduled_lyapunov(model: AgentModel, rho: np.ndarray):
         return (X + np.swapaxes(X, -1, -2)) / 2, ok
 
     A = model.A + (rho / 2)[:, None, None] * I
-    residual, _, failed = _certificates(A, G, 0.0, P, rounding=True,
-                                        candidate=candidate)
+    residual, _, failed = _certificates(A, G, 0.0, P, candidate)
     ok = failed == 0
     certified[certified] = ok
     return P[ok], residual[ok], certified
@@ -412,27 +413,25 @@ def scheduled_hamiltonian(model: AgentModel, rho: float) -> RiccatiSolution:
     `solve_scheduled_are` falls back to where `scheduled_lyapunov` does not
     certify ρ.  It checks neither ρ nor the model; raises RiccatiError when
     the solve fails a certificate."""
-    return _hamiltonian(model, "scheduled", rho, rho / 2, 0.0)
+    return _hamiltonian(model.A, model.B, "scheduled", rho, rho / 2, 0.0)
 
 
 def solve_lowgain_are(model: AgentModel, eps: float) -> RiccatiSolution:
     """Stabilizing solution of AᵀP + PA - PBBᵀP + εI = 0."""
     _check_inputs(model, "eps", eps)
-    return _hamiltonian(model, "lowgain", eps, 0.0, eps)
+    return _hamiltonian(model.A, model.B, "lowgain", eps, 0.0, eps)
 
 
 def design_observer_gain(model: AgentModel) -> np.ndarray:
     """Read-only gain K = P_o Cᵀ, with A - KC Hurwitz, from the dual ARE
     AP_o + P_oAᵀ - P_oCᵀCP_o + I = 0.
 
-    This is the unit-weight low-gain ARE of the dual model (Aᵀ, Cᵀ, Bᵀ),
-    solved with no admissibility check of the dual: only detectability of
-    (A, C) is needed.  Its Hurwitz certificate for Aᵀ - CᵀKᵀ is one for
-    A - KC.
+    This is the unit-weight low-gain ARE of the dual pair (Aᵀ, Cᵀ), solved
+    with no admissibility check of the dual: only detectability of (A, C)
+    is needed.  Its Hurwitz certificate for Aᵀ - CᵀKᵀ is one for A - KC.
     """
     if not model.assumption.detectable:
         raise RiccatiError("(A, C) not detectable; cannot design observer gain")
-    dual = AgentModel(model.A.T, model.C.T, model.B.T)
-    K = _hamiltonian(dual, "lowgain", 1.0, 0.0, 1.0).P @ model.C.T
+    K = _hamiltonian(model.A.T, model.C.T, "lowgain", 1.0, 0.0, 1.0).P @ model.C.T
     K.setflags(write=False)
     return K

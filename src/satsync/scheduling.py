@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import riccati
 from .model import AgentModel
@@ -39,13 +40,14 @@ from .riccati import (
     solve_scheduled_are,
 )
 
-RHO_MIN = 2.0**-20
+OCTAVES = 20  # the table's octaves below ρ = 1, down to its floor RHO_MIN
+RHO_MIN = 2.0**-OCTAVES
 ROWS_PER_OCTAVE = 32
 # ρ of each table row, largest first: 1, then 2⁻ᵏ(1 + j/32) for octaves
 # k = 1 … 20 and j = 31 … 0, all exact binary floats; row 32k is 2⁻ᵏ
 TABLE_RHO = np.concatenate(([1.0], np.ldexp(
     1.0 + np.arange(ROWS_PER_OCTAVE - 1, -1, -1) / ROWS_PER_OCTAVE,
-    -np.arange(1, 21)[:, None]).ravel()))
+    -np.arange(1, OCTAVES + 1)[:, None]).ravel()))
 TABLE_RHO.setflags(write=False)
 # the value of g the interpolation aims at: 2¹² ulps below 1, room for the
 # rounding of g between two rows
@@ -347,19 +349,18 @@ def sample_box_vertices(halfwidths: np.ndarray) -> np.ndarray:
     """Distinct box vertices: all 2^d of them for d ≤ 8 active coordinates,
     else 256 pairwise non-antipodal ones plus the origin.
 
-    Vertex v < 2^b = min(2^d, MAX_VERTEX_SAMPLES) has sign
-    2·parity(v & mask_k) − 1 on active coordinate k, with the unit masks
-    first and then the other nonzero b-bit masks (3 = 1 ⊕ 2 next), cycled.
+    Vertex v < 2^b = min(2^d, MAX_VERTEX_SAMPLES) has sign −H[v, mask_k] on
+    active coordinate k, with H the Walsh–Hadamard matrix of order 2^b
+    (H[v, w] = (−1)^popcount(v & w)), and the unit masks first and then the
+    other nonzero b-bit masks (3 = 1 ⊕ 2 next), cycled.
     """
     h = np.asarray(halfwidths, dtype=float)
     active = np.nonzero(h > 0)[0]
     d = active.size
     b = min(d, MAX_VERTEX_SAMPLES.bit_length() - 1)
-    bits = (np.arange(2**b)[:, None] >> np.arange(b)) & 1  # row v: bits of v
     units = [1 << k for k in range(b)]
     masks = units + [v for v in range(1, 2**b) if v not in units]
-    mask_bits = bits[[masks[k % len(masks)] for k in range(d)]]
-    signs = 2.0 * ((bits @ mask_bits.T) % 2) - 1.0
+    signs = -sla.hadamard(2**b)[:, [masks[k % len(masks)] for k in range(d)]]
     if d > b:
         signs = np.vstack([signs, np.zeros((1, d))])
     samples = np.zeros((signs.shape[0], h.size))

@@ -152,7 +152,7 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioValidationError) as exc:
             scenario_from_dict(dict(SCALAR_SCENARIO, coupling="Partial",
                                     xr0=[0.0, 0.0]))
-        assert exc.value.problems == [entry, ("/xr0", "must be an 1-vector")]
+        assert exc.value.problems == [entry, ("/xr0", "must have length 1")]
 
     @pytest.mark.parametrize("changes", [
         {"x0": [[0.4, -0.3]]},  # transposed: 2 agents of n = 1
@@ -356,6 +356,16 @@ class TestRunProtocol:
         sc = scenario_from_dict(data)
         with pytest.raises(ProtocolError, match="coupling"):
             run_protocol(sc, kind(sc.model), t_final=1.0)
+
+    def test_kind_with_a_list_gain_runs_and_reports_it(self):
+        """A kind given its observer gain as a list holds it as an array,
+        so its run reports the gain rather than failing once integrated."""
+        sc = bundled_scenario(3)
+        gain = design_observer_gain(sc.model)
+        kind = ProtocolKind(epsilon=0.5, observer_gain=gain.tolist())
+        _, report = run_protocol(sc, kind, t_final=1.0)
+        assert report.parameters == {"epsilon": 0.5,
+                                     "observer_gain": gain.tolist()}
 
     @pytest.mark.parametrize("case", [1, 2, 3])
     def test_reproduce_keeps_its_work_budget(self, case, tmp_path):

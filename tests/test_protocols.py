@@ -46,10 +46,12 @@ class TestProtocolKind:
         assert global_partial(double, double_cache).name == "global-partial"
 
     def test_semiglobal_requires_epsilon(self, double):
-        # a kind without a cache is semiglobal, and needs an ε in (0, 1]
+        # a kind without a cache is semiglobal, and needs an ε in (0, 1],
+        # which a bool is not
         gain = design_observer_gain(double)
         for values in (dict(), dict(observer_gain=gain), dict(epsilon=0.0),
-                       dict(epsilon=1.5), dict(epsilon=float("nan"))):
+                       dict(epsilon=1.5), dict(epsilon=float("nan")),
+                       dict(epsilon=True), dict(epsilon=np.True_)):
             with pytest.raises(ProtocolError):
                 ProtocolKind(**values)
         assert not ProtocolKind(epsilon=1.0).is_global
@@ -80,6 +82,24 @@ class TestProtocolKind:
             ProtocolKind("semiglobal", "full")
         with pytest.raises(TypeError):
             ProtocolKind(0.5)
+
+    def test_design_values_held_as_checked_copies(self, double):
+        """ε is held as a float, and the observer gain as a read-only
+        float copy, so a gain given as a list works and one changed in
+        place after the kind is built does not reach it."""
+        gain = design_observer_gain(double)
+        for epsilon in (1, np.float32(0.5)):
+            kind = ProtocolKind(epsilon=epsilon)
+            assert type(kind.epsilon) is float
+            assert kind.epsilon == float(epsilon)
+        source = gain.copy()
+        for given in (gain.tolist(), source):
+            held = ProtocolKind(epsilon=0.5, observer_gain=given).observer_gain
+            assert isinstance(held, np.ndarray) and held.dtype == float
+            assert not held.flags.writeable
+            np.testing.assert_array_equal(held, gain)
+        source[0, 0] = 7.0
+        np.testing.assert_array_equal(held, gain)
 
     def test_partial_kind_hashes_by_identity(self, double, double_cache):
         kind = global_partial(double, double_cache)

@@ -473,20 +473,24 @@ class TestHurwitzBound:
         # P = 0 solves the zero-weight scheduled ARE exactly (R = 0, PSD),
         # and P = 1e-10·I is positive definite within the residual
         # tolerance, but the closed loop of each is about A_s, antistable:
-        # neither bound decides it, with or without a Lyapunov candidate,
-        # and eigvals rejects it
+        # neither bound decides it, and eigvals rejects it.  A Lyapunov
+        # candidate also brings gate (iii)'s rounding bar, which
+        # P = 1e-10·I fails (certificate 2) before any row reaches eigvals;
+        # P = 0, with R = 0, meets it
         A = triple.A + (rho / 2) * np.eye(3)
         G = triple.B @ triple.B.T
         X = sla.solve_continuous_lyapunov(A - HURWITZ_TOL * np.eye(3),
                                           np.eye(3))
         rows = self.counting_hurwitz(monkeypatch)
+        first = []  # the first certificate each call fails
         for Q, candidate in ((0.0, lambda mask: (X[None][mask],
                                                  np.ones(mask.sum(), bool))),
                              (np.zeros((3, 3)), None)):
             _, _, failed = _certificates(A[None], G, Q, p * np.eye(3)[None],
                                          candidate=candidate)
-            assert failed.tolist() == [3]  # the first certificate it fails
-        assert rows == [1, 1]
+            first += failed.tolist()
+        assert first == ([3, 3] if p == 0.0 else [2, 3])
+        assert rows == ([1, 1] if p == 0.0 else [0, 1])
 
 
 class TestObserverGain:

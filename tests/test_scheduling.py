@@ -1067,6 +1067,19 @@ class TestSampleBoxVertices:
         assert not any(tuple(-row) in rows for row in samples[:-1])
         np.testing.assert_array_equal(samples[-1], np.zeros(d))
 
+    @pytest.mark.parametrize("d", [9, 21, 100, 291])
+    def test_large_box_signs_are_mask_parities(self, d):
+        # vertex v has sign 2·parity(v & mask_k) − 1 on coordinate k: the
+        # unit masks 1, 2, …, 128 first, then the other nonzero 8-bit
+        # masks in increasing order, cycled
+        units = [1 << k for k in range(8)]
+        masks = units + [w for w in range(1, 256) if w not in units]
+        h = np.arange(1.0, d + 1)
+        expected = [[h[k] if bin(v & masks[k % 255]).count("1") % 2
+                     else -h[k] for k in range(d)] for v in range(256)]
+        np.testing.assert_array_equal(sample_box_vertices(h),
+                                      np.vstack([expected, np.zeros(d)]))
+
     def test_large_box_uses_sign_patterns(self):
         h = np.ones(10)  # 1024 vertices > 256
         samples = sample_box_vertices(h)
