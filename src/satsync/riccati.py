@@ -40,7 +40,7 @@ eigenvalue below -HURWITZ_TOL.  Certificate 3 is proved by a Lyapunov bound
 wherever the bound decides (`_certificates`): from X with (A_s - τI)X +
 X(A_s - τI)ᵀ = I, one more Bartels–Stewart pass, for Lyapunov-path rows,
 and from P itself for the low-gain ARE and the observer.  Elsewhere it is
-checked on the computed eigenvalues (`is_hurwitz`), which in the deepest
+checked on the computed eigenvalues (`_hurwitz`), which in the deepest
 octaves of a defective A are evidence rather than proof.  The observer gain
 comes from the unit-weight low-gain ARE of the dual pair (Aᵀ, Cᵀ).
 """
@@ -99,13 +99,13 @@ class RiccatiSolution:
     closed_loop_stable: bool
 
 
-def _care_schur(A, G, Q):
-    """Stabilizing solution of AᵀP + PA - PGP + Q = 0 via Hamiltonian Schur."""
+def _care_schur(A, G, w):
+    """Stabilizing solution of AᵀP + PA - PGP + wI = 0 by Hamiltonian Schur."""
     n = A.shape[0]
     H = np.empty((2 * n, 2 * n))
     H[:n, :n] = A
     H[:n, n:] = -G
-    H[n:, :n] = -Q
+    H[n:, :n] = -w * np.eye(n)
     H[n:, n:] = -A.T
     try:
         _, Z, sdim = sla.schur(H, sort=lambda x: x.real < 0.0)
@@ -142,9 +142,10 @@ def _stacked(fn, *X):
         return fn(*(x[ok] for x in X)), ok
 
 
-def _certificates(A, G, Q, P, candidate=None):
+def _certificates(A, G, w, P, candidate=None):
     """Certificates of each P in the stack (r, n, n) as a solution of
-    AᵀP + PA - PGP + Q = 0, for A of shape (r, n, n).
+    AᵀP + PA - PGP + wI = 0, for A of shape (r, n, n) and the scalar state
+    weight w ≥ 0.
 
     Returns the Frobenius norm of each residual (never below its 2-norm),
     λmin(P) and the first certificate each row fails: 0 none, 1 PSD to
@@ -154,10 +155,10 @@ def _certificates(A, G, Q, P, candidate=None):
     certificate 3 from a Lyapunov bound where it decides, and from the
     eigenvalues of A - GP (`_hurwitz`) only where it does not.
 
-    The bound reads R = AᵀP + PA - PGP + Q, the exact residual of the
+    The bound reads R = AᵀP + PA - PGP + wI, the exact residual of the
     stored P, and needs P ≻ 0 and P bitwise symmetric (a row whose P is not
     is left to `_hurwitz`; every P measured is).
-      - Scheduled rows (Q = 0) pass `candidate(rows)`, which gives a
+      - Scheduled rows (w = 0) pass `candidate(rows)`, which gives a
         symmetric X with (A - τI)X + X(A - τI)ᵀ ≈ I for the rows of the
         mask, and the mask of rows where one was found.  With P⁻¹R = E,
         P(A - GP)P⁻¹ = RP⁻¹ - Aᵀ, so spec(A - GP) = -spec(A - E).  Let
@@ -168,12 +169,11 @@ def _certificates(A, G, Q, P, candidate=None):
         2‖R‖₂ ≥ ‖G‖₂λmin(P)² gets no X, since it cannot pass: P⁻¹ solves
         AW + WAᵀ = G ⪯ ‖G‖₂I, so X ⪰ P⁻¹/‖G‖₂ and ‖X‖₂ ≥ 1/(‖G‖₂λmin(P)),
         up to the rounding of P.
-      - Other rows: (A - GP + τI)ᵀP + P(A - GP + τI) = R - Q - PGP + 2τP
-        ≺ 0 whenever λmax(R) + 2τλmax(P) < λmin(Q), which proves the same
-        with P as the Lyapunov function and no extra solve.  λmin(Q) is
-        bounded below by Gershgorin's discs, exact for Q = εI.
+      - Other rows: (A - GP + τI)ᵀP + P(A - GP + τI) = R - wI - PGP + 2τP
+        ≺ 0 whenever λmax(R) + 2τλmax(P) < w, which proves the same with P
+        as the Lyapunov function and no extra solve.
 
-    Floating point.  A, G, Q and P are taken as stored, and the bounds
+    Floating point.  A, G, w and P are taken as stored, and the bounds
     below hold to first order in u = ε_mach/2.  γ_k (`_gamma`) bounds the
     rounding of k operations relative to the magnitudes they combine, so
     for each product |fl(MN) - MN| ≤ γ_n·|M||N|, and ‖|M||N|‖_F ≤
@@ -182,7 +182,7 @@ def _certificates(A, G, Q, P, candidate=None):
         `eigvalsh` values λ̂ (Weyl, with the solver's backward error taken
         as at most e = (n + 2)²·ε_mach relative).
       - ‖R‖₂ ≤ (1 + γ_{n²+1})‖R̂‖_F + γ_{2n+3}(2‖A‖_F‖P‖_F + ‖G‖_F‖P‖_F²
-        + ‖Q‖_F) for the computed residual R̂: AᵀP is one product, PGP two,
+        + w√n) for the computed residual R̂: AᵀP is one product, PGP two,
         and three sums join the terms.
       - Z = L̂L̂ᵀ, with L̂ the Cholesky factor of the computed X̂, is
         positive definite when the factorization succeeds, and ‖Z - X̂‖_F ≤
@@ -200,7 +200,7 @@ def _certificates(A, G, Q, P, candidate=None):
     eig_P = np.linalg.eigvalsh(P)  # ascending
     eig_min, eig_max = eig_P[:, 0], eig_P[:, -1]
     AP, PGP = np.swapaxes(A, -1, -2) @ P, P @ G @ P
-    residual = _frobenius(AP + np.swapaxes(AP, -1, -2) - PGP + Q)
+    residual = _frobenius(AP + np.swapaxes(AP, -1, -2) - PGP + w * np.eye(n))
     # P is symmetric, so ‖P‖₂ = max|λ(P)|
     p_norm = np.maximum(-eig_min, eig_max)
     bound = _tolerance_for_norm(p_norm)
@@ -214,11 +214,10 @@ def _certificates(A, G, Q, P, candidate=None):
     p_low = np.where(symmetric, eig_min - e * p_norm, 0.0)
     p_F, a_F = _frobenius(P), _frobenius(A)
     r_high = ((1 + _gamma(n * n + 1)) * residual + _gamma(2 * n + 3)
-              * (2 * a_F * p_F + _frobenius(G) * p_F**2 + np.linalg.norm(Q)))
+              * (2 * a_F * p_F + _frobenius(G) * p_F**2 + w * root_n))
     if candidate is None:
-        q_low = (2 * np.diagonal(Q) - np.abs(Q).sum(axis=-1)).min()
         proved = (p_low > 0) & ((1 + e) * (r_high + 2 * tau
-                                           * (eig_max + e * p_norm)) < q_low)
+                                           * (eig_max + e * p_norm)) < w)
     else:
         # the rows that get an X, narrowed to those it proves
         proved = (failed == 0) & (p_low > 0) & (2 * r_high
@@ -256,10 +255,10 @@ def _frobenius(M):
     return np.sqrt((M * M).sum(axis=(-2, -1)))
 
 
-def _certify(A, G, Q, P, kind, parameter):
-    """Wrap P as a RiccatiSolution once AᵀP + PA - PGP + Q = 0 is met to
+def _certify(A, G, w, P, kind, parameter):
+    """Wrap P as a RiccatiSolution once AᵀP + PA - PGP + wI = 0 is met to
     tolerance, P is PSD and A - GP is Hurwitz; raise RiccatiError otherwise."""
-    residual, eig_min, failed = _certificates(A[None], G, Q, P[None])
+    residual, eig_min, failed = _certificates(A[None], G, w, P[None])
     if failed[0]:
         reason = ("",
                   "solution not positive semidefinite "
@@ -295,11 +294,9 @@ def _check_inputs(model, name, parameter):
 def _hamiltonian(A, B, kind, parameter, shift, weight):
     """Certified solution of (A + sI)ᵀP + P(A + sI) - PBBᵀP + wI = 0 by the
     Hamiltonian Schur method."""
-    I = np.eye(len(A))
-    A = A + shift * I
+    A = A + shift * np.eye(len(A))
     G = B @ B.T
-    Q = weight * I
-    return _certify(A, G, Q, _care_schur(A, G, Q), kind, parameter)
+    return _certify(A, G, weight, _care_schur(A, G, weight), kind, parameter)
 
 
 def _schur_blocks(T):

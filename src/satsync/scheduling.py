@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 
-from . import riccati
+from . import riccati, sim
 from .model import AgentModel
 from .riccati import (
     ParameterError,
@@ -91,18 +91,20 @@ class PCache:
 
     Row i holds what the schedule reads of P at ρ = TABLE_RHO[i]: the
     quadratic form S = t·P of g, with t = tr(BᵀPB), and the record
-    (ρ, t², vec BᵀS) that the schedule interpolates, BᵀS = t·BᵀP.  Row 0
-    is the checked `solve_scheduled_are(model, 1.0)`, which raises
-    RiccatiError unless the model is admissible.  Rows 1–640 come from one
-    stacked Lyapunov solve (`riccati.scheduled_lyapunov`).  A row it does
-    not certify, which a lone Lyapunov solve would not certify either,
-    comes from the Hamiltonian solve that `solve_scheduled_are` falls back
-    to (`riccati.scheduled_hamiltonian`), or holds NaN where no solver
+    (ρ, t², vec BᵀS) that the schedule interpolates, BᵀS = t·BᵀP.  A build
+    raises RiccatiError unless the model is admissible, the check
+    `solve_scheduled_are` makes.  Then all 641 rows come from one stacked
+    Lyapunov solve (`riccati.scheduled_lyapunov`).  A row it does not
+    certify, which a lone Lyapunov solve would not certify either, comes
+    from the Hamiltonian solve that `solve_scheduled_are` falls back to
+    (`riccati.scheduled_hamiltonian`), or holds NaN where no solver
     certifies.  So every row is that of `solve_scheduled_are(model, ρ)`,
-    bit for bit, or NaN.  On the triple integrator the stack certifies
-    every row and a build takes about 10 ms; rows that fall to the
-    Hamiltonian method cost about 0.3 ms each, so a table on a random test
-    model takes 0.05–0.3 s.
+    bit for bit, or NaN; row 0 (ρ = 1) follows the same rule, so it holds
+    NaN on an admissible model with no certified P₁, as A = [[−1/2]].  On
+    the triple integrator the stack certifies every row and a build takes
+    7–11 ms on a 2-core x86 VM; rows that fall to the Hamiltonian method
+    cost about 0.3 ms each, so a table on a random test model takes
+    0.05–0.3 s.
 
     `table` holds vec S of every row as the columns of one (n², 641) array,
     the layout the schedule's scan reads, and `S` (641, n, n) is a view of
@@ -110,16 +112,17 @@ class PCache:
     is vec(S₀ + cI), the form `at_full_gain` tests, and `full_gain` (m, n)
     is the gain K₁ = −BᵀS₀/τ₀ that `schedule` gives a state in that cell,
     u = K₁χ, with its rule τ₀ = √max(t², tiny), so K₁ = 0 where P₁ = 0, as
-    where A + I/2 is Hurwitz.
+    where A + I/2 is Hurwitz.  Both are NaN where row 0 is: no state is
+    then in the cell.
     """
 
     def __init__(self, model: AgentModel):
         self.model = model
+        riccati._check_inputs(model, "rho", 1.0)
         P = np.full((len(TABLE_RHO), model.n, model.n), np.nan)
-        P[0] = solve_scheduled_are(model, 1.0).P
-        stacked, _, certified = scheduled_lyapunov(model, TABLE_RHO[1:])
-        P[1:][certified] = stacked
-        for i in np.flatnonzero(~certified) + 1:
+        stacked, _, certified = scheduled_lyapunov(model, TABLE_RHO)
+        P[certified] = stacked
+        for i in np.flatnonzero(~certified):
             try:
                 P[i] = scheduled_hamiltonian(model, float(TABLE_RHO[i])).P
             except RiccatiError:  # no solver certifies the row: NaN
@@ -242,8 +245,8 @@ def _scan(chi, cache):
     passed = g_j <= 1.0
     # count_nonzero: on a few dozen agents, a third of the cost of .all()
     if np.count_nonzero(passed) < passed.size:
-        from .sim import _norm  # rescaled where χ·χ overflows
-        raise ScheduleFloorError(_norm(chi[passed.argmin()]))
+        # the norm is rescaled where χ·χ overflows
+        raise ScheduleFloorError(sim._norm(chi[passed.argmin()]))
     up = np.maximum(j - 1, 0)
     g_up = g[agents, up]
     toward = g_up > 1.0  # j > 0 and row j⁺ is certified
@@ -412,7 +415,7 @@ def _validate_epsilon(model, net, kind, samples, horizon) -> EpsilonTrial:
     far: all of them when it passes, those up to the first failure when it
     does not.
     """
-    from . import protocols, sim
+    from . import protocols  # late import: protocols depends on this module
 
     field_fn = protocols.ClosedLoopField(model, net, kind)
     max_u = worst_err = 0.0

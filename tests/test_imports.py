@@ -35,8 +35,9 @@ print(json.dumps(loaded))
 
 def test_each_submodule_imports_first():
     """Each submodule imports with no other loaded before it; `sim` needs
-    no other submodule, `protocols` does not import `sim`, and `scheduling`
-    imports neither `protocols` nor `sim` before a call needs them."""
+    no other submodule, `scheduling` loads `model`, `riccati` and `sim` but
+    not `protocols` before a call needs it, and `protocols` loads `sim`
+    only through `scheduling`."""
     package_dir = str(Path(satsync.__file__).parent)
     names = [m.name for m in pkgutil.iter_modules([package_dir])
              if m.name != "__main__"]  # __main__ runs the CLI
@@ -45,5 +46,6 @@ def test_each_submodule_imports_first():
     assert out.returncode == 0, out.stderr
     loaded = json.loads(out.stdout)
     assert loaded["sim"] == ["sim"]
-    assert "sim" not in loaded["protocols"]
-    assert not {"protocols", "sim"} & set(loaded["scheduling"])
+    assert loaded["scheduling"] == ["model", "riccati", "scheduling", "sim"]
+    assert loaded["protocols"] == ["graph", "model", "protocols", "riccati",
+                                   "scheduling", "sim"]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,8 @@ from satsync import (
     solve_scheduled_are,
 )
 from satsync.protocols import ClosedLoopField, ProtocolError
+from satsync.riccati import RiccatiError
+from satsync.scheduling import TABLE_RHO
 
 
 @pytest.fixture(scope="module")
@@ -457,6 +461,35 @@ def test_global_field_whose_full_gain_is_zero(coupling):
                         coupling=coupling)
     integrator = run_protocol(scenario, kind)[1].integrator
     assert integrator["n_linear_steps"] == integrator["n_steps"]
+
+
+def test_global_run_on_a_table_with_no_unit_row():
+    """On A = [[−1/2]], A + ρI/2 is singular at ρ = 1, so no solver
+    certifies row 0 and `solve_scheduled_are(m, 1.0)` raises, yet the model
+    is admissible.  The table builds by the rule of every row: row 0, and
+    only row 0, holds NaN, and so do `full_gain` and `cell`.  No state is
+    then in the full-gain cell, so a global-full run takes no linear step.
+    Every other row has P = 0, since A + ρI/2 is Hurwitz there, so each
+    agent reads row 1 with u = 0, and the run converges with no saturation
+    event and no warning."""
+    model, net = AgentModel([[-0.5]], [[1.0]], [[1.0]]), chain_net(2)
+    with pytest.raises(RiccatiError, match="dimension 0, expected 1"):
+        solve_scheduled_are(model, 1.0)
+    cache = PCache(model)
+    nan = np.isnan(cache.gain[:, 1:]).any(axis=1)
+    assert np.flatnonzero(nan).tolist() == [0]
+    assert np.isnan(cache.S[0]).all() and (cache.S[1:] == 0).all()
+    assert np.isnan(cache.full_gain).all() and np.isnan(cache.cell).all()
+    scenario = Scenario(model=model, net=net, x0=[[0.4], [-0.3]], xr0=[0.2],
+                        chi0=np.zeros((2, 1)), xhat0=np.zeros((2, 1)),
+                        coupling="full")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj, report = run_protocol(scenario, ProtocolKind(cache=cache))
+    assert report.protocol == "global-full" and report.converged
+    assert report.saturation_events == []
+    assert report.integrator["n_linear_steps"] == 0
+    assert (traj.realized_epsilon == TABLE_RHO[1]).all()
 
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=40)

@@ -66,9 +66,8 @@ def hamiltonian_reference(model, rho):
     """The certified Hamiltonian-Schur P_ρ, or None where it does not certify."""
     A = model.A + (rho / 2) * np.eye(model.n)
     G = model.B @ model.B.T
-    Q = np.zeros_like(A)
     try:
-        return _certify(A, G, Q, _care_schur(A, G, Q), "scheduled", rho).P
+        return _certify(A, G, 0.0, _care_schur(A, G, 0.0), "scheduled", rho).P
     except RiccatiError:
         return None
 
@@ -172,11 +171,10 @@ class TestScheduledAre:
         # path: each octave's rows certify in one stack, octave 20 whole
         # (ρ down to 2⁻²⁰), and a stack of one gives the same bits
         A, G = triple.A, triple.B @ triple.B.T
-        Q = np.zeros((3, 3))
         stacks = [lattice_rho(np.arange(k * OCTAVE, (k + 1) * OCTAVE,
                                         1 if k == 20 else 31))
                   for k in range(1, 21)] + [np.array([1.0])]
-        reference = [[_care_schur(A + (rho / 2) * np.eye(3), G, Q)
+        reference = [[_care_schur(A + (rho / 2) * np.eye(3), G, 0.0)
                       for rho in stack] for stack in stacks]
 
         def no_hamiltonian(*args):
@@ -214,11 +212,11 @@ class TestScheduledAre:
         rho = lattice_rho(np.arange(3 * OCTAVE, 4 * OCTAVE))
         P, _, certified = scheduled_lyapunov(model, rho)
         assert certified.sum() > OCTAVE // 2
-        G, Q = model.B @ model.B.T, np.zeros((model.n, model.n))
+        G = model.B @ model.B.T
         for r, P_row in zip(rho[certified][::64], P[::64]):
             np.testing.assert_array_equal(
                 scheduled_lyapunov(model, np.array([r]))[0][0], P_row)
-            P_ref = _care_schur(model.A + (r / 2) * np.eye(model.n), G, Q)
+            P_ref = _care_schur(model.A + (r / 2) * np.eye(model.n), G, 0.0)
             assert (np.linalg.norm(P_row - P_ref)
                     <= 1e-6 * np.linalg.norm(P_ref))
 
@@ -378,19 +376,18 @@ class TestStacked:
 
 class TestHamiltonianSchur:
     def test_singular_subspace_basis_raises(self):
-        """A = 1, G = 0, Q = 1: the Hamiltonian [[1, 0], [−1, −1]] has the
+        """A = 1, G = 0, w = 1: the Hamiltonian [[1, 0], [−1, −1]] has the
         stable eigenvector (0, 1), whose upper block U1 = 0 cannot give
         P = U2 U1⁻¹."""
         with pytest.raises(RiccatiError,
                            match=r"ill-conditioned \(cond=inf\)"):
-            _care_schur(np.array([[1.0]]), np.array([[0.0]]),
-                        np.array([[1.0]]))
+            _care_schur(np.array([[1.0]]), np.array([[0.0]]), 1.0)
 
 
 class TestCertify:
     # scheduled ARE of A = 0, B = 1 at ρ = 1: 2·(1/2)·P − P² = 0, solved by
     # P = 1 (closed loop −1/2) and by P = 0 (closed loop +1/2)
-    A, G, Q = np.array([[0.5]]), np.array([[1.0]]), np.zeros((1, 1))
+    A, G = np.array([[0.5]]), np.array([[1.0]])
 
     @pytest.mark.parametrize("P, match", [
         (-1.0, "not positive semidefinite"),
@@ -399,7 +396,7 @@ class TestCertify:
     ])
     def test_failed_certificate_raises(self, P, match):
         with pytest.raises(RiccatiError, match=match):
-            _certify(self.A, self.G, self.Q, np.array([[P]]), "scheduled", 1.0)
+            _certify(self.A, self.G, 0.0, np.array([[P]]), "scheduled", 1.0)
 
 
 class TestHurwitzBound:
@@ -459,11 +456,11 @@ class TestHurwitzBound:
         # the bounds read P as symmetric: one ulp off symmetry leaves the
         # row to eigvals, which accepts it
         P = solve_lowgain_are(triple, 0.5).P.copy()
-        A, G, Q = triple.A, triple.B @ triple.B.T, 0.5 * np.eye(3)
+        A, G = triple.A, triple.B @ triple.B.T
         rows = self.counting_hurwitz(monkeypatch)
-        assert _certificates(A[None], G, Q, P[None])[2].tolist() == [0]
+        assert _certificates(A[None], G, 0.5, P[None])[2].tolist() == [0]
         P[0, 1] = np.nextafter(P[0, 1], np.inf)
-        assert _certificates(A[None], G, Q, P[None])[2].tolist() == [0]
+        assert _certificates(A[None], G, 0.5, P[None])[2].tolist() == [0]
         assert rows == [0, 1]
 
     @pytest.mark.parametrize("rho", [1.0, 2.0**-10])
@@ -483,10 +480,9 @@ class TestHurwitzBound:
                                           np.eye(3))
         rows = self.counting_hurwitz(monkeypatch)
         first = []  # the first certificate each call fails
-        for Q, candidate in ((0.0, lambda mask: (X[None][mask],
-                                                 np.ones(mask.sum(), bool))),
-                             (np.zeros((3, 3)), None)):
-            _, _, failed = _certificates(A[None], G, Q, p * np.eye(3)[None],
+        for candidate in (lambda mask: (X[None][mask],
+                                        np.ones(mask.sum(), bool)), None):
+            _, _, failed = _certificates(A[None], G, 0.0, p * np.eye(3)[None],
                                          candidate=candidate)
             first += failed.tolist()
         assert first == ([3, 3] if p == 0.0 else [2, 3])

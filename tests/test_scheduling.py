@@ -78,10 +78,12 @@ class TestPCache:
     def test_off_grid_solution_closed_form(self, scalar_cache):
         assert scalar_cache.solution(0.3).P[0, 0] == pytest.approx(0.3, rel=1e-9)
 
-    def test_construction_solves_only_unit_rho(self, monkeypatch):
-        # the other 640 rows come from one stack, which certifies each of
-        # them on the triple integrator; the schedule solves nothing
-        calls = []
+    def test_construction_makes_one_stack_and_no_lone_solve(
+            self, monkeypatch):
+        # all 641 rows come from one stack, which certifies each of them on
+        # the triple integrator: construction makes no lone solve, by
+        # either method, and the schedule solves nothing
+        calls, stacks = [], []
 
         def counting(model, rho, **kwargs):
             calls.append(rho)
@@ -91,26 +93,27 @@ class TestPCache:
             stacks.append(rho.size)
             return scheduled_lyapunov(model, rho)
 
-        # row 0's stack of one, inside its solve, then the table's of 640
-        stacks = []
+        def no_hamiltonian(*args):
+            raise AssertionError("Hamiltonian solve called")
+
         monkeypatch.setattr(scheduling, "solve_scheduled_are", counting)
         monkeypatch.setattr(scheduling, "scheduled_lyapunov", stacking)
         monkeypatch.setattr(riccati, "scheduled_lyapunov", stacking)
+        monkeypatch.setattr(riccati, "_care_schur", no_hamiltonian)
         cache = PCache(triple_integrator())
-        assert calls == [1.0]
-        assert stacks == [1, len(TABLE_RHO) - 1]
+        assert calls == [] and stacks == [len(TABLE_RHO)]
         schedule(np.outer([0.1, 30.0, 7e3], [1.0, -0.5, 0.25]), cache)
-        assert calls == [1.0] and stacks == [1, len(TABLE_RHO) - 1]
+        assert calls == [] and stacks == [len(TABLE_RHO)]
         cache.g(0.25, np.ones(3))
-        assert calls == [1.0, 0.25]
+        assert calls == [0.25] and stacks == [len(TABLE_RHO), 1]
 
     def test_rows_the_stack_leaves_take_one_hamiltonian_solve(
             self, monkeypatch):
         """`stable_mode.json` has a mode at −0.3, so the table's stack
         leaves 615 rows uncertified.  Each goes straight to the Hamiltonian
         solve that `solve_scheduled_are` falls back to, with no second
-        Lyapunov solve on a stack of one: the build makes two stacks, row
-        0's and the table's, under either module's name."""
+        Lyapunov solve on a stack of one: the build makes one stack, of all
+        641 rows, under either module's name."""
         stacks, rows = [], []
 
         def stacking(model, rho):
@@ -125,7 +128,7 @@ class TestPCache:
         monkeypatch.setattr(riccati, "scheduled_lyapunov", stacking)
         monkeypatch.setattr(scheduling, "scheduled_hamiltonian", hamiltonian)
         PCache(load_scenario(DATA / "stable_mode.json").model)
-        assert stacks == [1, len(TABLE_RHO) - 1]
+        assert stacks == [len(TABLE_RHO)]
         assert len(rows) == 615 and len(set(rows)) == 615
 
     def test_solution_independent_of_cache_history(self):
@@ -413,30 +416,31 @@ def random_table(seed):
 @given(seed=st.integers(0, 2**32 - 1), log10_scale=st.floats(-2.0, 4.0))
 def test_table_rows_on_random_admissible_models(seed, log10_scale):
     """On random admissible models (n ≤ 6, m ≤ 2), only construction may
-    raise RiccatiError, at row 0.  The rows one direct stacked solve of ρ <
-    1 certifies hold its bits; every row it does not certify that holds
-    NaN, and 16 sampled others, hold the bits of a direct
-    `solve_scheduled_are`, or NaN exactly where it raises.  Row 0 holds the
-    bits of the solve at ρ = 1.  g from the table agrees with `PCache.g` of
-    a cold solve to rounding, and `schedule` of a few random states keeps
-    the direct rule's bits on the table's rows, with ‖u‖ ≤ 1."""
+    raise RiccatiError, and only where the model is not admissible.  The
+    rows one direct stacked solve of the table's ρ certifies hold its bits;
+    every row it does not certify that holds NaN, and 16 sampled others,
+    hold the bits of a direct `solve_scheduled_are`, or NaN exactly where
+    it raises.  So does row 0, at ρ = 1.  g from the table agrees with
+    `PCache.g` of a cold solve to rounding, and `schedule` of a few random
+    states keeps the direct rule's bits on the table's rows, with
+    ‖u‖ ≤ 1."""
     model, cache = random_table(seed)
-    if isinstance(cache, RiccatiError):  # row 0: the model is not admissible
-        with pytest.raises(RiccatiError):
+    if isinstance(cache, RiccatiError):
+        with pytest.raises(RiccatiError, match="model fails admissibility"):
             solve_scheduled_are(model, 1.0)
         return
     rng = np.random.default_rng([seed, 1])
     chi = 10.0**log10_scale * rng.standard_normal((3, model.n))
-    P, _, certified = scheduled_lyapunov(model, TABLE_RHO[1:])
+    P, _, certified = scheduled_lyapunov(model, TABLE_RHO)
     S, BtS, t2 = table_row(model, P)
-    rows = np.flatnonzero(certified) + 1
+    rows = np.flatnonzero(certified)
     np.testing.assert_array_equal(cache.S[rows], S)
     np.testing.assert_array_equal(cache.gain[rows, 1], t2)
     np.testing.assert_array_equal(cache.gain[rows, 2:],
                                   BtS.reshape(len(rows), model.m * model.n))
-    lone = np.flatnonzero(~certified) + 1
+    lone = np.flatnonzero(~certified)
     nan = np.isnan(cache.gain).any(axis=1)
-    assert not nan[0] and (np.isnan(cache.S).any(axis=(1, 2)) == nan).all()
+    assert (np.isnan(cache.S).any(axis=(1, 2)) == nan).all()
     sample = np.union1d(lone[nan[lone]], lone[np.linspace(
         0, lone.size - 1, min(16, lone.size)).astype(int)])
     for i in [0, *sample.tolist()]:
@@ -478,7 +482,7 @@ def test_octave_split_by_gate_i(monkeypatch):
     """A stable mode at −0.3 fails gate (i) for ρ ≤ 0.6 + 2·HURWITZ_TOL:
     rows 26–32 of octave 1 (ρ = 2⁻¹(1 + j/32), j ≤ 6) and every deeper
     row.  Construction solves exactly those 615 rows alone, by the
-    Hamiltonian method, and the stack certifies the 25 rows above them.
+    Hamiltonian method, and the stack certifies the 26 rows above them.
     Every row holds the bits of its direct solve.  States with g = 1 at
     40 ρ across octave 1, on both sides of the gate, and at ρ = 0.1 keep
     the direct rule's bits of ε and U."""
@@ -499,6 +503,63 @@ def test_octave_split_by_gate_i(monkeypatch):
     np.testing.assert_array_equal(cache.gain, direct_table("gate_i")[1])
     chi = states_at([*np.linspace(0.51, 0.99, 40), 0.1], GATE_I_MODEL)
     assert_schedule_matches_reference(chi, "gate_i")
+
+
+# The work of one table build: (rows the stack certifies, lone Hamiltonian
+# solves, NaN rows, rows whose closed loop reaches `riccati._hurwitz`).  A
+# change that moves a count states the move.  The SkylakeX, Haswell,
+# Sandybridge and Prescott OpenBLAS kernels agree on these models.
+BUILD_WORK = {"triple": (641, 0, [], 494),
+              "stable_mode": (26, 615, [], 615),
+              "grid_gap": (64, 577, [64], 576)}
+# On the chains the split between stack and lone rows moves with the kernel
+# (ROADMAP item 24): lone solves 9 / 7 / 7 / 7 on the 6-chain and 565 / 519
+# / 536 / 578 on the 8-chain, `_hurwitz` rows 617 / 615 / 617 / 615 and
+# 641 on each.  So there the lone solves and `_hurwitz` rows are budgets,
+# the largest count of the four kernels.
+BUILD_BUDGET = {"6-chain": (9, 617), "8-chain": (578, 641)}
+
+
+@pytest.mark.parametrize("name", [*BUILD_WORK, *BUILD_BUDGET])
+def test_table_build_keeps_its_work_budget(name, monkeypatch):
+    """Every row is certified by the one stack or solved alone by the
+    Hamiltonian method (counted through `riccati._care_schur`), and the
+    counts of `BUILD_WORK` hold exactly, those of `BUILD_BUDGET` as
+    bounds."""
+    model = {"6-chain": lambda: integrator_chain(6),
+             "8-chain": lambda: integrator_chain(8),
+             "triple": triple_integrator}.get(
+        name, lambda: load_scenario(DATA / f"{name}.json").model)()
+    certified, lone, hurwitz = [], [], []
+    stack, care_schur, is_hurwitz = (scheduled_lyapunov, riccati._care_schur,
+                                     riccati._hurwitz)
+
+    def stacking(model, rho):
+        out = stack(model, rho)
+        certified.append(int(out[2].sum()))
+        return out
+
+    def solving(*args):
+        lone.append(args)
+        return care_schur(*args)
+
+    def eigvals(M):
+        hurwitz.append(len(M))
+        return is_hurwitz(M)
+
+    monkeypatch.setattr(scheduling, "scheduled_lyapunov", stacking)
+    monkeypatch.setattr(riccati, "_care_schur", solving)
+    monkeypatch.setattr(riccati, "_hurwitz", eigvals)
+    cache = PCache(model)
+    monkeypatch.undo()
+    nan = np.flatnonzero(np.isnan(cache.gain).any(axis=1)).tolist()
+    assert len(certified) == 1 and certified[0] + len(lone) == len(TABLE_RHO)
+    if name in BUILD_WORK:
+        assert (certified[0], len(lone), nan, sum(hurwitz)) == BUILD_WORK[name]
+    else:
+        lone_max, hurwitz_max = BUILD_BUDGET[name]
+        assert nan == [] and len(lone) <= lone_max
+        assert sum(hurwitz) <= hurwitz_max
 
 
 def test_complete_octaves_are_bisected_without_fill(monkeypatch):
@@ -656,9 +717,9 @@ def test_one_row_fill_stacks_its_octave(k):
 
 @pytest.mark.parametrize("case", ["triple", "gate_i"])
 def test_each_octave_is_stacked_at_most_once(monkeypatch, case):
-    """Construction makes one stack, of all 640 rows below ρ = 1; two
-    `schedule` calls make none.  On the gate-(i) model the stack certifies
-    25 rows, and the rest are solved alone."""
+    """Construction makes one stack, of all 641 rows; two `schedule` calls
+    make none.  On the gate-(i) model the stack certifies 26 rows, and the
+    rest are solved alone."""
     model = named_model(case)
     stacks = counting_stacks(monkeypatch)
     cache = PCache(model)
@@ -667,7 +728,7 @@ def test_each_octave_is_stacked_at_most_once(monkeypatch, case):
     schedule(chi, cache)
     schedule(chi[::-1], cache)
     assert len(stacks) == 1
-    np.testing.assert_array_equal(stacks[0], TABLE_RHO[1:])
+    np.testing.assert_array_equal(stacks[0], TABLE_RHO)
 
 
 def test_lattice_rho_table_matches_ldexp():
@@ -684,9 +745,10 @@ def test_lattice_rho_table_matches_ldexp():
     assert TABLE_RHO[-1] == RHO_MIN and not TABLE_RHO.flags.writeable
 
 
-def test_octave_zero_is_never_stacked(monkeypatch):
-    """Only row 0 of octave 0 is a ρ in (0, 1]: it is the lone checked
-    solve at ρ = 1, and the stack holds only ρ < 1, the other 640 rows."""
+def test_row_zero_is_stacked_with_the_rest(monkeypatch):
+    """Only row 0 of octave 0 is a ρ in (0, 1]: it is the first row of
+    the table's one stack, with no lone solve at ρ = 1, and it holds the
+    bits of `solve_scheduled_are(model, 1.0)`."""
     solves = []
 
     def counting(model, rho, **kwargs):
@@ -696,9 +758,10 @@ def test_octave_zero_is_never_stacked(monkeypatch):
     monkeypatch.setattr(scheduling, "solve_scheduled_are", counting)
     stacks = counting_stacks(monkeypatch)
     cache = PCache(triple_integrator())
-    assert solves == [1.0] and stacks[0].max() < 1.0
-    np.testing.assert_array_equal(
-        cache.S[0], table_row(cache.model, direct_P(cache.model, 1.0))[0])
+    assert solves == [] and len(stacks) == 1 and stacks[0][0] == 1.0
+    S, BtS, t2 = table_row(cache.model, direct_P(cache.model, 1.0))
+    np.testing.assert_array_equal(cache.S[0], S)
+    np.testing.assert_array_equal(cache.gain[0], [1.0, t2, *BtS.ravel()])
 
 
 def test_floor_error_names_first_agent_past_floor(scalar_cache):
@@ -815,8 +878,8 @@ def test_out_of_order_grid_fill_changes_no_bits():
     the same schedule as the direct rule, for states above the gap and in
     octave 2."""
     model, cache = GRID_GAP_MODEL, named_cache("grid_gap")
-    P, _, certified = scheduled_lyapunov(model, TABLE_RHO[:0:-1])
-    rows = (np.flatnonzero(certified[::-1]) + 1)[::-1]
+    P, _, certified = scheduled_lyapunov(model, TABLE_RHO[::-1])
+    rows = np.flatnonzero(certified[::-1])[::-1]
     np.testing.assert_array_equal(cache.S[rows], table_row(model, P)[0])
     chi = states_at([1.0, 0.97, 0.75, 0.55, 0.52, 0.3, 0.26], model)
     got = schedule(chi, PCache(model))
